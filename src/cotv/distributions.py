@@ -9,8 +9,11 @@ the module computes two probability-plane dispersion measures:
 * the *dual moment about the variance*, the same construction applied to
   the squared deviation from the mean.
 
-Both are Stieltjes integrals against the squared cdf and reduce to exact
-weighted sums for discrete instances.
+Every expectation goes through one primitive,
+``ServiceTimeModel.distorted_expect(g, w)``: the integral of g against
+d(w(F)).  ``w=None`` is the plain expectation, and the dual moments are
+the w(p) = p^2 case, expectations under d(F^2).  Continuous models
+integrate by quadrature; discrete models sum exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroMeanError,
 )
-from .numerics import DEFAULT_TOLERANCE, RngStream, Tolerance
+from .numerics import DEFAULT_TOLERANCE, RngStream, Tolerance, integrate
 
 __all__ = [
     "TAIL_MASS",
@@ -132,41 +135,45 @@ class ServiceTimeModel:
 
     def expect(self, g: Callable, tol: Tolerance | None = None,
                info: dict | None = None) -> float:
-        """E[g(t)] by quadrature against the density."""
-        from .numerics import integrate
-
-        lo, hi, truncated = self.integration_interval()
-        if info is not None:
-            info["integration_interval"] = [lo, hi]
-            info["truncated"] = truncated
-        return integrate(lambda t: np.asarray(g(t)) * self.pdf(t), lo, hi,
-                         tol or DEFAULT_TOLERANCE, info=info)
+        """E[g(t)]: :meth:`distorted_expect` without a weighting."""
+        return self.distorted_expect(g, None, tol, info)
 
     def dual_expect(self, g: Callable, tol: Tolerance | None = None,
                     info: dict | None = None) -> float:
         """Integral of g against the squared-cdf measure d(F^2) = 2 F f dt."""
-        from .numerics import integrate
-
-        lo, hi, truncated = self.integration_interval()
-        if info is not None:
-            info["integration_interval"] = [lo, hi]
-            info["truncated"] = truncated
-        return integrate(
-            lambda t: np.asarray(g(t)) * 2.0 * self.cdf(t) * self.pdf(t),
-            lo, hi, tol or DEFAULT_TOLERANCE, info=info)
+        return self.distorted_expect(g, _SQUARED, tol, info)
 
     def distorted_expect(self, g: Callable, w, tol: Tolerance | None = None,
                          info: dict | None = None) -> float:
-        """Integral of g against the distorted measure d(w(F)) = w'(F) f dt."""
-        from .numerics import integrate
+        """Integral of g against the distorted measure d(w(F)) = w'(F) f dt.
 
+        ``w=None`` integrates against the plain density f dt, without
+        evaluating the cdf.
+        """
         lo, hi, truncated = self.integration_interval()
         if info is not None:
             info["integration_interval"] = [lo, hi]
             info["truncated"] = truncated
-        return integrate(
-            lambda t: np.asarray(g(t)) * w.dw(self.cdf(t)) * self.pdf(t),
-            lo, hi, tol or DEFAULT_TOLERANCE, info=info)
+
+        def integrand(t):
+            if w is None:
+                return np.asarray(g(t)) * self.pdf(t)
+            return np.asarray(g(t)) * w.dw(self.cdf(t)) * self.pdf(t)
+
+        return integrate(integrand, lo, hi, tol or DEFAULT_TOLERANCE, info=info)
+
+
+class _Squared:
+    """w(p) = p^2: the law of the larger of two independent draws."""
+
+    def w(self, p):
+        return np.asarray(p, dtype=float) ** 2
+
+    def dw(self, p):
+        return 2.0 * np.asarray(p, dtype=float)
+
+
+_SQUARED = _Squared()
 
 
 class ContinuousModel(ServiceTimeModel):
@@ -488,23 +495,17 @@ class DiscreteModel(ServiceTimeModel):
     def params(self):
         return {"n_outcomes": int(self.outcomes.size)}
 
-    def integration_interval(self):
-        lo, hi = self.support()
-        return lo, hi, False
-
-    def expect(self, g, tol=None, info=None):
-        return float(self.probabilities @ np.asarray(g(self.outcomes), dtype=float))
-
-    def dual_expect(self, g, tol=None, info=None):
-        cum = np.concatenate(([0.0], self._cum))
-        dF2 = cum[1:] ** 2 - cum[:-1] ** 2
-        return float(dF2 @ np.asarray(g(self._values), dtype=float))
-
     def distorted_expect(self, g, w, tol=None, info=None):
+        if w is None:
+            return float(self.probabilities @ np.asarray(g(self.outcomes), dtype=float))
         cum = np.concatenate(([0.0], self._cum))
-        wcum = np.asarray(w.w(np.clip(cum, 0.0, 1.0)), dtype=float)
-        dw = wcum[1:] - wcum[:-1]
-        return float(dw @ np.asarray(g(self._values), dtype=float))
+        if w is not _SQUARED:
+            # Rounding can carry the cumulative mass past 1, outside a
+            # weighting's domain; p^2 is defined there and the dual moments
+            # are taken on the unclipped mass.
+            cum = np.clip(cum, 0.0, 1.0)
+        increments = np.diff(np.asarray(w.w(cum), dtype=float))
+        return float(increments @ np.asarray(g(self._values), dtype=float))
 
 
 class Degenerate(DiscreteModel):
@@ -559,6 +560,14 @@ def moments(model: ServiceTimeModel, tol: Tolerance | None = None) -> MomentSet:
     )
 
 
+def _dual_moment(model: ServiceTimeModel, power: int, tol: Tolerance | None,
+                 info: dict | None) -> float:
+    if model.is_degenerate:
+        return 0.0
+    mu = model.mean()
+    return model.dual_expect(lambda t: (t - mu) ** power, tol, info)
+
+
 def dual_moment_mean(model: ServiceTimeModel, tol: Tolerance | None = None,
                      info: dict | None = None) -> float:
     """Dual moment about the mean: E[max of two iid draws] - E[t].
@@ -566,19 +575,13 @@ def dual_moment_mean(model: ServiceTimeModel, tol: Tolerance | None = None,
     Computed as the integral of (t - mean) against d(F^2); zero exactly for
     degenerate models.
     """
-    if model.is_degenerate:
-        return 0.0
-    mu = model.mean()
-    return model.dual_expect(lambda t: t - mu, tol, info)
+    return _dual_moment(model, 1, tol, info)
 
 
 def dual_moment_variance(model: ServiceTimeModel, tol: Tolerance | None = None,
                          info: dict | None = None) -> float:
     """Dual moment about the variance: integral of (t - mean)^2 against d(F^2)."""
-    if model.is_degenerate:
-        return 0.0
-    mu = model.mean()
-    return model.dual_expect(lambda t: (t - mu) ** 2, tol, info)
+    return _dual_moment(model, 2, tol, info)
 
 
 def _require_meta(instance: DiscreteModel) -> DtMetadata:
@@ -587,6 +590,14 @@ def _require_meta(instance: DiscreteModel) -> DtMetadata:
         raise MetadataMissingError(
             "operation requires a banded instance built by build_dt_instance")
     return meta
+
+
+def _band_dual_moment(instance: DiscreteModel, power: int) -> float:
+    meta = _require_meta(instance)
+    xi = np.asarray(meta.xi, dtype=float)
+    n = meta.n
+    i = np.arange(1, n + 1)
+    return float((4.0 * meta.psi**2 / n**2) * np.sum(xi**power * 2 * i))
 
 
 def discrete_dual_moment(instance: DiscreteModel) -> float:
@@ -598,20 +609,12 @@ def discrete_dual_moment(instance: DiscreteModel) -> float:
     order-statistic expectation ``E[max(xi', xi'')]`` exactly, because the
     perturbation is zero-mean.
     """
-    meta = _require_meta(instance)
-    xi = np.asarray(meta.xi, dtype=float)
-    n = meta.n
-    i = np.arange(1, n + 1)
-    return float((4.0 * meta.psi**2 / n**2) * np.sum(xi * 2 * i))
+    return _band_dual_moment(instance, 1)
 
 
 def discrete_dual_moment_variance(instance: DiscreteModel) -> float:
     """Companion of :func:`discrete_dual_moment` with squared outcomes."""
-    meta = _require_meta(instance)
-    xi = np.asarray(meta.xi, dtype=float)
-    n = meta.n
-    i = np.arange(1, n + 1)
-    return float((4.0 * meta.psi**2 / n**2) * np.sum(xi**2 * 2 * i))
+    return _band_dual_moment(instance, 2)
 
 
 def build_dt_instance(

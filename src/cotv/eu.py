@@ -12,12 +12,16 @@ Every quantity comes in two flavours:
   ``1 / (1 + R2 R3 CV^2 / 2)``.
 
 The two paths are never mixed inside one number, so each reported value
-is traceable to a single derivation.
+is traceable to a single derivation.  The exact route is one core shared
+with rank-dependent utility: expected utility is its identity-weighting
+case, and both solve the premium with the same root search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import ServiceTimeModel
 from .errors import (
@@ -66,30 +70,58 @@ class EconomicContext:
             raise ValidationError(f"method must be one of {_METHODS}")
 
 
+def _exact_core(u: UtilityFunction, model: ServiceTimeModel, w, mu: float,
+                phi: float, tol: Tolerance,
+                info: dict | None = None) -> tuple[float, float, float]:
+    """(E_w[u], VOT, COTV) of the exact route shared by EU and RDU.
+
+    Expectations are taken against d(w(F)); ``w=None`` is the plain
+    density, i.e. expected utility is the identity-weighting case.
+    VOT = E_w[-u'(t)/phi] and COTV = (u(mu) - E_w[u])/phi.
+    """
+    expected_u = model.distorted_expect(u.u, w, tol, info)
+    vot = model.distorted_expect(
+        lambda t: -np.asarray(u.du(t), dtype=float) / phi, w, tol)
+    return expected_u, vot, (float(u.u(mu)) - expected_u) / phi
+
+
+def _exact_ratio(model: ServiceTimeModel, cotv_value: float, cot_value: float) -> float:
+    """rho = COTV/COT, literally; 0 for a degenerate model."""
+    if model.is_degenerate:
+        return 0.0
+    if cot_value <= 0:
+        raise ZeroCostError(f"cost of time is {cot_value:g}; ratio undefined")
+    return cotv_value / cot_value
+
+
+def _solve_premium(u: UtilityFunction, model: ServiceTimeModel, mu: float,
+                   expected_u: float, tol: Tolerance,
+                   info: dict | None = None) -> float:
+    """Root of u(mu + pi) = expected_u.
+
+    Strictly decreasing utility makes the root unique.  The initial
+    bracket is [0, window top - mu]; it expands geometrically (first
+    toward negative premiums) if the sign change lies outside, so
+    risk-seeking inputs are still handled.
+    """
+    def gap(pi: float) -> float:
+        return float(u.u(mu + pi)) - expected_u
+
+    _, hi, _ = model.integration_interval()
+    a, b = expand_bracket(gap, 0.0, max(hi - mu, 1e-6))
+    return find_root(gap, a, b, tol, info)
+
+
 def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
                   tol: Tolerance | None = None,
                   info: dict | None = None) -> float:
     """Variability premium: the extra certain time with the same utility
-    as facing the random time, solving E[u(t)] = u(mu + pi).
-
-    Strictly decreasing utility makes the root unique.  The initial
-    bracket is [0, upper support - mu]; it expands geometrically (first
-    toward negative premiums) if the sign change lies outside, so
-    risk-seeking inputs are still handled.
-    """
+    as facing the random time, solving E[u(t)] = u(mu + pi)."""
     tol = tol or DEFAULT_TOLERANCE
     if model.is_degenerate:
         return 0.0
     mu = model.mean()
-    expected_u = model.expect(u.u, tol, info)
-
-    def gap(pi: float) -> float:
-        return float(u.u(mu + pi)) - expected_u
-
-    lo, hi, _ = model.integration_interval()
-    upper = max(hi - mu, 1e-6)
-    a, b = expand_bracket(gap, 0.0, upper)
-    return find_root(gap, a, b, tol, info)
+    return _solve_premium(u, model, mu, model.expect(u.u, tol, info), tol, info)
 
 
 def premium_approx(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -235,22 +267,18 @@ def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     cv = model.cv() if mu > 0 else None
 
     if ctx.method == "exact":
-        premium = premium_exact(u, model, tol, info)
+        expected_u, vot_value, cotv_value = _exact_core(u, model, None, mu, ctx.phi,
+                                                        tol, info)
+        premium = (0.0 if model.is_degenerate
+                   else _solve_premium(u, model, mu, expected_u, tol, info))
+        rho = _exact_ratio(model, cotv_value, vot_value * mu)
     else:
         premium = premium_approx(u, model)
-    vot_mu = vot_at(u, mu, ctx)
-    vot_value = vot_mean(u, model, ctx, tol)
-    cot_value = vot_value * mu
-    cotv_value = cotv(u, model, ctx, tol)
-    if model.is_degenerate:
-        rho = 0.0
-    elif ctx.method == "exact":
-        # keep the reported ratio literally equal to cotv / cot
-        if cot_value <= 0:
-            raise ZeroCostError(f"cost of time is {cot_value:g}; ratio undefined")
-        rho = cotv_value / cot_value
-    else:
+        vot_value = vot_mean(u, model, ctx, tol)
+        cotv_value = cotv(u, model, ctx, tol)
         rho = ratio_rho(u, model, ctx, tol)
+    vot_mu = vot_at(u, mu, ctx)
+    cot_value = vot_value * mu
     if model.is_degenerate:
         eta = 1.0
     elif ctx.method == "exact":

@@ -5,7 +5,9 @@ a weighting function w, so variability is priced in the probability plane
 through dual moments.  Rank-dependent utility composes a general utility
 with the same distortion and nests both expected utility (identity
 weighting) and dual theory (affine utility); the package asserts those
-reductions numerically.
+reductions numerically.  Exact rank-dependent reports run through the
+expected-utility exact core of :mod:`cotv.eu` with the weighting in
+place, and the dual moments are expectations under d(F^2).
 
 Sign conventions: premiums are reported as computed, and a banded
 instance is flagged "dual risk-averse in the time domain" when its
@@ -25,6 +27,7 @@ from .distributions import (
     DiscreteModel,
     DtMetadata,
     ServiceTimeModel,
+    _require_meta,
     discrete_dual_moment,
     discrete_dual_moment_variance,
     dual_moment_mean,
@@ -33,10 +36,10 @@ from .distributions import (
 from .errors import (
     DerivativeZeroError,
     MetadataMismatchError,
-    MetadataMissingError,
     ValidationError,
     ZeroCostError,
 )
+from .eu import EconomicContext, _exact_core, _exact_ratio, _solve_premium
 from .numerics import DEFAULT_TOLERANCE, Tolerance, find_root
 from .preferences import UtilityFunction, WeightingFunction, weighting_derivative_ratio
 from .reports import ValuationReport
@@ -54,9 +57,6 @@ __all__ = [
     "rdu_ratio",
     "rdu_valuation",
 ]
-
-_METHODS = ("exact", "second_order")
-
 
 @dataclass(frozen=True)
 class DtContext:
@@ -115,10 +115,7 @@ def _band_weights(meta: DtMetadata, w: WeightingFunction) -> tuple[np.ndarray, f
 
 
 def _meta_for(instance: DiscreteModel, p0: float, psi: float) -> DtMetadata:
-    meta = getattr(instance, "dt_meta", None)
-    if meta is None:
-        raise MetadataMissingError(
-            "operation requires a banded instance built by build_dt_instance")
+    meta = _require_meta(instance)
     if abs(meta.p0 - p0) > 1e-12 or abs(meta.psi - psi) > 1e-12:
         raise MetadataMismatchError(
             f"instance was built with (p0={meta.p0}, psi={meta.psi}), "
@@ -161,14 +158,6 @@ def dt_premium_approx(ctx: DtContext, m2_dual: float) -> float:
     return 0.5 * weighting_derivative_ratio(ctx.w, ctx.p0) * m2_dual
 
 
-def _dual_mean_of(model_or_instance: ServiceTimeModel,
-                  tol: Tolerance | None) -> float:
-    meta = getattr(model_or_instance, "dt_meta", None)
-    if meta is not None:
-        return discrete_dual_moment(model_or_instance)
-    return dual_moment_mean(model_or_instance, tol)
-
-
 def dt_valuation(model_or_instance: ServiceTimeModel, ctx: DtContext,
                  phi: float, method: str = "exact",
                  tol: Tolerance | None = None) -> ValuationReport:
@@ -180,10 +169,7 @@ def dt_valuation(model_or_instance: ServiceTimeModel, ctx: DtContext,
     premium of a banded instance is the closed weighted sum; a continuous
     model is integrated directly against d(w(F)).
     """
-    if not phi > 0:
-        raise ValidationError("phi must be strictly positive")
-    if method not in _METHODS:
-        raise ValidationError(f"method must be one of {_METHODS}")
+    EconomicContext(phi, method)  # validates phi and method
     tol = tol or DEFAULT_TOLERANCE
 
     mu = model_or_instance.mean()
@@ -192,16 +178,15 @@ def dt_valuation(model_or_instance: ServiceTimeModel, ctx: DtContext,
     sigma = model_or_instance.std()
     meta = getattr(model_or_instance, "dt_meta", None)
 
-    m2_dual = _dual_mean_of(model_or_instance, tol)
+    m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
+               else dual_moment_mean(model_or_instance, tol))
     if method == "exact":
         if model_or_instance.is_degenerate:
             premium = 0.0
         elif meta is not None:
             premium = dt_premium_exact(model_or_instance, ctx)
         else:
-            distorted_mean = model_or_instance.distorted_expect(
-                lambda t: np.asarray(t, dtype=float), ctx.w, tol)
-            premium = distorted_mean - mu
+            premium = -dt_expected_utility(model_or_instance, ctx.w, tol) - mu
     else:
         premium = dt_premium_approx(ctx, m2_dual)
 
@@ -259,10 +244,7 @@ def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
     perturbations.
     """
     tol = tol or DEFAULT_TOLERANCE
-    meta = getattr(instance, "dt_meta", None)
-    if meta is None:
-        raise MetadataMissingError(
-            "operation requires a banded instance built by build_dt_instance")
+    meta = _require_meta(instance)
     if abs(meta.p0 - ctx.p0) > 1e-12:
         raise MetadataMismatchError(
             f"instance anchor p0={meta.p0} disagrees with context p0={ctx.p0}")
@@ -339,8 +321,7 @@ def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
     weighting reduces it to R2 CV^2 / 2; affine utility reduces it to the
     dual-theory ratio.
     """
-    if not phi > 0:
-        raise ValidationError("phi must be strictly positive")
+    EconomicContext(phi)  # validates phi
     tol = tol or DEFAULT_TOLERANCE
     if model_or_instance.is_degenerate:
         return 0.0
@@ -365,10 +346,7 @@ def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,
     order: premium from :func:`rdu_premium_approx` monetised at VOT(mu),
     ratio from :func:`rdu_ratio`.
     """
-    if not phi > 0:
-        raise ValidationError("phi must be strictly positive")
-    if method not in _METHODS:
-        raise ValidationError(f"method must be one of {_METHODS}")
+    EconomicContext(phi, method)  # validates phi and method
     tol = tol or DEFAULT_TOLERANCE
 
     meta = getattr(model_or_instance, "dt_meta", None)
@@ -381,33 +359,16 @@ def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,
     vot_mu = -float(ctx.u.du(mu)) / phi
 
     if method == "exact":
+        distorted_u, vot, cotv_value = _exact_core(ctx.u, model_or_instance, ctx.w,
+                                                   mu, phi, tol)
         if model_or_instance.is_degenerate:
             premium = 0.0
         elif meta is not None:
             premium = rdu_premium_exact(model_or_instance, ctx, tol)
         else:
-            distorted_u = rdu_expected_utility(model_or_instance, ctx.u, ctx.w, tol)
-            mean_u = float(ctx.u.u(mu))
-
-            def gap(pi: float) -> float:
-                return float(ctx.u.u(mu + pi)) - distorted_u
-
-            from .numerics import expand_bracket
-
-            lo, hi, _ = model_or_instance.integration_interval()
-            a, b = expand_bracket(gap, 0.0, max(hi - mu, 1e-6))
-            premium = find_root(gap, a, b, tol)
-        vot = model_or_instance.distorted_expect(
-            lambda t: -np.asarray(ctx.u.du(t), dtype=float) / phi, ctx.w, tol)
+            premium = _solve_premium(ctx.u, model_or_instance, mu, distorted_u, tol)
         cot_value = vot * mu
-        cotv_value = (float(ctx.u.u(mu))
-                      - rdu_expected_utility(model_or_instance, ctx.u, ctx.w, tol)) / phi
-        if model_or_instance.is_degenerate:
-            rho = 0.0
-        else:
-            if cot_value <= 0:
-                raise ZeroCostError(f"cost of time is {cot_value:g}; ratio undefined")
-            rho = cotv_value / cot_value
+        rho = _exact_ratio(model_or_instance, cotv_value, cot_value)
     else:
         premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
         vot = -float(ctx.u.du(mu_w)) / phi

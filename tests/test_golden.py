@@ -5,7 +5,9 @@ text the package rendered for it: a ``value`` or ``dualmoments`` envelope,
 a ``sweep`` CSV, or ``"<ErrorClass>: <message>"`` when the computation
 fails (the fast known-defect reproducers of ``bench/ledger.json`` are
 kept that way).  The comparison is byte equality; a refactor that changes
-one digit of one number fails here.
+one digit of one number fails here.  The corpus was rendered with
+CPython 3.11, numpy 2.4 and scipy 1.17; another build of numpy or scipy
+may move last digits, and this test then fails without a code change.
 
 Regenerate only for a deliberate change of output, and say so where the
 change is recorded::

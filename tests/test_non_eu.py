@@ -37,7 +37,7 @@ from cotv.preferences import (
     QuadraticUtility,
 )
 
-from oracles import brute_rank_expectation
+from oracles import brute_rank_expectation, quadratic_premium
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_iter=400)
 IDENTITY = IdentityWeighting()
@@ -351,6 +351,26 @@ class TestRduValuation:
         assert rdu.cot == pytest.approx(eu.cot, abs=1e-10)
         assert rdu.cotv == pytest.approx(eu.cotv, abs=1e-10)
         assert rdu.rho == pytest.approx(eu.rho, abs=1e-10)
+
+    @pytest.mark.parametrize("model", [Exponential(rate=0.8), Uniform(lo=1.0, hi=4.0)],
+                             ids=["exponential", "uniform"])
+    def test_identity_weighting_premium_matches_quadratic_oracle(self, model):
+        report = rdu_valuation(model, RduContext(u=PureQuadraticUtility(-1.0), w=IDENTITY),
+                               phi=2.5, method="exact", tol=TIGHT)
+        assert report.premium == pytest.approx(
+            quadratic_premium(model.mean(), model.std()), abs=1e-10)
+
+    def test_raw_discrete_cotv_matches_enumeration(self):
+        outcomes = [1.0, 2.0, 2.0, 3.5, 5.0, 8.0]
+        probabilities = [0.1, 0.2, 0.15, 0.25, 0.2, 0.1]
+        model = DiscreteModel(outcomes, probabilities)
+        u = PureQuadraticUtility(-1.0)
+        phi = 2.5
+        report = rdu_valuation(model, RduContext(u=u, w=SQUARE), phi=phi, method="exact")
+        mu = sum(p * x for p, x in zip(probabilities, outcomes))
+        rank_u = brute_rank_expectation(outcomes, probabilities, SQUARE,
+                                        lambda t: -t * t)
+        assert report.cotv == pytest.approx((-mu * mu - rank_u) / phi, rel=1e-12)
 
     def test_degenerate(self):
         instance = build_dt_instance(t0=5.0, xi=[0.0])

@@ -34,6 +34,7 @@ from .errors import (
     ZeroMeanError,
 )
 from .numerics import DEFAULT_TOLERANCE, RngStream, Tolerance, integrate
+from .preferences import PowerWeighting
 
 __all__ = [
     "TAIL_MASS",
@@ -163,17 +164,8 @@ class ServiceTimeModel:
         return integrate(integrand, lo, hi, tol or DEFAULT_TOLERANCE, info=info)
 
 
-class _Squared:
-    """w(p) = p^2: the law of the larger of two independent draws."""
-
-    def w(self, p):
-        return np.asarray(p, dtype=float) ** 2
-
-    def dw(self, p):
-        return 2.0 * np.asarray(p, dtype=float)
-
-
-_SQUARED = _Squared()
+# w(p) = p^2: the law of the larger of two independent draws.
+_SQUARED = PowerWeighting(gamma=2.0)
 
 
 class ContinuousModel(ServiceTimeModel):

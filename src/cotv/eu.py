@@ -70,19 +70,21 @@ class EconomicContext:
             raise ValidationError(f"method must be one of {_METHODS}")
 
 
-def _exact_core(u: UtilityFunction, model: ServiceTimeModel, w, mu: float,
-                phi: float, tol: Tolerance,
-                info: dict | None = None) -> tuple[float, float, float]:
-    """(E_w[u], VOT, COTV) of the exact route shared by EU and RDU.
+# The exact route shared by EU and RDU.  Expectations are taken against
+# d(w(F)); ``w=None`` is the plain density, i.e. expected utility is the
+# identity-weighting case.  A report computes E_w[u] once, solves the
+# premium from it, then integrates the value of time.
 
-    Expectations are taken against d(w(F)); ``w=None`` is the plain
-    density, i.e. expected utility is the identity-weighting case.
-    VOT = E_w[-u'(t)/phi] and COTV = (u(mu) - E_w[u])/phi.
-    """
-    expected_u = model.distorted_expect(u.u, w, tol, info)
-    vot = model.distorted_expect(
-        lambda t: -np.asarray(u.du(t), dtype=float) / phi, w, tol)
-    return expected_u, vot, (float(u.u(mu)) - expected_u) / phi
+def _exact_vot(u: UtilityFunction, model: ServiceTimeModel, w, phi: float,
+               tol: Tolerance | None, info: dict | None = None) -> float:
+    """VOT = E_w[-u'(t)/phi]."""
+    return model.distorted_expect(
+        lambda t: -np.asarray(u.du(t), dtype=float) / phi, w, tol, info)
+
+
+def _exact_cotv(u: UtilityFunction, mu: float, expected_u: float, phi: float) -> float:
+    """COTV = (u(mu) - E_w[u])/phi."""
+    return (float(u.u(mu)) - expected_u) / phi
 
 
 def _exact_ratio(model: ServiceTimeModel, cotv_value: float, cot_value: float) -> float:
@@ -149,7 +151,7 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     if ctx.method == "exact":
         if model.is_degenerate:
             return vot_at(u, mu, ctx)
-        return model.expect(lambda t: -u.du(t) / ctx.phi, tol, info)
+        return _exact_vot(u, model, None, ctx.phi, tol, info)
     return vot_at(u, mu, ctx) - 0.5 * model.variance() * float(u.d3u(mu)) / ctx.phi
 
 
@@ -172,8 +174,7 @@ def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     if model.is_degenerate:
         return 0.0
     if ctx.method == "exact":
-        u_mu = float(u.u(mu))
-        return (u_mu - model.expect(u.u, tol, info)) / ctx.phi
+        return _exact_cotv(u, mu, model.expect(u.u, tol, info), ctx.phi)
     return premium_approx(u, model) * vot_at(u, mu, ctx)
 
 
@@ -203,9 +204,7 @@ def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
         return 0.0
     if ctx.method == "exact":
         denominator = cot(u, model, ctx, tol, info)
-        if denominator <= 0:
-            raise ZeroCostError(f"cost of time is {denominator:g}; ratio undefined")
-        return cotv(u, model, ctx, tol, info) / denominator
+        return _exact_ratio(model, cotv(u, model, ctx, tol, info), denominator)
     mu = model.mean()
     if mu <= 0:
         raise ZeroCostError("second-order ratio requires a positive mean time")
@@ -266,14 +265,15 @@ def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     sigma = model.std()
     cv = model.cv() if mu > 0 else None
 
-    if ctx.method == "exact":
-        expected_u, vot_value, cotv_value = _exact_core(u, model, None, mu, ctx.phi,
-                                                        tol, info)
-        premium = (0.0 if model.is_degenerate
-                   else _solve_premium(u, model, mu, expected_u, tol, info))
+    if ctx.method == "exact" and not model.is_degenerate:
+        expected_u = model.expect(u.u, tol, info)
+        premium = _solve_premium(u, model, mu, expected_u, tol, info)
+        vot_value = vot_mean(u, model, ctx, tol)
+        cotv_value = _exact_cotv(u, mu, expected_u, ctx.phi)
         rho = _exact_ratio(model, cotv_value, vot_value * mu)
     else:
-        premium = premium_approx(u, model)
+        # second order, or a degenerate model's exact shortcuts
+        premium = (premium_exact if ctx.method == "exact" else premium_approx)(u, model)
         vot_value = vot_mean(u, model, ctx, tol)
         cotv_value = cotv(u, model, ctx, tol)
         rho = ratio_rho(u, model, ctx, tol)

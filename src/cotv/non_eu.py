@@ -39,7 +39,13 @@ from .errors import (
     ValidationError,
     ZeroCostError,
 )
-from .eu import EconomicContext, _exact_core, _exact_ratio, _solve_premium
+from .eu import (
+    EconomicContext,
+    _exact_cotv,
+    _exact_ratio,
+    _exact_vot,
+    _solve_premium,
+)
 from .numerics import DEFAULT_TOLERANCE, Tolerance, find_root
 from .preferences import UtilityFunction, WeightingFunction, weighting_derivative_ratio
 from .reports import ValuationReport
@@ -359,14 +365,15 @@ def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,
     vot_mu = -float(ctx.u.du(mu)) / phi
 
     if method == "exact":
-        distorted_u, vot, cotv_value = _exact_core(ctx.u, model_or_instance, ctx.w,
-                                                   mu, phi, tol)
+        distorted_u = rdu_expected_utility(model_or_instance, ctx.u, ctx.w, tol)
         if model_or_instance.is_degenerate:
             premium = 0.0
         elif meta is not None:
             premium = rdu_premium_exact(model_or_instance, ctx, tol)
         else:
             premium = _solve_premium(ctx.u, model_or_instance, mu, distorted_u, tol)
+        vot = _exact_vot(ctx.u, model_or_instance, ctx.w, phi, tol)
+        cotv_value = _exact_cotv(ctx.u, mu, distorted_u, phi)
         cot_value = vot * mu
         rho = _exact_ratio(model_or_instance, cotv_value, cot_value)
     else:

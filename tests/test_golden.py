@@ -4,8 +4,10 @@
 text the package rendered for it: a ``value`` or ``dualmoments`` envelope,
 a ``sweep`` CSV, or ``"<ErrorClass>: <message>"`` when the computation
 fails (the fast known-defect reproducers of ``bench/ledger.json`` are
-kept that way).  The comparison is byte equality; a refactor that changes
-one digit of one number fails here.  The corpus was rendered with
+kept that way).  The ``cli`` cases run ``cotv.cli.main`` on a config file
+and keep ``"exit <code>"`` followed by the bytes of the ``--out`` file, or
+by the first stderr line when the run writes none.  The comparison is byte
+equality; a refactor that changes one digit of one number fails here.  The corpus was rendered with
 CPython 3.11, numpy 2.4 and scipy 1.17; another build of numpy or scipy
 may move last digits, and this test then fails without a code change.
 
@@ -13,11 +15,17 @@ Regenerate only for a deliberate change of output, and say so where the
 change is recorded::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the ids of the cases it adds, removes or changes before it
+writes the file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -25,6 +33,7 @@ import pytest
 
 from cotv.cli import (
     dualmoments_payload,
+    main,
     render_csv,
     render_envelope,
     run_scenario,
@@ -143,8 +152,46 @@ DUAL_MOMENTS = {
 }
 
 
+# every scenario subcommand in both formats, and two config errors (exit 2)
+CLI_RUNS = {
+    f"cli-{command}-{fmt}": {"command": command, "format": fmt, "scenario": raw}
+    for command, raw in (
+        ("value", SCENARIOS["rdu-banded-pure_quadratic-inverse_s-both"]),
+        ("sweep", SWEEPS["sweep-eu-exponential-rate-phi"]),
+        ("classify", SCENARIOS["eu-gamma-prudence-both"]),
+        ("dualmoments", DUAL_MOMENTS["dualmoments-raw"]),
+    )
+    for fmt in ("json", "csv")
+}
+CLI_RUNS["cli-value-unknown_key"] = {
+    "command": "value", "format": "json",
+    "scenario": {**SCENARIOS["eu-uniform-power-exact"], "bogus": 1}}
+CLI_RUNS["cli-sweep-grid_too_large"] = {
+    "command": "sweep", "format": "csv",
+    "scenario": {**SWEEPS["sweep-eu-exponential-rate-phi"], "sweep": {"axes": {
+        "distribution.params.rate": [0.5 + i / 100 for i in range(101)],
+        "economics.phi": [1.0 + i / 100 for i in range(101)],
+        "seed": list(range(101))}}}}
+
+
+def run_cli(case: dict) -> str:
+    """Exit code, then the output file or the first stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        config.write_text(json.dumps(case["scenario"]), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([case["command"], "--config", str(config),
+                         "--format", case["format"], "--out", str(out)])
+        text = (out.read_bytes().decode("utf-8") if out.exists()
+                else stderr.getvalue().splitlines()[0])
+    return f"exit {code}\n{text}"
+
+
 def render(kind: str, raw: dict) -> str:
     """The text the package renders for one case, or its error."""
+    if kind == "cli":
+        return run_cli(raw)
     try:
         # the ledger reproducers hit singular weightings on purpose
         with warnings.catch_warnings():
@@ -166,6 +213,7 @@ def _build_corpus() -> list[dict]:
     regions = json.loads(LEDGER.read_text(encoding="utf-8"))["regions"]
     cases += [("value", f"ledger-{region['id']}", region["config"])
               for region in regions if region["fast"]]
+    cases += [("cli", name, run) for name, run in CLI_RUNS.items()]
     return [{"id": name, "kind": kind, "config": raw, "expected": render(kind, raw)}
             for kind, name, raw in cases]
 
@@ -183,11 +231,18 @@ def test_golden_output_is_byte_identical(case):
 
 def test_golden_corpus_covers_the_scenarios():
     ids = {case["id"] for case in _load()}
-    assert set(SCENARIOS) | set(SWEEPS) | set(DUAL_MOMENTS) <= ids
+    assert set(SCENARIOS) | set(SWEEPS) | set(DUAL_MOMENTS) | set(CLI_RUNS) <= ids
     assert any(case["expected"].startswith("NoBracketError") for case in _load())
 
 
 if __name__ == "__main__":
+    old = {case["id"]: case["expected"] for case in _load()} if CORPUS.exists() else {}
+    cases = _build_corpus()
+    new = {case["id"]: case["expected"] for case in cases}
+    for label, ids in (("added", new.keys() - old.keys()),
+                       ("removed", old.keys() - new.keys()),
+                       ("changed", {i for i in new.keys() & old.keys() if new[i] != old[i]})):
+        for case_id in sorted(ids):
+            print(f"{label}: {case_id}")
     CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(json.dumps({"cases": _build_corpus()}, indent=1) + "\n",
-                      encoding="utf-8")
+    CORPUS.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")

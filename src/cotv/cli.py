@@ -20,12 +20,12 @@ import itertools
 import json
 import sys
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import __version__
-from .config import MAX_GRID_POINTS, ScenarioConfig, load_config, parse_config
+from .config import ScenarioConfig, load_config, parse_config
 from .distributions import moments
-from .errors import ConfigError, CotvError, GridTooLargeError
+from .errors import ConfigError, CotvError
 from .eu import EconomicContext, evaluate as eu_evaluate
 from .non_eu import DtContext, RduContext, dt_valuation, rdu_valuation
 from .numerics import RngStream, mc_estimate
@@ -52,18 +52,22 @@ def _value_columns() -> list[str]:
 
 
 def _evaluate_one(config: ScenarioConfig, method: str):
-    model = config.model()
-    framework = config.framework
-    if framework == "eu":
+    if config.framework == "eu":
         ctx = EconomicContext(phi=config.phi, method=method)
-        return eu_evaluate(config.utility(), model, ctx)
-    w = config.weighting()
-    p0, psi, tau_h = config.weighting_anchor()
-    if framework == "dt":
-        return dt_valuation(model, DtContext(w=w, p0=p0, psi=psi),
-                            config.phi, method=method)
-    ctx = RduContext(u=config.utility(), w=w, p0=p0, tau_h=tau_h)
-    return rdu_valuation(model, ctx, config.phi, method=method)
+        return eu_evaluate(config.utility, config.model, ctx)
+    anchor = config.data["weighting"]
+    if config.framework == "dt":
+        ctx = DtContext(w=config.weighting, p0=anchor["p0"], psi=anchor["psi"])
+        return dt_valuation(config.model, ctx, config.phi, method=method)
+    ctx = RduContext(u=config.utility, w=config.weighting, p0=anchor["p0"],
+                     tau_h=anchor["tau_h"])
+    return rdu_valuation(config.model, ctx, config.phi, method=method)
+
+
+def _header(config: ScenarioConfig, **body: Any) -> dict:
+    """A payload: the tool, the canonical config and ``body``."""
+    return {"tool": {"name": "cotv", "version": __version__},
+            "config": config.canonical(), **body}
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
@@ -72,15 +76,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
                else [config.method])
     reports = {method: _evaluate_one(config, method) for method in methods}
 
-    results: dict[str, Any] = {}
     first = reports[methods[0]]
-    results["framework"] = first.framework
-    results["phi"] = first.phi
-    results["mu"] = first.mu
-    results["sigma"] = first.sigma
-    results["cv"] = first.cv
-    results["vot_at_mu"] = first.vot_at_mu
-    results["rho_upper_bound"] = first.rho_upper_bound
+    results: dict[str, Any] = {name: getattr(first, name) for name in _BASE_COLUMNS}
     for method, report in reports.items():
         for name in _METHOD_COLUMNS:
             if name in ("bound_slack", "bound_violated"):
@@ -104,12 +101,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
     diagnostics = {method: dict(report.diagnostics)
                    for method, report in reports.items()}
-    return {
-        "tool": {"name": "cotv", "version": __version__},
-        "config": config.canonical(),
-        "results": results,
-        "diagnostics": diagnostics,
-    }
+    return _header(config, results=results, diagnostics=diagnostics)
 
 
 def scenario_row(envelope: Mapping) -> dict:
@@ -140,13 +132,6 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
         raise ConfigError("sweep", "config has no sweep block")
     axes = sweep["axes"]
     names = sorted(axes)
-    total = 1
-    for name in names:
-        total *= len(axes[name])
-    if total > MAX_GRID_POINTS:
-        raise GridTooLargeError(
-            "sweep.axes", f"{total} grid points exceed the {MAX_GRID_POINTS} cap")
-
     columns = [f"axis:{name}" for name in names] + _value_columns()
     rows = []
     for combo in itertools.product(*(axes[name] for name in names)):
@@ -164,20 +149,14 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
 
 def classify_payload(config: ScenarioConfig) -> dict:
     """Risk coefficients at the mean time plus moment-preference labels."""
-    model = config.model()
-    u = config.utility()
-    profile = risk_coefficients(u, model.mean())
+    profile = risk_coefficients(config.utility, config.model.mean())
     labels = classify_moment_preference(profile)
-    return {
-        "tool": {"name": "cotv", "version": __version__},
-        "config": config.canonical(),
-        "results": {**profile.to_dict(), **labels.to_dict()},
-    }
+    return _header(config, results={**profile.to_dict(), **labels.to_dict()})
 
 
 def dualmoments_payload(config: ScenarioConfig) -> dict:
     """Moment diagnostics with a seeded order-statistic Monte Carlo check."""
-    model = config.model()
+    model = config.model
     mset = moments(model)
     stream = RngStream(seed=config.seed, stream_id=0)
 
@@ -190,18 +169,14 @@ def dualmoments_payload(config: ScenarioConfig) -> dict:
 
     mc = mc_estimate(sampler, statistic, 100_000, stream)
     delta = mc.estimate - mset.m2_dual_mean
-    return {
-        "tool": {"name": "cotv", "version": __version__},
-        "config": config.canonical(),
-        "results": {
-            **mset.to_dict(),
-            "mc_m2_dual_mean": mc.estimate,
-            "mc_std_error": mc.std_error,
-            "mc_quadrature_delta": delta,
-            "mc_within_3se": bool(abs(delta) <= 3.0 * mc.std_error
-                                  or mc.std_error == 0.0),
-        },
-    }
+    return _header(config, results={
+        **mset.to_dict(),
+        "mc_m2_dual_mean": mc.estimate,
+        "mc_std_error": mc.std_error,
+        "mc_quadrature_delta": delta,
+        "mc_within_3se": bool(abs(delta) <= 3.0 * mc.std_error
+                              or mc.std_error == 0.0),
+    })
 
 
 # ---------------------------------------------------------------- rendering
@@ -257,61 +232,44 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default=None, help="override the config method")
 
 
-def _resolve_output(args, config: ScenarioConfig) -> tuple[str, str | None]:
+# Each scenario subcommand has a table: a function mapping a config to its
+# JSON payload, CSV columns and CSV rows.
+
+def _value_table(config: ScenarioConfig):
+    envelope = run_scenario(config)
+    return envelope, _value_columns(), [scenario_row(envelope)]
+
+
+def _sweep_table(config: ScenarioConfig):
+    columns, rows = sweep_rows(config)
+    return _header(config, columns=columns, rows=rows), columns, rows
+
+
+def _results_table(payload: Callable[[ScenarioConfig], dict]):
+    """Table of a payload whose CSV form is one row of its ``results``."""
+    def table(config: ScenarioConfig):
+        envelope = payload(config)
+        return envelope, list(envelope["results"]), [envelope["results"]]
+    return table
+
+
+_SCENARIO_COMMANDS = [
+    ("value", "evaluate one scenario", _value_table),
+    ("sweep", "evaluate a scenario grid", _sweep_table),
+    ("classify", "risk coefficients and moment-preference labels",
+     _results_table(classify_payload)),
+    ("dualmoments", "distribution moment diagnostics",
+     _results_table(dualmoments_payload)),
+]
+
+
+def _run_scenario_command(args) -> int:
+    config = load_config(args.config, args.seed, args.method)
+    payload, columns, rows = args.table(config)
     out_format = args.format or config.output_format
     out_path = args.out if args.out is not None else config.output_path
-    return out_format, out_path
-
-
-def _run_value(args) -> int:
-    config = load_config(args.config, args.seed, args.method)
-    envelope = run_scenario(config)
-    out_format, out_path = _resolve_output(args, config)
-    if out_format == "json":
-        _emit(render_envelope(envelope), out_path)
-    else:
-        _emit(render_csv(_value_columns(), [scenario_row(envelope)]), out_path)
-    return 0
-
-
-def _run_sweep(args) -> int:
-    config = load_config(args.config, args.seed, args.method)
-    columns, rows = sweep_rows(config)
-    out_format, out_path = _resolve_output(args, config)
-    if out_format == "json":
-        payload = {
-            "tool": {"name": "cotv", "version": __version__},
-            "config": config.canonical(),
-            "columns": columns,
-            "rows": rows,
-        }
-        _emit(render_envelope(payload), out_path)
-    else:
-        _emit(render_csv(columns, rows), out_path)
-    return 0
-
-
-def _run_classify(args) -> int:
-    config = load_config(args.config, args.seed, args.method)
-    payload = classify_payload(config)
-    out_format, out_path = _resolve_output(args, config)
-    if out_format == "json":
-        _emit(render_envelope(payload), out_path)
-    else:
-        columns = list(payload["results"])
-        _emit(render_csv(columns, [payload["results"]]), out_path)
-    return 0
-
-
-def _run_dualmoments(args) -> int:
-    config = load_config(args.config, args.seed, args.method)
-    payload = dualmoments_payload(config)
-    out_format, out_path = _resolve_output(args, config)
-    if out_format == "json":
-        _emit(render_envelope(payload), out_path)
-    else:
-        columns = list(payload["results"])
-        _emit(render_csv(columns, [payload["results"]]), out_path)
+    _emit(render_envelope(payload) if out_format == "json"
+          else render_csv(columns, rows), out_path)
     return 0
 
 
@@ -337,23 +295,10 @@ def main(argv: list[str] | None = None) -> int:
                         version=f"cotv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    value_parser = sub.add_parser("value", help="evaluate one scenario")
-    _add_common(value_parser)
-    value_parser.set_defaults(func=_run_value)
-
-    sweep_parser = sub.add_parser("sweep", help="evaluate a scenario grid")
-    _add_common(sweep_parser)
-    sweep_parser.set_defaults(func=_run_sweep)
-
-    classify_parser = sub.add_parser(
-        "classify", help="risk coefficients and moment-preference labels")
-    _add_common(classify_parser)
-    classify_parser.set_defaults(func=_run_classify)
-
-    dual_parser = sub.add_parser(
-        "dualmoments", help="distribution moment diagnostics")
-    _add_common(dual_parser)
-    dual_parser.set_defaults(func=_run_dualmoments)
+    for name, help_text, table in _SCENARIO_COMMANDS:
+        scenario_parser = sub.add_parser(name, help=help_text)
+        _add_common(scenario_parser)
+        scenario_parser.set_defaults(func=_run_scenario_command, table=table)
 
     verify_parser = sub.add_parser("verify", help="run the verification suite")
     verify_parser.add_argument("--profile", choices=("quick", "full"),

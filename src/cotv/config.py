@@ -3,8 +3,10 @@
 Configs are JSON documents with explicit keys.  Unknown keys are rejected
 with the offending field path, numbers may be decimal or scientific, and
 units are labels only (times in abstract time units, money in abstract
-money units).  ``canonical()`` materialises defaults so that the echoed
-config re-parses to an equivalent scenario.
+money units).  ``parse_config`` is the only place a scenario's model,
+utility and weighting are built: it validates by building them and keeps
+them on the returned :class:`ScenarioConfig`.  ``canonical()`` materialises
+defaults so that the echoed config re-parses to an equivalent scenario.
 """
 
 from __future__ import annotations
@@ -239,9 +241,18 @@ def build_weighting(spec: Mapping, path: str = "weighting") -> WeightingFunction
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario; ``data`` holds the canonical raw document."""
+    """Validated scenario, as returned by :func:`parse_config`.
+
+    ``data`` holds the canonical raw document, with the weighting anchor
+    (``p0``, ``psi`` and, for rdu, ``tau_h``) filled in.  ``model``,
+    ``utility`` and ``weighting`` are the objects built from it while
+    validating; ``weighting`` is ``None`` for the eu framework.
+    """
 
     data: dict
+    model: ServiceTimeModel
+    utility: UtilityFunction
+    weighting: WeightingFunction | None
 
     @property
     def framework(self) -> str:
@@ -271,23 +282,6 @@ class ScenarioConfig:
     def output_path(self) -> str | None:
         return self.data["output"]["path"]
 
-    def model(self) -> ServiceTimeModel:
-        return build_model(self.data["distribution"])
-
-    def utility(self) -> UtilityFunction:
-        return build_utility(self.data["preference"])
-
-    def weighting(self) -> WeightingFunction | None:
-        spec = self.data.get("weighting")
-        return None if spec is None else build_weighting(spec)
-
-    def weighting_anchor(self) -> tuple[float, float, float | str]:
-        spec = self.data.get("weighting") or {}
-        p0 = spec.get("p0", 0.5)
-        psi = spec.get("psi", 0.5)
-        tau_h = spec.get("tau_h", "auto")
-        return p0, psi, tau_h
-
     def canonical(self) -> dict:
         return copy.deepcopy(self.data)
 
@@ -299,20 +293,21 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
     framework = _string(_require(raw, "framework", ""), "framework", _FRAMEWORKS)
 
     distribution = _require(raw, "distribution", "")
-    build_model(distribution)  # validation side only
+    model = build_model(distribution)
 
     preference = raw.get("preference")
     if preference is None:
         raise ConfigError("preference", "missing required key")
-    build_utility(preference)
+    utility = build_utility(preference)
 
     weighting = raw.get("weighting")
+    w = None
     if framework == "eu" and weighting is not None:
         raise ConfigError("weighting", "not allowed for the eu framework")
     if framework != "eu":
         if weighting is None:
             raise ConfigError("weighting", f"required for framework {framework!r}")
-        build_weighting(weighting)
+        w = build_weighting(weighting)
         p0 = _number(weighting.get("p0", 0.5), "weighting.p0")
         psi = _number(weighting.get("psi", 0.5), "weighting.psi")
         if not 0 < p0 < 1:
@@ -387,7 +382,7 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
         data["weighting"] = weighting
     if sweep is not None:
         data["sweep"] = copy.deepcopy(dict(sweep))
-    return ScenarioConfig(data=data)
+    return ScenarioConfig(data=data, model=model, utility=utility, weighting=w)
 
 
 def load_config(path: str, seed_override: int | None = None,

@@ -1,19 +1,20 @@
-"""Quadrature and root-finding calls per exact report.
+"""Kernel calls per exact report and object builds per scenario.
 
-The calls are counted on the code objects of ``numerics.integrate`` and
-``numerics.find_root`` through ``sys.setprofile``, so the count does not
-depend on how a module binds the functions.  Each exact report computes
-E_w[u] once: EU takes E[u] and VOT (2 integrals), RDU adds the two dual
-moments and the distorted mean (5 integrals); the premium is one root
-solve.
+The calls are counted on the code objects of the functions through
+``sys.setprofile``, so the count does not depend on how a module binds
+them.  Each exact report computes E_w[u] once: EU takes E[u] and VOT
+(2 integrals), RDU adds the two dual moments and the distorted mean
+(5 integrals); the premium is one root solve.  ``parse_config`` builds a
+scenario's model, utility and weighting once, and every report of the
+scenario uses those objects; a sweep parses each grid point once.
 """
 
 import sys
 
 import pytest
 
-from cotv import numerics
-from cotv.cli import run_scenario
+from cotv import config, numerics
+from cotv.cli import run_scenario, sweep_rows
 from cotv.config import parse_config
 
 EU_EXACT = {"framework": "eu",
@@ -28,23 +29,28 @@ RDU_EXACT = {"framework": "rdu",
              "method": "exact"}
 
 
-def kernel_calls(raw: dict) -> dict:
-    codes = {numerics.integrate.__code__: "integrate",
-             numerics.find_root.__code__: "find_root"}
+def count_calls(functions, run) -> dict:
+    """Calls of each function, by name, while ``run()`` executes."""
+    codes = {fn.__code__: fn.__name__ for fn in functions}
     counts = dict.fromkeys(codes.values(), 0)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
             counts[codes[frame.f_code]] += 1
 
-    config = parse_config(raw)
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        run_scenario(config)
+        run()
     finally:
         sys.setprofile(previous)
     return counts
+
+
+def kernel_calls(raw: dict) -> dict:
+    scenario = parse_config(raw)
+    return count_calls((numerics.integrate, numerics.find_root),
+                       lambda: run_scenario(scenario))
 
 
 @pytest.mark.parametrize("raw, expected", [
@@ -53,3 +59,27 @@ def kernel_calls(raw: dict) -> dict:
 ], ids=["eu", "rdu"])
 def test_exact_report_kernel_calls(raw, expected):
     assert kernel_calls(raw) == expected
+
+
+BUILDERS = (config.build_model, config.build_utility, config.build_weighting)
+EXPONENTIAL = {"family": "exponential", "params": {"rate": 1.0}}
+RDU_BOTH = {"framework": "rdu", "distribution": EXPONENTIAL,
+            "preference": {"family": "pure_quadratic", "params": {"a": -1.0}},
+            "weighting": {"family": "inverse_s", "params": {"gamma": 0.8}},
+            "method": "both"}
+EU_SWEEP = {"framework": "eu", "distribution": EXPONENTIAL,
+            "preference": {"family": "pure_quadratic", "params": {"a": -1.0}},
+            "method": "both",
+            "sweep": {"axes": {"distribution.params.rate": [0.5, 2.0],
+                               "economics.phi": [1.0, 2.5]}}}
+
+
+def test_report_builds_each_object_once():
+    counts = count_calls(BUILDERS, lambda: run_scenario(parse_config(RDU_BOTH)))
+    assert counts == {"build_model": 1, "build_utility": 1, "build_weighting": 1}
+
+
+def test_sweep_builds_each_object_once_per_grid_point():
+    scenario = parse_config(EU_SWEEP)
+    counts = count_calls(BUILDERS, lambda: sweep_rows(scenario))
+    assert counts == {"build_model": 4, "build_utility": 4, "build_weighting": 0}

@@ -316,8 +316,8 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
             raise ConfigError("weighting.psi",
                               "must satisfy 0 < psi <= min(p0, 1 - p0)")
         tau_h = weighting.get("tau_h", "auto")
-        if not (tau_h == "auto" or isinstance(tau_h, (int, float))):
-            raise ConfigError("weighting.tau_h", "must be a number or 'auto'")
+        if tau_h != "auto" and not _number(tau_h, "weighting.tau_h") > 0:
+            raise ConfigError("weighting.tau_h", "must be 'auto' or a positive number")
 
     economics = raw.get("economics", {"phi": 1.0})
     _check_keys(economics, {"phi"}, "economics")

@@ -90,6 +90,15 @@ class TestConfigValidation:
                 "economics.phi": list(range(1001)),
             }})
 
+    @pytest.mark.parametrize("tau_h", [-1, 0, True])
+    def test_tau_h_must_be_auto_or_positive(self, tau_h):
+        raw = copy.deepcopy(BASE)
+        raw["framework"] = "rdu"
+        raw["weighting"] = {"family": "identity", "tau_h": tau_h}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.path == "weighting.tau_h"
+
     def test_round_trip_canonicalisation(self):
         config = make_config()
         echoed = parse_config(config.canonical())
@@ -279,6 +288,14 @@ class TestCliProcess:
         path = write_config(tmp_path, raw)
         assert main(["value", "--config", path]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_bad_tau_h_exit_two(self, tmp_path, capsys):
+        raw = copy.deepcopy(BASE)
+        raw["framework"] = "rdu"
+        raw["weighting"] = {"family": "identity", "tau_h": 0}
+        path = write_config(tmp_path, raw)
+        assert main(["value", "--config", path]) == 2
+        assert "weighting.tau_h" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["value", "--config", "/nonexistent/config.json"]) == 2

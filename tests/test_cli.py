@@ -24,6 +24,10 @@ BASE = {
     "seed": 42,
 }
 
+EXPONENTIAL = {"family": "exponential", "params": {"rate": 1.0}}
+BANDED = {"family": "discrete",
+          "dt": {"t0": 2.0, "xi": [-1.0, 1.0], "p0": 0.5, "psi": 0.3}}
+
 
 def make_config(**overrides):
     raw = copy.deepcopy(BASE)
@@ -98,6 +102,99 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert err.value.path == "weighting.tau_h"
+
+    @pytest.mark.parametrize("overrides, path, message", [
+        pytest.param(
+            {"distribution": {"family": "exponential", "params": {"rate": 0.0}}},
+            "distribution", "distribution: exponential rate must be positive",
+            id="exponential-rate-zero"),
+        pytest.param(
+            {"distribution": {"family": "uniform",
+                              "params": {"lo": 2.0, "hi": 1.0}}},
+            "distribution", "distribution: uniform requires hi > lo",
+            id="uniform-hi-below-lo"),
+        pytest.param(
+            {"distribution": [1, 2]},
+            "distribution", "distribution: expected an object, got list",
+            id="distribution-list"),
+        pytest.param(
+            {"distribution": {"family": "weibull", "params": {}}},
+            "distribution.family",
+            "distribution.family: unknown distribution family 'weibull'",
+            id="unknown-distribution"),
+        pytest.param(
+            {"distribution": {"family": "shifted_scaled", "base": EXPONENTIAL,
+                              "scale": 0.0}},
+            "distribution", "distribution: scale must be positive",
+            id="shifted-scale-zero"),
+        pytest.param(
+            {"distribution": {"family": "shifted_scaled", "base": {
+                "family": "exponential", "params": {"rate": -1.0}}}},
+            "distribution.base",
+            "distribution.base: exponential rate must be positive",
+            id="shifted-bad-base"),
+        pytest.param(
+            {"distribution": {"family": "shifted_scaled", "base": {
+                "family": "degenerate", "params": {"value": 1.0}}, "loc": 1.0}},
+            "distribution",
+            "distribution: shifted_scaled wraps continuous models only",
+            id="shifted-degenerate-base"),
+        pytest.param(
+            {"distribution": {"family": "discrete", "outcomes": [1.0, 2.0],
+                              "probabilities": [0.5, 0.6]}},
+            "distribution", "distribution: probabilities sum to 1.1, not 1",
+            id="discrete-mass"),
+        pytest.param(
+            {"distribution": {"family": "discrete", "outcomes": [2.0, 1.0],
+                              "probabilities": [0.5, 0.5]}},
+            "distribution", "distribution: outcomes must be sorted ascending",
+            id="discrete-unsorted"),
+        pytest.param(
+            {"distribution": dict(BANDED, outcomes=[1.0, 3.5])},
+            "distribution.outcomes",
+            "distribution.outcomes: disagrees with the dt construction",
+            id="banded-outcomes-disagree"),
+        pytest.param(
+            {"distribution": {"family": "discrete",
+                              "dt": dict(BANDED["dt"], bogus=1)}},
+            "distribution.dt.bogus", "distribution.dt.bogus: unknown key",
+            id="dt-extra-key"),
+        pytest.param(
+            {"preference": {"family": "pure_quadratic", "params": {"a": 1.0}}},
+            "preference", "preference: quadratic utility requires a < 0",
+            id="pure-quadratic-a-positive"),
+        pytest.param(
+            {"preference": {"family": "pure_quadratic", "params": {"a": -1.0},
+                            "interval": [0, 1, 2]}},
+            "preference.interval", "preference.interval: expected [lo, hi]",
+            id="interval-three"),
+        pytest.param(
+            {"preference": {"family": "cubic", "params": {}}},
+            "preference.family",
+            "preference.family: must be one of ('quadratic', 'pure_quadratic', "
+            "'power', 'constant_prudence', 'affine'), got 'cubic'",
+            id="unknown-utility"),
+        pytest.param(
+            {"framework": "rdu", "weighting": {"family": "prelec"}},
+            "weighting.family",
+            "weighting.family: must be one of ('identity', 'power', "
+            "'inverse_s'), got 'prelec'",
+            id="unknown-weighting"),
+        pytest.param(
+            {"framework": "rdu", "weighting": {"family": "power",
+                                               "params": {"gamma": -1.0}}},
+            "weighting", "weighting: power weighting requires gamma > 0",
+            id="power-gamma-negative"),
+        pytest.param(
+            {"framework": "rdu", "weighting": {"family": "identity",
+                                               "params": {"gamma": 1.0}}},
+            "weighting.params.gamma", "weighting.params.gamma: unknown key",
+            id="weighting-extra-param"),
+    ])
+    def test_config_error_path_and_message(self, overrides, path, message):
+        with pytest.raises(ConfigError) as err:
+            make_config(**copy.deepcopy(overrides))
+        assert (err.value.path, str(err.value)) == (path, message)
 
     def test_round_trip_canonicalisation(self):
         config = make_config()

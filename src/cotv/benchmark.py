@@ -17,9 +17,10 @@ import numpy as np
 
 from .distributions import DiscreteModel, ServiceTimeModel
 from .errors import DomainError, ValidationError
-from .eu import EconomicContext, cot, cotv, premium_approx, premium_exact, rho_upper_bound
-from .numerics import DEFAULT_TOLERANCE, Tolerance
-from .preferences import QuadraticUtility, UtilityFunction
+from .eu import (EconomicContext, premium_approx, premium_exact, ratio_eta,
+                  ratio_rho, rho_upper_bound)
+from .numerics import Tolerance
+from .preferences import QuadraticUtility, UtilityFunction, risk_coefficients
 
 __all__ = [
     "LotteryPair",
@@ -180,7 +181,6 @@ def vertex_identity_check(a: float, h: float, k: float,
     """
     if not (a < 0 and h <= 0 and k <= 0):
         raise ValidationError("vertex form assumes a < 0, h <= 0, k <= 0")
-    tol = tol or DEFAULT_TOLERANCE
     lhs = model.expect(lambda t: a * (np.asarray(t, dtype=float) - h) ** 2 + k, tol)
     rhs = a * (model.variance() + (model.mean() - h) ** 2) + k
     return abs(lhs - rhs)
@@ -224,10 +224,6 @@ def bound_sweep(quadratic_grid: Iterable[tuple[float, float]],
     reliability ratio together with its half-threshold consistency flag
     (eta <= 1/2 exactly when R2 R3 CV^2 >= 2).
     """
-    from .eu import ratio_eta
-    from .preferences import risk_coefficients
-
-    tol = tol or DEFAULT_TOLERANCE
     ctx = EconomicContext(phi=phi, method="exact")
     rows: list[BoundSweepRow] = []
     violations: list[BoundSweepRow] = []
@@ -237,8 +233,7 @@ def bound_sweep(quadratic_grid: Iterable[tuple[float, float]],
     for a, b in quadratic_grid:
         u = QuadraticUtility(a=a, b=b)
         for model in models:
-            denominator = cot(u, model, ctx, tol)
-            rho = cotv(u, model, ctx, tol) / denominator
+            rho = ratio_rho(u, model, ctx, tol)
             bound = rho_upper_bound(u, model)
             eta = ratio_eta(u, model)
             mu = model.mean()
@@ -288,7 +283,6 @@ def approximation_convergence_study(
     premium error and the error scaled by sigma^2, which must trend to
     zero for the second-order form to have the advertised order.
     """
-    tol = tol or DEFAULT_TOLERANCE
     x = np.asarray(x_outcomes, dtype=float)
     p = np.asarray(x_probabilities, dtype=float)
     if abs(float(p @ x)) > 1e-9 or abs(float(p @ x**2) - 1.0) > 1e-9:

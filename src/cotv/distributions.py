@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroMeanError,
 )
-from .numerics import DEFAULT_TOLERANCE, RngStream, Tolerance, integrate
+from .numerics import RngStream, Tolerance, integrate
 from .preferences import PowerWeighting
 
 __all__ = [
@@ -161,7 +161,7 @@ class ServiceTimeModel:
                 return np.asarray(g(t)) * self.pdf(t)
             return np.asarray(g(t)) * w.dw(self.cdf(t)) * self.pdf(t)
 
-        return integrate(integrand, lo, hi, tol or DEFAULT_TOLERANCE, info=info)
+        return integrate(integrand, lo, hi, tol, info=info)
 
 
 # w(p) = p^2: the law of the larger of two independent draws.
@@ -632,7 +632,7 @@ def build_dt_instance(
         raise ValidationError("xi must be sorted ascending")
     scale = max(1.0, float(np.max(np.abs(xi))))
     if abs(float(xi.mean())) > 1e-12 * scale:
-        raise ZeroMeanError(f"xi must be zero-mean, got mean {xi.mean()!r}")
+        raise ZeroMeanError(f"xi must be zero-mean, got mean {float(xi.mean())!r}")
     if not 0 < p0 < 1:
         raise MassError("p0 must lie strictly inside (0, 1)")
     if not 0 < psi <= min(p0, 1.0 - p0) + 1e-15:

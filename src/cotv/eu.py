@@ -30,8 +30,8 @@ from .errors import (
     ValidationError,
     ZeroCostError,
 )
-from .numerics import DEFAULT_TOLERANCE, Tolerance, expand_bracket, find_root
-from .preferences import QuadraticUtility, UtilityFunction
+from .numerics import Tolerance, expand_bracket, find_root
+from .preferences import QuadraticUtility, UtilityFunction, risk_coefficients
 from .reports import ValuationReport
 
 __all__ = [
@@ -97,7 +97,7 @@ def _exact_ratio(model: ServiceTimeModel, cotv_value: float, cot_value: float) -
 
 
 def _solve_premium(u: UtilityFunction, model: ServiceTimeModel, mu: float,
-                   expected_u: float, tol: Tolerance,
+                   expected_u: float, tol: Tolerance | None,
                    info: dict | None = None) -> float:
     """Root of u(mu + pi) = expected_u.
 
@@ -119,7 +119,6 @@ def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
                   info: dict | None = None) -> float:
     """Variability premium: the extra certain time with the same utility
     as facing the random time, solving E[u(t)] = u(mu + pi)."""
-    tol = tol or DEFAULT_TOLERANCE
     if model.is_degenerate:
         return 0.0
     mu = model.mean()
@@ -218,8 +217,6 @@ def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> f
     Requires both coefficients to exist; agrees with the second-order
     :func:`ratio_rho` wherever defined (asserted by the test suite).
     """
-    from .preferences import risk_coefficients
-
     if model.is_degenerate:
         return 0.0
     mu = model.mean()
@@ -259,7 +256,6 @@ def rho_upper_bound(u: UtilityFunction, model: ServiceTimeModel) -> float:
 def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
              tol: Tolerance | None = None) -> ValuationReport:
     """Full expected-utility valuation report for one method."""
-    tol = tol or DEFAULT_TOLERANCE
     info: dict = {}
     mu = model.mean()
     sigma = model.std()

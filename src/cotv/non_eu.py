@@ -46,7 +46,7 @@ from .eu import (
     _exact_vot,
     _solve_premium,
 )
-from .numerics import DEFAULT_TOLERANCE, Tolerance, find_root
+from .numerics import Tolerance, find_root
 from .preferences import UtilityFunction, WeightingFunction, weighting_derivative_ratio
 from .reports import ValuationReport
 
@@ -133,8 +133,7 @@ def dt_expected_utility(model: ServiceTimeModel, w: WeightingFunction,
                         tol: Tolerance | None = None) -> float:
     """Dual-theory utility of a random time: the integral of -t against
     the distorted measure d(w(F))."""
-    return model.distorted_expect(lambda t: -np.asarray(t, dtype=float), w,
-                                  tol or DEFAULT_TOLERANCE)
+    return model.distorted_expect(lambda t: -np.asarray(t, dtype=float), w, tol)
 
 
 def dt_premium_exact(instance: DiscreteModel, ctx: DtContext) -> float:
@@ -176,7 +175,6 @@ def dt_valuation(model_or_instance: ServiceTimeModel, ctx: DtContext,
     model is integrated directly against d(w(F)).
     """
     EconomicContext(phi, method)  # validates phi and method
-    tol = tol or DEFAULT_TOLERANCE
 
     mu = model_or_instance.mean()
     if mu <= 0:
@@ -236,7 +234,7 @@ def rdu_expected_utility(model: ServiceTimeModel, u: UtilityFunction,
                          w: WeightingFunction,
                          tol: Tolerance | None = None) -> float:
     """Rank-dependent utility: the integral of u(t) against d(w(F))."""
-    return model.distorted_expect(u.u, w, tol or DEFAULT_TOLERANCE)
+    return model.distorted_expect(u.u, w, tol)
 
 
 def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
@@ -249,7 +247,6 @@ def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
     at the band outcomes, so the root is bracketed by the extreme
     perturbations.
     """
-    tol = tol or DEFAULT_TOLERANCE
     meta = _require_meta(instance)
     if abs(meta.p0 - ctx.p0) > 1e-12:
         raise MetadataMismatchError(
@@ -328,7 +325,6 @@ def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
     dual-theory ratio.
     """
     EconomicContext(phi)  # validates phi
-    tol = tol or DEFAULT_TOLERANCE
     if model_or_instance.is_degenerate:
         return 0.0
     meta = getattr(model_or_instance, "dt_meta", None)
@@ -353,7 +349,6 @@ def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,
     ratio from :func:`rdu_ratio`.
     """
     EconomicContext(phi, method)  # validates phi and method
-    tol = tol or DEFAULT_TOLERANCE
 
     meta = getattr(model_or_instance, "dt_meta", None)
     mu = meta.t0 if meta is not None else model_or_instance.mean()

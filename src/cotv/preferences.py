@@ -127,10 +127,6 @@ class QuadraticUtility(UtilityFunction):
         self.a, self.b, self.c = float(a), float(b), float(c)
         super().__init__(interval)
 
-    @property
-    def is_pure(self) -> bool:
-        return self.b == 0.0
-
     def u(self, t):
         t = np.asarray(t, dtype=float)
         return self.a * t**2 + self.b * t + self.c

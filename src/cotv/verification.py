@@ -35,7 +35,7 @@ from .distributions import (
     discrete_dual_moment_variance,
     dual_moment_mean,
 )
-from .eu import EconomicContext, premium_approx, premium_exact, ratio_rho
+from .eu import EconomicContext, premium_approx, premium_exact, ratio_eta, ratio_rho
 from .non_eu import (
     DtContext,
     RduContext,
@@ -173,8 +173,6 @@ def check_premium_approximation_order(fault: float = 1.0) -> list[CheckResult]:
 
 
 def check_reliability_ratio_identities(fault: float = 1.0) -> list[CheckResult]:
-    from .eu import ratio_eta
-
     quad_ok = True
     worst = 0.0
     for a in (-0.5, -1.0, -3.0):

@@ -5,8 +5,12 @@ with the offending field path, numbers may be decimal or scientific, and
 units are labels only (times in abstract time units, money in abstract
 money units).  ``parse_config`` is the only place a scenario's model,
 utility and weighting are built: it validates by building them and keeps
-them on the returned :class:`ScenarioConfig`.  ``canonical()`` materialises
-defaults so that the echoed config re-parses to an equivalent scenario.
+them on the returned :class:`ScenarioConfig`.  Each kind of object has one
+family table (family -> constructor and parameter names) and each
+non-EU framework one anchor table entry (the anchor keys its weighting
+block may carry, with their defaults); a key outside them is rejected.
+``canonical()`` materialises defaults so that the echoed config re-parses
+to an equivalent scenario.
 """
 
 from __future__ import annotations
@@ -94,147 +98,123 @@ def _number_list(value: Any, path: str) -> list[float]:
 
 # ---------------------------------------------------------------- builders
 
-_DIST_PARAMS = {
-    "degenerate": {"value"},
-    "exponential": {"rate"},
-    "uniform": {"lo", "hi"},
-    "lognormal": {"log_mean", "log_sd"},
-    "gamma": {"shape", "rate"},
+# family -> (constructor, parameter names), one table per kind of object.
+# Utility and weighting error messages list the families in table order.
+_MODELS = {
+    "degenerate": (Degenerate, {"value"}),
+    "exponential": (Exponential, {"rate"}),
+    "uniform": (Uniform, {"lo", "hi"}),
+    "lognormal": (LogNormal, {"log_mean", "log_sd"}),
+    "gamma": (Gamma, {"shape", "rate"}),
+}
+
+_UTILITIES = {
+    "quadratic": (QuadraticUtility, {"a", "b", "c"}),
+    "pure_quadratic": (PureQuadraticUtility, {"a", "c"}),
+    "power": (PowerUtility, {"exponent"}),
+    "constant_prudence": (ConstantPrudenceUtility,
+                          {"prudence", "curvature", "slope_at_one"}),
+    "affine": (AffineUtility, {"slope", "intercept"}),
+}
+
+_WEIGHTINGS = {
+    "identity": (IdentityWeighting, set()),
+    "power": (PowerWeighting, {"gamma"}),
+    "inverse_s": (InverseSWeighting, {"gamma"}),
+}
+
+# framework -> the anchor keys its weighting block may carry, with their
+# defaults.  dt reads p0 and psi; rdu reads p0 and tau_h and accepts psi.
+_ANCHORS = {
+    "dt": {"p0": 0.5, "psi": 0.5},
+    "rdu": {"p0": 0.5, "psi": 0.5, "tau_h": "auto"},
 }
 
 
-_DIST_KEYS = {
-    "degenerate": {"family", "params"},
-    "exponential": {"family", "params"},
-    "uniform": {"family", "params"},
-    "lognormal": {"family", "params"},
-    "gamma": {"family", "params"},
-    "shifted_scaled": {"family", "base", "loc", "scale"},
-    "discrete": {"family", "outcomes", "probabilities", "dt"},
-}
+def _params(spec: Mapping, names: set[str], path: str) -> dict[str, float]:
+    params = spec.get("params", {})
+    _check_keys(params, names, f"{path}.params")
+    return {k: _number(v, f"{path}.params.{k}") for k, v in params.items()}
+
+
+def _construct(constructor, path: str, *args, **kwargs):
+    """Call a constructor; its argument errors become a ConfigError at ``path``."""
+    try:
+        return constructor(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def build_model(spec: Mapping, path: str = "distribution") -> ServiceTimeModel:
     if not isinstance(spec, Mapping):
         raise ConfigError(path, f"expected an object, got {type(spec).__name__}")
     family = _string(_require(spec, "family", path), f"{path}.family")
-    if family not in _DIST_KEYS:
+    if family in _MODELS:
+        _check_keys(spec, {"family", "params"}, path)
+        cls, names = _MODELS[family]
+        return _construct(cls, path, **_params(spec, names, path))
+    if family == "shifted_scaled":
+        _check_keys(spec, {"family", "base", "loc", "scale"}, path)
+        return _construct(
+            ShiftedScaled, path,
+            base=build_model(_require(spec, "base", path), f"{path}.base"),
+            loc=_number(spec.get("loc", 0.0), f"{path}.loc"),
+            scale=_number(spec.get("scale", 1.0), f"{path}.scale"),
+        )
+    if family != "discrete":
         raise ConfigError(f"{path}.family", f"unknown distribution family {family!r}")
-    _check_keys(spec, _DIST_KEYS[family], path)
-    try:
-        if family in _DIST_PARAMS:
-            params = spec.get("params", {})
-            _check_keys(params, _DIST_PARAMS[family], f"{path}.params")
-            kwargs = {k: _number(v, f"{path}.params.{k}") for k, v in params.items()}
-            cls = {"degenerate": Degenerate, "exponential": Exponential,
-                   "uniform": Uniform, "lognormal": LogNormal,
-                   "gamma": Gamma}[family]
-            return cls(**kwargs)
-        if family == "shifted_scaled":
-            base = build_model(_require(spec, "base", path), f"{path}.base")
-            return ShiftedScaled(
-                base=base,
-                loc=_number(spec.get("loc", 0.0), f"{path}.loc"),
-                scale=_number(spec.get("scale", 1.0), f"{path}.scale"),
-            )
-        if family == "discrete":
-            dt_spec = spec.get("dt")
-            if dt_spec is not None:
-                _check_keys(dt_spec, {"t0", "p0", "psi", "xi", "t_min", "t_max"},
-                            f"{path}.dt")
-                instance = build_dt_instance(
-                    t0=_number(_require(dt_spec, "t0", f"{path}.dt"), f"{path}.dt.t0"),
-                    xi=_number_list(_require(dt_spec, "xi", f"{path}.dt"),
-                                    f"{path}.dt.xi"),
-                    p0=_number(dt_spec.get("p0", 0.5), f"{path}.dt.p0"),
-                    psi=_number(dt_spec.get("psi", 0.5), f"{path}.dt.psi"),
-                    t_min=(None if "t_min" not in dt_spec
-                           else _number(dt_spec["t_min"], f"{path}.dt.t_min")),
-                    t_max=(None if "t_max" not in dt_spec
-                           else _number(dt_spec["t_max"], f"{path}.dt.t_max")),
-                )
-                if "outcomes" in spec or "probabilities" in spec:
-                    outs = _number_list(_require(spec, "outcomes", path),
-                                        f"{path}.outcomes")
-                    if list(instance.outcomes) != outs:
-                        raise ConfigError(f"{path}.outcomes",
-                                          "disagrees with the dt construction")
-                return instance
-            return DiscreteModel(
-                _number_list(_require(spec, "outcomes", path), f"{path}.outcomes"),
-                _number_list(_require(spec, "probabilities", path),
-                             f"{path}.probabilities"),
-            )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.family", f"unhandled distribution family {family!r}")
-
-
-_PREF_PARAMS = {
-    "quadratic": {"a", "b", "c"},
-    "pure_quadratic": {"a", "c"},
-    "power": {"exponent"},
-    "constant_prudence": {"prudence", "curvature", "slope_at_one"},
-    "affine": {"slope", "intercept"},
-}
-
-_PREF_CLASSES = {
-    "quadratic": QuadraticUtility,
-    "pure_quadratic": PureQuadraticUtility,
-    "power": PowerUtility,
-    "constant_prudence": ConstantPrudenceUtility,
-    "affine": AffineUtility,
-}
+    _check_keys(spec, {"family", "outcomes", "probabilities", "dt"}, path)
+    dt_spec = spec.get("dt")
+    if dt_spec is None:
+        return _construct(
+            DiscreteModel, path,
+            _number_list(_require(spec, "outcomes", path), f"{path}.outcomes"),
+            _number_list(_require(spec, "probabilities", path),
+                         f"{path}.probabilities"),
+        )
+    _check_keys(dt_spec, {"t0", "p0", "psi", "xi", "t_min", "t_max"}, f"{path}.dt")
+    instance = _construct(
+        build_dt_instance, path,
+        t0=_number(_require(dt_spec, "t0", f"{path}.dt"), f"{path}.dt.t0"),
+        xi=_number_list(_require(dt_spec, "xi", f"{path}.dt"), f"{path}.dt.xi"),
+        p0=_number(dt_spec.get("p0", 0.5), f"{path}.dt.p0"),
+        psi=_number(dt_spec.get("psi", 0.5), f"{path}.dt.psi"),
+        t_min=(None if "t_min" not in dt_spec
+               else _number(dt_spec["t_min"], f"{path}.dt.t_min")),
+        t_max=(None if "t_max" not in dt_spec
+               else _number(dt_spec["t_max"], f"{path}.dt.t_max")),
+    )
+    if "outcomes" in spec or "probabilities" in spec:
+        outs = _number_list(_require(spec, "outcomes", path), f"{path}.outcomes")
+        if list(instance.outcomes) != outs:
+            raise ConfigError(f"{path}.outcomes", "disagrees with the dt construction")
+    return instance
 
 
 def build_utility(spec: Mapping, path: str = "preference") -> UtilityFunction:
     _check_keys(spec, {"family", "params", "interval"}, path)
     family = _string(_require(spec, "family", path), f"{path}.family",
-                     tuple(_PREF_CLASSES))
-    params = spec.get("params", {})
-    _check_keys(params, _PREF_PARAMS[family], f"{path}.params")
-    kwargs = {k: _number(v, f"{path}.params.{k}") for k, v in params.items()}
+                     tuple(_UTILITIES))
+    cls, names = _UTILITIES[family]
+    kwargs = _params(spec, names, path)
     if "interval" in spec:
         interval = _number_list(spec["interval"], f"{path}.interval")
         if len(interval) != 2:
             raise ConfigError(f"{path}.interval", "expected [lo, hi]")
         kwargs["interval"] = (interval[0], interval[1])
-    try:
-        return _PREF_CLASSES[family](**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-_WEIGHT_PARAMS = {
-    "identity": set(),
-    "power": {"gamma"},
-    "inverse_s": {"gamma"},
-}
-
-_WEIGHT_CLASSES = {
-    "identity": IdentityWeighting,
-    "power": PowerWeighting,
-    "inverse_s": InverseSWeighting,
-}
+    return _construct(cls, path, **kwargs)
 
 
 def build_weighting(spec: Mapping, path: str = "weighting") -> WeightingFunction:
-    _check_keys(spec, {"family", "params", "p0", "psi", "tau_h"}, path)
+    """Weighting function of a block's ``family`` and ``params``.
+
+    The block's other keys are its framework's anchor, which
+    :func:`parse_config` checks against the anchor table.
+    """
     family = _string(_require(spec, "family", path), f"{path}.family",
-                     tuple(_WEIGHT_CLASSES))
-    params = spec.get("params", {})
-    _check_keys(params, _WEIGHT_PARAMS[family], f"{path}.params")
-    kwargs = {k: _number(v, f"{path}.params.{k}") for k, v in params.items()}
-    try:
-        return _WEIGHT_CLASSES[family](**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+                     tuple(_WEIGHTINGS))
+    cls, names = _WEIGHTINGS[family]
+    return _construct(cls, path, **_params(spec, names, path))
 
 
 # ---------------------------------------------------------------- scenario
@@ -307,16 +287,19 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
     if framework != "eu":
         if weighting is None:
             raise ConfigError("weighting", f"required for framework {framework!r}")
+        defaults = _ANCHORS[framework]
+        _check_keys(weighting, {"family", "params", *defaults}, "weighting")
         w = build_weighting(weighting)
-        p0 = _number(weighting.get("p0", 0.5), "weighting.p0")
-        psi = _number(weighting.get("psi", 0.5), "weighting.psi")
+        anchor = {key: weighting.get(key, default) for key, default in defaults.items()}
+        p0 = _number(anchor["p0"], "weighting.p0")
+        psi = _number(anchor["psi"], "weighting.psi")
         if not 0 < p0 < 1:
             raise ConfigError("weighting.p0", "must lie strictly inside (0, 1)")
         if not 0 < psi <= min(p0, 1 - p0) + 1e-15:
             raise ConfigError("weighting.psi",
                               "must satisfy 0 < psi <= min(p0, 1 - p0)")
-        tau_h = weighting.get("tau_h", "auto")
-        if tau_h != "auto" and not _number(tau_h, "weighting.tau_h") > 0:
+        if ("tau_h" in anchor and anchor["tau_h"] != "auto"
+                and not _number(anchor["tau_h"], "weighting.tau_h") > 0):
             raise ConfigError("weighting.tau_h", "must be 'auto' or a positive number")
 
     economics = raw.get("economics", {"phi": 1.0})
@@ -373,13 +356,8 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
         "seed": seed,
         "output": {"format": out_format, "path": out_path},
     }
-    if weighting is not None:
-        weighting = dict(copy.deepcopy(dict(weighting)))
-        weighting.setdefault("p0", 0.5)
-        weighting.setdefault("psi", 0.5)
-        if framework == "rdu":
-            weighting.setdefault("tau_h", "auto")
-        data["weighting"] = weighting
+    if w is not None:
+        data["weighting"] = {**copy.deepcopy(dict(weighting)), **anchor}
     if sweep is not None:
         data["sweep"] = copy.deepcopy(dict(sweep))
     return ScenarioConfig(data=data, model=model, utility=utility, weighting=w)

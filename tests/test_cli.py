@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from cotv.cli import (
     scenario_row,
     sweep_rows,
 )
+from cotv import config
 from cotv.config import parse_config
 from cotv.errors import ConfigError, GridTooLargeError
 
@@ -27,6 +29,10 @@ BASE = {
 EXPONENTIAL = {"family": "exponential", "params": {"rate": 1.0}}
 BANDED = {"family": "discrete",
           "dt": {"t0": 2.0, "xi": [-1.0, 1.0], "p0": 0.5, "psi": 0.3}}
+DT_TAU_H = {"framework": "dt", "distribution": EXPONENTIAL,
+            "preference": {"family": "affine", "params": {}},
+            "weighting": {"family": "inverse_s", "params": {"gamma": 0.7},
+                          "tau_h": 5}}
 
 
 def make_config(**overrides):
@@ -195,6 +201,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             make_config(**copy.deepcopy(overrides))
         assert (err.value.path, str(err.value)) == (path, message)
+
+    def test_tau_h_is_an_unknown_key_for_dt(self):
+        raw = copy.deepcopy(DT_TAU_H)
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert (err.value.path, err.value.message) == ("weighting.tau_h",
+                                                       "unknown key")
+        raw["framework"] = "rdu"
+        assert parse_config(raw).data["weighting"]["tau_h"] == 5
+
+    def test_xi_mean_message_is_a_plain_float(self):
+        with pytest.raises(ConfigError) as err:
+            make_config(distribution={"family": "discrete",
+                                      "dt": {"t0": 2.0, "xi": [0.0, 1.0]}})
+        assert "got mean 0.5" in str(err.value)
+        assert "np.float64" not in str(err.value)
+
+    def test_readme_names_every_family(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        families = [*config._MODELS, "shifted_scaled", "discrete",
+                    *config._UTILITIES, *config._WEIGHTINGS]
+        assert [f for f in families if f"`{f}`" not in readme] == []
 
     def test_round_trip_canonicalisation(self):
         config = make_config()
@@ -393,6 +421,11 @@ class TestCliProcess:
         path = write_config(tmp_path, raw)
         assert main(["value", "--config", path]) == 2
         assert "weighting.tau_h" in capsys.readouterr().err
+
+    def test_dt_tau_h_exit_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, DT_TAU_H)
+        assert main(["value", "--config", path]) == 2
+        assert "weighting.tau_h: unknown key" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["value", "--config", "/nonexistent/config.json"]) == 2

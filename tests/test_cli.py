@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cotv import config
 from cotv.cli import (
     main,
     render_csv,
@@ -12,7 +13,6 @@ from cotv.cli import (
     scenario_row,
     sweep_rows,
 )
-from cotv import config
 from cotv.config import parse_config
 from cotv.errors import ConfigError, GridTooLargeError
 

@@ -9,7 +9,11 @@ quadrature plus root finding) so every approximation can be checked
 against an independent oracle.
 """
 
-from __future__ import annotations
+import time as _time
+
+# Taken before any other import, so the CLI's stderr wall-time covers
+# importing the package.
+_STARTED = _time.perf_counter()
 
 __version__ = "0.1.0"
 

@@ -14,17 +14,23 @@ Every expectation goes through one primitive,
 d(w(F)).  ``w=None`` is the plain expectation, and the dual moments are
 the w(p) = p^2 case, expectations under d(F^2).  Continuous models
 integrate by quadrature; discrete models sum exactly.
+
+Every family's pdf, cdf and quantile is numpy arithmetic.  The lognormal
+and gamma families also call ``scipy.special`` (``ndtr``, ``ndtri``,
+``xlogy``, ``gammaln``, ``gammainc``, ``gammaincinv``), imported on first
+use, so ``import cotv`` and scenarios on the other families load numpy
+alone.  Their formulas are scipy's own, evaluated as scipy evaluates them,
+so every value is bit-identical to scipy's frozen ``lognorm`` and
+``gamma`` distributions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _stats
 
 from .errors import (
     MassError,
@@ -256,8 +262,72 @@ class Uniform(ContinuousModel):
         return {"lo": self.lo, "hi": self.hi}
 
 
+def _special():
+    """``scipy.special``, imported on first use.
+
+    Only the lognormal and gamma families need it, so ``import cotv`` and
+    every other family load numpy alone.
+    """
+    from scipy import special
+    return special
+
+
+def _on_support(x: np.ndarray, inside: np.ndarray, formula: Callable,
+                out: np.ndarray):
+    """``out`` with ``formula`` at the points where ``inside`` holds, NaN at NaN.
+
+    ``formula`` sees only the compressed array of in-support points, as in
+    scipy's frozen distributions: numpy's vectorised exp and log can move by
+    an ulp when the array they run over changes, so this keeps the results
+    bit-identical to scipy's.  A 0-d input gives a 0-d result.
+    """
+    out[np.isnan(x)] = np.nan
+    if inside.any():
+        out[inside] = formula(x[inside])
+    return out[()] if out.ndim == 0 else out
+
+
+class _ScaleFamily(ContinuousModel):
+    """A family on [0, inf) written as t = scale * x over a standard shape.
+
+    pdf, cdf and quantile reproduce scipy's frozen ``lognorm`` and ``gamma``
+    bit for bit, edge values included: pdf is 0 outside the support, cdf is 0
+    below it and 1 at +inf, quantile is 0 at p = 0, inf at p = 1 and NaN
+    outside [0, 1].  Subclasses give ``_scale()``, the standard-shape
+    ``_pdf``, ``_cdf`` and ``_ppf``, and ``_closed``: whether the density's
+    support is closed, [0, inf], or open, (0, inf).
+    """
+
+    _closed = False
+
+    def support(self):
+        return 0.0, math.inf
+
+    def pdf(self, t):
+        scale = self._scale()
+        x = np.asarray(t, dtype=float) / scale
+        if self._closed:
+            inside = (0 <= x) & (x <= math.inf)
+        else:
+            inside = (0 < x) & (x < math.inf)
+        return _on_support(x, inside, lambda x: self._pdf(x) / scale,
+                           np.zeros(x.shape))
+
+    def cdf(self, t):
+        x = np.asarray(t, dtype=float) / self._scale()
+        return _on_support(x, (0 < x) & (x < math.inf), self._cdf,
+                           np.where(x == math.inf, 1.0, 0.0))
+
+    def quantile(self, p):
+        scale = self._scale()
+        p = np.asarray(p, dtype=float)
+        edges = np.where(p == 0, 0.0, np.where(p == 1, math.inf, math.nan))
+        return _on_support(p, (0 < p) & (p < 1), lambda q: self._ppf(q) * scale,
+                           edges)
+
+
 @dataclass(frozen=True)
-class LogNormal(ContinuousModel):
+class LogNormal(_ScaleFamily):
     """Lognormal service time parameterised by log-mean and log-sd."""
 
     log_mean: float
@@ -269,21 +339,19 @@ class LogNormal(ContinuousModel):
         if not self.log_sd > 0:
             raise ValidationError("lognormal log_sd must be positive")
 
-    @cached_property
-    def _frozen(self):
-        return _stats.lognorm(s=self.log_sd, scale=math.exp(self.log_mean))
+    def _scale(self):
+        return math.exp(self.log_mean)
 
-    def support(self):
-        return 0.0, math.inf
+    def _pdf(self, x):
+        s = self.log_sd
+        return np.exp(-np.log(x)**2 / (2 * (s * s))
+                      - np.log(s * x * np.sqrt(2 * np.pi)))
 
-    def pdf(self, t):
-        return self._frozen.pdf(t)
+    def _cdf(self, x):
+        return _special().ndtr(np.log(x) / self.log_sd)
 
-    def cdf(self, t):
-        return self._frozen.cdf(t)
-
-    def quantile(self, p):
-        return self._frozen.ppf(p)
+    def _ppf(self, q):
+        return np.exp(self.log_sd * _special().ndtri(q))
 
     def mean(self):
         return math.exp(self.log_mean + 0.5 * self.log_sd**2)
@@ -301,33 +369,32 @@ class LogNormal(ContinuousModel):
 
 
 @dataclass(frozen=True)
-class Gamma(ContinuousModel):
+class Gamma(_ScaleFamily):
     """Gamma service time with shape/rate parameterisation."""
 
     shape: float
     rate: float
 
     family = "gamma"
+    _closed = True
 
     def __post_init__(self):
         if not (self.shape > 0 and self.rate > 0):
             raise ValidationError("gamma shape and rate must be positive")
 
-    @cached_property
-    def _frozen(self):
-        return _stats.gamma(a=self.shape, scale=1.0 / self.rate)
+    def _scale(self):
+        return 1.0 / self.rate
 
-    def support(self):
-        return 0.0, math.inf
+    def _pdf(self, x):
+        special = _special()
+        a = self.shape
+        return np.exp(special.xlogy(a - 1.0, x) - x - special.gammaln(a))
 
-    def pdf(self, t):
-        return self._frozen.pdf(t)
+    def _cdf(self, x):
+        return _special().gammainc(self.shape, x)
 
-    def cdf(self, t):
-        return self._frozen.cdf(t)
-
-    def quantile(self, p):
-        return self._frozen.ppf(p)
+    def _ppf(self, q):
+        return _special().gammaincinv(self.shape, q)
 
     def mean(self):
         return self.shape / self.rate

@@ -313,11 +313,17 @@ class WeightingFunction:
         return {}
 
     def _certify(self) -> None:
-        ends = np.asarray(self.w(np.array([0.0, 1.0])), dtype=float)
-        if abs(ends[0]) > 1e-12 or abs(ends[1] - 1.0) > 1e-12:
+        # Written so that a NaN fails every test; a non-finite value becomes
+        # a ValidationError, so numpy's warnings about it are silenced.
+        with np.errstate(all="ignore"):
+            ends = np.asarray(self.w(np.array([0.0, 1.0])), dtype=float)
+            slopes = np.asarray(self.dw(np.linspace(0.001, 0.999, 199)),
+                                dtype=float)
+        if not (abs(ends[0]) <= 1e-12 and abs(ends[1] - 1.0) <= 1e-12):
             raise ValidationError(f"{self.family}: requires w(0)=0 and w(1)=1")
-        inner = np.linspace(0.001, 0.999, 199)
-        if np.any(np.asarray(self.dw(inner), dtype=float) <= 0):
+        if not np.all(np.isfinite(slopes)):
+            raise ValidationError(f"{self.family}: derivative not finite on (0, 1)")
+        if not np.all(slopes > 0):
             raise ValidationError(
                 f"{self.family}: weighting must be strictly increasing on (0, 1)")
 

@@ -35,6 +35,10 @@ DT_TAU_H = {"framework": "dt", "distribution": EXPONENTIAL,
                           "tau_h": 5}}
 
 
+def inverse_s(gamma):
+    return {"family": "inverse_s", "params": {"gamma": gamma}}
+
+
 def make_config(**overrides):
     raw = copy.deepcopy(BASE)
     raw.update(overrides)
@@ -201,6 +205,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             make_config(**copy.deepcopy(overrides))
         assert (err.value.path, str(err.value)) == (path, message)
+
+    @pytest.mark.parametrize("gamma", [1e10, 1e300])
+    def test_weighting_slope_must_be_finite(self, gamma):
+        # (1 - p)^gamma and p^gamma underflow to 0/0, so w' is NaN inside (0, 1)
+        with pytest.raises(ConfigError) as err:
+            make_config(framework="rdu", weighting=inverse_s(gamma))
+        assert (err.value.path, str(err.value)) == (
+            "weighting", "weighting: inverse_s: derivative not finite on (0, 1)")
 
     def test_tau_h_is_an_unknown_key_for_dt(self):
         raw = copy.deepcopy(DT_TAU_H)
@@ -426,6 +438,14 @@ class TestCliProcess:
         path = write_config(tmp_path, DT_TAU_H)
         assert main(["value", "--config", path]) == 2
         assert "weighting.tau_h: unknown key" in capsys.readouterr().err
+
+    def test_non_finite_weighting_exit_two(self, tmp_path, capsys):
+        raw = dict(copy.deepcopy(BASE), framework="rdu",
+                   weighting=inverse_s(1e300))
+        path = write_config(tmp_path, raw)
+        assert main(["value", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: weighting: inverse_s: derivative not finite")
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["value", "--config", "/nonexistent/config.json"]) == 2

@@ -298,3 +298,90 @@ class TestDiscreteModel:
         model = DiscreteModel([1.0, 3.0], [0.25, 0.75])
         assert model.expect(lambda t: t**2) == pytest.approx(
             0.25 * 1 + 0.75 * 9, abs=1e-15)
+
+
+# Corners and centre of the lognormal and gamma ranges the benchmark's
+# report corpus draws from, plus one heavier case of each.
+PARITY_MODELS = [
+    *(LogNormal(log_mean=m, log_sd=s)
+      for m in (0.0, 1.0, 2.0) for s in (0.25, 0.425, 0.6)),
+    LogNormal(log_mean=-0.1, log_sd=0.7),
+    *(Gamma(shape=a, rate=r) for a in (1.5, 3.25, 5.0) for r in (0.3, 1.65, 3.0)),
+    Gamma(shape=1.0, rate=1.0),
+]
+
+
+def scipy_oracle(model):
+    """The frozen scipy distribution the closed forms must reproduce."""
+    if isinstance(model, LogNormal):
+        return ss.lognorm(s=model.log_sd, scale=np.exp(model.log_mean))
+    return ss.gamma(a=model.shape, scale=1.0 / model.rate)
+
+
+def quadrature_nodes(model):
+    """Every 15-node panel the adaptive kernel visits for a dual moment."""
+    panels = []
+
+    def g(t):
+        panels.append(np.array(t))
+        return (t - model.mean()) ** 2
+
+    model.dual_expect(g, TIGHT)
+    return panels
+
+
+def identical(a, b):
+    return (np.shape(a) == np.shape(b)
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestScipyParity:
+    """LogNormal and Gamma equal scipy's frozen distributions bit for bit."""
+
+    @pytest.mark.parametrize("model", PARITY_MODELS, ids=lambda m: m.label())
+    def test_quadrature_panels(self, model):
+        oracle = scipy_oracle(model)
+        panels = quadrature_nodes(model)
+        assert len(panels) > 3
+        for t in panels:
+            assert identical(model.pdf(t), oracle.pdf(t))
+            assert identical(model.cdf(t), oracle.cdf(t))
+        p = np.linspace(0.0, 1.0, 1001)
+        assert identical(model.quantile(p), oracle.ppf(p))
+        assert model.integration_interval()[1] == oracle.ppf(1.0 - 1e-15)
+
+    @pytest.mark.parametrize("model", PARITY_MODELS, ids=lambda m: m.label())
+    def test_shifted_scaled_panels(self, model):
+        wrapped = ShiftedScaled(model, loc=0.5, scale=2.0)
+        oracle = scipy_oracle(model)
+        for t in quadrature_nodes(wrapped):
+            inner = (t - 0.5) / 2.0
+            assert identical(wrapped.pdf(t), oracle.pdf(inner) / 2.0)
+            assert identical(wrapped.cdf(t), oracle.cdf(inner))
+        p = np.linspace(0.0, 1.0, 101)
+        assert identical(wrapped.quantile(p), 0.5 + 2.0 * oracle.ppf(p))
+
+    @pytest.mark.parametrize("model", PARITY_MODELS, ids=lambda m: m.label())
+    def test_edges(self, model):
+        oracle = scipy_oracle(model)
+        t = np.array([-1.0, -0.0, 0.0, 1e-300, 1.0, np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):  # gamma's pdf at +inf is inf - inf
+            assert identical(model.pdf(t), oracle.pdf(t))
+        assert identical(model.cdf(t), oracle.cdf(t))
+        p = np.array([0.0, 1.0, -0.1, 1.1, np.nan, 0.5])
+        assert identical(model.quantile(p), oracle.ppf(p))
+
+    @pytest.mark.parametrize("model", PARITY_MODELS[::5], ids=lambda m: m.label())
+    def test_zero_dimensional(self, model):
+        oracle = scipy_oracle(model)
+        for t in (-1.0, 0.0, 1e-300, 2.0, np.inf, np.nan):
+            with np.errstate(invalid="ignore"):
+                pdfs = model.pdf(t), oracle.pdf(t)
+            for ours, theirs in (pdfs, (model.cdf(t), oracle.cdf(t))):
+                assert np.ndim(ours) == 0 and type(ours) is type(theirs)
+                assert identical(ours, theirs)
+        for p in (0.0, 0.3, 1.0, -0.1, 1.1, np.nan):
+            ours = model.quantile(p)
+            assert np.ndim(ours) == 0 and type(ours) is type(oracle.ppf(p))
+            assert identical(ours, oracle.ppf(p))

@@ -7,9 +7,11 @@ fails (the fast known-defect reproducers of ``bench/ledger.json`` are
 kept that way).  The ``cli`` cases run ``cotv.cli.main`` on a config file
 and keep ``"exit <code>"`` followed by the bytes of the ``--out`` file, or
 by the first stderr line when the run writes none.  The comparison is byte
-equality; a refactor that changes one digit of one number fails here.  The corpus was rendered with
-CPython 3.11, numpy 2.4 and scipy 1.17; another build of numpy or scipy
-may move last digits, and this test then fails without a code change.
+equality; a refactor that changes one digit of one number fails here.
+The corpus was rendered with CPython 3.11, numpy 2.4 and scipy 1.17.  Of
+scipy it depends on ``scipy.special`` alone, through the lognormal and
+gamma cases, not on ``scipy.stats``.  Another build of numpy or scipy may
+move last digits, and this test then fails without a code change.
 
 Regenerate only for a deliberate change of output, and say so where the
 change is recorded::

@@ -3,8 +3,11 @@ finder, and seeded Monte Carlo estimation.
 
 These routines are the reference path against which every closed-form
 approximation in the package is checked, so they favour predictable error
-control over raw speed.  All of them are pure functions of their inputs;
-randomness enters only through an explicit :class:`RngStream`.
+control over raw speed.  The quadrature makes one integrand call per
+refinement step, holding the nodes of several panels, with the panel
+order, sums and errors of one call per panel.  All of them are pure
+functions of their inputs; randomness enters only through an explicit
+:class:`RngStream`.
 """
 
 from __future__ import annotations
@@ -107,13 +110,29 @@ class McEstimate:
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _panel(f: Callable, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
+def _panels(f: Callable, ends: list[tuple[float, float]]) -> list[float | None]:
+    """Gauss estimate on each ``(a, b)`` of ``ends`` from one call of ``f``.
+
+    ``f`` sees the 15 nodes of every panel in one array, panel after
+    panel.  Each estimate is computed as on a lone panel, so it does not
+    depend on the batch; a panel where ``f`` is not finite comes back as
+    ``None`` for the caller to raise on when it reaches that panel.
+    """
+    bounds = np.array(ends, dtype=float)
+    half = 0.5 * (bounds[:, 1] - bounds[:, 0])
+    x = ((0.5 * (bounds[:, 0] + bounds[:, 1]))[:, None]
+         + half[:, None] * _NODES).ravel()
     y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
-    return half * float(_WEIGHTS @ y)
+    y = y.reshape(len(ends), _NODES.size)
+    finite = np.isfinite(y).all(axis=1)
+    # One dot product per row, as on a lone panel: a matrix product may
+    # sum in another order and move the last bit.
+    return [h * float(_WEIGHTS @ row) if ok else None
+            for h, row, ok in zip(half.tolist(), y, finite.tolist())]
+
+
+def _non_finite(a: float, b: float) -> NonFiniteError:
+    return NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
 
 
 def integrate(
@@ -129,6 +148,13 @@ def integrate(
     on every subinterval fits inside its proportional share of the budget.
     The discrepancy estimate is extremely conservative for smooth
     integrands, which is what gives the package its oracle-grade headroom.
+
+    ``f`` is called once for the window and its halves, then once for the
+    four quarters of each panel that is bisected, so it must act
+    elementwise: one call holds the nodes of several panels.  Panels are
+    still visited depth first and summed in that order, and a non-finite
+    value raises when that order reaches its panel: the value, ``info``
+    and errors are those of one call per panel.
     """
     tol = tol or DEFAULT_TOLERANCE
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -136,19 +162,26 @@ def integrate(
     if not lo < hi:
         raise ValidationError(f"integration requires lo < hi, got [{lo}, {hi}]")
 
-    whole = _panel(f, lo, hi)
+    mid = 0.5 * (lo + hi)
+    whole, left, right = _panels(f, [(lo, hi), (lo, mid), (mid, hi)])
+    if whole is None:
+        raise _non_finite(lo, hi)
     span = hi - lo
     reference = abs(whole)
-    stack: list[tuple[float, float, float, int]] = [(lo, hi, whole, 0)]
+    # Entries carry the estimates of their two halves, computed when the
+    # entry is pushed, so each bisection costs one call of f.
+    stack = [(lo, hi, whole, 0, left, right)]
     total = 0.0
     panels = 1
     deepest = 0
 
     while stack:
-        a, b, coarse, depth = stack.pop()
+        a, b, coarse, depth, left, right = stack.pop()
         mid = 0.5 * (a + b)
-        left = _panel(f, a, mid)
-        right = _panel(f, mid, b)
+        if left is None:
+            raise _non_finite(a, mid)
+        if right is None:
+            raise _non_finite(mid, b)
         panels += 2
         if panels > _MAX_PANELS:
             raise NonConvergenceError("quadrature panel budget exhausted")
@@ -163,8 +196,11 @@ def integrate(
                     f"at depth {depth + 1}"
                 )
             deepest = max(deepest, depth + 1)
-            stack.append((a, mid, left, depth + 1))
-            stack.append((mid, b, right, depth + 1))
+            q1 = 0.5 * (a + mid)
+            q3 = 0.5 * (mid + b)
+            quarters = _panels(f, [(a, q1), (q1, mid), (mid, q3), (q3, b)])
+            stack.append((a, mid, left, depth + 1, *quarters[:2]))
+            stack.append((mid, b, right, depth + 1, *quarters[2:]))
 
     if info is not None:
         info["panels"] = panels

@@ -1,15 +1,20 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately naive: direct enumeration, central finite
-differences, and closed forms.  None of it shares code with the package
-paths it checks.
+differences, closed forms, and the one-panel-per-call quadrature loop.
+None of it shares code with the package paths it checks beyond the
+tolerance type and the error classes.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
+
+from cotv.errors import NonConvergenceError, NonFiniteError, ValidationError
+from cotv.numerics import DEFAULT_TOLERANCE, Tolerance
 
 
 def central_diff(f, x, h):
@@ -62,3 +67,68 @@ def lognormal_dual_mean(log_mean: float, log_sd: float) -> float:
 def quadratic_premium(mu: float, sigma: float) -> float:
     """Exact premium of u = -t^2 (any pure quadratic): sqrt(mu^2+s^2)-mu."""
     return math.sqrt(mu**2 + sigma**2) - mu
+
+
+# The adaptive kernel as it was before batching, one integrand call per
+# 15-node panel, kept as the reference that the batched kernel must match
+# bit for bit: same panels, sums, ``info`` and errors.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+_MAX_PANELS = 400_000
+
+
+def _sequential_panel(f: Callable, a: float, b: float) -> float:
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * _NODES
+    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
+    return half * float(_WEIGHTS @ y)
+
+
+def sequential_integrate(
+    f: Callable,
+    lo: float,
+    hi: float,
+    tol: Tolerance | None = None,
+    info: dict | None = None,
+) -> float:
+    tol = tol or DEFAULT_TOLERANCE
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("integration bounds must be finite")
+    if not lo < hi:
+        raise ValidationError(f"integration requires lo < hi, got [{lo}, {hi}]")
+
+    whole = _sequential_panel(f, lo, hi)
+    span = hi - lo
+    reference = abs(whole)
+    stack: list[tuple[float, float, float, int]] = [(lo, hi, whole, 0)]
+    total = 0.0
+    panels = 1
+    deepest = 0
+
+    while stack:
+        a, b, coarse, depth = stack.pop()
+        mid = 0.5 * (a + b)
+        left = _sequential_panel(f, a, mid)
+        right = _sequential_panel(f, mid, b)
+        panels += 2
+        if panels > _MAX_PANELS:
+            raise NonConvergenceError("quadrature panel budget exhausted")
+        err = abs(left + right - coarse)
+        if err <= tol.scale(reference) * (b - a) / span:
+            total += left + right
+            reference = max(reference, abs(total))
+        else:
+            if depth + 1 >= tol.max_iter:
+                raise NonConvergenceError(
+                    f"quadrature did not converge on [{a:g}, {b:g}] "
+                    f"at depth {depth + 1}"
+                )
+            deepest = max(deepest, depth + 1)
+            stack.append((a, mid, left, depth + 1))
+            stack.append((mid, b, right, depth + 1))
+
+    if info is not None:
+        info["panels"] = panels
+        info["max_depth"] = deepest
+    return total

@@ -323,7 +323,8 @@ def quadrature_nodes(model):
     panels = []
 
     def g(t):
-        panels.append(np.array(t))
+        # one call holds the nodes of several panels, panel after panel
+        panels.extend(np.array(t).reshape(-1, 15))
         return (t - model.mean()) ** 2
 
     model.dual_expect(g, TIGHT)

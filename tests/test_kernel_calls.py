@@ -4,16 +4,20 @@ The calls are counted on the code objects of the functions through
 ``sys.setprofile``, so the count does not depend on how a module binds
 them.  Each exact report computes E_w[u] once: EU takes E[u] and VOT
 (2 integrals), RDU adds the two dual moments and the distorted mean
-(5 integrals); the premium is one root solve.  ``parse_config`` builds a
+(5 integrals); the premium is one root solve.  Each integral calls its
+integrand once for the window and its halves, then once for every panel
+it bisects; those calls are counted by wrapping the integrand that
+``distributions`` hands to the kernel.  ``parse_config`` builds a
 scenario's model, utility and weighting once, and every report of the
 scenario uses those objects; a sweep parses each grid point once.
 """
 
 import sys
 
+import numpy as np
 import pytest
 
-from cotv import config, numerics
+from cotv import config, distributions, numerics
 from cotv.cli import run_scenario, sweep_rows
 from cotv.config import parse_config
 
@@ -59,6 +63,43 @@ def kernel_calls(raw: dict) -> dict:
 ], ids=["eu", "rdu"])
 def test_exact_report_kernel_calls(raw, expected):
     assert kernel_calls(raw) == expected
+
+
+def integral_calls(run, monkeypatch) -> list[tuple[int, int]]:
+    """(integrand calls, panels) of each integral ``run()`` computes."""
+    records = []
+
+    def integrate(f, lo, hi, tol=None, info=None):
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return f(t)
+
+        info = {} if info is None else info
+        value = numerics.integrate(counted, lo, hi, tol, info)
+        records.append((calls, info["panels"]))
+        return value
+
+    monkeypatch.setattr(distributions, "integrate", integrate)
+    run()
+    return records
+
+
+INTEGRALS = {
+    "exp": (lambda: distributions.integrate(lambda t: np.exp(-t), 0.0, 10.0), 1),
+    "eu": (lambda: run_scenario(parse_config(EU_EXACT)), 2),
+    "rdu": (lambda: run_scenario(parse_config(RDU_EXACT)), 5),
+}
+
+
+@pytest.mark.parametrize("run, integrals", INTEGRALS.values(), ids=INTEGRALS)
+def test_one_integrand_call_per_bisection(run, integrals, monkeypatch):
+    records = integral_calls(run, monkeypatch)
+    assert len(records) == integrals
+    for calls, panels in records:
+        assert calls == 1 + (panels - 3) // 4
 
 
 BUILDERS = (config.build_model, config.build_utility, config.build_weighting)

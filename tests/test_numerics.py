@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cotv import numerics
 from cotv.errors import (
+    CotvError,
     NoBracketError,
     NonConvergenceError,
     NonFiniteError,
@@ -19,6 +21,9 @@ from cotv.numerics import (
     integrate,
     mc_estimate,
 )
+
+import oracles
+from oracles import sequential_integrate
 
 
 class TestTolerance:
@@ -87,6 +92,78 @@ class TestIntegrate:
         combined = integrate(lambda t: alpha * f(t) + beta * g(t), 0.0, 2.0)
         separate = alpha * integrate(f, 0.0, 2.0) + beta * integrate(g, 0.0, 2.0)
         assert combined == pytest.approx(separate, abs=1e-8, rel=1e-8)
+
+
+def outcome(integrator, f, lo, hi, tol=None):
+    """Type, bits and ``info`` of an integral, or its error class and message."""
+    info = {}
+    try:
+        value = integrator(f, lo, hi, tol, info)
+    except CotvError as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex(), info
+
+
+def assert_parity(f, lo, hi, tol=None):
+    """Both kernels give the same outcome; returns it."""
+    batched = outcome(integrate, f, lo, hi, tol)
+    assert batched == outcome(sequential_integrate, f, lo, hi, tol)
+    return batched
+
+
+class TestSequentialParity:
+    """The batched kernel matches the one-panel-per-call oracle bit for bit."""
+
+    @given(
+        coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=40),
+        lo=st.floats(-10, 10),
+        width=st.floats(1e-3, 20),
+        rel_tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_polynomials(self, coeffs, lo, width, rel_tol):
+        tol = Tolerance(rel_tol=rel_tol)
+        assert_parity(np.polynomial.Polynomial(coeffs), lo, lo + width, tol)
+
+    @given(
+        rate=st.floats(-20, 20),
+        lo=st.floats(-10, 10),
+        width=st.floats(1e-3, 20),
+        rel_tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exponentials(self, rate, lo, width, rel_tol):
+        tol = Tolerance(rel_tol=rel_tol)
+        assert_parity(lambda t: np.exp(rate * t), lo, lo + width, tol)
+
+    def test_endpoint_singularity(self):
+        error = assert_parity(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0)
+        assert error[0] is NonConvergenceError and "depth 200" in error[1]
+
+    @pytest.mark.parametrize("bad, max_iter, error", [
+        (lambda t: t > 0.5, 200, "non-finite values on [0, 1]"),
+        (lambda t: t > 0.996, 200, "non-finite values on [0.5, 1]"),
+        (lambda t: (0.95 < t) & (t < 0.951), 200, "non-finite values on [0.875, 1]"),
+        # first seen on a quarter of [0, 1], reached after the right half
+        (lambda t: t < 0.002, 200, "non-finite values on [0, 0.25]"),
+        (lambda t: t < 0.002, 4, "did not converge on [0.875, 1] at depth 4"),
+    ], ids=["window", "half", "deep", "deferred", "depth-first"])
+    def test_non_finite_panel(self, bad, max_iter, error):
+        def f(t):
+            return np.where(bad(t), np.nan, np.exp(-((t - 0.9) / 0.01) ** 2))
+
+        assert error in assert_parity(f, 0.0, 1.0, Tolerance(max_iter=max_iter))[1]
+
+    def test_depth_limit(self):
+        tol = Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=4)
+        assert assert_parity(lambda t: np.sign(t - 1.0 / 3.0), 0.0, 1.0, tol) == (
+            NonConvergenceError, "quadrature did not converge on [0.25, 0.375] at depth 4")
+
+    def test_panel_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_PANELS", 2_001)
+        monkeypatch.setattr(oracles, "_MAX_PANELS", 2_001)
+        assert assert_parity(lambda t: 1.0 / t, 0.0, 1.0) == (
+            NonConvergenceError, "quadrature panel budget exhausted")
 
 
 class TestFindRoot:

@@ -140,15 +140,13 @@ class ServiceTimeModel:
             truncated = True
         return lo, hi, truncated
 
-    def expect(self, g: Callable, tol: Tolerance | None = None,
-               info: dict | None = None) -> float:
+    def expect(self, g: Callable, tol: Tolerance | None = None) -> float:
         """E[g(t)]: :meth:`distorted_expect` without a weighting."""
-        return self.distorted_expect(g, None, tol, info)
+        return self.distorted_expect(g, None, tol)
 
-    def dual_expect(self, g: Callable, tol: Tolerance | None = None,
-                    info: dict | None = None) -> float:
+    def dual_expect(self, g: Callable, tol: Tolerance | None = None) -> float:
         """Integral of g against the squared-cdf measure d(F^2) = 2 F f dt."""
-        return self.distorted_expect(g, _SQUARED, tol, info)
+        return self.distorted_expect(g, _SQUARED, tol)
 
     def distorted_expect(self, g: Callable, w, tol: Tolerance | None = None,
                          info: dict | None = None) -> float:
@@ -619,28 +617,25 @@ def moments(model: ServiceTimeModel, tol: Tolerance | None = None) -> MomentSet:
     )
 
 
-def _dual_moment(model: ServiceTimeModel, power: int, tol: Tolerance | None,
-                 info: dict | None) -> float:
+def _dual_moment(model: ServiceTimeModel, power: int, tol: Tolerance | None) -> float:
     if model.is_degenerate:
         return 0.0
     mu = model.mean()
-    return model.dual_expect(lambda t: (t - mu) ** power, tol, info)
+    return model.dual_expect(lambda t: (t - mu) ** power, tol)
 
 
-def dual_moment_mean(model: ServiceTimeModel, tol: Tolerance | None = None,
-                     info: dict | None = None) -> float:
+def dual_moment_mean(model: ServiceTimeModel, tol: Tolerance | None = None) -> float:
     """Dual moment about the mean: E[max of two iid draws] - E[t].
 
     Computed as the integral of (t - mean) against d(F^2); zero exactly for
     degenerate models.
     """
-    return _dual_moment(model, 1, tol, info)
+    return _dual_moment(model, 1, tol)
 
 
-def dual_moment_variance(model: ServiceTimeModel, tol: Tolerance | None = None,
-                         info: dict | None = None) -> float:
+def dual_moment_variance(model: ServiceTimeModel, tol: Tolerance | None = None) -> float:
     """Dual moment about the variance: integral of (t - mean)^2 against d(F^2)."""
-    return _dual_moment(model, 2, tol, info)
+    return _dual_moment(model, 2, tol)
 
 
 def _require_meta(instance: DiscreteModel) -> DtMetadata:

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     ZeroCostError,
 )
-from .numerics import Tolerance, expand_bracket, find_root
+from .numerics import Tolerance, find_root
 from .preferences import QuadraticUtility, UtilityFunction, risk_coefficients
 from .reports import ValuationReport
 
@@ -72,19 +72,13 @@ class EconomicContext:
 
 # The exact route shared by EU and RDU.  Expectations are taken against
 # d(w(F)); ``w=None`` is the plain density, i.e. expected utility is the
-# identity-weighting case.  A report computes E_w[u] once, solves the
-# premium from it, then integrates the value of time.
+# identity-weighting case.
 
 def _exact_vot(u: UtilityFunction, model: ServiceTimeModel, w, phi: float,
-               tol: Tolerance | None, info: dict | None = None) -> float:
+               tol: Tolerance | None) -> float:
     """VOT = E_w[-u'(t)/phi]."""
     return model.distorted_expect(
-        lambda t: -np.asarray(u.du(t), dtype=float) / phi, w, tol, info)
-
-
-def _exact_cotv(u: UtilityFunction, mu: float, expected_u: float, phi: float) -> float:
-    """COTV = (u(mu) - E_w[u])/phi."""
-    return (float(u.u(mu)) - expected_u) / phi
+        lambda t: -np.asarray(u.du(t), dtype=float) / phi, w, tol)
 
 
 def _exact_ratio(model: ServiceTimeModel, cotv_value: float, cot_value: float) -> float:
@@ -99,30 +93,44 @@ def _exact_ratio(model: ServiceTimeModel, cotv_value: float, cot_value: float) -
 def _solve_premium(u: UtilityFunction, model: ServiceTimeModel, mu: float,
                    expected_u: float, tol: Tolerance | None,
                    info: dict | None = None) -> float:
-    """Root of u(mu + pi) = expected_u.
+    """Root of u(mu + pi) = expected_u, bracketed inside the window.
 
-    Strictly decreasing utility makes the root unique.  The initial
-    bracket is [0, window top - mu]; it expands geometrically (first
-    toward negative premiums) if the sign change lies outside, so
-    risk-seeking inputs are still handled.
+    u is decreasing and expected_u averages u over the integration window
+    [lo, hi], so the root lies in [0, hi - mu] when u(mu) > expected_u
+    (variability costs utility) and in [lo - mu, 0] otherwise.  Either
+    bracket keeps mu + pi inside the window, where u is defined, and no
+    bracket search is needed; a decreasing u makes the root unique.
     """
     def gap(pi: float) -> float:
         return float(u.u(mu + pi)) - expected_u
 
-    _, hi, _ = model.integration_interval()
-    a, b = expand_bracket(gap, 0.0, max(hi - mu, 1e-6))
-    return find_root(gap, a, b, tol, info)
+    lo, hi, _ = model.integration_interval()
+    if gap(0.0) > 0:
+        return find_root(gap, 0.0, max(hi - mu, 1e-6), tol, info)
+    return find_root(gap, lo - mu, 0.0, tol, info)
+
+
+def _exact_valuation(u: UtilityFunction, model: ServiceTimeModel, w, mu: float,
+                     phi: float, tol: Tolerance | None, premium: float | None = None,
+                     info: dict | None = None) -> tuple[float, float, float, float]:
+    """(premium, VOT, COTV, rho) of the exact route: E_w[u] is integrated
+    once, and the premium is solved from it unless the caller supplies it.
+    ``info`` receives the E_w[u] quadrature and the premium root search."""
+    expected_u = model.distorted_expect(u.u, w, tol, info)
+    if premium is None:
+        premium = _solve_premium(u, model, mu, expected_u, tol, info)
+    vot = _exact_vot(u, model, w, phi, tol)
+    cotv_value = (float(u.u(mu)) - expected_u) / phi
+    return premium, vot, cotv_value, _exact_ratio(model, cotv_value, vot * mu)
 
 
 def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
-                  tol: Tolerance | None = None,
-                  info: dict | None = None) -> float:
+                  tol: Tolerance | None = None) -> float:
     """Variability premium: the extra certain time with the same utility
     as facing the random time, solving E[u(t)] = u(mu + pi)."""
     if model.is_degenerate:
         return 0.0
-    mu = model.mean()
-    return _solve_premium(u, model, mu, model.expect(u.u, tol, info), tol, info)
+    return _solve_premium(u, model, model.mean(), model.expect(u.u, tol), tol)
 
 
 def premium_approx(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -140,7 +148,7 @@ def vot_at(u: UtilityFunction, at_time: float, ctx: EconomicContext) -> float:
 
 
 def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
-             tol: Tolerance | None = None, info: dict | None = None) -> float:
+             tol: Tolerance | None = None) -> float:
     """Average value of time over the random service time.
 
     Exact method aggregates the instantaneous value, E[-u'(t)/phi];
@@ -150,18 +158,18 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     if ctx.method == "exact":
         if model.is_degenerate:
             return vot_at(u, mu, ctx)
-        return _exact_vot(u, model, None, ctx.phi, tol, info)
+        return _exact_vot(u, model, None, ctx.phi, tol)
     return vot_at(u, mu, ctx) - 0.5 * model.variance() * float(u.d3u(mu)) / ctx.phi
 
 
 def cot(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
-        tol: Tolerance | None = None, info: dict | None = None) -> float:
+        tol: Tolerance | None = None) -> float:
     """Cost of time: average value of time multiplied by the mean duration."""
-    return vot_mean(u, model, ctx, tol, info) * model.mean()
+    return vot_mean(u, model, ctx, tol) * model.mean()
 
 
 def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
-         tol: Tolerance | None = None, info: dict | None = None) -> float:
+         tol: Tolerance | None = None) -> float:
     """Cost of time variability.
 
     Exact method integrates the utility shortfall,
@@ -173,7 +181,7 @@ def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     if model.is_degenerate:
         return 0.0
     if ctx.method == "exact":
-        return _exact_cotv(u, mu, model.expect(u.u, tol, info), ctx.phi)
+        return (float(u.u(mu)) - model.expect(u.u, tol)) / ctx.phi
     return premium_approx(u, model) * vot_at(u, mu, ctx)
 
 
@@ -191,7 +199,7 @@ def _signed_higher_order_term(u: UtilityFunction, model: ServiceTimeModel) -> fl
 
 
 def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
-              tol: Tolerance | None = None, info: dict | None = None) -> float:
+              tol: Tolerance | None = None) -> float:
     """Ratio of the cost of time variability to the cost of time.
 
     Exact method divides the exact costs.  Second order evaluates
@@ -202,13 +210,20 @@ def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     if model.is_degenerate:
         return 0.0
     if ctx.method == "exact":
-        denominator = cot(u, model, ctx, tol, info)
-        return _exact_ratio(model, cotv(u, model, ctx, tol, info), denominator)
+        denominator = cot(u, model, ctx, tol)
+        return _exact_ratio(model, cotv(u, model, ctx, tol), denominator)
+    return _approx_ratio(u, model)
+
+
+def _approx_ratio(u: UtilityFunction, model: ServiceTimeModel,
+                  premium: float | None = None) -> float:
+    """Second-order rho; the mean is checked before the premium is computed."""
     mu = model.mean()
     if mu <= 0:
         raise ZeroCostError("second-order ratio requires a positive mean time")
-    return (premium_approx(u, model) / mu) / (
-        1.0 + 0.5 * _signed_higher_order_term(u, model))
+    if premium is None:
+        premium = premium_approx(u, model)
+    return (premium / mu) / (1.0 + 0.5 * _signed_higher_order_term(u, model))
 
 
 def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -258,46 +273,38 @@ def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     """Full expected-utility valuation report for one method."""
     info: dict = {}
     mu = model.mean()
-    sigma = model.std()
-    cv = model.cv() if mu > 0 else None
-
-    if ctx.method == "exact" and not model.is_degenerate:
-        expected_u = model.expect(u.u, tol, info)
-        premium = _solve_premium(u, model, mu, expected_u, tol, info)
-        vot_value = vot_mean(u, model, ctx, tol)
-        cotv_value = _exact_cotv(u, mu, expected_u, ctx.phi)
-        rho = _exact_ratio(model, cotv_value, vot_value * mu)
-    else:
-        # second order, or a degenerate model's exact shortcuts
-        premium = (premium_exact if ctx.method == "exact" else premium_approx)(u, model)
-        vot_value = vot_mean(u, model, ctx, tol)
-        cotv_value = cotv(u, model, ctx, tol)
-        rho = ratio_rho(u, model, ctx, tol)
     vot_mu = vot_at(u, mu, ctx)
-    cot_value = vot_value * mu
-    if model.is_degenerate:
-        eta = 1.0
+    if model.is_degenerate:  # no variability, nothing to integrate or solve
+        premium = 0.0 if ctx.method == "exact" else premium_approx(u, model)
+        vot_value = vot_mean(u, model, ctx, tol)
+        cotv_value, rho, eta = 0.0, 0.0, 1.0
     elif ctx.method == "exact":
+        premium, vot_value, cotv_value, rho = _exact_valuation(
+            u, model, None, mu, ctx.phi, tol, info=info)
         eta = vot_mu / vot_value if vot_value != 0 else None
     else:
+        premium = premium_approx(u, model)
+        vot_value = vot_mean(u, model, ctx, tol)
+        cotv_value = premium * vot_mu
+        rho = _approx_ratio(u, model, premium)
         eta = ratio_eta(u, model)
-    bound = rho_upper_bound(u, model) if isinstance(u, QuadraticUtility) else None
 
     report = ValuationReport(
         framework="eu",
         method=ctx.method,
         phi=ctx.phi,
         mu=mu,
-        sigma=sigma,
-        cv=cv,
+        sigma=model.std(),
+        cv=model.cv() if mu > 0 else None,
         premium=premium,
         vot_at_mu=vot_mu,
         vot=vot_value,
-        cot=cot_value,
+        cot=vot_value * mu,
         cotv=cotv_value,
         rho=rho,
         eta=eta,
-        rho_upper_bound=bound,
+        rho_upper_bound=(rho_upper_bound(u, model)
+                         if isinstance(u, QuadraticUtility) else None),
         congestion_multiplier=rho + 1.0 if rho >= 0 else None,
         diagnostics={
             "utility": u.label(),

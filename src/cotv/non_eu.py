@@ -39,13 +39,7 @@ from .errors import (
     ValidationError,
     ZeroCostError,
 )
-from .eu import (
-    EconomicContext,
-    _exact_cotv,
-    _exact_ratio,
-    _exact_vot,
-    _solve_premium,
-)
+from .eu import EconomicContext, _exact_valuation
 from .numerics import Tolerance, find_root
 from .preferences import UtilityFunction, WeightingFunction, weighting_derivative_ratio
 from .reports import ValuationReport
@@ -360,17 +354,14 @@ def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,
     vot_mu = -float(ctx.u.du(mu)) / phi
 
     if method == "exact":
-        distorted_u = rdu_expected_utility(model_or_instance, ctx.u, ctx.w, tol)
+        premium = None  # solved from the distorted utility
         if model_or_instance.is_degenerate:
             premium = 0.0
         elif meta is not None:
             premium = rdu_premium_exact(model_or_instance, ctx, tol)
-        else:
-            premium = _solve_premium(ctx.u, model_or_instance, mu, distorted_u, tol)
-        vot = _exact_vot(ctx.u, model_or_instance, ctx.w, phi, tol)
-        cotv_value = _exact_cotv(ctx.u, mu, distorted_u, phi)
+        premium, vot, cotv_value, rho = _exact_valuation(
+            ctx.u, model_or_instance, ctx.w, mu, phi, tol, premium)
         cot_value = vot * mu
-        rho = _exact_ratio(model_or_instance, cotv_value, cot_value)
     else:
         premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
         vot = -float(ctx.u.du(mu_w)) / phi

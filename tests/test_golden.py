@@ -3,11 +3,12 @@
 ``tests/golden/corpus.json`` holds, for every scenario below, the exact
 text the package rendered for it: a ``value`` or ``dualmoments`` envelope,
 a ``sweep`` CSV, or ``"<ErrorClass>: <message>"`` when the computation
-fails (the fast known-defect reproducers of ``bench/ledger.json`` are
-kept that way).  The ``cli`` cases run ``cotv.cli.main`` on a config file
-and keep ``"exit <code>"`` followed by the bytes of the ``--out`` file, or
-by the first stderr line when the run writes none.  The comparison is byte
-equality; a refactor that changes one digit of one number fails here.
+fails.  It keeps every fast reproducer of ``bench/ledger.json``, whether
+it still fails or renders since its defect was fixed.  The ``cli`` cases
+run ``cotv.cli.main`` on a config file and keep ``"exit <code>"``
+followed by the bytes of the ``--out`` file, or by the first stderr line
+when the run writes none.  The comparison is byte equality; a refactor
+that changes one digit of one number fails here.
 The corpus was rendered with CPython 3.11, numpy 2.4 and scipy 1.17.  Of
 scipy it depends on ``scipy.special`` alone, through the lognormal and
 gamma cases, not on ``scipy.stats``.  Another build of numpy or scipy may
@@ -234,7 +235,9 @@ def test_golden_output_is_byte_identical(case):
 def test_golden_corpus_covers_the_scenarios():
     ids = {case["id"] for case in _load()}
     assert set(SCENARIOS) | set(SWEEPS) | set(DUAL_MOMENTS) | set(CLI_RUNS) <= ids
-    assert any(case["expected"].startswith("NoBracketError") for case in _load())
+    regions = json.loads(LEDGER.read_text(encoding="utf-8"))["regions"]
+    assert {f"ledger-{region['id']}" for region in regions if region["fast"]} <= ids
+    assert any(case["expected"].startswith("NonFiniteError") for case in _load())
 
 
 if __name__ == "__main__":

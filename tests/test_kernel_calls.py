@@ -4,7 +4,8 @@ The calls are counted on the code objects of the functions through
 ``sys.setprofile``, so the count does not depend on how a module binds
 them.  Each exact report computes E_w[u] once: EU takes E[u] and VOT
 (2 integrals), RDU adds the two dual moments and the distorted mean
-(5 integrals); the premium is one root solve.  Each integral calls its
+(5 integrals); the premium is one root solve on a bracket inside the
+integration window, with no bracket search.  Each integral calls its
 integrand once for the window and its halves, then once for every panel
 it bisects; those calls are counted by wrapping the integrand that
 ``distributions`` hands to the kernel.  ``parse_config`` builds a
@@ -53,13 +54,13 @@ def count_calls(functions, run) -> dict:
 
 def kernel_calls(raw: dict) -> dict:
     scenario = parse_config(raw)
-    return count_calls((numerics.integrate, numerics.find_root),
-                       lambda: run_scenario(scenario))
+    kernel = (numerics.integrate, numerics.find_root, numerics.expand_bracket)
+    return count_calls(kernel, lambda: run_scenario(scenario))
 
 
 @pytest.mark.parametrize("raw, expected", [
-    (EU_EXACT, {"integrate": 2, "find_root": 1}),
-    (RDU_EXACT, {"integrate": 5, "find_root": 1}),
+    (EU_EXACT, {"integrate": 2, "find_root": 1, "expand_bracket": 0}),
+    (RDU_EXACT, {"integrate": 5, "find_root": 1, "expand_bracket": 0}),
 ], ids=["eu", "rdu"])
 def test_exact_report_kernel_calls(raw, expected):
     assert kernel_calls(raw) == expected

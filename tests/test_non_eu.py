@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
+from scipy import integrate, optimize, stats
 
 from cotv.distributions import (
     Degenerate,
     DiscreteModel,
     Exponential,
+    Gamma,
+    LogNormal,
     Uniform,
     build_dt_instance,
     discrete_dual_moment,
@@ -26,7 +29,7 @@ from cotv.non_eu import (
     rdu_ratio,
     rdu_valuation,
 )
-from cotv.numerics import RngStream, Tolerance
+from cotv.numerics import DEFAULT_TOLERANCE, RngStream, Tolerance
 from cotv.preferences import (
     AffineUtility,
     IdentityWeighting,
@@ -388,3 +391,100 @@ class TestRduValuation:
                                phi=1.0, method="second_order")
         assert report.diagnostics["tau_h"] == 1.5
         assert report.diagnostics["tau_h_mode"] == "override"
+
+
+# Ledger regions b1-b4: RDU with power weighting gamma < 1 and a power
+# utility, where the premium is negative.  The oracle shares no code with
+# the package: scipy's own distributions and quadrature for E_w[u] (an
+# explicit sum of w-increments for the discrete model) and brentq for the
+# premium on [lo - mu, 0].
+B4_OUTCOMES = [0.5507, 2.086, 3.538, 4.694, 6.313, 7.604, 8.532, 17.67]
+B4_PROBABILITIES = [0.135, 0.106, 0.06, 0.218, 0.137, 0.142, 0.09, 0.112]
+NEGATIVE_PREMIUM_CASES = {
+    "b1": (Exponential(rate=1.0), 1.5, 0.6, stats.expon()),
+    "b2": (LogNormal(log_mean=1.0, log_sd=0.5), 1.5, 0.8,
+           stats.lognorm(s=0.5, scale=np.exp(1.0))),
+    "b3": (Gamma(shape=2.0, rate=1.0), 1.5, 0.6, stats.gamma(a=2.0)),
+    "b4": (DiscreteModel(B4_OUTCOMES, B4_PROBABILITIES), 1.506, 0.5929, None),
+}
+
+
+def oracle_rank_utility(exponent, gamma, dist) -> float:
+    """E_w[u] for u(t) = -t^exponent and w(p) = p^gamma; ``dist`` is a
+    frozen scipy distribution, or None for the b4 outcomes."""
+    def w(p):
+        return min(p, 1.0) ** gamma
+
+    def u(t):
+        return -t**exponent
+
+    if dist is None:
+        total, cum = 0.0, 0.0
+        for t, p in zip(B4_OUTCOMES, B4_PROBABILITIES):
+            total += (w(cum + p) - w(cum)) * u(t)
+            cum += p
+        return total
+    mu = dist.mean()
+
+    def integrand(t):
+        return u(t) * gamma * dist.cdf(t) ** (gamma - 1.0) * dist.pdf(t)
+
+    return (integrate.quad(integrand, 0.0, mu, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            + integrate.quad(integrand, mu, np.inf, epsabs=0.0, epsrel=1e-13,
+                             limit=200)[0])
+
+
+@pytest.mark.parametrize("model, exponent, gamma, dist",
+                         NEGATIVE_PREMIUM_CASES.values(), ids=NEGATIVE_PREMIUM_CASES)
+def test_negative_premium_matches_independent_oracle(model, exponent, gamma, dist):
+    report = rdu_valuation(model, RduContext(u=PowerUtility(exponent),
+                                             w=PowerWeighting(gamma)),
+                           phi=1.0, method="exact")
+    target = oracle_rank_utility(exponent, gamma, dist)
+    mu = model.mean()
+    lo = model.support()[0]
+    premium = optimize.brentq(lambda pi: -(mu + pi) ** exponent - target,
+                              lo - mu, 0.0, xtol=1e-15, rtol=1e-15)
+    assert premium < 0
+    assert report.premium < 0
+    assert report.premium == pytest.approx(premium, rel=1e-8, abs=0.0)
+
+
+@st.composite
+def bracket_cases(draw):
+    """RDU with power weighting, gamma in [0.5, 2], on exponential and raw
+    discrete models, with a power or pure-quadratic utility.  This keeps
+    clear of the ledger regions other than b.  On the exponential the VOT
+    integrand -u' w'(F) f behaves like t^(k + gamma - 2) at 0 for a power
+    exponent k, which the quadrature resolves only for a power of at least
+    0.1 (ledger b1 sits there), so there k >= 2.1 - gamma."""
+    gamma = draw(st.floats(0.5, 2.0))
+    continuous = draw(st.booleans())
+    if continuous:
+        model = Exponential(rate=draw(st.floats(0.2, 5.0)))
+    else:
+        n = draw(st.integers(2, 8))
+        outcomes = sorted(draw(st.lists(st.floats(0.1, 20.0), min_size=n, max_size=n,
+                                        unique=True)))
+        weights = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        model = DiscreteModel(outcomes, weights / weights.sum())
+    if draw(st.booleans()):
+        lowest = max(1.5, 2.1 - gamma) if continuous else 1.5
+        u = PowerUtility(exponent=draw(st.floats(lowest, 3.0)))
+    else:
+        u = PureQuadraticUtility(a=draw(st.floats(-2.0, -0.1)))
+    return model, u, PowerWeighting(gamma=gamma)
+
+
+@given(bracket_cases())
+@settings(max_examples=80, deadline=None)
+def test_exact_premium_is_bracketed_by_the_window(case):
+    model, u, w = case
+    note(f"{model.label()} {u.label()} {w.label()}")
+    premium = rdu_valuation(model, RduContext(u=u, w=w), phi=1.0, method="exact").premium
+    distorted_u = rdu_expected_utility(model, u, w)
+    mu = model.mean()
+    lo, hi, _ = model.integration_interval()
+    assert lo - mu <= premium <= hi - mu
+    assert np.sign(premium) == np.sign(float(u.u(mu)) - distorted_u)
+    assert abs(float(u.u(mu + premium)) - distorted_u) <= DEFAULT_TOLERANCE.scale(distorted_u)

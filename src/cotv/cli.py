@@ -29,7 +29,7 @@ from .config import ScenarioConfig, load_config, parse_config
 from .distributions import moments
 from .errors import ConfigError, CotvError
 from .eu import EconomicContext, evaluate as eu_evaluate
-from .non_eu import DtContext, RduContext, dt_valuation, rdu_valuation
+from .non_eu import DtContext, RduContext, _dt_reports, _rdu_reports
 from .numerics import RngStream, mc_estimate
 from .preferences import classify_moment_preference, risk_coefficients
 
@@ -53,17 +53,20 @@ def _value_columns() -> list[str]:
     return cols
 
 
-def _evaluate_one(config: ScenarioConfig, method: str):
+def _evaluate(config: ScenarioConfig, methods: tuple[str, ...]) -> dict:
+    """{method: report} of one scenario; DT and RDU compute the inputs
+    their methods share once."""
     if config.framework == "eu":
-        ctx = EconomicContext(phi=config.phi, method=method)
-        return eu_evaluate(config.utility, config.model, ctx)
+        return {method: eu_evaluate(config.utility, config.model,
+                                    EconomicContext(phi=config.phi, method=method))
+                for method in methods}
     anchor = config.data["weighting"]
     if config.framework == "dt":
         ctx = DtContext(w=config.weighting, p0=anchor["p0"], psi=anchor["psi"])
-        return dt_valuation(config.model, ctx, config.phi, method=method)
+        return _dt_reports(config.model, ctx, config.phi, methods, None)
     ctx = RduContext(u=config.utility, w=config.weighting, p0=anchor["p0"],
                      tau_h=anchor["tau_h"])
-    return rdu_valuation(config.model, ctx, config.phi, method=method)
+    return _rdu_reports(config.model, ctx, config.phi, methods, None)
 
 
 def _header(config: ScenarioConfig, **body: Any) -> dict:
@@ -74,9 +77,9 @@ def _header(config: ScenarioConfig, **body: Any) -> dict:
 
 def run_scenario(config: ScenarioConfig) -> dict:
     """Evaluate one scenario into a report envelope (JSON-ready dict)."""
-    methods = (["exact", "second_order"] if config.method == "both"
-               else [config.method])
-    reports = {method: _evaluate_one(config, method) for method in methods}
+    methods = (("exact", "second_order") if config.method == "both"
+               else (config.method,))
+    reports = _evaluate(config, methods)
 
     first = reports[methods[0]]
     results: dict[str, Any] = {name: getattr(first, name) for name in _BASE_COLUMNS}
@@ -128,7 +131,8 @@ def _set_path(data: dict, dotted: str, value: Any) -> None:
 
 def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
     """Evaluate the scenario grid; rows are ordered lexicographically over
-    the sorted axis names, values in the order given."""
+    the sorted axis names, values in the order given.  A computation error
+    at a grid point is re-raised with the point's axis values appended."""
     sweep = config.sweep
     if sweep is None:
         raise ConfigError("sweep", "config has no sweep block")
@@ -142,7 +146,14 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
         for name, value in zip(names, combo):
             _set_path(point, name, value)
         point_config = parse_config(point)
-        envelope = run_scenario(point_config)
+        try:
+            envelope = run_scenario(point_config)
+        except ConfigError:
+            raise
+        except CotvError as exc:
+            where = ", ".join(f"{name}={_cell(value)}"
+                              for name, value in zip(names, combo))
+            raise type(exc)(f"{exc} at sweep point {where}") from exc
         row = {f"axis:{name}": value for name, value in zip(names, combo)}
         row.update(scenario_row(envelope))
         rows.append(row)

@@ -9,6 +9,12 @@ reductions numerically.  Exact rank-dependent reports run through the
 expected-utility exact core of :mod:`cotv.eu` with the weighting in
 place, and the dual moments are expectations under d(F^2).
 
+Each framework builds its reports in two steps: a shared step computes
+mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
+mean) once, then one report is built per requested method.  A scenario
+that asks for both methods therefore integrates those inputs once, and
+its reports equal two single-method runs bit for bit.
+
 Sign conventions: premiums are reported as computed, and a banded
 instance is flagged "dual risk-averse in the time domain" when its
 premium is non-negative, which for quadratic-in-p weighting coincides
@@ -157,6 +163,66 @@ def dt_premium_approx(ctx: DtContext, m2_dual: float) -> float:
     return 0.5 * weighting_derivative_ratio(ctx.w, ctx.p0) * m2_dual
 
 
+def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
+                phi: float, methods: tuple[str, ...],
+                tol: Tolerance | None) -> dict[str, ValuationReport]:
+    """Dual-theory reports for ``methods``, in that order, sharing mu,
+    sigma and the dual moment m2_dual, which are computed once."""
+    for method in methods:
+        EconomicContext(phi, method)  # validates phi and method
+
+    mu = model_or_instance.mean()
+    if mu <= 0:
+        raise ZeroCostError("dual valuation requires a positive mean time")
+    sigma = model_or_instance.std()
+    meta = getattr(model_or_instance, "dt_meta", None)
+
+    m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
+               else dual_moment_mean(model_or_instance, tol))
+    vot = 1.0 / phi
+    reports = {}
+    for method in methods:
+        if method == "second_order":
+            premium = dt_premium_approx(ctx, m2_dual)
+        elif model_or_instance.is_degenerate:
+            premium = 0.0
+        elif meta is not None:
+            premium = dt_premium_exact(model_or_instance, ctx)
+        else:
+            premium = -dt_expected_utility(model_or_instance, ctx.w, tol) - mu
+        rho = premium / mu
+
+        report = ValuationReport(
+            framework="dt",
+            method=method,
+            phi=phi,
+            mu=mu,
+            sigma=sigma,
+            cv=model_or_instance.cv(),
+            premium=premium,
+            vot_at_mu=vot,
+            vot=vot,
+            cot=mu * vot,
+            cotv=premium * vot,
+            rho=rho,
+            eta=1.0,
+            rho_upper_bound=None,
+            congestion_multiplier=rho + 1.0 if rho >= 0 else None,
+            diagnostics={
+                "model": model_or_instance.label(),
+                "weighting": ctx.w.label(),
+                "p0": ctx.p0,
+                "psi": ctx.psi,
+                "m2_dual": m2_dual,
+                "cv_dual_sq": m2_dual / mu**2,
+                "dual_risk_averse_time_domain": bool(premium >= 0),
+            },
+        )
+        report.require_finite()
+        reports[method] = report
+    return reports
+
+
 def dt_valuation(model_or_instance: ServiceTimeModel, ctx: DtContext,
                  phi: float, method: str = "exact",
                  tol: Tolerance | None = None) -> ValuationReport:
@@ -168,60 +234,7 @@ def dt_valuation(model_or_instance: ServiceTimeModel, ctx: DtContext,
     premium of a banded instance is the closed weighted sum; a continuous
     model is integrated directly against d(w(F)).
     """
-    EconomicContext(phi, method)  # validates phi and method
-
-    mu = model_or_instance.mean()
-    if mu <= 0:
-        raise ZeroCostError("dual valuation requires a positive mean time")
-    sigma = model_or_instance.std()
-    meta = getattr(model_or_instance, "dt_meta", None)
-
-    m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
-               else dual_moment_mean(model_or_instance, tol))
-    if method == "exact":
-        if model_or_instance.is_degenerate:
-            premium = 0.0
-        elif meta is not None:
-            premium = dt_premium_exact(model_or_instance, ctx)
-        else:
-            premium = -dt_expected_utility(model_or_instance, ctx.w, tol) - mu
-    else:
-        premium = dt_premium_approx(ctx, m2_dual)
-
-    vot = 1.0 / phi
-    cot_value = mu * vot
-    cotv_value = premium * vot
-    rho = premium / mu
-    cv_dual_sq = m2_dual / mu**2
-
-    report = ValuationReport(
-        framework="dt",
-        method=method,
-        phi=phi,
-        mu=mu,
-        sigma=sigma,
-        cv=model_or_instance.cv(),
-        premium=premium,
-        vot_at_mu=vot,
-        vot=vot,
-        cot=cot_value,
-        cotv=cotv_value,
-        rho=rho,
-        eta=1.0,
-        rho_upper_bound=None,
-        congestion_multiplier=rho + 1.0 if rho >= 0 else None,
-        diagnostics={
-            "model": model_or_instance.label(),
-            "weighting": ctx.w.label(),
-            "p0": ctx.p0,
-            "psi": ctx.psi,
-            "m2_dual": m2_dual,
-            "cv_dual_sq": cv_dual_sq,
-            "dual_risk_averse_time_domain": bool(premium >= 0),
-        },
-    )
-    report.require_finite()
-    return report
+    return _dt_reports(model_or_instance, ctx, phi, (method,), tol)[method]
 
 
 def rdu_expected_utility(model: ServiceTimeModel, u: UtilityFunction,
@@ -331,6 +344,73 @@ def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
     return tau * premium / mu
 
 
+def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
+                 phi: float, methods: tuple[str, ...],
+                 tol: Tolerance | None) -> dict[str, ValuationReport]:
+    """Rank-dependent reports for ``methods``, in that order, sharing mu,
+    sigma, the band moments, tau_h and the distorted mean, which are
+    computed once."""
+    for method in methods:
+        EconomicContext(phi, method)  # validates phi and method
+
+    meta = getattr(model_or_instance, "dt_meta", None)
+    mu = meta.t0 if meta is not None else model_or_instance.mean()
+    if mu <= 0:
+        raise ZeroCostError("rank-dependent valuation requires a positive mean time")
+    sigma = model_or_instance.std()
+    m2, m2_dual, m2_dual_var = _band_moments(model_or_instance, tol)
+    tau, mu_w = _resolve_tau(ctx, model_or_instance, mu, tol)
+    vot_mu = -float(ctx.u.du(mu)) / phi
+    reports = {}
+    for method in methods:
+        if method == "exact":
+            premium = None  # solved from the distorted utility
+            if model_or_instance.is_degenerate:
+                premium = 0.0
+            elif meta is not None:
+                premium = rdu_premium_exact(model_or_instance, ctx, tol)
+            premium, vot, cotv_value, rho = _exact_valuation(
+                ctx.u, model_or_instance, ctx.w, mu, phi, tol, premium)
+        else:
+            premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
+            vot = -float(ctx.u.du(mu_w)) / phi
+            cotv_value = premium * vot_mu
+            rho = 0.0 if model_or_instance.is_degenerate else tau * premium / mu
+
+        report = ValuationReport(
+            framework="rdu",
+            method=method,
+            phi=phi,
+            mu=mu,
+            sigma=sigma,
+            cv=model_or_instance.cv(),
+            premium=premium,
+            vot_at_mu=vot_mu,
+            vot=vot,
+            cot=vot * mu,
+            cotv=cotv_value,
+            rho=rho,
+            eta=None,
+            rho_upper_bound=None,
+            congestion_multiplier=rho + 1.0 if rho >= 0 else None,
+            diagnostics={
+                "model": model_or_instance.label(),
+                "utility": ctx.u.label(),
+                "weighting": ctx.w.label(),
+                "p0": ctx.p0,
+                "tau_h": tau,
+                "tau_h_mode": "auto" if isinstance(ctx.tau_h, str) else "override",
+                "distorted_mean": mu_w,
+                "m2": m2,
+                "m2_dual": m2_dual,
+                "m2_dual_var": m2_dual_var,
+            },
+        )
+        report.require_finite()
+        reports[method] = report
+    return reports
+
+
 def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,
                   phi: float, method: str = "exact",
                   tol: Tolerance | None = None) -> ValuationReport:
@@ -342,61 +422,4 @@ def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,
     order: premium from :func:`rdu_premium_approx` monetised at VOT(mu),
     ratio from :func:`rdu_ratio`.
     """
-    EconomicContext(phi, method)  # validates phi and method
-
-    meta = getattr(model_or_instance, "dt_meta", None)
-    mu = meta.t0 if meta is not None else model_or_instance.mean()
-    if mu <= 0:
-        raise ZeroCostError("rank-dependent valuation requires a positive mean time")
-    sigma = model_or_instance.std()
-    m2, m2_dual, m2_dual_var = _band_moments(model_or_instance, tol)
-    tau, mu_w = _resolve_tau(ctx, model_or_instance, mu, tol)
-    vot_mu = -float(ctx.u.du(mu)) / phi
-
-    if method == "exact":
-        premium = None  # solved from the distorted utility
-        if model_or_instance.is_degenerate:
-            premium = 0.0
-        elif meta is not None:
-            premium = rdu_premium_exact(model_or_instance, ctx, tol)
-        premium, vot, cotv_value, rho = _exact_valuation(
-            ctx.u, model_or_instance, ctx.w, mu, phi, tol, premium)
-        cot_value = vot * mu
-    else:
-        premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
-        vot = -float(ctx.u.du(mu_w)) / phi
-        cot_value = vot * mu
-        cotv_value = premium * vot_mu
-        rho = 0.0 if model_or_instance.is_degenerate else tau * premium / mu
-
-    report = ValuationReport(
-        framework="rdu",
-        method=method,
-        phi=phi,
-        mu=mu,
-        sigma=sigma,
-        cv=model_or_instance.cv(),
-        premium=premium,
-        vot_at_mu=vot_mu,
-        vot=vot,
-        cot=cot_value,
-        cotv=cotv_value,
-        rho=rho,
-        eta=None,
-        rho_upper_bound=None,
-        congestion_multiplier=rho + 1.0 if rho >= 0 else None,
-        diagnostics={
-            "model": model_or_instance.label(),
-            "utility": ctx.u.label(),
-            "weighting": ctx.w.label(),
-            "p0": ctx.p0,
-            "tau_h": tau,
-            "tau_h_mode": "auto" if isinstance(ctx.tau_h, str) else "override",
-            "distorted_mean": mu_w,
-            "m2": m2,
-            "m2_dual": m2_dual,
-            "m2_dual_var": m2_dual_var,
-        },
-    )
-    report.require_finite()
-    return report
+    return _rdu_reports(model_or_instance, ctx, phi, (method,), tol)[method]

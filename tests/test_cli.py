@@ -14,7 +14,15 @@ from cotv.cli import (
     sweep_rows,
 )
 from cotv.config import parse_config
-from cotv.errors import ConfigError, GridTooLargeError
+from cotv.errors import ConfigError, CotvError, GridTooLargeError
+from cotv.non_eu import (
+    DtContext,
+    RduContext,
+    _dt_reports,
+    _rdu_reports,
+    dt_valuation,
+    rdu_valuation,
+)
 
 
 BASE = {
@@ -381,6 +389,94 @@ class TestSweep:
             assert row["bound_slack_exact"] >= -1e-9
 
 
+# One model per kind of input a report can take: continuous, raw discrete
+# (no band metadata), banded and degenerate.
+PARITY_MODELS = {
+    "continuous": EXPONENTIAL,
+    "discrete": {"family": "discrete", "outcomes": [1.0, 3.0],
+                 "probabilities": [0.5, 0.5]},
+    "banded": BANDED,
+    "degenerate": {"family": "degenerate", "params": {"value": 5.0}},
+}
+PARITY_FRAMEWORKS = {
+    "eu": {"framework": "eu",
+           "preference": {"family": "quadratic", "params": {"a": -1.0, "b": -0.5}}},
+    "dt": {"framework": "dt", "preference": {"family": "affine", "params": {}},
+           "weighting": {"family": "inverse_s", "params": {"gamma": 0.7},
+                         "psi": 0.3}},
+    "rdu": {"framework": "rdu",
+            "preference": {"family": "power", "params": {"exponent": 1.5}},
+            "weighting": {"family": "inverse_s", "params": {"gamma": 0.7}}},
+}
+LEDGER = json.loads(
+    (Path(__file__).parent.parent / "bench" / "ledger.json").read_text())
+
+
+def ledger_config(region_id):
+    return next(region["config"] for region in LEDGER["regions"]
+                if region["id"] == region_id)
+
+
+def bits(value):
+    """A value's exact text: floats by repr, so -0.0 differs from 0.0."""
+    return json.dumps(value, sort_keys=True)
+
+
+def outcome(raw):
+    """The envelope of a scenario, or its error class and message."""
+    try:
+        return run_scenario(parse_config(raw))
+    except CotvError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestBothMethods:
+    """A ``both`` scenario computes the inputs its methods share once; its
+    reports must equal two single-method runs bit for bit."""
+
+    @pytest.mark.parametrize("model", PARITY_MODELS)
+    @pytest.mark.parametrize("framework", PARITY_FRAMEWORKS)
+    def test_both_equals_single_method_runs(self, framework, model):
+        raw = dict(PARITY_FRAMEWORKS[framework], distribution=PARITY_MODELS[model],
+                   method="both")
+        both = run_scenario(parse_config(raw))
+        for method in ("exact", "second_order"):
+            single = run_scenario(parse_config(dict(raw, method=method)))
+            assert bits(both["diagnostics"][method]) == \
+                bits(single["diagnostics"][method])
+            for key, value in single["results"].items():
+                assert bits(both["results"][key]) == bits(value), key
+
+    @pytest.mark.parametrize("model", PARITY_MODELS)
+    @pytest.mark.parametrize("framework", ["dt", "rdu"])
+    def test_public_valuation_equals_its_shared_report(self, framework, model):
+        config = parse_config(dict(PARITY_FRAMEWORKS[framework],
+                                   distribution=PARITY_MODELS[model]))
+        anchor = config.data["weighting"]
+        if framework == "dt":
+            ctx = DtContext(w=config.weighting, p0=anchor["p0"], psi=anchor["psi"])
+            valuation, reports = dt_valuation, _dt_reports
+        else:
+            ctx = RduContext(u=config.utility, w=config.weighting,
+                             p0=anchor["p0"], tau_h=anchor["tau_h"])
+            valuation, reports = rdu_valuation, _rdu_reports
+        methods = ("exact", "second_order")
+        shared = reports(config.model, ctx, config.phi, methods, None)
+        assert list(shared) == list(methods)
+        for method in methods:
+            single = valuation(config.model, ctx, config.phi, method=method)
+            assert repr(shared[method]) == repr(single)
+
+    # the ledger reproducers hit singular weightings on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("region", ["a", "c-exact"])
+    def test_ledger_error_matches_exact_run(self, region):
+        raw = ledger_config(region)
+        failure = outcome(dict(raw, method="both"))
+        assert isinstance(failure, tuple)
+        assert failure == outcome(dict(raw, method="exact"))
+
+
 class TestRendering:
     def test_envelope_is_canonical_json(self):
         envelope = run_scenario(make_config())
@@ -461,6 +557,21 @@ class TestCliProcess:
         path = write_config(tmp_path, raw)
         assert main(["value", "--config", path]) == 1
         assert "computation error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_sweep_names_its_point(self, tmp_path, capsys):
+        # the ledger (a) weighting: inverse-S with gamma < 1 is singular at
+        # the end of a uniform window, gamma = 2 is not
+        raw = dict(ledger_config("a"), sweep={
+            "axes": {"weighting.params.gamma": [2.0, 0.7]}})
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", path, "--format", "csv",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()[0]
+        assert err.startswith("computation error (NonFiniteError): ")
+        assert err.endswith(" at sweep point weighting.params.gamma=0.7")
+        assert not out.exists()
 
     def test_classify_output(self, tmp_path, capsys):
         raw = copy.deepcopy(BASE)

@@ -5,7 +5,11 @@ The calls are counted on the code objects of the functions through
 them.  Each exact report computes E_w[u] once: EU takes E[u] and VOT
 (2 integrals), RDU adds the two dual moments and the distorted mean
 (5 integrals); the premium is one root solve on a bracket inside the
-integration window, with no bracket search.  Each integral calls its
+integration window, with no bracket search.  A ``method: "both"``
+scenario computes the inputs its two reports share once: RDU second order
+reuses the dual moments and the distorted mean of the exact report (5
+integrals in all, not 8), DT reuses the dual moment (2, not 3), and EU
+second order integrates nothing (2).  Each integral calls its
 integrand once for the window and its halves, then once for every panel
 it bisects; those calls are counted by wrapping the integrand that
 ``distributions`` hands to the kernel.  ``parse_config`` builds a
@@ -63,6 +67,25 @@ def kernel_calls(raw: dict) -> dict:
     (RDU_EXACT, {"integrate": 5, "find_root": 1, "expand_bracket": 0}),
 ], ids=["eu", "rdu"])
 def test_exact_report_kernel_calls(raw, expected):
+    assert kernel_calls(raw) == expected
+
+
+def both(raw: dict) -> dict:
+    return dict(raw, method="both")
+
+
+DT_EXPONENTIAL = {"framework": "dt",
+                  "distribution": {"family": "exponential", "params": {"rate": 1.0}},
+                  "preference": {"family": "affine", "params": {"slope": 1.0}},
+                  "weighting": {"family": "inverse_s", "params": {"gamma": 0.8}}}
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (both(EU_EXACT), {"integrate": 2, "find_root": 1, "expand_bracket": 0}),
+    (both(DT_EXPONENTIAL), {"integrate": 2, "find_root": 0, "expand_bracket": 0}),
+    (both(RDU_EXACT), {"integrate": 5, "find_root": 1, "expand_bracket": 0}),
+], ids=["eu", "dt", "rdu"])
+def test_both_report_kernel_calls(raw, expected):
     assert kernel_calls(raw) == expected
 
 

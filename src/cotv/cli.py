@@ -75,8 +75,8 @@ def _header(config: ScenarioConfig, **body: Any) -> dict:
             "config": config.canonical(), **body}
 
 
-def run_scenario(config: ScenarioConfig) -> dict:
-    """Evaluate one scenario into a report envelope (JSON-ready dict)."""
+def _scenario_body(config: ScenarioConfig) -> dict:
+    """The ``results`` and ``diagnostics`` of one scenario's reports."""
     methods = (("exact", "second_order") if config.method == "both"
                else (config.method,))
     reports = _evaluate(config, methods)
@@ -106,22 +106,32 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
     diagnostics = {method: dict(report.diagnostics)
                    for method, report in reports.items()}
-    return _header(config, results=results, diagnostics=diagnostics)
+    return {"results": results, "diagnostics": diagnostics}
+
+
+def run_scenario(config: ScenarioConfig) -> dict:
+    """Evaluate one scenario into a report envelope (JSON-ready dict)."""
+    return _header(config, **_scenario_body(config))
 
 
 def scenario_row(envelope: Mapping) -> dict:
-    """Flat table row of an envelope, keyed by the fixed column list."""
+    """Flat table row of an envelope's ``results``, keyed by the fixed
+    column list."""
     results = envelope["results"]
     return {column: results.get(column) for column in _value_columns()}
 
 
 def _set_path(data: dict, dotted: str, value: Any) -> None:
+    """Set ``value`` at a dotted path of ``data``, copying each dict on the
+    path first, so dicts ``data`` shares with other points stay unwritten."""
     parts = dotted.split(".")
     node = data
     for part in parts[:-1]:
         if not isinstance(node, dict) or part not in node:
             raise ConfigError(f"sweep.axes.{dotted}",
                               "path does not exist in the base config")
+        if isinstance(node[part], dict):
+            node[part] = dict(node[part])
         node = node[part]
     if not isinstance(node, dict):
         raise ConfigError(f"sweep.axes.{dotted}",
@@ -132,22 +142,30 @@ def _set_path(data: dict, dotted: str, value: Any) -> None:
 def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
     """Evaluate the scenario grid; rows are ordered lexicographically over
     the sorted axis names, values in the order given.  A computation error
-    at a grid point is re-raised with the point's axis values appended."""
+    at a grid point is re-raised with the point's axis values appended.
+
+    Axes are set in sorted-name order, so a nested axis overrides a
+    whole-block axis.  Every point is the base config with only the dicts
+    on its axis paths copied, and each distinct distribution, preference
+    and weighting block is built once per call.
+    """
     sweep = config.sweep
     if sweep is None:
         raise ConfigError("sweep", "config has no sweep block")
     axes = sweep["axes"]
     names = sorted(axes)
     columns = [f"axis:{name}" for name in names] + _value_columns()
+    base = config.canonical()
+    del base["sweep"]
+    blocks: dict = {}
     rows = []
     for combo in itertools.product(*(axes[name] for name in names)):
-        point = config.canonical()
-        point.pop("sweep", None)
+        point = dict(base)
         for name, value in zip(names, combo):
             _set_path(point, name, value)
-        point_config = parse_config(point)
+        point_config = parse_config(point, _blocks=blocks)
         try:
-            envelope = run_scenario(point_config)
+            body = _scenario_body(point_config)
         except ConfigError:
             raise
         except CotvError as exc:
@@ -155,7 +173,7 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
                               for name, value in zip(names, combo))
             raise type(exc)(f"{exc} at sweep point {where}") from exc
         row = {f"axis:{name}": value for name, value in zip(names, combo)}
-        row.update(scenario_row(envelope))
+        row.update(scenario_row(body))
         rows.append(row)
     return columns, rows
 

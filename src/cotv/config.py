@@ -10,7 +10,8 @@ family table (family -> constructor and parameter names) and each
 non-EU framework one anchor table entry (the anchor keys its weighting
 block may carry, with their defaults); a key outside them is rejected.
 ``canonical()`` materialises defaults so that the echoed config re-parses
-to an equivalent scenario.
+to an equivalent scenario.  A sweep parses every grid point, but builds
+each distinct block (equal canonical JSON) once per sweep.
 """
 
 from __future__ import annotations
@@ -217,6 +218,26 @@ def build_weighting(spec: Mapping, path: str = "weighting") -> WeightingFunction
     return _construct(cls, path, **_params(spec, names, path))
 
 
+def _build(blocks: dict | None, build, spec: Any) -> tuple[Any, dict]:
+    """``build(spec)`` and a copy of ``spec`` for the canonical echo, or the
+    pair ``blocks`` holds for an equal block.
+
+    ``blocks`` maps (builder, canonical JSON) to that pair, so the points
+    of one sweep share it.  A block that fails to build is not kept: each
+    point using it raises the error a parse of that point alone raises.
+    """
+    if blocks is not None:
+        try:
+            key = (build, json.dumps(spec, sort_keys=True))
+        except (TypeError, ValueError):  # not JSON: nothing to compare by
+            blocks = None
+    if blocks is None:
+        return build(spec), copy.deepcopy(dict(spec))
+    if key not in blocks:
+        blocks[key] = build(spec), copy.deepcopy(dict(spec))
+    return blocks[key]
+
+
 # ---------------------------------------------------------------- scenario
 
 @dataclass(frozen=True)
@@ -267,18 +288,23 @@ class ScenarioConfig:
 
 
 def parse_config(raw: Mapping, seed_override: int | None = None,
-                 method_override: str | None = None) -> ScenarioConfig:
-    """Validate a raw mapping into a scenario with defaults materialised."""
+                 method_override: str | None = None, *,
+                 _blocks: dict | None = None) -> ScenarioConfig:
+    """Validate a raw mapping into a scenario with defaults materialised.
+
+    ``_blocks`` is a sweep's memo of built blocks (see :func:`_build`);
+    it lives for one sweep and changes no result.
+    """
     _check_keys(raw, _TOP_KEYS, "")
     framework = _string(_require(raw, "framework", ""), "framework", _FRAMEWORKS)
 
     distribution = _require(raw, "distribution", "")
-    model = build_model(distribution)
+    model, distribution = _build(_blocks, build_model, distribution)
 
     preference = raw.get("preference")
     if preference is None:
         raise ConfigError("preference", "missing required key")
-    utility = build_utility(preference)
+    utility, preference = _build(_blocks, build_utility, preference)
 
     weighting = raw.get("weighting")
     w = None
@@ -289,7 +315,7 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
             raise ConfigError("weighting", f"required for framework {framework!r}")
         defaults = _ANCHORS[framework]
         _check_keys(weighting, {"family", "params", *defaults}, "weighting")
-        w = build_weighting(weighting)
+        w, echo = _build(_blocks, build_weighting, weighting)
         anchor = {key: weighting.get(key, default) for key, default in defaults.items()}
         p0 = _number(anchor["p0"], "weighting.p0")
         psi = _number(anchor["psi"], "weighting.psi")
@@ -318,8 +344,12 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
     elif "seed" in raw:
         seed = raw["seed"]
     else:
-        env = os.environ.get("COTV_SEED")
-        seed = int(env) if env is not None else 0
+        env = os.environ.get("COTV_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(
+                "seed", f"COTV_SEED must be an integer, got {env!r}") from None
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed", f"expected an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
@@ -349,15 +379,15 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
 
     data: dict = {
         "framework": framework,
-        "distribution": copy.deepcopy(dict(distribution)),
-        "preference": copy.deepcopy(dict(preference)),
+        "distribution": distribution,
+        "preference": preference,
         "economics": {"phi": phi},
         "method": method,
         "seed": seed,
         "output": {"format": out_format, "path": out_path},
     }
     if w is not None:
-        data["weighting"] = {**copy.deepcopy(dict(weighting)), **anchor}
+        data["weighting"] = {**echo, **anchor}
     if sweep is not None:
         data["sweep"] = copy.deepcopy(dict(sweep))
     return ScenarioConfig(data=data, model=model, utility=utility, weighting=w)

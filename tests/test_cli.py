@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 from pathlib import Path
 
@@ -255,6 +256,15 @@ class TestConfigValidation:
         monkeypatch.setenv("COTV_SEED", "777")
         assert parse_config(raw).seed == 777
 
+    def test_env_seed_must_be_an_integer(self, monkeypatch):
+        raw = copy.deepcopy(BASE)
+        del raw["seed"]
+        monkeypatch.setenv("COTV_SEED", "abc")
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.path == "seed"
+        assert info.value.message == "COTV_SEED must be an integer, got 'abc'"
+
     def test_seed_override_wins(self):
         raw = copy.deepcopy(BASE)
         assert parse_config(raw, seed_override=9).seed == 9
@@ -338,6 +348,40 @@ class TestRunScenario:
             (13.0 / 12.0) ** 0.5 - 1.0, abs=1e-9)
 
 
+# Grids crossing a whole-distribution axis with preference, weighting and
+# economics axes, one per framework.
+SWEEP_MODELS = [EXPONENTIAL, {"family": "discrete", "outcomes": [1.0, 3.0],
+                              "probabilities": [0.5, 0.5]}]
+SWEEP_PARITY = {
+    "eu": {"framework": "eu", "distribution": EXPONENTIAL,
+           "preference": {"family": "quadratic", "params": {"a": -1.0, "b": -0.5}},
+           "economics": {"phi": 1.0},
+           "sweep": {"axes": {"distribution": SWEEP_MODELS,
+                              "preference.params.a": [-1.0, -2.0],
+                              "preference.params.b": [-0.5, 0.0],
+                              "economics.phi": [1.0, 2.5]}}},
+    "dt": {"framework": "dt", "distribution": EXPONENTIAL,
+           "preference": {"family": "affine", "params": {"slope": 1.0}},
+           "weighting": inverse_s(0.7), "economics": {"phi": 1.0},
+           "sweep": {"axes": {"distribution": SWEEP_MODELS,
+                              "preference.params.slope": [1.0, 2.0],
+                              "weighting.params.gamma": [0.7, 0.9],
+                              "economics.phi": [1.0, 2.5]}}},
+    "rdu": {"framework": "rdu", "distribution": EXPONENTIAL,
+            "preference": {"family": "power", "params": {"exponent": 1.5}},
+            "weighting": inverse_s(0.7), "economics": {"phi": 1.0},
+            "sweep": {"axes": {"distribution": SWEEP_MODELS,
+                               "preference.params.exponent": [1.5, 2.0],
+                               "weighting.params.gamma": [0.7, 0.9],
+                               "economics.phi": [1.0, 2.5]}}},
+}
+
+
+def bits(value):
+    """A value's exact text: floats by repr, so -0.0 differs from 0.0."""
+    return json.dumps(value, sort_keys=True)
+
+
 class TestSweep:
     def test_single_point_matches_value(self):
         config = make_config(sweep={"axes": {"economics.phi": [1.0]}})
@@ -388,6 +432,45 @@ class TestSweep:
             assert row["bound_violated_exact"] is False
             assert row["bound_slack_exact"] >= -1e-9
 
+    def test_nested_axis_leaves_base_config_and_axis_values(self):
+        exponentials = [{"family": "exponential", "params": {"rate": 1.0}},
+                        {"family": "exponential", "params": {"rate": 3.0}}]
+        config = make_config(sweep={"axes": {
+            "distribution": copy.deepcopy(exponentials),
+            "distribution.params.rate": [0.5, 2.0],
+        }})
+        before = config.canonical()
+        _, rows = sweep_rows(config)
+        assert config.canonical() == before
+        assert [row["axis:distribution"] for row in rows] == \
+            [exponentials[0]] * 2 + [exponentials[1]] * 2
+        assert [row["axis:distribution.params.rate"] for row in rows] == \
+            [0.5, 2.0] * 2
+        # the nested axis overrides the whole-block axis: mu = 1 / rate
+        assert [row["mu"] for row in rows] == [2.0, 0.5] * 2
+
+    @pytest.mark.parametrize("framework", SWEEP_PARITY)
+    def test_rows_equal_value_runs_of_their_points(self, framework):
+        raw = SWEEP_PARITY[framework]
+        names = sorted(raw["sweep"]["axes"])
+        _, rows = sweep_rows(parse_config(raw))
+        combos = list(itertools.product(
+            *(raw["sweep"]["axes"][name] for name in names)))
+        assert len(rows) == len(combos)
+        for row, combo in zip(rows, combos):
+            point = {key: copy.deepcopy(value) for key, value in raw.items()
+                     if key != "sweep"}
+            for name, value in zip(names, combo):
+                *parents, leaf = name.split(".")
+                node = point
+                for part in parents:
+                    node = node[part]
+                node[leaf] = copy.deepcopy(value)
+            expected = scenario_row(run_scenario(parse_config(point)))
+            assert [row[f"axis:{name}"] for name in names] == list(combo)
+            for key, value in expected.items():
+                assert bits(row[key]) == bits(value), (combo, key)
+
 
 # One model per kind of input a report can take: continuous, raw discrete
 # (no band metadata), banded and degenerate.
@@ -415,11 +498,6 @@ LEDGER = json.loads(
 def ledger_config(region_id):
     return next(region["config"] for region in LEDGER["regions"]
                 if region["id"] == region_id)
-
-
-def bits(value):
-    """A value's exact text: floats by repr, so -0.0 differs from 0.0."""
-    return json.dumps(value, sort_keys=True)
 
 
 def outcome(raw):
@@ -542,6 +620,15 @@ class TestCliProcess:
         assert main(["value", "--config", path]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: weighting: inverse_s: derivative not finite")
+
+    def test_non_integer_env_seed_exit_two(self, tmp_path, capsys, monkeypatch):
+        raw = copy.deepcopy(BASE)
+        del raw["seed"]
+        path = write_config(tmp_path, raw)
+        monkeypatch.setenv("COTV_SEED", "abc")
+        assert main(["value", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: seed: COTV_SEED must be an integer, got 'abc'\n")
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["value", "--config", "/nonexistent/config.json"]) == 2

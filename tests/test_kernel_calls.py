@@ -14,9 +14,12 @@ integrand once for the window and its halves, then once for every panel
 it bisects; those calls are counted by wrapping the integrand that
 ``distributions`` hands to the kernel.  ``parse_config`` builds a
 scenario's model, utility and weighting once, and every report of the
-scenario uses those objects; a sweep parses each grid point once.
+scenario uses those objects.  A sweep parses each grid point once but
+builds each distinct block (equal canonical JSON) once per sweep; a block
+that fails raises the error a parse of its point alone raises.
 """
 
+import copy
 import sys
 
 import numpy as np
@@ -25,6 +28,7 @@ import pytest
 from cotv import config, distributions, numerics
 from cotv.cli import run_scenario, sweep_rows
 from cotv.config import parse_config
+from cotv.errors import ConfigError
 
 EU_EXACT = {"framework": "eu",
             "distribution": {"family": "exponential", "params": {"rate": 1.0}},
@@ -144,7 +148,40 @@ def test_report_builds_each_object_once():
     assert counts == {"build_model": 1, "build_utility": 1, "build_weighting": 1}
 
 
-def test_sweep_builds_each_object_once_per_grid_point():
-    scenario = parse_config(EU_SWEEP)
+QUADRATIC = {"family": "quadratic", "params": {"a": -1.0, "b": 0.0}}
+PREFERENCE_SWEEP = {"framework": "eu", "distribution": EXPONENTIAL,
+                    "preference": QUADRATIC, "method": "both",
+                    "sweep": {"axes": {"preference.params.a": [-1.0, -2.0, -1.0],
+                                       "preference.params.b": [-0.5, 0.0],
+                                       "economics.phi": [1.0, 2.5]}}}
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (EU_SWEEP, {"build_model": 2, "build_utility": 1, "build_weighting": 0}),
+    (PREFERENCE_SWEEP, {"build_model": 1, "build_utility": 4,
+                        "build_weighting": 0}),
+], ids=["eu", "preference"])
+def test_sweep_builds_each_distinct_block_once(raw, expected):
+    scenario = parse_config(raw)
     counts = count_calls(BUILDERS, lambda: sweep_rows(scenario))
-    assert counts == {"build_model": 4, "build_utility": 4, "build_weighting": 0}
+    assert counts == expected
+
+
+# an increasing utility, and a value that is no JSON number (nor a number
+# to the config schema)
+@pytest.mark.parametrize("block, key, good, bad", [
+    ("preference", "b", -0.5, 0.5),
+    ("distribution", "rate", 1.0, np.int64(2)),
+], ids=["increasing", "not-json"])
+def test_sweep_block_error_equals_its_point_parse(block, key, good, bad):
+    raw = dict(EU_SWEEP, preference=QUADRATIC,
+               sweep={"axes": {f"{block}.params.{key}": [good, bad]}})
+    point = copy.deepcopy({name: value for name, value in raw.items()
+                           if name != "sweep"})
+    point[block]["params"][key] = bad
+    with pytest.raises(ConfigError) as alone:
+        parse_config(point)
+    with pytest.raises(ConfigError) as swept:
+        sweep_rows(parse_config(raw))
+    assert (swept.value.path, swept.value.message) == \
+        (alone.value.path, alone.value.message)

@@ -74,6 +74,7 @@ class ServiceTimeModel:
     """Common interface for random service times."""
 
     family: str = "abstract"
+    dt_meta: DtMetadata | None = None  # set on banded discrete instances
 
     # -- distribution surface -------------------------------------------------
     def support(self) -> tuple[float, float]:
@@ -176,6 +177,16 @@ class ContinuousModel(ServiceTimeModel):
     """Marker base for absolutely continuous families."""
 
 
+def _require_finite_moments(model: ContinuousModel) -> None:
+    """Reject parameters whose closed-form mean or variance overflows."""
+    try:
+        finite = math.isfinite(model.mean()) and math.isfinite(model.variance())
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValidationError(f"{model.family} mean or variance is not a finite float")
+
+
 @dataclass(frozen=True)
 class Exponential(ContinuousModel):
     """Exponential service time; the user-facing time of a memoryless queue."""
@@ -187,6 +198,7 @@ class Exponential(ContinuousModel):
     def __post_init__(self):
         if not self.rate > 0:
             raise ValidationError("exponential rate must be positive")
+        _require_finite_moments(self)
 
     def support(self):
         return 0.0, math.inf
@@ -230,6 +242,7 @@ class Uniform(ContinuousModel):
             raise ValidationError("uniform requires hi > lo")
         if self.lo < 0:
             raise ValidationError("service times carry no mass below zero")
+        _require_finite_moments(self)
 
     def support(self):
         return self.lo, self.hi
@@ -336,6 +349,7 @@ class LogNormal(_ScaleFamily):
     def __post_init__(self):
         if not self.log_sd > 0:
             raise ValidationError("lognormal log_sd must be positive")
+        _require_finite_moments(self)
 
     def _scale(self):
         return math.exp(self.log_mean)
@@ -379,6 +393,7 @@ class Gamma(_ScaleFamily):
     def __post_init__(self):
         if not (self.shape > 0 and self.rate > 0):
             raise ValidationError("gamma shape and rate must be positive")
+        _require_finite_moments(self)
 
     def _scale(self):
         return 1.0 / self.rate
@@ -428,6 +443,7 @@ class ShiftedScaled(ContinuousModel):
             raise ValidationError("shifted_scaled wraps continuous models only")
         if not self.scale > 0:
             raise ValidationError("scale must be positive")
+        _require_finite_moments(self)
 
     def support(self):
         lo, hi = self.base.support()
@@ -639,7 +655,7 @@ def dual_moment_variance(model: ServiceTimeModel, tol: Tolerance | None = None) 
 
 
 def _require_meta(instance: DiscreteModel) -> DtMetadata:
-    meta = getattr(instance, "dt_meta", None)
+    meta = instance.dt_meta
     if meta is None:
         raise MetadataMissingError(
             "operation requires a banded instance built by build_dt_instance")

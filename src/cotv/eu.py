@@ -31,7 +31,7 @@ from .errors import (
     ZeroCostError,
 )
 from .numerics import Tolerance, find_root
-from .preferences import QuadraticUtility, UtilityFunction, risk_coefficients
+from .preferences import QuadraticUtility, UtilityFunction, _off_pole, risk_coefficients
 from .reports import ValuationReport
 
 __all__ = [
@@ -223,7 +223,7 @@ def _approx_ratio(u: UtilityFunction, model: ServiceTimeModel,
         raise ZeroCostError("second-order ratio requires a positive mean time")
     if premium is None:
         premium = premium_approx(u, model)
-    return (premium / mu) / (1.0 + 0.5 * _signed_higher_order_term(u, model))
+    return (premium / mu) / _off_pole(1.0 + 0.5 * _signed_higher_order_term(u, model))
 
 
 def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -241,7 +241,7 @@ def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> f
     r2 = profile.rel_risk_aversion
     r3 = profile.rel_prudence
     cv2 = model.cv() ** 2
-    return r2 * cv2 / (2.0 + r2 * r3 * cv2)
+    return r2 * cv2 / _off_pole(2.0 + r2 * r3 * cv2)
 
 
 def ratio_eta(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -254,7 +254,7 @@ def ratio_eta(u: UtilityFunction, model: ServiceTimeModel) -> float:
     """
     if model.is_degenerate:
         return 1.0
-    return 1.0 / (1.0 + 0.5 * _signed_higher_order_term(u, model))
+    return 1.0 / _off_pole(1.0 + 0.5 * _signed_higher_order_term(u, model))
 
 
 def rho_upper_bound(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -289,7 +289,7 @@ def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
         rho = _approx_ratio(u, model, premium)
         eta = ratio_eta(u, model)
 
-    report = ValuationReport(
+    return ValuationReport(
         framework="eu",
         method=ctx.method,
         phi=ctx.phi,
@@ -299,18 +299,14 @@ def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
         premium=premium,
         vot_at_mu=vot_mu,
         vot=vot_value,
-        cot=vot_value * mu,
         cotv=cotv_value,
         rho=rho,
         eta=eta,
         rho_upper_bound=(rho_upper_bound(u, model)
                          if isinstance(u, QuadraticUtility) else None),
-        congestion_multiplier=rho + 1.0 if rho >= 0 else None,
         diagnostics={
             "utility": u.label(),
             "model": model.label(),
             **info,
         },
     )
-    report.require_finite()
-    return report

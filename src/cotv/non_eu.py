@@ -13,7 +13,8 @@ Each framework builds its reports in two steps: a shared step computes
 mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
 mean) once, then one report is built per requested method.  A scenario
 that asks for both methods therefore integrates those inputs once, and
-its reports equal two single-method runs bit for bit.
+its reports equal two single-method runs bit for bit.  :func:`rdu_ratio`
+is a one-method view of the second-order report, like :func:`rdu_valuation`.
 
 Sign conventions: premiums are reported as computed, and a banded
 instance is flagged "dual risk-averse in the time domain" when its
@@ -41,6 +42,7 @@ from .distributions import (
 )
 from .errors import (
     DerivativeZeroError,
+    DomainError,
     MetadataMismatchError,
     ValidationError,
     ZeroCostError,
@@ -110,14 +112,17 @@ class RduContext:
             raise ValidationError("numeric tau_h must be positive and finite")
 
 
-def _band_weights(meta: DtMetadata, w: WeightingFunction) -> tuple[np.ndarray, float]:
-    """Weight increments across the perturbed band and their total."""
+def _band_weights(meta: DtMetadata, w: WeightingFunction
+                  ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Band weight increments, their total, and the perturbation xi."""
     n = meta.n
     grid = meta.p0 - meta.psi + (2.0 * meta.psi / n) * np.arange(0, n + 1)
     wgrid = np.asarray(w.w(np.clip(grid, 0.0, 1.0)), dtype=float)
     increments = np.diff(wgrid)
     total = float(w.w(meta.p0 + meta.psi) - w.w(meta.p0 - meta.psi))
-    return increments, total
+    if total == 0.0:
+        raise DerivativeZeroError("weighting places no mass on the band")
+    return increments, total, np.asarray(meta.xi, dtype=float)
 
 
 def _meta_for(instance: DiscreteModel, p0: float, psi: float) -> DtMetadata:
@@ -144,11 +149,7 @@ def dt_premium_exact(instance: DiscreteModel, ctx: DtContext) -> float:
     no root finding is involved.  Flank outcomes cancel, so the premium
     depends on the perturbation and the weighting alone.
     """
-    meta = _meta_for(instance, ctx.p0, ctx.psi)
-    increments, total = _band_weights(meta, ctx.w)
-    if total == 0.0:
-        raise DerivativeZeroError("weighting places no mass on the band")
-    xi = np.asarray(meta.xi, dtype=float)
+    increments, total, xi = _band_weights(_meta_for(instance, ctx.p0, ctx.psi), ctx.w)
     return float(increments @ xi / total)
 
 
@@ -174,8 +175,10 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     mu = model_or_instance.mean()
     if mu <= 0:
         raise ZeroCostError("dual valuation requires a positive mean time")
+    if mu**2 == 0.0:
+        raise DomainError(f"mean time {mu!r} is too small: its square underflows to 0")
     sigma = model_or_instance.std()
-    meta = getattr(model_or_instance, "dt_meta", None)
+    meta = model_or_instance.dt_meta
 
     m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
                else dual_moment_mean(model_or_instance, tol))
@@ -192,7 +195,7 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
             premium = -dt_expected_utility(model_or_instance, ctx.w, tol) - mu
         rho = premium / mu
 
-        report = ValuationReport(
+        reports[method] = ValuationReport(
             framework="dt",
             method=method,
             phi=phi,
@@ -202,12 +205,10 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
             premium=premium,
             vot_at_mu=vot,
             vot=vot,
-            cot=mu * vot,
             cotv=premium * vot,
             rho=rho,
             eta=1.0,
             rho_upper_bound=None,
-            congestion_multiplier=rho + 1.0 if rho >= 0 else None,
             diagnostics={
                 "model": model_or_instance.label(),
                 "weighting": ctx.w.label(),
@@ -218,8 +219,6 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
                 "dual_risk_averse_time_domain": bool(premium >= 0),
             },
         )
-        report.require_finite()
-        reports[method] = report
     return reports
 
 
@@ -258,10 +257,7 @@ def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
     if abs(meta.p0 - ctx.p0) > 1e-12:
         raise MetadataMismatchError(
             f"instance anchor p0={meta.p0} disagrees with context p0={ctx.p0}")
-    increments, total = _band_weights(meta, ctx.w)
-    if total == 0.0:
-        raise DerivativeZeroError("weighting places no mass on the band")
-    xi = np.asarray(meta.xi, dtype=float)
+    increments, total, xi = _band_weights(meta, ctx.w)
     target = float(increments @ np.asarray(ctx.u.u(meta.t0 + xi), dtype=float)) / total
 
     def gap(pi: float) -> float:
@@ -297,7 +293,7 @@ def rdu_premium_approx(ctx: RduContext, mu: float, m2: float,
 def _band_moments(model_or_instance: ServiceTimeModel,
                   tol: Tolerance | None) -> tuple[float, float, float]:
     """(m2, m2_dual, m2_dual_var) of the perturbation measure."""
-    meta = getattr(model_or_instance, "dt_meta", None)
+    meta = model_or_instance.dt_meta
     if meta is not None:
         xi = np.asarray(meta.xi, dtype=float)
         m2 = float(np.mean(xi**2))
@@ -324,7 +320,8 @@ def _resolve_tau(ctx: RduContext, model_or_instance: ServiceTimeModel,
 
 def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
               tol: Tolerance | None = None) -> float:
-    """Second-order rank-dependent cost ratio.
+    """Second-order rank-dependent cost ratio: the ``rho`` of the
+    second-order :func:`rdu_valuation` report, 0 for a degenerate model.
 
     ``tau_h`` times the premium-to-mean ratio, with the premium expanded
     into its utility, weighting, and interaction terms.  Identity
@@ -334,14 +331,7 @@ def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
     EconomicContext(phi)  # validates phi
     if model_or_instance.is_degenerate:
         return 0.0
-    meta = getattr(model_or_instance, "dt_meta", None)
-    mu = meta.t0 if meta is not None else model_or_instance.mean()
-    if mu <= 0:
-        raise ZeroCostError("rank-dependent ratio requires a positive mean time")
-    m2, m2_dual, m2_dual_var = _band_moments(model_or_instance, tol)
-    premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
-    tau, _ = _resolve_tau(ctx, model_or_instance, mu, tol)
-    return tau * premium / mu
+    return rdu_valuation(model_or_instance, ctx, phi, "second_order", tol).rho
 
 
 def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
@@ -353,7 +343,7 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
-    meta = getattr(model_or_instance, "dt_meta", None)
+    meta = model_or_instance.dt_meta
     mu = meta.t0 if meta is not None else model_or_instance.mean()
     if mu <= 0:
         raise ZeroCostError("rank-dependent valuation requires a positive mean time")
@@ -377,7 +367,7 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
             cotv_value = premium * vot_mu
             rho = 0.0 if model_or_instance.is_degenerate else tau * premium / mu
 
-        report = ValuationReport(
+        reports[method] = ValuationReport(
             framework="rdu",
             method=method,
             phi=phi,
@@ -387,12 +377,10 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
             premium=premium,
             vot_at_mu=vot_mu,
             vot=vot,
-            cot=vot * mu,
             cotv=cotv_value,
             rho=rho,
             eta=None,
             rho_upper_bound=None,
-            congestion_multiplier=rho + 1.0 if rho >= 0 else None,
             diagnostics={
                 "model": model_or_instance.label(),
                 "utility": ctx.u.label(),
@@ -406,8 +394,6 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
                 "m2_dual_var": m2_dual_var,
             },
         )
-        report.require_finite()
-        reports[method] = report
     return reports
 
 
@@ -420,6 +406,6 @@ def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,
     (u(mu) - rank-dependent utility)/phi, time cost aggregates the
     instantaneous value of time under the distorted measure.  Second
     order: premium from :func:`rdu_premium_approx` monetised at VOT(mu),
-    ratio from :func:`rdu_ratio`.
+    ratio tau_h * premium / mu, which :func:`rdu_ratio` returns.
     """
     return _rdu_reports(model_or_instance, ctx, phi, (method,), tol)[method]

@@ -407,11 +407,13 @@ class InverseSWeighting(WeightingFunction):
         return a, b, s, n, dn
 
     def dw(self, p):
-        p = np.asarray(p, dtype=float)
         g = self.gamma
-        _, _, s, n, _ = self._pieces(p)
-        h = g / p - n / s
-        return self.w(p) * h
+        p = np.asarray(p, dtype=float)
+        a = np.power(p, g)
+        b = np.power(1.0 - p, g)
+        s = a + b
+        n = np.power(p, g - 1.0) - np.power(1.0 - p, g - 1.0)
+        return a / np.power(s, 1.0 / g) * (g / p - n / s)
 
     def d2w(self, p):
         p = np.asarray(p, dtype=float)
@@ -561,6 +563,14 @@ def weighting_derivative_ratio(w: WeightingFunction, p0: float) -> float:
     return float(w.d2w(p0)) / slope
 
 
+def _off_pole(denominator: float) -> float:
+    """``denominator`` of a second-order closed form; ``DomainError`` at
+    its pole, where 1 + R2 R3 CV^2 / 2 = 0."""
+    if denominator == 0.0:
+        raise DomainError("second-order closed form has a pole: 1 + R2 R3 CV^2 / 2 = 0")
+    return denominator
+
+
 def eta_from_coefficients(r2: float, r3: float, cv: float) -> float:
     """Reliability ratio 1 / (1 + r2 * r3 * cv^2 / 2) from raw coefficients."""
-    return 1.0 / (1.0 + 0.5 * r2 * r3 * cv**2)
+    return 1.0 / _off_pole(1.0 + 0.5 * r2 * r3 * cv**2)

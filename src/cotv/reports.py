@@ -21,6 +21,9 @@ class ValuationReport:
     reduction; ``rho`` compares total variability cost to total time cost.
     ``rho_upper_bound`` is populated for quadratic utilities only, where
     half the squared coefficient of variation is a hard ceiling for rho.
+
+    ``cot`` = vot * mu and ``congestion_multiplier`` = 1 + rho (None for a
+    negative rho) are derived; construction rejects non-finite fields.
     """
 
     framework: str
@@ -32,12 +35,10 @@ class ValuationReport:
     premium: float
     vot_at_mu: float
     vot: float
-    cot: float
     cotv: float
     rho: float
     eta: float | None
     rho_upper_bound: float | None
-    congestion_multiplier: float | None
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
     _NUMERIC_FIELDS = (
@@ -46,19 +47,20 @@ class ValuationReport:
         "congestion_multiplier",
     )
 
+    def __post_init__(self) -> None:
+        self.require_finite()
+
+    @property
+    def cot(self) -> float:
+        return self.vot * self.mu
+
+    @property
+    def congestion_multiplier(self) -> float | None:
+        return self.rho + 1.0 if self.rho >= 0 else None
+
     def require_finite(self) -> None:
         """Reject NaN/inf anywhere in the numeric surface."""
         for name in self._NUMERIC_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise NonFiniteError(f"report field {name!r} is not finite: {value!r}")
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "framework": self.framework,
-            "method": self.method,
-        }
-        for name in self._NUMERIC_FIELDS:
-            out[name] = getattr(self, name)
-        out["diagnostics"] = dict(self.diagnostics)
-        return out

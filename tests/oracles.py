@@ -132,3 +132,20 @@ def sequential_integrate(
         info["panels"] = panels
         info["max_depth"] = deepest
     return total
+
+
+def inverse_s_slope(gamma: float, p):
+    """Slope of the inverse-S weighting p^g / (p^g + (1-p)^g)^(1/g) as first
+    written: h = g/p - n/s from the shared curvature pieces, times w(p)
+    from its own pass.  The curvature-only piece p^(g-2) is left out; it
+    never entered the slope."""
+    g = gamma
+    p = np.asarray(p, dtype=float)
+    a = np.power(p, g)
+    b = np.power(1.0 - p, g)
+    s = a + b
+    n = np.power(p, g - 1.0) - np.power(1.0 - p, g - 1.0)
+    h = g / p - n / s
+    a = np.power(p, g)
+    b = np.power(1.0 - p, g)
+    return a / np.power(a + b, 1.0 / g) * h

@@ -578,6 +578,41 @@ class TestRendering:
             render_envelope(run_scenario(config))
 
 
+POLE = dict(BASE, method="both",
+            preference={"family": "power", "params": {"exponent": 3.0}})
+
+
+def eu_quadratic(distribution):
+    return dict(BASE, distribution=distribution,
+                preference={"family": "quadratic", "params": {"a": -1.0}})
+
+
+EXTREME_PARAMETERS = {
+    "exponential": (eu_quadratic({"family": "exponential",
+                                  "params": {"rate": 1e-170}}),
+                    "config error: distribution"),
+    "gamma": (eu_quadratic({"family": "gamma",
+                            "params": {"shape": 2.0, "rate": 1e-170}}),
+              "config error: distribution"),
+    "uniform": (eu_quadratic({"family": "uniform",
+                              "params": {"lo": 0.0, "hi": 1e200}}),
+                "config error: distribution"),
+    "lognormal": (eu_quadratic({"family": "lognormal",
+                                "params": {"log_mean": 800.0, "log_sd": 1.0}}),
+                  "config error: distribution"),
+    "shifted_scaled": (eu_quadratic({"family": "shifted_scaled",
+                                     "base": EXPONENTIAL, "scale": 1e200}),
+                       "config error: distribution"),
+    "dt_degenerate": ({"framework": "dt",
+                       "distribution": {"family": "degenerate",
+                                        "params": {"value": 1e-170}},
+                       "preference": {"family": "affine", "params": {}},
+                       "weighting": {"family": "power", "params": {"gamma": 2.0}},
+                       "method": "both"},
+                      "computation error (DomainError): "),
+}
+
+
 class TestCliProcess:
     def test_value_exit_zero_and_deterministic(self, tmp_path):
         path = write_config(tmp_path, BASE)
@@ -659,6 +694,30 @@ class TestCliProcess:
         assert err.startswith("computation error (NonFiniteError): ")
         assert err.endswith(" at sweep point weighting.params.gamma=0.7")
         assert not out.exists()
+
+    def test_second_order_pole_exit_one(self, tmp_path, capsys):
+        # exponential(1) with power(3): 1 + R2 R3 CV^2 / 2 is exactly 0
+        path = write_config(tmp_path, POLE)
+        assert main(["value", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "computation error (DomainError): ")
+
+    def test_sweep_through_the_pole_names_its_point(self, tmp_path, capsys):
+        raw = dict(POLE, sweep={"axes": {"preference.params.exponent": [2.0, 3.0]}})
+        path = write_config(tmp_path, raw)
+        assert main(["sweep", "--config", path, "--format", "csv"]) == 1
+        err = capsys.readouterr().err.splitlines()[0]
+        assert err.startswith("computation error (DomainError): ")
+        assert err.endswith(" at sweep point preference.params.exponent=3.0")
+
+    @pytest.mark.parametrize("raw, prefix", EXTREME_PARAMETERS.values(),
+                             ids=EXTREME_PARAMETERS)
+    def test_extreme_parameters_end_in_a_typed_error(self, raw, prefix, tmp_path,
+                                                     capsys):
+        path = write_config(tmp_path, raw)
+        assert main(["value", "--config", path]) == (2 if prefix.startswith("config")
+                                                      else 1)
+        assert capsys.readouterr().err.splitlines()[0].startswith(prefix)
 
     def test_classify_output(self, tmp_path, capsys):
         raw = copy.deepcopy(BASE)

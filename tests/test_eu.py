@@ -12,7 +12,7 @@ from cotv.distributions import (
     LogNormal,
     Uniform,
 )
-from cotv.errors import NotQuadraticError, ZeroCostError
+from cotv.errors import DomainError, NotQuadraticError, ZeroCostError
 from cotv.eu import (
     EconomicContext,
     cot,
@@ -34,6 +34,7 @@ from cotv.preferences import (
     PowerUtility,
     PureQuadraticUtility,
     QuadraticUtility,
+    eta_from_coefficients,
 )
 
 from oracles import quadratic_premium
@@ -238,6 +239,26 @@ class TestRatios:
                 pi_form = ratio_rho(u, model, SECOND)
                 coeff_form = ratio_rho_coefficient_form(u, model)
                 assert pi_form == pytest.approx(coeff_form, abs=1e-10)
+
+
+class TestSecondOrderPole:
+    # exponential(1) with power(3): R2 = 2, R3 = -1 and CV = 1, so
+    # 1 + R2 R3 CV^2 / 2 is exactly 0
+    U = PowerUtility(exponent=3.0)
+    MODEL = Exponential(1.0)
+
+    @pytest.mark.parametrize("closed_form", [
+        lambda u, model: ratio_rho(u, model, SECOND),
+        ratio_rho_coefficient_form,
+        ratio_eta,
+        lambda u, model: eta_from_coefficients(2.0, -1.0, model.cv()),
+    ], ids=["ratio_rho", "coefficient_form", "ratio_eta", "eta_from_coefficients"])
+    def test_pole_raises_domain_error(self, closed_form):
+        with pytest.raises(DomainError, match="pole"):
+            closed_form(self.U, self.MODEL)
+
+    def test_exact_report_is_defined_at_the_pole(self):
+        assert evaluate(self.U, self.MODEL, EXACT, TIGHT).rho > 0
 
 
 class TestUpperBound:

@@ -29,6 +29,7 @@ from cotv import config, distributions, numerics
 from cotv.cli import run_scenario, sweep_rows
 from cotv.config import parse_config
 from cotv.errors import ConfigError
+from cotv.non_eu import RduContext, rdu_ratio
 
 EU_EXACT = {"framework": "eu",
             "distribution": {"family": "exponential", "params": {"rate": 1.0}},
@@ -72,6 +73,15 @@ def kernel_calls(raw: dict) -> dict:
 ], ids=["eu", "rdu"])
 def test_exact_report_kernel_calls(raw, expected):
     assert kernel_calls(raw) == expected
+
+
+def test_rdu_ratio_kernel_calls():
+    # the two dual moments and the distorted mean; no premium root
+    scenario = parse_config(RDU_EXACT)
+    ctx = RduContext(u=scenario.utility, w=scenario.weighting)
+    kernel = (numerics.integrate, numerics.find_root, numerics.expand_bracket)
+    counts = count_calls(kernel, lambda: rdu_ratio(scenario.model, ctx, 1.0))
+    assert counts == {"integrate": 3, "find_root": 0, "expand_bracket": 0}
 
 
 def both(raw: dict) -> dict:

@@ -9,12 +9,17 @@ from cotv.distributions import (
     Exponential,
     Gamma,
     LogNormal,
+    ShiftedScaled,
     Uniform,
     build_dt_instance,
     discrete_dual_moment,
     discrete_dual_moment_variance,
 )
-from cotv.errors import MetadataMismatchError, MetadataMissingError
+from cotv.errors import (
+    DerivativeZeroError,
+    MetadataMismatchError,
+    MetadataMissingError,
+)
 from cotv.eu import EconomicContext, premium_approx, premium_exact, ratio_rho
 from cotv.non_eu import (
     DtContext,
@@ -337,6 +342,36 @@ class TestRduRatio:
                          phi=1.0, tol=TIGHT)
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
         assert auto != base  # distorted mean differs from the plain mean
+
+    @pytest.mark.parametrize("model, u, w", [
+        (build_dt_instance(t0=10.0, xi=[-1.5, 0.5, 1.0], psi=0.3),
+         PowerUtility(1.5), INVERSE_S),
+        (DiscreteModel([1.0, 2.0, 2.0, 4.0], [0.25] * 4),
+         QuadraticUtility(a=-1.0, b=-0.5), SQUARE),
+        (Exponential(1.0), PureQuadraticUtility(a=-1.0), SQUARE),
+        (LogNormal(0.2, 0.5), PowerUtility(1.5), INVERSE_S),
+        (ShiftedScaled(Exponential(1.0), 1.0, 2.0), PowerUtility(2.5), IDENTITY),
+        (Degenerate(2.0), PowerUtility(1.5), INVERSE_S),
+    ], ids=["banded", "discrete-ties", "exponential", "lognormal", "shifted",
+            "degenerate"])
+    @pytest.mark.parametrize("tau_h", ["auto", 2.0])
+    def test_equals_second_order_report_rho(self, model, u, w, tau_h):
+        ctx = RduContext(u=u, w=w, tau_h=tau_h)
+        report = rdu_valuation(model, ctx, phi=1.5, method="second_order")
+        value = rdu_ratio(model, ctx, phi=1.5)
+        assert repr(value) == repr(report.rho)
+
+    def test_failure_equals_second_order_report_failure(self):
+        # a near-zero power weighting puts all distorted mass on the 0
+        # outcome, where u'(t) = -2t vanishes: auto tau_h is undefined
+        instance = build_dt_instance(t0=1.0, xi=[-1.0, 1.0])
+        ctx = RduContext(u=PureQuadraticUtility(a=-1.0), w=PowerWeighting(1e-20))
+        with pytest.raises(DerivativeZeroError) as report_error:
+            rdu_valuation(instance, ctx, phi=1.0, method="second_order")
+        with pytest.raises(DerivativeZeroError) as ratio_error:
+            rdu_ratio(instance, ctx, phi=1.0)
+        assert str(ratio_error.value) == str(report_error.value)
+        assert "auto tau_h undefined" in str(ratio_error.value)
 
 
 class TestRduValuation:

@@ -26,7 +26,7 @@ from cotv.preferences import (
     weighting_derivative_ratio,
 )
 
-from oracles import central_diff
+from oracles import central_diff, inverse_s_slope
 
 
 class CubicDisutility(UtilityFunction):
@@ -221,6 +221,19 @@ class TestWeightingFunctions:
     def test_non_monotone_inverse_s_rejected(self):
         with pytest.raises(ValidationError):
             InverseSWeighting(gamma=0.2)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 0.75, 0.9, 1.0, 1.3, 2.0])
+    def test_inverse_s_slope_equals_reference_bit_for_bit(self, gamma):
+        gen = np.random.default_rng(11)
+        edges = [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-16, 1.0]
+        grid = np.concatenate([gen.random(1000), edges])
+        w = InverseSWeighting(gamma)
+        for p in (grid, np.asarray(0.3), 0.3, 0.0):
+            with np.errstate(all="ignore"):
+                got = w.dw(p)
+                want = inverse_s_slope(gamma, p)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestWeightingDerivativeRatio:

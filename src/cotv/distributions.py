@@ -15,13 +15,16 @@ d(w(F)).  ``w=None`` is the plain expectation, and the dual moments are
 the w(p) = p^2 case, expectations under d(F^2).  Continuous models
 integrate by quadrature; discrete models sum exactly.
 
-Every family's pdf, cdf and quantile is numpy arithmetic.  The lognormal
-and gamma families also call ``scipy.special`` (``ndtr``, ``ndtri``,
-``xlogy``, ``gammaln``, ``gammainc``, ``gammaincinv``), imported on first
-use, so ``import cotv`` and scenarios on the other families load numpy
-alone.  Their formulas are scipy's own, evaluated as scipy evaluates them,
-so every value is bit-identical to scipy's frozen ``lognorm`` and
-``gamma`` distributions.
+Every family's pdf, cdf and quantile is numpy arithmetic.  The
+lognormal's normal cdf and quantile add ``math.erfc`` and
+``statistics.NormalDist.inv_cdf``: they agree with scipy's ``ndtr`` within
+5e-14 and ``ndtri`` within 2e-15, relative, and its pdf is scipy's formula
+evaluated as scipy evaluates it.  Only the gamma family calls
+``scipy.special`` (``xlogy``, ``gammaln``, ``gammainc``, ``gammaincinv``),
+imported on first use, so ``import cotv`` and scenarios on every other
+family load no scipy.  Gamma's formulas are scipy's own, evaluated as
+scipy evaluates them, so its values are bit-identical to scipy's frozen
+``gamma`` distribution.
 """
 
 from __future__ import annotations
@@ -276,21 +279,49 @@ class Uniform(ContinuousModel):
 def _special():
     """``scipy.special``, imported on first use.
 
-    Only the lognormal and gamma families need it, so ``import cotv`` and
-    every other family load numpy alone.
+    Only the gamma family needs it, so ``import cotv`` and every other
+    family load no scipy.
     """
     from scipy import special
     return special
+
+
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal cdf of a 1-d array: 0.5 erfc(-z / sqrt(2)).
+
+    In the lower tail this is the expression scipy's ``ndtr`` evaluates, so
+    it keeps its relative accuracy down to z of about -37; elsewhere it is
+    within an ulp or two of ``ndtr``'s erf branch.  One ``map`` of
+    ``math.erfc`` costs less than a numpy rational approximation at the few
+    dozen nodes of a quadrature call, and about half of a per-element
+    branch between erf and erfc.
+    """
+    return 0.5 * np.fromiter(map(math.erfc, (z * -_SQRT1_2).tolist()), float, z.size)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of a 1-d array inside (0, 1).
+
+    ``statistics.NormalDist.inv_cdf`` is Wichura's AS241 (*Appl. Stat.* 37,
+    1988).  ``statistics`` is imported here because its import costs a few
+    ms that scenarios on other families need not pay.
+    """
+    from statistics import NormalDist
+    return np.fromiter(map(NormalDist().inv_cdf, p.tolist()), float, p.size)
 
 
 def _on_support(x: np.ndarray, inside: np.ndarray, formula: Callable,
                 out: np.ndarray):
     """``out`` with ``formula`` at the points where ``inside`` holds, NaN at NaN.
 
-    ``formula`` sees only the compressed array of in-support points, as in
-    scipy's frozen distributions: numpy's vectorised exp and log can move by
-    an ulp when the array they run over changes, so this keeps the results
-    bit-identical to scipy's.  A 0-d input gives a 0-d result.
+    ``formula`` sees only the compressed 1-d array of in-support points, as
+    in scipy's frozen distributions: numpy's vectorised exp and log can move
+    by an ulp when the array they run over changes, so this keeps the
+    formulas scipy shares bit-identical to scipy's.  A 0-d input gives a 0-d
+    result.
     """
     out[np.isnan(x)] = np.nan
     if inside.any():
@@ -301,12 +332,12 @@ def _on_support(x: np.ndarray, inside: np.ndarray, formula: Callable,
 class _ScaleFamily(ContinuousModel):
     """A family on [0, inf) written as t = scale * x over a standard shape.
 
-    pdf, cdf and quantile reproduce scipy's frozen ``lognorm`` and ``gamma``
-    bit for bit, edge values included: pdf is 0 outside the support, cdf is 0
-    below it and 1 at +inf, quantile is 0 at p = 0, inf at p = 1 and NaN
-    outside [0, 1].  Subclasses give ``_scale()``, the standard-shape
-    ``_pdf``, ``_cdf`` and ``_ppf``, and ``_closed``: whether the density's
-    support is closed, [0, inf], or open, (0, inf).
+    The edge values are scipy's frozen ``lognorm`` and ``gamma`` ones: pdf
+    is 0 outside the support, cdf is 0 below it and 1 at +inf, quantile is 0
+    at p = 0, inf at p = 1 and NaN outside [0, 1].  Subclasses give
+    ``_scale()``, the standard-shape ``_pdf``, ``_cdf`` and ``_ppf``, and
+    ``_closed``: whether the density's support is closed, [0, inf], or
+    open, (0, inf).
     """
 
     _closed = False
@@ -360,10 +391,10 @@ class LogNormal(_ScaleFamily):
                       - np.log(s * x * np.sqrt(2 * np.pi)))
 
     def _cdf(self, x):
-        return _special().ndtr(np.log(x) / self.log_sd)
+        return _ndtr(np.log(x) / self.log_sd)
 
     def _ppf(self, q):
-        return np.exp(self.log_sd * _special().ndtri(q))
+        return np.exp(self.log_sd * _ndtri(q))
 
     def mean(self):
         return math.exp(self.log_mean + 0.5 * self.log_sd**2)
@@ -701,7 +732,8 @@ def build_dt_instance(
     allowed) with equal state probability ``2 psi / n``; best time
     ``t_min`` and worst time ``t_max`` absorb the remaining mass
     ``p0 - psi`` and ``1 - p0 - psi``.  With ``2 psi = 1`` the flanks
-    vanish and the result is the plain n-point instance.
+    vanish and the result is the plain n-point instance.  No outcome may
+    lie below 0.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size == 0:
@@ -734,6 +766,8 @@ def build_dt_instance(
     if hi_mass > 1e-15:
         outcomes.append(t_max)
         probs.append(hi_mass)
+    if outcomes[0] < 0:
+        raise ValidationError("service times carry no mass below zero")
 
     meta = DtMetadata(t0=float(t0), p0=float(p0), psi=float(psi),
                       xi=tuple(float(x) for x in xi),

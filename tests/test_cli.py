@@ -635,6 +635,20 @@ class TestCliProcess:
         assert main(["value", "--config", path]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", [
+        {"t0": 0.114, "xi": [-0.599, 0.599]},
+        {"t0": 2.0, "xi": [-1.0, 1.0], "p0": 0.5, "psi": 0.25, "t_min": -0.5},
+    ], ids=["band", "t_min"])
+    def test_band_below_zero_exit_two(self, dt, tmp_path, capsys):
+        raw = {"framework": "rdu", "distribution": {"family": "discrete", "dt": dt},
+               "preference": {"family": "power", "params": {"exponent": 1.5}},
+               "weighting": {"family": "power", "params": {"gamma": 0.7}},
+               "method": "exact"}
+        path = write_config(tmp_path, raw)
+        assert main(["value", "--config", path]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "config error: distribution: service times carry no mass below zero")
+
     def test_bad_tau_h_exit_two(self, tmp_path, capsys):
         raw = copy.deepcopy(BASE)
         raw["framework"] = "rdu"

@@ -10,8 +10,9 @@ followed by the bytes of the ``--out`` file, or by the first stderr line
 when the run writes none.  The comparison is byte equality; a refactor
 that changes one digit of one number fails here.
 The corpus was rendered with CPython 3.11, numpy 2.4 and scipy 1.17.  Of
-scipy it depends on ``scipy.special`` alone, through the lognormal and
-gamma cases, not on ``scipy.stats``.  Another build of numpy or scipy may
+scipy it depends on ``scipy.special`` alone, through the gamma cases; the
+lognormal cases depend on CPython's ``math.erf``, ``math.erfc`` and
+``statistics.NormalDist``.  Another build of Python, numpy or scipy may
 move last digits, and this test then fails without a code change.
 
 Regenerate only for a deliberate change of output, and say so where the

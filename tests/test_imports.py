@@ -1,9 +1,11 @@
 """Start-up guard: which parts of scipy a process loads.
 
-``import cotv`` and every family but lognormal and gamma need numpy alone;
-those two load ``scipy.special`` on first use, and nothing loads
-``scipy.stats``.  Each check runs in a fresh interpreter, because the
-test process itself has scipy loaded.
+``import cotv`` and every family but gamma load no module of scipy at
+all; the lognormal's normal cdf and quantile come from the standard
+library.  Gamma loads ``scipy.special`` on first use and nothing of scipy
+beyond what ``import scipy.special`` itself loads.  Only lognormal
+scenarios import ``statistics``.  Each check runs in a fresh interpreter,
+because the test process itself has scipy loaded.
 """
 
 import json
@@ -21,7 +23,8 @@ from cotv.config import parse_config
 from cotv.cli import run_scenario
 
 def loaded():
-    return sorted(m for m in ("scipy.special", "scipy.stats") if m in sys.modules)
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "statistics"))
 
 seen = {"import": loaded()}
 for name, raw in json.loads(sys.argv[1]).items():
@@ -37,18 +40,23 @@ def scenario(distribution, framework="eu"):
            "method": "both"}
     if framework == "dt":
         raw["preference"] = {"family": "affine", "params": {}}
+    if framework != "eu":
         raw["weighting"] = {"family": "inverse_s", "params": {"gamma": 0.7},
                             "psi": 0.3}
     return raw
 
 
-def loaded_after(scenarios):
+def run_fresh(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", PROBE, json.dumps(scenarios)],
+    result = subprocess.run([sys.executable, "-c", code, *args],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+def loaded_after(scenarios):
+    return run_fresh(PROBE, json.dumps(scenarios))
 
 
 def test_numpy_only_families_load_no_scipy():
@@ -65,8 +73,20 @@ def test_numpy_only_families_load_no_scipy():
                     ("import", "exponential", "uniform", "discrete", "banded")}
 
 
-def test_lognormal_and_gamma_load_scipy_special_only():
-    for family, params in (("lognormal", {"log_mean": 1.0, "log_sd": 0.5}),
-                           ("gamma", {"shape": 2.0, "rate": 1.0})):
-        seen = loaded_after({family: scenario({"family": family, "params": params})})
-        assert seen == {"import": [], family: ["scipy.special"]}
+def test_lognormal_loads_no_scipy():
+    lognormal = {"family": "lognormal", "params": {"log_mean": 1.0, "log_sd": 0.5}}
+    seen = loaded_after({framework: scenario(lognormal, framework)
+                         for framework in ("eu", "dt", "rdu")})
+    assert seen == {"import": [], "eu": ["statistics"], "dt": ["statistics"],
+                    "rdu": ["statistics"]}
+
+
+def test_gamma_loads_scipy_special_only():
+    special = run_fresh("import json, sys, scipy.special\n"
+                        "print(json.dumps(sorted(m for m in sys.modules"
+                        " if m.split('.')[0] == 'scipy')))")
+    seen = loaded_after({"gamma": scenario({"family": "gamma",
+                                            "params": {"shape": 2.0, "rate": 1.0}})})
+    assert seen["import"] == []
+    assert "scipy.special" in seen["gamma"]
+    assert set(seen["gamma"]) <= set(special)

@@ -10,10 +10,14 @@ the module computes two probability-plane dispersion measures:
   the squared deviation from the mean.
 
 Every expectation goes through one primitive,
-``ServiceTimeModel.distorted_expect(g, w)``: the integral of g against
-d(w(F)).  ``w=None`` is the plain expectation, and the dual moments are
-the w(p) = p^2 case, expectations under d(F^2).  Continuous models
-integrate by quadrature; discrete models sum exactly.
+``ServiceTimeModel._expects(terms)``: the integrals of each g of
+``terms`` against its d(w(F)), over one window.  ``w=None`` is the plain
+expectation, and the dual moments are the w(p) = p^2 case, expectations
+under d(F^2); ``distorted_expect(g, w)`` is the one-term view.
+Continuous models integrate by quadrature in one node pass: a report's
+integrals run in lockstep, and each round evaluates pdf, the cdf and
+w'(F) of each weighting once for all of them, with every value equal to
+that of its integral alone.  Discrete models sum exactly.
 
 Every family's pdf, cdf and quantile is numpy arithmetic.  The
 lognormal's normal cdf and quantile add ``math.erfc`` and
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .errors import (
     ValidationError,
     ZeroMeanError,
 )
-from .numerics import RngStream, Tolerance, integrate
+from .numerics import RngStream, Tolerance, _lockstep
 from .preferences import PowerWeighting
 
 __all__ = [
@@ -157,19 +161,47 @@ class ServiceTimeModel:
         """Integral of g against the distorted measure d(w(F)) = w'(F) f dt.
 
         ``w=None`` integrates against the plain density f dt, without
-        evaluating the cdf.
+        evaluating the cdf.  The one-term view of :meth:`_expects`.
+        """
+        return next(self._expects([(g, w)], tol, [info])[1])
+
+    def _expects(self, terms: list, tol: Tolerance | None = None,
+                 infos: list | None = None) -> tuple[tuple[float, float], Iterator]:
+        """The window, and the integral of each ``(g, w)`` of ``terms``
+        against d(w(F)) on it, computed in one node pass.
+
+        The integrals are an iterator that computes each one when it is
+        read, in the order of ``terms``: the quadratures run in lockstep
+        and each round evaluates pdf, the cdf (if a term has a weighting)
+        and w'(F) of each distinct weighting once on the nodes of all of
+        them.  Each value, ``infos[k]`` and error equal those of the term
+        integrated alone, and a failed term raises when it is read.
         """
         lo, hi, truncated = self.integration_interval()
-        if info is not None:
-            info["integration_interval"] = [lo, hi]
-            info["truncated"] = truncated
+        for info in infos or ():
+            if info is not None:
+                info["integration_interval"] = [lo, hi]
+                info["truncated"] = truncated
 
-        def integrand(t):
-            if w is None:
-                return np.asarray(g(t)) * self.pdf(t)
-            return np.asarray(g(t)) * w.dw(self.cdf(t)) * self.pdf(t)
+        def evaluate(x, wanted):
+            density = self.pdf(x)
+            cdf = (self.cdf(x) if any(terms[k][1] is not None for k, _ in wanted)
+                   else None)
+            slopes: dict = {}
+            values = []
+            for k, index in wanted:
+                g, w = terms[k]
+                t, f = (x, density) if index is None else (x[index], density[index])
+                if w is None:
+                    values.append(np.asarray(g(t)) * f)
+                    continue
+                if id(w) not in slopes:
+                    slopes[id(w)] = w.dw(cdf)
+                slope = slopes[id(w)] if index is None else slopes[id(w)][index]
+                values.append(np.asarray(g(t)) * slope * f)
+            return values
 
-        return integrate(integrand, lo, hi, tol, info=info)
+        return (lo, hi), _lockstep(evaluate, len(terms), lo, hi, tol, infos)
 
 
 # w(p) = p^2: the law of the larger of two independent draws.
@@ -599,7 +631,11 @@ class DiscreteModel(ServiceTimeModel):
     def params(self):
         return {"n_outcomes": int(self.outcomes.size)}
 
-    def distorted_expect(self, g, w, tol=None, info=None):
+    def _expects(self, terms, tol=None, infos=None):
+        """Exact sums, each computed when it is read."""
+        return self.integration_interval()[:2], (self._sum(g, w) for g, w in terms)
+
+    def _sum(self, g, w) -> float:
         if w is None:
             return float(self.probabilities @ np.asarray(g(self.outcomes), dtype=float))
         cum = np.concatenate(([0.0], self._cum))
@@ -650,25 +686,34 @@ class MomentSet:
 
 
 def moments(model: ServiceTimeModel, tol: Tolerance | None = None) -> MomentSet:
-    """Full moment set: closed-form primal part plus quadrature dual part."""
+    """Full moment set: closed-form primal part plus quadrature dual part.
+
+    The two dual moments come from one shared call.
+    """
     mu = model.mean()
     if mu <= 0:
         raise UndefinedCVError(f"cv undefined for mean {mu}")
-    return MomentSet(
-        mu=mu,
-        variance=model.variance(),
-        skewness=model.skewness(),
-        cv=model.cv(),
-        m2_dual_mean=dual_moment_mean(model, tol),
-        m2_dual_var=dual_moment_variance(model, tol),
-    )
+    variance, skewness, cv = model.variance(), model.skewness(), model.cv()
+    m2_dual_mean, m2_dual_var = ((0.0, 0.0) if model.is_degenerate
+                                 else model._expects(_dual_terms(model), tol)[1])
+    return MomentSet(mu=mu, variance=variance, skewness=skewness, cv=cv,
+                     m2_dual_mean=m2_dual_mean, m2_dual_var=m2_dual_var)
+
+
+def _dual_terms(model: ServiceTimeModel, powers: tuple[int, ...] = (1, 2)) -> list:
+    """The :meth:`ServiceTimeModel._expects` terms of the dual moments:
+    (t - mean)^power against d(F^2), for each power.  No terms for a
+    degenerate model, whose dual moments are zero exactly."""
+    if model.is_degenerate:
+        return []
+    mu = model.mean()
+    return [(lambda t, power=power: (t - mu) ** power, _SQUARED) for power in powers]
 
 
 def _dual_moment(model: ServiceTimeModel, power: int, tol: Tolerance | None) -> float:
     if model.is_degenerate:
         return 0.0
-    mu = model.mean()
-    return model.dual_expect(lambda t: (t - mu) ** power, tol)
+    return next(model._expects(_dual_terms(model, (power,)), tol)[1])
 
 
 def dual_moment_mean(model: ServiceTimeModel, tol: Tolerance | None = None) -> float:

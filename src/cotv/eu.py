@@ -14,7 +14,8 @@ Every quantity comes in two flavours:
 The two paths are never mixed inside one number, so each reported value
 is traceable to a single derivation.  The exact route is one core shared
 with rank-dependent utility: expected utility is its identity-weighting
-case, and both solve the premium with the same root search.
+case, and both solve the premium with the same root search, on the window
+their E_w[u] and VOT integrals share.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ class EconomicContext:
 # d(w(F)); ``w=None`` is the plain density, i.e. expected utility is the
 # identity-weighting case.
 
-def _exact_vot(u: UtilityFunction, model: ServiceTimeModel, w, phi: float,
-               tol: Tolerance | None) -> float:
-    """VOT = E_w[-u'(t)/phi]."""
-    return model.distorted_expect(
-        lambda t: -np.asarray(u.du(t), dtype=float) / phi, w, tol)
+def _exact_terms(u: UtilityFunction, w, phi: float) -> list:
+    """The :meth:`~cotv.distributions.ServiceTimeModel._expects` terms of
+    the exact route, in the order it reads them: E_w[u], then
+    VOT = E_w[-u'(t)/phi]."""
+    return [(u.u, w), (lambda t: -np.asarray(u.du(t), dtype=float) / phi, w)]
 
 
 def _exact_ratio(model: ServiceTimeModel, cotv_value: float, cot_value: float) -> float:
@@ -90,8 +91,8 @@ def _exact_ratio(model: ServiceTimeModel, cotv_value: float, cot_value: float) -
     return cotv_value / cot_value
 
 
-def _solve_premium(u: UtilityFunction, model: ServiceTimeModel, mu: float,
-                   expected_u: float, tol: Tolerance | None,
+def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
+                   window: tuple[float, float], tol: Tolerance | None,
                    info: dict | None = None) -> float:
     """Root of u(mu + pi) = expected_u, bracketed inside the window.
 
@@ -104,22 +105,29 @@ def _solve_premium(u: UtilityFunction, model: ServiceTimeModel, mu: float,
     def gap(pi: float) -> float:
         return float(u.u(mu + pi)) - expected_u
 
-    lo, hi, _ = model.integration_interval()
+    lo, hi = window
     if gap(0.0) > 0:
         return find_root(gap, 0.0, max(hi - mu, 1e-6), tol, info)
     return find_root(gap, lo - mu, 0.0, tol, info)
 
 
-def _exact_valuation(u: UtilityFunction, model: ServiceTimeModel, w, mu: float,
-                     phi: float, tol: Tolerance | None, premium: float | None = None,
+def _exact_valuation(u: UtilityFunction, model: ServiceTimeModel, mu: float,
+                     phi: float, shared: tuple, tol: Tolerance | None,
+                     premium: float | None = None,
                      info: dict | None = None) -> tuple[float, float, float, float]:
-    """(premium, VOT, COTV, rho) of the exact route: E_w[u] is integrated
-    once, and the premium is solved from it unless the caller supplies it.
-    ``info`` receives the E_w[u] quadrature and the premium root search."""
-    expected_u = model.distorted_expect(u.u, w, tol, info)
+    """(premium, VOT, COTV, rho) of the exact route.
+
+    ``shared`` is the window and the values of a shared
+    :meth:`~cotv.distributions.ServiceTimeModel._expects` call whose next
+    terms are :func:`_exact_terms`: E_w[u] is read once, the premium is
+    solved from it on that window unless the caller supplies it, then VOT
+    is read.  ``info`` receives the premium root search.
+    """
+    window, values = shared
+    expected_u = next(values)
     if premium is None:
-        premium = _solve_premium(u, model, mu, expected_u, tol, info)
-    vot = _exact_vot(u, model, w, phi, tol)
+        premium = _solve_premium(u, mu, expected_u, window, tol, info)
+    vot = next(values)
     cotv_value = (float(u.u(mu)) - expected_u) / phi
     return premium, vot, cotv_value, _exact_ratio(model, cotv_value, vot * mu)
 
@@ -130,7 +138,8 @@ def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
     as facing the random time, solving E[u(t)] = u(mu + pi)."""
     if model.is_degenerate:
         return 0.0
-    return _solve_premium(u, model, model.mean(), model.expect(u.u, tol), tol)
+    window, values = model._expects([(u.u, None)], tol)
+    return _solve_premium(u, model.mean(), next(values), window, tol)
 
 
 def premium_approx(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -158,7 +167,7 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     if ctx.method == "exact":
         if model.is_degenerate:
             return vot_at(u, mu, ctx)
-        return _exact_vot(u, model, None, ctx.phi, tol)
+        return model.distorted_expect(*_exact_terms(u, None, ctx.phi)[1], tol)
     return vot_at(u, mu, ctx) - 0.5 * model.variance() * float(u.d3u(mu)) / ctx.phi
 
 
@@ -279,8 +288,9 @@ def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
         vot_value = vot_mean(u, model, ctx, tol)
         cotv_value, rho, eta = 0.0, 0.0, 1.0
     elif ctx.method == "exact":
+        shared = model._expects(_exact_terms(u, None, ctx.phi), tol, [info, None])
         premium, vot_value, cotv_value, rho = _exact_valuation(
-            u, model, None, mu, ctx.phi, tol, info=info)
+            u, model, mu, ctx.phi, shared, tol, info=info)
         eta = vot_mu / vot_value if vot_value != 0 else None
     else:
         premium = premium_approx(u, model)

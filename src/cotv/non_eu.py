@@ -13,8 +13,11 @@ Each framework builds its reports in two steps: a shared step computes
 mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
 mean) once, then one report is built per requested method.  A scenario
 that asks for both methods therefore integrates those inputs once, and
-its reports equal two single-method runs bit for bit.  :func:`rdu_ratio`
-is a one-method view of the second-order report, like :func:`rdu_valuation`.
+its reports equal two single-method runs bit for bit.  On a continuous
+model every integral of a scenario comes from one shared call over one
+window, so pdf, cdf and w'(F) are evaluated once per quadrature round.
+:func:`rdu_ratio` is a one-method view of the second-order report, like
+:func:`rdu_valuation`.
 
 Sign conventions: premiums are reported as computed, and a banded
 instance is flagged "dual risk-averse in the time domain" when its
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -34,11 +38,10 @@ from .distributions import (
     DiscreteModel,
     DtMetadata,
     ServiceTimeModel,
+    _dual_terms,
     _require_meta,
     discrete_dual_moment,
     discrete_dual_moment_variance,
-    dual_moment_mean,
-    dual_moment_variance,
 )
 from .errors import (
     DerivativeZeroError,
@@ -47,7 +50,7 @@ from .errors import (
     ValidationError,
     ZeroCostError,
 )
-from .eu import EconomicContext, _exact_valuation
+from .eu import EconomicContext, _exact_terms, _exact_valuation
 from .numerics import Tolerance, find_root
 from .preferences import UtilityFunction, WeightingFunction, weighting_derivative_ratio
 from .reports import ValuationReport
@@ -134,11 +137,15 @@ def _meta_for(instance: DiscreteModel, p0: float, psi: float) -> DtMetadata:
     return meta
 
 
+def _minus_time(t):
+    return -np.asarray(t, dtype=float)
+
+
 def dt_expected_utility(model: ServiceTimeModel, w: WeightingFunction,
                         tol: Tolerance | None = None) -> float:
     """Dual-theory utility of a random time: the integral of -t against
     the distorted measure d(w(F))."""
-    return model.distorted_expect(lambda t: -np.asarray(t, dtype=float), w, tol)
+    return model.distorted_expect(_minus_time, w, tol)
 
 
 def dt_premium_exact(instance: DiscreteModel, ctx: DtContext) -> float:
@@ -168,7 +175,9 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
                 phi: float, methods: tuple[str, ...],
                 tol: Tolerance | None) -> dict[str, ValuationReport]:
     """Dual-theory reports for ``methods``, in that order, sharing mu,
-    sigma and the dual moment m2_dual, which are computed once."""
+    sigma and the dual moment m2_dual, which are computed once.  On a
+    continuous model m2_dual and the exact route's E_w[-t] come from one
+    shared call."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -180,8 +189,13 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     sigma = model_or_instance.std()
     meta = model_or_instance.dt_meta
 
+    integrated = meta is None and not model_or_instance.is_degenerate
+    terms = _dual_terms(model_or_instance, (1,)) if integrated else []
+    if integrated and "exact" in methods:
+        terms.append((_minus_time, ctx.w))
+    values = model_or_instance._expects(terms, tol)[1]
     m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
-               else dual_moment_mean(model_or_instance, tol))
+               else next(values) if integrated else 0.0)
     vot = 1.0 / phi
     reports = {}
     for method in methods:
@@ -192,7 +206,7 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
         elif meta is not None:
             premium = dt_premium_exact(model_or_instance, ctx)
         else:
-            premium = -dt_expected_utility(model_or_instance, ctx.w, tol) - mu
+            premium = -next(values) - mu
         rho = premium / mu
 
         reports[method] = ValuationReport(
@@ -291,8 +305,10 @@ def rdu_premium_approx(ctx: RduContext, mu: float, m2: float,
 
 
 def _band_moments(model_or_instance: ServiceTimeModel,
-                  tol: Tolerance | None) -> tuple[float, float, float]:
-    """(m2, m2_dual, m2_dual_var) of the perturbation measure."""
+                  values: Iterator) -> tuple[float, float, float]:
+    """(m2, m2_dual, m2_dual_var) of the perturbation measure; a model
+    without a band reads its dual moments from ``values``, the shared call
+    that began with :func:`~cotv.distributions._dual_terms`."""
     meta = model_or_instance.dt_meta
     if meta is not None:
         xi = np.asarray(meta.xi, dtype=float)
@@ -300,22 +316,19 @@ def _band_moments(model_or_instance: ServiceTimeModel,
         return (m2,
                 discrete_dual_moment(model_or_instance),
                 discrete_dual_moment_variance(model_or_instance))
-    return (model_or_instance.variance(),
-            dual_moment_mean(model_or_instance, tol),
-            dual_moment_variance(model_or_instance, tol))
+    if model_or_instance.is_degenerate:
+        return model_or_instance.variance(), 0.0, 0.0
+    return model_or_instance.variance(), next(values), next(values)
 
 
-def _resolve_tau(ctx: RduContext, model_or_instance: ServiceTimeModel,
-                 mu: float, tol: Tolerance | None) -> tuple[float, float]:
-    """(tau_h, distorted mean).  Auto rule: tau_h = u'(mu) / u'(mu_w)."""
-    mu_w = model_or_instance.distorted_expect(
-        lambda t: np.asarray(t, dtype=float), ctx.w, tol)
+def _resolve_tau(ctx: RduContext, mu: float, mu_w: float) -> float:
+    """tau_h at the distorted mean mu_w.  Auto rule: u'(mu) / u'(mu_w)."""
     if isinstance(ctx.tau_h, str):
         denom = float(ctx.u.du(mu_w))
         if denom == 0.0:
             raise DerivativeZeroError(f"u'({mu_w:g}) = 0: auto tau_h undefined")
-        return float(ctx.u.du(mu)) / denom, mu_w
-    return float(ctx.tau_h), mu_w
+        return float(ctx.u.du(mu)) / denom
+    return float(ctx.tau_h)
 
 
 def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
@@ -339,7 +352,8 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
                  tol: Tolerance | None) -> dict[str, ValuationReport]:
     """Rank-dependent reports for ``methods``, in that order, sharing mu,
     sigma, the band moments, tau_h and the distorted mean, which are
-    computed once."""
+    computed once.  The dual moments, the distorted mean and the exact
+    route's E_w[u] and VOT come from one shared call, read in that order."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -348,8 +362,15 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     if mu <= 0:
         raise ZeroCostError("rank-dependent valuation requires a positive mean time")
     sigma = model_or_instance.std()
-    m2, m2_dual, m2_dual_var = _band_moments(model_or_instance, tol)
-    tau, mu_w = _resolve_tau(ctx, model_or_instance, mu, tol)
+    terms = _dual_terms(model_or_instance) if meta is None else []
+    terms.append((lambda t: np.asarray(t, dtype=float), ctx.w))  # distorted mean
+    if "exact" in methods:
+        terms += _exact_terms(ctx.u, ctx.w, phi)
+    shared = model_or_instance._expects(terms, tol)
+    values = shared[1]
+    m2, m2_dual, m2_dual_var = _band_moments(model_or_instance, values)
+    mu_w = next(values)
+    tau = _resolve_tau(ctx, mu, mu_w)
     vot_mu = -float(ctx.u.du(mu)) / phi
     reports = {}
     for method in methods:
@@ -360,7 +381,7 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
             elif meta is not None:
                 premium = rdu_premium_exact(model_or_instance, ctx, tol)
             premium, vot, cotv_value, rho = _exact_valuation(
-                ctx.u, model_or_instance, ctx.w, mu, phi, tol, premium)
+                ctx.u, model_or_instance, mu, phi, shared, tol, premium)
         else:
             premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
             vot = -float(ctx.u.du(mu_w)) / phi

@@ -1,18 +1,20 @@
 """Kernel calls per exact report and object builds per scenario.
 
-The calls are counted on the code objects of the functions through
+Root searches are counted on the code objects of the functions through
 ``sys.setprofile``, so the count does not depend on how a module binds
-them.  Each exact report computes E_w[u] once: EU takes E[u] and VOT
-(2 integrals), RDU adds the two dual moments and the distorted mean
-(5 integrals); the premium is one root solve on a bracket inside the
+them; integrals are counted as the quadrature step machines that run.
+Each exact report computes E_w[u] once: EU takes E[u] and VOT (2
+integrals), RDU adds the two dual moments and the distorted mean (5
+integrals); the premium is one root solve on a bracket inside the
 integration window, with no bracket search.  A ``method: "both"``
 scenario computes the inputs its two reports share once: RDU second order
 reuses the dual moments and the distorted mean of the exact report (5
 integrals in all, not 8), DT reuses the dual moment (2, not 3), and EU
-second order integrates nothing (2).  Each integral calls its
-integrand once for the window and its halves, then once for every panel
-it bisects; those calls are counted by wrapping the integrand that
-``distributions`` hands to the kernel.  ``parse_config`` builds a
+second order integrates nothing (2).  Each integral requests the window
+and its halves, then the quarters of every panel it bisects.  A report's
+integrals share one window and run in lockstep, so the integrand is
+evaluated once per round for all of them: as many rounds as its longest
+integral makes requests.  ``parse_config`` builds a
 scenario's model, utility and weighting once, and every report of the
 scenario uses those objects.  A sweep parses each grid point once but
 builds each distinct block (equal canonical JSON) once per sweep; a block
@@ -61,27 +63,73 @@ def count_calls(functions, run) -> dict:
     return counts
 
 
-def kernel_calls(raw: dict) -> dict:
+def kernel_records(run, monkeypatch) -> tuple[list, list]:
+    """(requests, panels) of each integral ``run()`` computes, and the
+    integrand rounds of each shared call.
+
+    An integral is one step machine; its requests are the panel batches
+    it asks for.  A round is one call of the integrand evaluation that a
+    shared call hands to ``numerics._lockstep``.
+    """
+    integrals, rounds = [], []
+    adaptive, lockstep = numerics._adaptive, numerics._lockstep
+
+    def counted_adaptive(lo, hi, tol, info):
+        info = {} if info is None else info
+        machine = adaptive(lo, hi, tol, info)
+        requests, estimates = 0, None
+        try:
+            while True:
+                ends = machine.send(estimates)
+                requests += 1
+                estimates = yield ends
+        except StopIteration as stop:
+            integrals.append((requests, info["panels"]))
+            return stop.value
+
+    def counted_lockstep(evaluate, *args):
+        index = len(rounds)
+        rounds.append(0)
+
+        def counted(x, wanted):
+            rounds[index] += 1
+            return evaluate(x, wanted)
+
+        return lockstep(counted, *args)
+
+    monkeypatch.setattr(numerics, "_adaptive", counted_adaptive)
+    for module in (numerics, distributions):
+        monkeypatch.setattr(module, "_lockstep", counted_lockstep)
+    run()
+    return integrals, rounds
+
+
+def kernel_calls(run, monkeypatch) -> dict:
+    roots = (numerics.find_root, numerics.expand_bracket)
+    records = []
+    counts = count_calls(roots, lambda: records.extend(kernel_records(run, monkeypatch)[0]))
+    return {"integrals": len(records), **counts}
+
+
+def report(raw: dict):
     scenario = parse_config(raw)
-    kernel = (numerics.integrate, numerics.find_root, numerics.expand_bracket)
-    return count_calls(kernel, lambda: run_scenario(scenario))
+    return lambda: run_scenario(scenario)
 
 
 @pytest.mark.parametrize("raw, expected", [
-    (EU_EXACT, {"integrate": 2, "find_root": 1, "expand_bracket": 0}),
-    (RDU_EXACT, {"integrate": 5, "find_root": 1, "expand_bracket": 0}),
+    (EU_EXACT, {"integrals": 2, "find_root": 1, "expand_bracket": 0}),
+    (RDU_EXACT, {"integrals": 5, "find_root": 1, "expand_bracket": 0}),
 ], ids=["eu", "rdu"])
-def test_exact_report_kernel_calls(raw, expected):
-    assert kernel_calls(raw) == expected
+def test_exact_report_kernel_calls(raw, expected, monkeypatch):
+    assert kernel_calls(report(raw), monkeypatch) == expected
 
 
-def test_rdu_ratio_kernel_calls():
+def test_rdu_ratio_kernel_calls(monkeypatch):
     # the two dual moments and the distorted mean; no premium root
     scenario = parse_config(RDU_EXACT)
     ctx = RduContext(u=scenario.utility, w=scenario.weighting)
-    kernel = (numerics.integrate, numerics.find_root, numerics.expand_bracket)
-    counts = count_calls(kernel, lambda: rdu_ratio(scenario.model, ctx, 1.0))
-    assert counts == {"integrate": 3, "find_root": 0, "expand_bracket": 0}
+    counts = kernel_calls(lambda: rdu_ratio(scenario.model, ctx, 1.0), monkeypatch)
+    assert counts == {"integrals": 3, "find_root": 0, "expand_bracket": 0}
 
 
 def both(raw: dict) -> dict:
@@ -95,49 +143,33 @@ DT_EXPONENTIAL = {"framework": "dt",
 
 
 @pytest.mark.parametrize("raw, expected", [
-    (both(EU_EXACT), {"integrate": 2, "find_root": 1, "expand_bracket": 0}),
-    (both(DT_EXPONENTIAL), {"integrate": 2, "find_root": 0, "expand_bracket": 0}),
-    (both(RDU_EXACT), {"integrate": 5, "find_root": 1, "expand_bracket": 0}),
+    (both(EU_EXACT), {"integrals": 2, "find_root": 1, "expand_bracket": 0}),
+    (both(DT_EXPONENTIAL), {"integrals": 2, "find_root": 0, "expand_bracket": 0}),
+    (both(RDU_EXACT), {"integrals": 5, "find_root": 1, "expand_bracket": 0}),
 ], ids=["eu", "dt", "rdu"])
-def test_both_report_kernel_calls(raw, expected):
-    assert kernel_calls(raw) == expected
+def test_both_report_kernel_calls(raw, expected, monkeypatch):
+    assert kernel_calls(report(raw), monkeypatch) == expected
 
 
-def integral_calls(run, monkeypatch) -> list[tuple[int, int]]:
-    """(integrand calls, panels) of each integral ``run()`` computes."""
-    records = []
-
-    def integrate(f, lo, hi, tol=None, info=None):
-        calls = 0
-
-        def counted(t):
-            nonlocal calls
-            calls += 1
-            return f(t)
-
-        info = {} if info is None else info
-        value = numerics.integrate(counted, lo, hi, tol, info)
-        records.append((calls, info["panels"]))
-        return value
-
-    monkeypatch.setattr(distributions, "integrate", integrate)
-    run()
-    return records
-
-
+# (run, integrals, rounds): the rounds of a shared call are those of its
+# longest integral, since every round advances every unfinished one.
 INTEGRALS = {
-    "exp": (lambda: distributions.integrate(lambda t: np.exp(-t), 0.0, 10.0), 1),
-    "eu": (lambda: run_scenario(parse_config(EU_EXACT)), 2),
-    "rdu": (lambda: run_scenario(parse_config(RDU_EXACT)), 5),
+    "exp": (lambda: numerics.integrate(lambda t: np.exp(-t), 0.0, 10.0), 1, [1]),
+    "eu": (report(EU_EXACT), 2, [2]),
+    "rdu": (report(RDU_EXACT), 5, [8]),
+    "rdu-both": (report(both(RDU_EXACT)), 5, [8]),
+    "dt-both": (report(both(DT_EXPONENTIAL)), 2, [22]),
 }
 
 
-@pytest.mark.parametrize("run, integrals", INTEGRALS.values(), ids=INTEGRALS)
-def test_one_integrand_call_per_bisection(run, integrals, monkeypatch):
-    records = integral_calls(run, monkeypatch)
+@pytest.mark.parametrize("run, integrals, rounds", INTEGRALS.values(), ids=INTEGRALS)
+def test_one_integrand_round_per_bisection(run, integrals, rounds, monkeypatch):
+    records, shared = kernel_records(run, monkeypatch)
     assert len(records) == integrals
+    requests = [calls for calls, _ in records]
     for calls, panels in records:
         assert calls == 1 + (panels - 3) // 4
+    assert shared == rounds == [max(requests)]
 
 
 BUILDERS = (config.build_model, config.build_utility, config.build_weighting)

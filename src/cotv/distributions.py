@@ -20,15 +20,15 @@ w'(F) of each weighting once for all of them, with every value equal to
 that of its integral alone.  Discrete models sum exactly.
 
 Every family's pdf, cdf and quantile is numpy arithmetic.  The
-lognormal's normal cdf and quantile add ``math.erfc`` and
-``statistics.NormalDist.inv_cdf``: they agree with scipy's ``ndtr`` within
-5e-14 and ``ndtri`` within 2e-15, relative, and its pdf is scipy's formula
-evaluated as scipy evaluates it.  Only the gamma family calls
-``scipy.special`` (``xlogy``, ``gammaln``, ``gammainc``, ``gammaincinv``),
-imported on first use, so ``import cotv`` and scenarios on every other
-family load no scipy.  Gamma's formulas are scipy's own, evaluated as
-scipy evaluates them, so its values are bit-identical to scipy's frozen
-``gamma`` distribution.
+lognormal's normal cdf adds ``math.erfc``, and its normal quantile is
+AS241, bit-identical to ``statistics.NormalDist.inv_cdf``: they agree
+with scipy's ``ndtr`` within 5e-14 and ``ndtri`` within 2e-15, relative,
+and its pdf is scipy's formula evaluated as scipy evaluates it.  Only the
+gamma family calls ``scipy.special`` (``xlogy``, ``gammaln``,
+``gammainc``, ``gammaincinv``), imported on first use, so ``import cotv``
+and scenarios on every other family load no scipy.  Gamma's formulas are
+scipy's own, evaluated as scipy evaluates them, so its values are
+bit-identical to scipy's frozen ``gamma`` distribution.
 """
 
 from __future__ import annotations
@@ -334,15 +334,80 @@ def _ndtr(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, (z * -_SQRT1_2).tolist()), float, z.size)
 
 
+def _terms(num: tuple, den: tuple) -> np.ndarray:
+    """Coefficient pairs (numerator, denominator) of a rational function,
+    highest power first, shaped to broadcast against a 1-d argument."""
+    return np.array([num, den]).T[:, :, None]
+
+
+# Wichura's AS241 (*Appl. Stat.* 37, 1988): numerator and denominator
+# coefficients of its three rational approximations, highest power first,
+# as ``statistics.NormalDist.inv_cdf`` states them.
+_AS241_CENTRAL = _terms(  # |p - 0.5| <= 0.425, in 0.180625 - (p - 0.5)^2
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4,
+     6.72657_70927_00870_0853e+4, 4.59219_53931_54987_1457e+4,
+     1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4,
+     3.93078_95800_09271_0610e+4, 2.12137_94301_58659_5867e+4,
+     5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0))
+_AS241_NEAR = _terms(  # r = sqrt(-log(min(p, 1 - p))) <= 5, in r - 1.6
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2,
+     2.41780_72517_74506_11770e-1, 1.27045_82524_52368_38258e+0,
+     3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4,
+     1.51986_66563_61645_71966e-2, 1.48103_97642_74800_74590e-1,
+     6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0))
+_AS241_FAR = _terms(  # r > 5, in r - 5
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
+     1.24266_09473_88078_43860e-3, 2.65321_89526_57612_30930e-2,
+     2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7,
+     1.84631_83175_10054_68180e-5, 7.86869_13114_56132_59100e-4,
+     1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0))
+
+
+def _rational(terms: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of an AS241 approximation at ``r``, by
+    Horner's rule in the order AS241 nests them, both in one array pass."""
+    acc = terms[0] * r
+    for term in terms[1:-1]:
+        acc = (acc + term) * r
+    top, bottom = acc + terms[-1]
+    return top, bottom
+
+
 def _ndtri(p: np.ndarray) -> np.ndarray:
     """Standard normal quantile of a 1-d array inside (0, 1).
 
-    ``statistics.NormalDist.inv_cdf`` is Wichura's AS241 (*Appl. Stat.* 37,
-    1988).  ``statistics`` is imported here because its import costs a few
-    ms that scenarios on other families need not pay.
+    AS241 evaluated in numpy with the operations, in order, of
+    ``statistics.NormalDist().inv_cdf``, so each value is bit-identical to
+    it.  The tail takes its log with ``math.log``: numpy's ``log`` differs
+    from it by an ulp on a few inputs in a million.
     """
-    from statistics import NormalDist
-    return np.fromiter(map(NormalDist().inv_cdf, p.tolist()), float, p.size)
+    q = p - 0.5
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    if qc.size:
+        top, bottom = _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
+        x[central] = top * qc / bottom
+    tail = ~central
+    r = p[tail]
+    r = np.minimum(r, 1.0 - r)  # p below the centre, 1 - p above it
+    r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), float, r.size))
+    xt = np.empty_like(r)
+    for terms, part, shift in ((_AS241_NEAR, r <= 5.0, 1.6), (_AS241_FAR, r > 5.0, 5.0)):
+        if part.any():
+            top, bottom = _rational(terms, r[part] - shift)
+            xt[part] = top / bottom
+    x[tail] = np.copysign(xt, q[tail])
+    return x
 
 
 def _on_support(x: np.ndarray, inside: np.ndarray, formula: Callable,

@@ -101,12 +101,15 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     (variability costs utility) and in [lo - mu, 0] otherwise.  Either
     bracket keeps mu + pi inside the window, where u is defined, and no
     bracket search is needed; a decreasing u makes the root unique.
+    The gap at 0 picks the bracket and is one of its ends, so it is
+    evaluated once.
     """
     def gap(pi: float) -> float:
-        return float(u.u(mu + pi)) - expected_u
+        return at_mu if pi == 0.0 else float(u.u(mu + pi)) - expected_u
 
+    at_mu = float(u.u(mu)) - expected_u
     lo, hi = window
-    if gap(0.0) > 0:
+    if at_mu > 0:
         return find_root(gap, 0.0, max(hi - mu, 1e-6), tol, info)
     return find_root(gap, lo - mu, 0.0, tol, info)
 
@@ -145,10 +148,21 @@ def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
 def premium_approx(u: UtilityFunction, model: ServiceTimeModel) -> float:
     """Second-order premium: sigma^2/2 times absolute risk aversion at the mean."""
     mu = model.mean()
-    d1 = float(u.du(mu))
+    return _premium_approx(u, model, mu, float(u.du(mu)))
+
+
+# The second-order forms take u'(mu) = d1 and u'''(mu) = d3 from their
+# caller, so a report evaluates each derivative at the mean once.
+
+def _premium_approx(u: UtilityFunction, model: ServiceTimeModel, mu: float,
+                    d1: float) -> float:
     if d1 == 0.0:
         raise DerivativeZeroError(f"u'({mu:g}) = 0: premium approximation undefined")
     return 0.5 * model.variance() * float(u.d2u(mu)) / d1
+
+
+def _vot_approx(model: ServiceTimeModel, vot_mu: float, d3: float, phi: float) -> float:
+    return vot_mu - 0.5 * model.variance() * d3 / phi
 
 
 def vot_at(u: UtilityFunction, at_time: float, ctx: EconomicContext) -> float:
@@ -168,7 +182,7 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
         if model.is_degenerate:
             return vot_at(u, mu, ctx)
         return model.distorted_expect(*_exact_terms(u, None, ctx.phi)[1], tol)
-    return vot_at(u, mu, ctx) - 0.5 * model.variance() * float(u.d3u(mu)) / ctx.phi
+    return _vot_approx(model, vot_at(u, mu, ctx), float(u.d3u(mu)), ctx.phi)
 
 
 def cot(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
@@ -194,17 +208,16 @@ def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     return premium_approx(u, model) * vot_at(u, mu, ctx)
 
 
-def _signed_higher_order_term(u: UtilityFunction, model: ServiceTimeModel) -> float:
-    """Signed R2*R3*CV^2 computed directly as -sigma^2 u'''(mu)/u'(mu).
+def _second_order_pole(model: ServiceTimeModel, mu: float, d1: float, d3: float) -> float:
+    """1 + R2 R3 CV^2 / 2, with the signed R2*R3*CV^2 computed directly as
+    -sigma^2 u'''(mu)/u'(mu); ``DomainError`` where it is 0.
 
     The direct form stays defined when u'' = 0 makes the individual
     coefficients undefined.
     """
-    mu = model.mean()
-    d1 = float(u.du(mu))
     if d1 == 0.0:
         raise DerivativeZeroError(f"u'({mu:g}) = 0")
-    return -model.variance() * float(u.d3u(mu)) / d1
+    return _off_pole(1.0 + 0.5 * (-model.variance() * d3 / d1))
 
 
 def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
@@ -221,18 +234,18 @@ def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     if ctx.method == "exact":
         denominator = cot(u, model, ctx, tol)
         return _exact_ratio(model, cotv(u, model, ctx, tol), denominator)
-    return _approx_ratio(u, model)
-
-
-def _approx_ratio(u: UtilityFunction, model: ServiceTimeModel,
-                  premium: float | None = None) -> float:
-    """Second-order rho; the mean is checked before the premium is computed."""
     mu = model.mean()
+    return _approx_ratio(u, model, mu, float(u.du(mu)), float(u.d3u(mu)))
+
+
+def _approx_ratio(u: UtilityFunction, model: ServiceTimeModel, mu: float,
+                  d1: float, d3: float, premium: float | None = None) -> float:
+    """Second-order rho; the mean is checked before the premium is computed."""
     if mu <= 0:
         raise ZeroCostError("second-order ratio requires a positive mean time")
     if premium is None:
-        premium = premium_approx(u, model)
-    return (premium / mu) / _off_pole(1.0 + 0.5 * _signed_higher_order_term(u, model))
+        premium = _premium_approx(u, model, mu, d1)
+    return (premium / mu) / _second_order_pole(model, mu, d1, d3)
 
 
 def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -263,7 +276,8 @@ def ratio_eta(u: UtilityFunction, model: ServiceTimeModel) -> float:
     """
     if model.is_degenerate:
         return 1.0
-    return 1.0 / _off_pole(1.0 + 0.5 * _signed_higher_order_term(u, model))
+    mu = model.mean()
+    return 1.0 / _second_order_pole(model, mu, float(u.du(mu)), float(u.d3u(mu)))
 
 
 def rho_upper_bound(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -282,9 +296,10 @@ def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     """Full expected-utility valuation report for one method."""
     info: dict = {}
     mu = model.mean()
-    vot_mu = vot_at(u, mu, ctx)
+    d1 = float(u.du(mu))
+    vot_mu = -d1 / ctx.phi
     if model.is_degenerate:  # no variability, nothing to integrate or solve
-        premium = 0.0 if ctx.method == "exact" else premium_approx(u, model)
+        premium = 0.0 if ctx.method == "exact" else _premium_approx(u, model, mu, d1)
         vot_value = vot_mean(u, model, ctx, tol)
         cotv_value, rho, eta = 0.0, 0.0, 1.0
     elif ctx.method == "exact":
@@ -293,11 +308,12 @@ def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
             u, model, mu, ctx.phi, shared, tol, info=info)
         eta = vot_mu / vot_value if vot_value != 0 else None
     else:
-        premium = premium_approx(u, model)
-        vot_value = vot_mean(u, model, ctx, tol)
+        premium = _premium_approx(u, model, mu, d1)
+        d3 = float(u.d3u(mu))
+        vot_value = _vot_approx(model, vot_mu, d3, ctx.phi)
         cotv_value = premium * vot_mu
-        rho = _approx_ratio(u, model, premium)
-        eta = ratio_eta(u, model)
+        rho = _approx_ratio(u, model, mu, d1, d3, premium)
+        eta = 1.0 / _second_order_pole(model, mu, d1, d3)
 
     return ValuationReport(
         framework="eu",

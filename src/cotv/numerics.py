@@ -1,5 +1,5 @@
 """Deterministic numerical kernel: adaptive quadrature, a bracketing root
-finder, and seeded Monte Carlo estimation.
+finder (Brent's method), and seeded Monte Carlo estimation.
 
 These routines are the reference path against which every closed-form
 approximation in the package is checked, so they favour predictable error
@@ -8,7 +8,9 @@ refinement step, holding the nodes of several panels, with the panel
 order, sums and errors of one call per panel.  Its step machine yields
 the panels it needs, so several integrals over one window can run in
 lockstep and share one evaluation of their nodes per round, each with
-the value, ``info`` and errors it has alone.  All of them are pure
+the value, ``info`` and errors it has alone.  The root finder keeps a
+sign-changing bracket around its estimate and returns a point of it once
+the bracket is narrower than the tolerance.  All of them are pure
 functions of their inputs; randomness enters only through an explicit
 :class:`RngStream`.
 """
@@ -324,9 +326,16 @@ def find_root(
 ) -> float:
     """Root of a continuous scalar function on a sign-changing bracket.
 
-    Bisection with secant acceleration: a secant step is taken whenever the
-    previous step at least halved the bracket, otherwise the next step is a
-    plain bisection.  The result always lies inside ``[lo, hi]``.
+    Brent's method (Brent 1973, after Dekker 1969): each step takes the
+    secant or inverse quadratic interpolation through the last three
+    points when it lands inside the bracket and shrinks it fast enough,
+    and bisects otherwise, so it converges superlinearly on smooth
+    functions and keeps a sign change around the root on every function.
+    It returns ``x`` once ``|g(x)| <= tol.abs_tol``, or the end ``x`` of
+    the bracket with the smaller ``|g|`` once the bracket is narrower than
+    ``tol.scale(x)``; ``info["iterations"]`` counts the evaluations of
+    ``g`` inside the bracket.  The result always lies inside
+    ``[lo, hi]``, and is ``lo`` or ``hi`` when ``g`` is 0 there.
     """
     tol = tol or DEFAULT_TOLERANCE
     if not lo < hi:
@@ -344,34 +353,58 @@ def find_root(
             f"no sign change on [{lo:g}, {hi:g}]: g(lo)={fa:.6g}, g(hi)={fb:.6g}"
         )
 
-    a, b = lo, hi
-    use_secant = True
-    for iteration in range(1, tol.max_iter + 1):
-        width = b - a
-        x = 0.5 * (a + b)
-        if use_secant and fb != fa:
-            candidate = b - fb * (b - a) / (fb - fa)
-            if a < candidate < b:
-                x = candidate
-        fx = float(g(x))
-        if not math.isfinite(fx):
-            raise NonFiniteError(f"function returned non-finite value at {x:g}")
-        if abs(fx) <= tol.abs_tol:
+    # b is the estimate, c the bracket end opposite it and a the previous
+    # estimate; d is the last step and e the one before it.
+    a, b, c = lo, hi, lo
+    fc = fa
+    d = e = hi - lo
+    iteration = 0
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        delta = 0.5 * tol.scale(b)
+        half = 0.5 * (c - b)
+        if abs(half) < delta:
             if info is not None:
                 info["iterations"] = iteration
-            return x
-        if fa * fx <= 0:
-            b, fb = x, fx
+            return b
+        if iteration == tol.max_iter:
+            raise NonConvergenceError(
+                f"root finding did not converge within {tol.max_iter} iterations"
+            )
+        iteration += 1
+        interpolate = abs(e) >= delta and abs(fa) > abs(fb)
+        if interpolate:
+            # the step is p/q, toward c once p >= 0
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            # inside the bracket, and shorter than half the step before last
+            interpolate = 2.0 * p < min(3.0 * half * q - abs(delta * q), abs(e * q))
+        if interpolate:
+            d, e = p / q, d
         else:
-            a, fa = x, fx
-        use_secant = (b - a) <= 0.5 * width
-        if (b - a) <= tol.scale(max(abs(a), abs(b))):
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > delta else math.copysign(delta, half)
+        fb = float(g(b))
+        if not math.isfinite(fb):
+            raise NonFiniteError(f"function returned non-finite value at {b:g}")
+        if abs(fb) <= tol.abs_tol:
             if info is not None:
                 info["iterations"] = iteration
-            return 0.5 * (a + b)
-    raise NonConvergenceError(
-        f"root finding did not converge within {tol.max_iter} iterations"
-    )
+            return b
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def expand_bracket(

@@ -1,3 +1,6 @@
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -465,3 +468,19 @@ class TestStandardNormal:
         p = np.concatenate([low, high, gen.random(2000), [1e-300, 0.5, 1.0 - 2.0**-53]])
         assert p.min() >= 1e-300 and p.max() <= 1.0 - 2.0**-53
         assert close(_ndtri(p), ndtri(p), NDTRI_REL)
+
+    def test_quantile_is_normal_dist_bit_for_bit(self):
+        # AS241's branches meet at |p - 0.5| = 0.425 and at r = 5, where
+        # min(p, 1 - p) = exp(-25)
+        edges = np.array([0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)])
+        gen = np.random.default_rng(17)
+        p = np.concatenate([gen.random(100_000), np.exp(-690.0 * gen.random(10_000)),
+                            1.0 - np.exp(-36.0 * gen.random(10_000)),
+                            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            [1e-300, 0.5, 1.0 - 2.0**-53]])
+        inv_cdf = NormalDist().inv_cdf
+        expected = np.array([inv_cdf(x) for x in p.tolist()])
+        assert np.array_equal(_ndtri(p), expected)
+        # a lone value takes one branch; it is computed the same way
+        for x, want in zip(p[-15:], expected[-15:]):
+            assert _ndtri(np.array([x]))[0] == want

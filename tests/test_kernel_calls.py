@@ -6,7 +6,10 @@ them; integrals are counted as the quadrature step machines that run.
 Each exact report computes E_w[u] once: EU takes E[u] and VOT (2
 integrals), RDU adds the two dual moments and the distorted mean (5
 integrals); the premium is one root solve on a bracket inside the
-integration window, with no bracket search.  A ``method: "both"``
+integration window, with no bracket search, which evaluates u at the mean
+once and takes at most 10 iterations on the benchmark's report corpus and
+sweep grids.  An EU second-order report takes each of u', u'' and u'''
+at the mean once.  A ``method: "both"``
 scenario computes the inputs its two reports share once: RDU second order
 reuses the dual moments and the distorted mean of the exact report (5
 integrals in all, not 8), DT reuses the dual moment (2, not 3), and EU
@@ -22,12 +25,14 @@ that fails raises the error a parse of its point alone raises.
 """
 
 import copy
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cotv import config, distributions, numerics
+from cotv import config, distributions, eu, non_eu, numerics
 from cotv.cli import run_scenario, sweep_rows
 from cotv.config import parse_config
 from cotv.errors import ConfigError
@@ -134,6 +139,81 @@ def test_rdu_ratio_kernel_calls(monkeypatch):
 
 def both(raw: dict) -> dict:
     return dict(raw, method="both")
+
+
+def test_second_order_report_takes_each_derivative_at_the_mean_once():
+    scenario = parse_config(dict(RDU_EXACT, framework="eu", method="second_order",
+                                 weighting=None))
+    cls = type(scenario.utility)
+    counts = count_calls((cls.du, cls.d2u, cls.d3u), lambda: run_scenario(scenario))
+    assert counts == {"du": 1, "d2u": 1, "d3u": 1}
+
+
+def bench_inputs():
+    """The benchmark's seeded scenario generators (``bench/inputs.py``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def premium_roots(run, monkeypatch) -> tuple[list, list]:
+    """The iterations of each premium root ``run()`` solves, and how many
+    times each root on an integration window evaluates u at the mean."""
+    iterations, at_mean = [], []
+    find_root, solve = numerics.find_root, eu._solve_premium
+
+    def counted_root(g, lo, hi, tol=None, info=None):
+        info = {} if info is None else info
+        root = find_root(g, lo, hi, tol, info)
+        iterations.append(info.get("iterations", 0))
+        return root
+
+    class Counted:
+        def __init__(self, u, mu):
+            self.inner, self.mu, self.calls = u, mu, 0
+
+        def u(self, t):
+            self.calls += t == self.mu
+            return self.inner.u(t)
+
+    def counted_solve(u, mu, *args):
+        counted = Counted(u, mu)
+        try:
+            return solve(counted, mu, *args)
+        finally:
+            at_mean.append(counted.calls)
+
+    for module in (eu, non_eu):
+        monkeypatch.setattr(module, "find_root", counted_root)
+    monkeypatch.setattr(eu, "_solve_premium", counted_solve)
+    run()
+    return iterations, at_mean
+
+
+# Brent's method solves every premium of these inputs in at most 10
+# iterations (bisection with secant steps took up to 33), and the gap at 0,
+# which picks the bracket and is one of its ends, is evaluated once.
+@pytest.mark.parametrize("workload, roots, on_window", [
+    ("report_corpus", 225, 210),
+    ("sweep_grids", 1024, 1024),
+])
+def test_premium_roots_take_few_iterations(workload, roots, on_window, monkeypatch):
+    # a report corpus item holds its scenario under "config"
+    configs = [item.get("config", item) for item in getattr(bench_inputs(), workload)(1)]
+
+    def run():
+        for raw in configs:
+            scenario = parse_config(raw)
+            if "sweep" in raw:
+                sweep_rows(scenario)
+            else:
+                run_scenario(scenario)
+
+    iterations, at_mean = premium_roots(run, monkeypatch)
+    assert len(iterations) == roots and max(iterations) <= 10
+    assert len(at_mean) == on_window and set(at_mean) == {1}
 
 
 DT_EXPONENTIAL = {"framework": "dt",

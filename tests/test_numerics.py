@@ -21,6 +21,7 @@ from cotv.numerics import (
     integrate,
     mc_estimate,
 )
+from cotv.preferences import PowerUtility, QuadraticUtility
 
 import oracles
 from oracles import sequential_integrate
@@ -208,6 +209,96 @@ class TestFindRoot:
         root = find_root(lambda x: scale * (x - shift) ** 3 + (x - shift), -1.0, 1.0)
         assert -1.0 <= root <= 1.0
         assert root == pytest.approx(shift, abs=1e-6)
+
+    def test_root_at_upper_end(self):
+        assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_iterations(self):
+        info = {}
+        root = find_root(lambda x: x * x - 2.0, 0.0, 2.0, info=info)
+        assert abs(root - math.sqrt(2.0)) <= DEFAULT_TOLERANCE.scale(root)
+        assert 1 <= info["iterations"] <= 10
+
+    def test_invalid_bracket_message(self):
+        with pytest.raises(ValidationError, match=r"^bracket requires lo < hi, got \[1.0, 1.0\]$"):
+            find_root(lambda x: x, 1.0, 1.0)
+
+    def test_no_bracket_message(self):
+        with pytest.raises(NoBracketError, match=(
+                r"^no sign change on \[-1, 2\]: g\(lo\)=2, g\(hi\)=5$")):
+            find_root(lambda x: x * x + 1.0, -1.0, 2.0)
+
+    def test_non_finite_end_message(self):
+        with pytest.raises(NonFiniteError,
+                           match="^function returned non-finite value at a bracket end$"):
+            find_root(lambda x: math.inf if x > 0 else -1.0, -1.0, 1.0)
+
+    def test_non_finite_inside_message(self):
+        # the secant through the ends lands on 0
+        with pytest.raises(NonFiniteError,
+                           match="^function returned non-finite value at 0$"):
+            find_root(lambda x: x if abs(x) > 0.5 else math.nan, -1.0, 1.0)
+
+    def test_non_convergence_message(self):
+        tol = Tolerance(abs_tol=1e-300, rel_tol=1e-300, max_iter=3)
+        with pytest.raises(NonConvergenceError,
+                           match="^root finding did not converge within 3 iterations$"):
+            find_root(lambda x: math.tanh(x) - 0.5, -10.0, 10.0, tol)
+
+
+def _assert_matches_brentq(g, lo, hi):
+    """``find_root`` stays in the bracket and within ``tol.scale(root)`` of
+    a full-precision ``scipy.optimize.brentq`` root.
+
+    ``find_root`` also stops where ``|g| <= abs_tol``; the functions below
+    have a slope of at least 1 at their root, so that stop is within
+    ``abs_tol`` of it too.
+    """
+    from scipy.optimize import brentq
+
+    root = find_root(g, lo, hi)
+    oracle = brentq(g, lo, hi, xtol=1e-20, rtol=8.9e-16)
+    assert lo <= root <= hi
+    assert abs(root - oracle) <= DEFAULT_TOLERANCE.scale(root)
+
+
+utilities = st.one_of(
+    st.builds(QuadraticUtility, a=st.floats(-3.0, -0.5), b=st.floats(-2.0, 0.0)),
+    st.builds(PowerUtility, exponent=st.floats(1.05, 4.0)))
+
+
+# |u'(t)| >= 1 for t >= 1
+@given(u=utilities, low=st.floats(1.0, 5.0), spread=st.floats(0.01, 10.0),
+       weight=st.floats(0.05, 0.95))
+@settings(max_examples=150, deadline=None)
+def test_premium_gap_root_matches_brentq(u, low, spread, weight):
+    # a two-point service time; the bracket is the one eu._solve_premium
+    # takes for a concave u, where the premium lies in [0, high - mu]
+    high = low + spread
+    mu = weight * low + (1.0 - weight) * high
+    expected_u = weight * float(u.u(low)) + (1.0 - weight) * float(u.u(high))
+
+    def gap(pi):
+        return float(u.u(mu + pi)) - expected_u
+
+    _assert_matches_brentq(gap, 0.0, max(high - mu, 1e-6))
+
+
+@given(cubic=st.floats(0.1, 5.0), linear=st.floats(1.0, 5.0),
+       curvature=st.floats(-0.9, 0.9), sign=st.sampled_from([1.0, -1.0]),
+       shift=st.floats(-5.0, 5.0), below=st.floats(0.01, 10.0),
+       above=st.floats(0.01, 10.0))
+@settings(max_examples=150, deadline=None)
+def test_monotone_cubic_root_matches_brentq(cubic, linear, curvature, sign, shift,
+                                            below, above):
+    # b^2 < 3ac keeps a x^3 + b x^2 + c x monotone
+    quadratic = curvature * math.sqrt(3.0 * cubic * linear)
+
+    def g(x):
+        y = x - shift
+        return sign * ((cubic * y + quadratic) * y + linear) * y
+
+    _assert_matches_brentq(g, shift - below, shift + above)
 
 
 class TestExpandBracket:

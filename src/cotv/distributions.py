@@ -15,9 +15,10 @@ Every expectation goes through one primitive,
 expectation, and the dual moments are the w(p) = p^2 case, expectations
 under d(F^2); ``distorted_expect(g, w)`` is the one-term view.
 Continuous models integrate by quadrature in one node pass: a report's
-integrals run in lockstep, and each round evaluates pdf, the cdf and
-w'(F) of each weighting once for all of them, with every value equal to
-that of its integral alone.  Discrete models sum exactly.
+integrals run one after another, and the nodes of each refinement
+request, with their pdf, cdf and w'(F) of each weighting, are evaluated
+once for all of them, with every value equal to that of its integral
+alone.  Discrete models sum exactly.
 
 Every family's pdf, cdf and quantile is numpy arithmetic.  The
 lognormal's normal cdf adds ``math.erfc``, and its normal quantile is
@@ -46,7 +47,7 @@ from .errors import (
     ValidationError,
     ZeroMeanError,
 )
-from .numerics import RngStream, Tolerance, _lockstep
+from .numerics import RngStream, Tolerance, _adaptive, _estimates, _nodes
 from .preferences import PowerWeighting
 
 __all__ = [
@@ -171,38 +172,52 @@ class ServiceTimeModel:
         against d(w(F)) on it, computed in one node pass.
 
         The integrals are an iterator that computes each one when it is
-        read, in the order of ``terms``: the quadratures run in lockstep
-        and each round evaluates pdf, the cdf (if a term has a weighting)
-        and w'(F) of each distinct weighting once on the nodes of all of
-        them.  Each value, ``infos[k]`` and error equal those of the term
-        integrated alone, and a failed term raises when it is read.
+        read, in the order of ``terms``, by :func:`~cotv.numerics._adaptive`.
+        Terms that refine the same panel request the same nodes, so the
+        half-widths, nodes, pdf, the cdf (once a term has a weighting) and
+        w'(F) of each weighting that one term computes on a request are
+        kept for the terms after it: at most ``_SHARED_REQUESTS`` of them,
+        and none for the last term.  Each value, ``infos[k]`` and error is
+        that of the term integrated alone, on the same node arrays; a
+        failed term raises when it is read, and the terms after it are
+        never evaluated.
         """
         lo, hi, truncated = self.integration_interval()
-        for info in infos or ():
+        infos = infos or [None] * len(terms)
+        for info in infos:
             if info is not None:
                 info["integration_interval"] = [lo, hi]
                 info["truncated"] = truncated
+        shared: dict = {}
 
-        def evaluate(x, wanted):
-            density = self.pdf(x)
-            cdf = (self.cdf(x) if any(terms[k][1] is not None for k, _ in wanted)
-                   else None)
-            slopes: dict = {}
-            values = []
-            for k, index in wanted:
-                g, w = terms[k]
-                t, f = (x, density) if index is None else (x[index], density[index])
+        def integral(g, w, keep: bool, info: dict | None) -> float:
+            def estimate(ends):
+                request = shared.get(ends)
+                if request is None:
+                    half, x = _nodes(ends)
+                    request = [half, x, self.pdf(x), None, {}]
+                    if keep and len(shared) < _SHARED_REQUESTS:
+                        shared[ends] = request
+                half, x, density, cdf, slopes = request
                 if w is None:
-                    values.append(np.asarray(g(t)) * f)
-                    continue
+                    return _estimates(half, np.asarray(g(x)) * density)
                 if id(w) not in slopes:
+                    if cdf is None:
+                        request[3] = cdf = self.cdf(x)
                     slopes[id(w)] = w.dw(cdf)
-                slope = slopes[id(w)] if index is None else slopes[id(w)][index]
-                values.append(np.asarray(g(t)) * slope * f)
-            return values
+                return _estimates(half, np.asarray(g(x)) * slopes[id(w)] * density)
 
-        return (lo, hi), _lockstep(evaluate, len(terms), lo, hi, tol, infos)
+            return _adaptive(estimate, lo, hi, tol, info)
 
+        last = len(terms) - 1
+        return (lo, hi), (integral(g, w, k < last, info)
+                          for k, ((g, w), info) in enumerate(zip(terms, infos)))
+
+
+# Requests one :meth:`ServiceTimeModel._expects` call keeps for its later
+# terms; a report's integrals make a few dozen, and an integral that runs
+# to the panel cap makes 100,000.
+_SHARED_REQUESTS = 256
 
 # w(p) = p^2: the law of the larger of two independent draws.
 _SQUARED = PowerWeighting(gamma=2.0)

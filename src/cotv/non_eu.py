@@ -15,7 +15,7 @@ mean) once, then one report is built per requested method.  A scenario
 that asks for both methods therefore integrates those inputs once, and
 its reports equal two single-method runs bit for bit.  On a continuous
 model every integral of a scenario comes from one shared call over one
-window, so pdf, cdf and w'(F) are evaluated once per quadrature round.
+window, so pdf, cdf and w'(F) are evaluated once per refinement request.
 :func:`rdu_ratio` is a one-method view of the second-order report, like
 :func:`rdu_valuation`.
 

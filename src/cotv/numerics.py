@@ -5,12 +5,12 @@ These routines are the reference path against which every closed-form
 approximation in the package is checked, so they favour predictable error
 control over raw speed.  The quadrature makes one integrand call per
 refinement step, holding the nodes of several panels, with the panel
-order, sums and errors of one call per panel.  Its step machine yields
-the panels it needs, so several integrals over one window can run in
-lockstep and share one evaluation of their nodes per round, each with
-the value, ``info`` and errors it has alone.  The root finder keeps a
-sign-changing bracket around its estimate and returns a point of it once
-the bracket is narrower than the tolerance.  All of them are pure
+order, sums and errors of one call per panel.  Each call's nodes depend
+only on the panel it refines, so integrals over one window that refine
+the same panel ask for the same nodes, and a caller that runs them one
+after another can reuse what it computed on them.  The root finder
+keeps a sign-changing bracket around its estimate and returns a point of
+it once the bracket is narrower than the tolerance.  All of them are pure
 functions of their inputs; randomness enters only through an explicit
 :class:`RngStream`.
 """
@@ -113,10 +113,9 @@ class McEstimate:
 
 # 15-point Gauss-Legendre rule; exact through polynomial degree 29.
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
-_OFFSETS = np.arange(_NODES.size)
 
 
-def _nodes(ends: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+def _nodes(ends: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Half-widths of the ``(a, b)`` panels of ``ends`` and their 15 Gauss
     nodes each, panel after panel, in one flat array."""
     bounds = np.array(ends, dtype=float)
@@ -132,7 +131,7 @@ def _estimates(half: np.ndarray, y) -> list[float | None]:
 
     Each estimate is computed as on a lone panel, so it does not depend on
     the batch; a panel where ``y`` is not finite comes back as ``None`` for
-    the step machine to raise on when it reaches that panel.
+    :func:`_adaptive` to raise on when it reaches that panel.
     """
     shape = (half.size, _NODES.size)
     y = np.asarray(y, dtype=float)
@@ -149,25 +148,31 @@ def _non_finite(a: float, b: float) -> NonFiniteError:
     return NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
 
 
-def _adaptive(lo: float, hi: float, tol: Tolerance, info: dict | None):
-    """Step machine of one adaptive integral on ``[lo, hi]``.
+def _adaptive(estimate: Callable, lo: float, hi: float, tol: Tolerance | None,
+              info: dict | None) -> float:
+    """One adaptive integral on ``[lo, hi]``.
 
-    A generator: it yields the ``(a, b)`` ends of the panels it needs next
-    and is sent their estimates (``None`` where the integrand was not
-    finite), and it returns the integral.  It asks for the window and its
-    halves, then for the four quarters of each panel it bisects.  Panels
-    are visited depth first and summed in that order, and a non-finite
-    estimate raises when that order reaches its panel: the value, ``info``
-    and errors are those of one integrand call per panel.
+    ``estimate(ends)`` returns the estimates of the ``(a, b)`` panels of
+    the tuple ``ends`` (``None`` where the integrand was not finite).  A
+    request depends only on the panel it refines: the window and its
+    halves first, then the four quarters of each panel that is bisected.
+    Panels are visited depth first and summed in that order, and a
+    non-finite estimate raises when that order reaches its panel: the
+    value, ``info`` and errors are those of one integrand call per panel.
     """
+    tol = tol or DEFAULT_TOLERANCE
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("integration bounds must be finite")
+    if not lo < hi:
+        raise ValidationError(f"integration requires lo < hi, got [{lo}, {hi}]")
     mid = 0.5 * (lo + hi)
-    whole, left, right = yield [(lo, hi), (lo, mid), (mid, hi)]
+    whole, left, right = estimate(((lo, hi), (lo, mid), (mid, hi)))
     if whole is None:
         raise _non_finite(lo, hi)
     span = hi - lo
     reference = abs(whole)
-    # Entries carry the estimates of their two halves, received when the
-    # entry is pushed, so each bisection is one request.
+    # Entries carry the estimates of their two halves, made when the entry
+    # is pushed, so each bisection is one request.
     stack = [(lo, hi, whole, 0, left, right)]
     total = 0.0
     panels = 1
@@ -196,7 +201,7 @@ def _adaptive(lo: float, hi: float, tol: Tolerance, info: dict | None):
             deepest = max(deepest, depth + 1)
             q1 = 0.5 * (a + mid)
             q3 = 0.5 * (mid + b)
-            quarters = yield [(a, q1), (q1, mid), (mid, q3), (q3, b)]
+            quarters = estimate(((a, q1), (q1, mid), (mid, q3), (q3, b)))
             stack.append((a, mid, left, depth + 1, *quarters[:2]))
             stack.append((mid, b, right, depth + 1, *quarters[2:]))
 
@@ -204,92 +209,6 @@ def _adaptive(lo: float, hi: float, tol: Tolerance, info: dict | None):
         info["panels"] = panels
         info["max_depth"] = deepest
     return total
-
-
-# Rounds in which every unfinished integral advances; after them only the
-# earliest unfinished one does, so an integral that runs to a cap delays
-# each integral after it by at most this many rounds.
-_SHARED_ROUNDS = 64
-_PENDING = object()
-
-
-def _lockstep(evaluate: Callable, count: int, lo: float, hi: float,
-              tol: Tolerance | None = None, infos: list | None = None):
-    """Values of ``count`` adaptive integrals on one window, in order.
-
-    A generator: each value is computed when it is read.  Reading one runs
-    the step machines of every unfinished integral in rounds.  Each round
-    takes the union of the panels they request and calls
-    ``evaluate(x, wanted)`` once on its nodes ``x``.  ``wanted`` lists
-    ``(k, index)`` for each integral ``k`` in the round, where ``index``
-    picks its nodes out of ``x`` (``None``: all of them), and ``evaluate``
-    returns the values of each integrand on its nodes.  Each estimate is
-    that of a lone panel, so each value and ``infos[k]`` equal those of
-    :func:`integrate` on the integral alone.
-
-    An integral that fails raises its error when it is read, and the
-    integrals after it are dropped: a sequence of :func:`integrate` calls
-    would not reach them.  If ``evaluate`` raises on the union, each
-    integral of the round is evaluated alone, so the error goes to the
-    first one whose own nodes raise it.
-    """
-    tol = tol or DEFAULT_TOLERANCE
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError("integration bounds must be finite")
-    if not lo < hi:
-        raise ValidationError(f"integration requires lo < hi, got [{lo}, {hi}]")
-    machines = [_adaptive(lo, hi, tol, info) for info in infos or [None] * count]
-    requests = [next(machine) for machine in machines]
-    outcomes = [_PENDING] * count
-    rounds = 0
-
-    def advance() -> None:
-        nonlocal rounds
-        pending = [k for k in range(count) if outcomes[k] is _PENDING]
-        if rounds >= _SHARED_ROUNDS:
-            pending = pending[:1]
-        rounds += 1
-        asked = [requests[k] for k in pending]
-        # Equal requests skip the union and the node indices: every first
-        # round, every round of a lone integral and most rounds of a short
-        # report are such rounds.
-        if all(ends == asked[0] for ends in asked):
-            ends, rows = asked[0], [None] * len(pending)
-        else:
-            union: dict = {}
-            rows = [np.array([union.setdefault(end, len(union)) for end in ends])
-                    for ends in asked]
-            ends = list(union)
-        half, x = _nodes(ends)
-        wanted = [(k, None if r is None else (r[:, None] * _NODES.size + _OFFSETS).ravel())
-                  for k, r in zip(pending, rows)]
-        try:
-            values = evaluate(x, wanted)
-        except Exception:
-            if len(pending) == 1:  # the integral being read
-                raise
-            values = None
-        for i, k in enumerate(pending):
-            try:
-                if values is None:
-                    own_half, own_x = _nodes(asked[i])
-                    estimates = _estimates(own_half, evaluate(own_x, [(k, None)])[0])
-                else:
-                    own_half = half if rows[i] is None else half[rows[i]]
-                    estimates = _estimates(own_half, values[i])
-                requests[k] = machines[k].send(estimates)
-            except StopIteration as stop:
-                outcomes[k] = stop.value
-            except Exception as exc:  # raised when the integral is read
-                outcomes[k:] = [exc] * (count - k)
-                return
-
-    for k in range(count):
-        while outcomes[k] is _PENDING:
-            advance()
-        if isinstance(outcomes[k], Exception):
-            raise outcomes[k]
-        yield outcomes[k]
 
 
 def integrate(
@@ -311,10 +230,14 @@ def integrate(
     elementwise: one call holds the nodes of several panels.  Panels are
     still visited depth first and summed in that order, and a non-finite
     value raises when that order reaches its panel: the value, ``info``
-    and errors are those of one call per panel.  This is the one-integral
-    case of :func:`_lockstep`, which runs a report's integrals together.
+    and errors are those of one call per panel.  A report's shared
+    integrals run through the same loop, :func:`_adaptive`.
     """
-    return next(_lockstep(lambda x, wanted: [f(x)], 1, lo, hi, tol, [info]))
+    def estimate(ends):
+        half, x = _nodes(ends)
+        return _estimates(half, f(x))
+
+    return _adaptive(estimate, lo, hi, tol, info)
 
 
 def find_root(

@@ -2,7 +2,7 @@
 
 Root searches are counted on the code objects of the functions through
 ``sys.setprofile``, so the count does not depend on how a module binds
-them; integrals are counted as the quadrature step machines that run.
+them; integrals are counted as the calls of ``numerics._adaptive``.
 Each exact report computes E_w[u] once: EU takes E[u] and VOT (2
 integrals), RDU adds the two dual moments and the distorted mean (5
 integrals); the premium is one root solve on a bracket inside the
@@ -15,9 +15,9 @@ reuses the dual moments and the distorted mean of the exact report (5
 integrals in all, not 8), DT reuses the dual moment (2, not 3), and EU
 second order integrates nothing (2).  Each integral requests the window
 and its halves, then the quarters of every panel it bisects.  A report's
-integrals share one window and run in lockstep, so the integrand is
-evaluated once per round for all of them: as many rounds as its longest
-integral makes requests.  ``parse_config`` builds a
+integrals share one window and run one after another, and a request an
+earlier integral made is not evaluated again: here pdf is evaluated once
+per request of the longest integral.  ``parse_config`` builds a
 scenario's model, utility and weighting once, and every report of the
 scenario uses those objects.  A sweep parses each grid point once but
 builds each distinct block (equal canonical JSON) once per sweep; a block
@@ -35,6 +35,7 @@ import pytest
 from cotv import config, distributions, eu, non_eu, numerics
 from cotv.cli import run_scenario, sweep_rows
 from cotv.config import parse_config
+from cotv.distributions import ServiceTimeModel
 from cotv.errors import ConfigError
 from cotv.non_eu import RduContext, rdu_ratio
 
@@ -69,44 +70,50 @@ def count_calls(functions, run) -> dict:
 
 
 def kernel_records(run, monkeypatch) -> tuple[list, list]:
-    """(requests, panels) of each integral ``run()`` computes, and the
-    integrand rounds of each shared call.
+    """(requests, panels) of each integral ``run()`` computes, and the pdf
+    evaluations of each shared call.
 
-    An integral is one step machine; its requests are the panel batches
-    it asks for.  A round is one call of the integrand evaluation that a
-    shared call hands to ``numerics._lockstep``.
+    An integral is one call of ``numerics._adaptive``; its requests are
+    the calls of the panel estimate it is handed.  A shared call is one
+    :meth:`~cotv.distributions.ServiceTimeModel._expects` call of a
+    continuous model, and its pdf evaluations are the calls of its model's
+    ``pdf`` until the next shared call.
     """
-    integrals, rounds = [], []
-    adaptive, lockstep = numerics._adaptive, numerics._lockstep
+    integrals, pdf_calls, counted_classes = [], [], set()
+    adaptive, expects = numerics._adaptive, ServiceTimeModel._expects
 
-    def counted_adaptive(lo, hi, tol, info):
+    def counted_adaptive(estimate, lo, hi, tol, info):
         info = {} if info is None else info
-        machine = adaptive(lo, hi, tol, info)
-        requests, estimates = 0, None
-        try:
-            while True:
-                ends = machine.send(estimates)
-                requests += 1
-                estimates = yield ends
-        except StopIteration as stop:
-            integrals.append((requests, info["panels"]))
-            return stop.value
+        requests = 0
 
-    def counted_lockstep(evaluate, *args):
-        index = len(rounds)
-        rounds.append(0)
+        def counted(ends):
+            nonlocal requests
+            requests += 1
+            return estimate(ends)
 
-        def counted(x, wanted):
-            rounds[index] += 1
-            return evaluate(x, wanted)
+        value = adaptive(counted, lo, hi, tol, info)
+        integrals.append((requests, info["panels"]))
+        return value
 
-        return lockstep(counted, *args)
+    def counted_pdf(pdf):
+        def counted(self, t):
+            pdf_calls[-1] += 1
+            return pdf(self, t)
+        return counted
 
-    monkeypatch.setattr(numerics, "_adaptive", counted_adaptive)
+    def counted_expects(self, *args):
+        cls = type(self)
+        if cls not in counted_classes:
+            counted_classes.add(cls)
+            monkeypatch.setattr(cls, "pdf", counted_pdf(cls.pdf))
+        pdf_calls.append(0)
+        return expects(self, *args)
+
     for module in (numerics, distributions):
-        monkeypatch.setattr(module, "_lockstep", counted_lockstep)
+        monkeypatch.setattr(module, "_adaptive", counted_adaptive)
+    monkeypatch.setattr(ServiceTimeModel, "_expects", counted_expects)
     run()
-    return integrals, rounds
+    return integrals, pdf_calls
 
 
 def kernel_calls(run, monkeypatch) -> dict:
@@ -231,10 +238,11 @@ def test_both_report_kernel_calls(raw, expected, monkeypatch):
     assert kernel_calls(report(raw), monkeypatch) == expected
 
 
-# (run, integrals, rounds): the rounds of a shared call are those of its
-# longest integral, since every round advances every unfinished one.
+# (run, integrals, pdf evaluations per shared call): terms that refine the
+# same panel share its request, and each integral here refines a subset of
+# the panels of the longest, so a report evaluates pdf once per request of
+# its longest integral.
 INTEGRALS = {
-    "exp": (lambda: numerics.integrate(lambda t: np.exp(-t), 0.0, 10.0), 1, [1]),
     "eu": (report(EU_EXACT), 2, [2]),
     "rdu": (report(RDU_EXACT), 5, [8]),
     "rdu-both": (report(both(RDU_EXACT)), 5, [8]),
@@ -242,14 +250,26 @@ INTEGRALS = {
 }
 
 
-@pytest.mark.parametrize("run, integrals, rounds", INTEGRALS.values(), ids=INTEGRALS)
-def test_one_integrand_round_per_bisection(run, integrals, rounds, monkeypatch):
+@pytest.mark.parametrize("run, integrals, pdf_calls", INTEGRALS.values(), ids=INTEGRALS)
+def test_one_pdf_evaluation_per_shared_request(run, integrals, pdf_calls, monkeypatch):
     records, shared = kernel_records(run, monkeypatch)
     assert len(records) == integrals
     requests = [calls for calls, _ in records]
     for calls, panels in records:
         assert calls == 1 + (panels - 3) // 4
-    assert shared == rounds == [max(requests)]
+    assert shared == pdf_calls == [max(requests)]
+
+
+def test_lone_integrate_calls_its_integrand_once_per_request(monkeypatch):
+    calls = 0
+
+    def f(t):
+        nonlocal calls
+        calls += 1
+        return np.exp(-t)
+
+    records, shared = kernel_records(lambda: numerics.integrate(f, 0.0, 10.0), monkeypatch)
+    assert records == [(1, 3)] and shared == [] and calls == 1
 
 
 BUILDERS = (config.build_model, config.build_utility, config.build_weighting)

@@ -1,5 +1,5 @@
-"""A report's integrals run in lockstep over one window and share the
-nodes of each round: every term must come out as it does alone.
+"""A report's integrals run one after another over one window and share
+the nodes of each request: every term must come out as it does alone.
 
 Each term of a shared call is compared, value, ``info`` and error, with a
 lone :func:`cotv.numerics.integrate` of its integrand written out as
@@ -8,13 +8,16 @@ cases pin the order in which a report meets its failures and what a
 divergent integral costs the terms after it.
 """
 
+import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cotv import numerics
-from cotv.cli import render_envelope, run_scenario
+from cotv import distributions, numerics
+from cotv.cli import render_csv, render_envelope, run_scenario, sweep_rows
 from cotv.config import parse_config
 from cotv.distributions import (
     Exponential,
@@ -80,7 +83,7 @@ def test_each_term_equals_its_lone_integral(model):
 
 
 def test_terms_refine_apart():
-    # the terms bisect different panels, so the rounds take unions
+    # the terms bisect different panels, so some requests are not shared
     model = MODELS["lognormal"]
     terms = [(g, w) for w in WEIGHTINGS.values() for g in INTEGRANDS.values()]
     infos = [{} for _ in terms]
@@ -130,11 +133,11 @@ def test_terms_after_a_failed_one_are_dropped():
     values = MODELS["uniform"]._expects([(bad_after(0.0), None), (later, None)])[1]
     with pytest.raises(NonFiniteError, match=r"on \[0.5, 2\]"):
         next(values)
-    assert calls == 1  # the round the two terms shared
+    assert calls == 0
 
 
 def test_raising_integrand_is_charged_to_its_term():
-    # the union of a round raises; each term is then evaluated alone
+    # the integrand raises on deep nodes only
     model = MODELS["uniform"]
     lo, hi = model.integration_interval()[:2]
 
@@ -174,10 +177,9 @@ REGION_F = {"framework": "eu",
             "method": "exact"}
 
 
-def test_divergent_integral_delays_later_terms_by_at_most_the_shared_rounds(
-        monkeypatch):
+def test_divergent_integral_stops_the_terms_after_it(monkeypatch):
     # E[u] diverges at 0 and runs to the panel cap, lowered here to keep
-    # the test fast; VOT after it advances in the shared rounds only
+    # the test fast; VOT after it is never evaluated
     monkeypatch.setattr(numerics, "_MAX_PANELS", 20_001)
     scenario = parse_config(REGION_F)
     model, u = scenario.model, scenario.utility
@@ -202,10 +204,54 @@ def test_divergent_integral_delays_later_terms_by_at_most_the_shared_rounds(
     with pytest.raises(NonConvergenceError) as shared:
         run_scenario(scenario)
     assert (type(shared.value), str(shared.value)) == alone
-    # one u (E[u]) call per round, as alone; VOT's integrand only in the
-    # rounds every term shares, plus u'(mu) once for VOT at the mean
+    # one u (E[u]) call per request, as alone, and u'(mu) once for VOT at
+    # the mean
     assert calls["pdf"] == calls["u"] == lone
-    assert 1 < calls["du"] <= numerics._SHARED_ROUNDS + 1
+    assert calls["du"] == 1
+
+
+def traced_peak_mb(run) -> float:
+    """Peak of the memory ``run()`` allocates, in MB, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        run()
+    except CotvError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak / 1e6
+
+
+def test_divergent_report_keeps_a_bounded_share(monkeypatch):
+    # 5,000 requests of E[u]; kept all, they take about 10 MB
+    monkeypatch.setattr(numerics, "_MAX_PANELS", 20_001)
+    scenario = parse_config(REGION_F)
+    assert traced_peak_mb(lambda: run_scenario(scenario)) < 2.0
+
+
+def test_one_term_keeps_nothing(monkeypatch):
+    # the divergent E[u] alone, for 1,000 requests; a kept share of them
+    # would take about 0.4 MB
+    monkeypatch.setattr(numerics, "_MAX_PANELS", 4_001)
+    scenario = parse_config(REGION_F)
+    model, u = scenario.model, scenario.utility
+    assert traced_peak_mb(lambda: model.expect(u.u)) < 0.05
+
+
+def test_bounded_share_changes_no_term(monkeypatch):
+    model = MODELS["lognormal"]
+    terms = [(g, w) for w in WEIGHTINGS.values() for g in INTEGRANDS.values()]
+
+    def run():
+        infos = [{} for _ in terms]
+        return list(model._expects(terms, None, infos)[1]), infos
+
+    unbounded = run()
+    monkeypatch.setattr(distributions, "_SHARED_REQUESTS", 2)
+    assert run() == unbounded
+    # a term makes more than 2 requests, so the bound is reached
+    assert max(info["panels"] for info in unbounded[1]) > 3 + 4 * 2
 
 
 def each_alone(self, terms, tol=None, infos=None):
@@ -232,11 +278,24 @@ def render_corpus(configs) -> list[str]:
     return texts
 
 
-def test_report_corpus_renders_as_with_one_integral_per_term(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
-    from inputs import report_corpus
+def render_inputs(configs, reproducers, grids) -> tuple:
+    with warnings.catch_warnings():
+        # the reproducers hit singular weightings on purpose
+        warnings.simplefilter("ignore", RuntimeWarning)
+        failures = render_corpus(reproducers)
+    return (render_corpus(configs), failures,
+            [render_csv(*sweep_rows(parse_config(raw))) for raw in grids])
 
-    configs = [item["config"] for item in report_corpus(1)]
-    shared = render_corpus(configs)
+
+def test_benchmark_inputs_render_as_with_one_integral_per_term(monkeypatch):
+    bench = Path(__file__).parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from inputs import report_corpus, sweep_grids
+
+    ledger = json.loads((bench / "ledger.json").read_text())["regions"]
+    inputs = ([item["config"] for item in report_corpus(1)],
+              [region["config"] for region in ledger if region["fast"]],
+              sweep_grids(1))
+    shared = render_inputs(*inputs)
     monkeypatch.setattr(ServiceTimeModel, "_expects", each_alone)
-    assert render_corpus(configs) == shared
+    assert render_inputs(*inputs) == shared

@@ -9,11 +9,11 @@ run ``cotv.cli.main`` on a config file and keep ``"exit <code>"``
 followed by the bytes of the ``--out`` file, or by the first stderr line
 when the run writes none.  The comparison is byte equality; a refactor
 that changes one digit of one number fails here.
-The corpus was rendered with CPython 3.11, numpy 2.4 and scipy 1.17.  Of
-scipy it depends on ``scipy.special`` alone, through the gamma cases; the
-lognormal cases depend on CPython's ``math.erfc`` and ``math.log``.
-Another build of Python, numpy or scipy may move last digits, and this
-test then fails without a code change.
+The corpus was rendered with CPython 3.11 and numpy 2.4; the package
+imports no scipy.  The lognormal cases depend on CPython's ``math.erfc``
+and ``math.log``, and the gamma cases on numpy's ``exp``, ``log`` and
+``log1p``.  Another build of Python or numpy may move last digits, and
+this test then fails without a code change.
 
 Regenerate only for a deliberate change of output, and say so where the
 change is recorded::

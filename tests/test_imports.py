@@ -1,26 +1,33 @@
-"""Start-up guard: which parts of scipy a process loads.
+"""Start-up guard: no code path of the package loads scipy.
 
-``import cotv`` and every family but gamma load no module of scipy at
-all; the lognormal's normal cdf comes from ``math`` and its quantile is
-numpy arithmetic, so no scenario imports ``statistics`` either.  Gamma
-loads ``scipy.special`` on first use and nothing of scipy beyond what
-``import scipy.special`` itself loads.  Each check runs in a fresh
-interpreter, because the test process itself has scipy loaded.
+``import cotv`` and scenarios on every family, gamma included, load no
+module of scipy; the lognormal's normal cdf comes from ``math`` and its
+quantile is numpy arithmetic, so no scenario imports ``statistics``
+either.  Each check runs in a fresh interpreter, because the test process
+itself has scipy loaded (scipy is the tests' oracle, in the ``test``
+extra, and not a runtime dependency).
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 PROBE = """
 import json, sys
 import cotv, cotv.cli
 from cotv.config import parse_config
-from cotv.cli import run_scenario
+from cotv.cli import dualmoments_payload, run_scenario
+
+COMMANDS = {"value": run_scenario, "dualmoments": dualmoments_payload}
 
 def loaded():
     return sorted(m for m in sys.modules
@@ -28,7 +35,8 @@ def loaded():
 
 seen = {"import": loaded()}
 for name, raw in json.loads(sys.argv[1]).items():
-    run_scenario(parse_config(raw))
+    command = COMMANDS[raw.pop("command", "value")]
+    command(parse_config(raw))
     seen[name] = loaded()
 print(json.dumps(seen))
 """
@@ -80,12 +88,36 @@ def test_lognormal_loads_no_scipy():
     assert seen == {name: [] for name in ("import", "eu", "dt", "rdu")}
 
 
-def test_gamma_loads_scipy_special_only():
-    special = run_fresh("import json, sys, scipy.special\n"
-                        "print(json.dumps(sorted(m for m in sys.modules"
-                        " if m.split('.')[0] == 'scipy')))")
-    seen = loaded_after({"gamma": scenario({"family": "gamma",
-                                            "params": {"shape": 2.0, "rate": 1.0}})})
-    assert seen["import"] == []
-    assert "scipy.special" in seen["gamma"]
-    assert set(seen["gamma"]) <= set(special)
+def test_gamma_loads_no_scipy():
+    gamma = {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
+    scenarios = {framework: scenario(gamma, framework)
+                 for framework in ("eu", "dt", "rdu")}
+    scenarios["dualmoments"] = dict(scenario(gamma), command="dualmoments")
+    seen = loaded_after(scenarios)
+    assert seen == {name: [] for name in ("import", "eu", "dt", "rdu", "dualmoments")}
+
+
+def _imported(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    sources = sorted((ROOT / "src" / "cotv").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not [name for name in _imported(tree)
+                    if name.split(".")[0] == "scipy"], path.name
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])

@@ -7,10 +7,14 @@ risk coefficients and moment-preference labels, and ``dualmoments``
 reports the moment diagnostics of a distribution.
 
 Output is deterministic: identical config + seed produce byte-identical
-files.  Wall time goes to stderr only, never into the payload; it is
-counted from the start of ``import cotv``, so it covers importing the
-package but not the interpreter's own start-up.  Exit codes: 0 success,
-1 computation failure, 2 configuration error.
+files.  JSON output is canonical JSON, equal to ``json.dumps(payload,
+sort_keys=True, indent=2) + "\n"``: ``indent`` would send each report to
+json's pure-Python encoder, so a small emitter writes the trees a report
+holds and json writes any other payload.  Wall time goes to stderr only,
+never into the payload; it is counted from the start of ``import cotv``,
+so it covers importing the package but not the interpreter's own
+start-up.  Exit codes: 0 success, 1 computation failure, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Mapping
 
 from . import _STARTED, __version__
@@ -212,13 +218,51 @@ def dualmoments_payload(config: ScenarioConfig) -> dict:
 
 # ---------------------------------------------------------------- rendering
 
-def _canonical_json(payload: Mapping) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+def _json(value: Any, indent: str) -> str:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it at
+    ``indent``.  Only trees of dict, list and tuple with str keys over
+    finite float, str, int, bool and None (those exact types) are written;
+    anything else raises, and :func:`render_envelope` leaves it to json."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
+    if kind is dict:
+        items = []
+        for key, item in sorted(value.items()):
+            item_kind = type(item)  # a report's floats and strings inline
+            if item_kind is float and math.isfinite(item):
+                items.append(_quote(key) + ": " + float.__repr__(item))
+            elif item_kind is str:
+                items.append(_quote(key) + ": " + _quote(item))
+            else:
+                items.append(_quote(key) + ": " + _json(item, inner))
+        ends = "{}"
+    elif kind is list or kind is tuple:
+        items = [_json(item, inner) for item in value]
+        ends = "[]"
+    else:
+        raise TypeError(f"{kind.__name__} is left to json.dumps")
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
 
 
 def render_envelope(payload: Mapping) -> str:
-    return _canonical_json(payload)
+    """The canonical JSON text of ``payload`` (see the module docstring)."""
+    try:
+        return _json(payload, "") + "\n"
+    except (TypeError, ValueError, RecursionError):
+        # floats that are not finite, other keys and types, ints too long
+        # for str, and cycles: json.dumps gives the output or the error
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
 
 def _cell(value: Any) -> str:

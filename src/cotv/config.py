@@ -218,6 +218,20 @@ def build_weighting(spec: Mapping, path: str = "weighting") -> WeightingFunction
     return _construct(cls, path, **_params(spec, names, path))
 
 
+def _copy_tree(value: Any) -> Any:
+    """Copy of a JSON tree: each ``dict`` and ``list`` rebuilt, the
+    immutable str, int, float, bool and None leaves shared, and any other
+    value deep-copied."""
+    kind = type(value)
+    if kind is dict:
+        return {key: _copy_tree(item) for key, item in value.items()}
+    if kind is list:
+        return [_copy_tree(item) for item in value]
+    if kind in (str, int, float, bool, type(None)):
+        return value
+    return copy.deepcopy(value)
+
+
 def _build(blocks: dict | None, build, spec: Any) -> tuple[Any, dict]:
     """``build(spec)`` and a copy of ``spec`` for the canonical echo, or the
     pair ``blocks`` holds for an equal block.
@@ -232,9 +246,9 @@ def _build(blocks: dict | None, build, spec: Any) -> tuple[Any, dict]:
         except (TypeError, ValueError):  # not JSON: nothing to compare by
             blocks = None
     if blocks is None:
-        return build(spec), copy.deepcopy(dict(spec))
+        return build(spec), _copy_tree(dict(spec))
     if key not in blocks:
-        blocks[key] = build(spec), copy.deepcopy(dict(spec))
+        blocks[key] = build(spec), _copy_tree(dict(spec))
     return blocks[key]
 
 
@@ -284,7 +298,10 @@ class ScenarioConfig:
         return self.data["output"]["path"]
 
     def canonical(self) -> dict:
-        return copy.deepcopy(self.data)
+        """A copy of ``data`` that shares no dict or list with it: only its
+        str, int, float, bool and None values are the same objects, and
+        any other value is a deep copy."""
+        return _copy_tree(self.data)
 
 
 def parse_config(raw: Mapping, seed_override: int | None = None,
@@ -389,7 +406,7 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
     if w is not None:
         data["weighting"] = {**echo, **anchor}
     if sweep is not None:
-        data["sweep"] = copy.deepcopy(dict(sweep))
+        data["sweep"] = _copy_tree(dict(sweep))
     return ScenarioConfig(data=data, model=model, utility=utility, weighting=w)
 
 

@@ -137,11 +137,14 @@ def _estimates(half: np.ndarray, y) -> list[float | None]:
     y = np.asarray(y, dtype=float)
     # a constant integrand may return one value for all its nodes
     y = y.reshape(shape) if y.size == half.size * _NODES.size else np.broadcast_to(y, shape)
+    if np.isfinite(y).all():
+        # One vecdot, which sums each row as a lone panel's 1-D dot does:
+        # a matrix product may sum in another order and move the last bit.
+        return (half * np.vecdot(y, _WEIGHTS)).tolist()
     finite = np.isfinite(y).all(axis=1)
-    # One dot product per row, as on a lone panel: a matrix product may
-    # sum in another order and move the last bit.
-    return [h * float(_WEIGHTS @ row) if ok else None
-            for h, row, ok in zip(half.tolist(), y, finite.tolist())]
+    # zeroed first, so that no inf - inf warns
+    values = _estimates(half, np.where(finite[:, None], y, 0.0))
+    return [v if ok else None for v, ok in zip(values, finite.tolist())]
 
 
 def _non_finite(a: float, b: float) -> NonFiniteError:

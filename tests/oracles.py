@@ -3,18 +3,30 @@
 Everything here is deliberately naive: direct enumeration, central finite
 differences, closed forms, and the one-panel-per-call quadrature loop.
 None of it shares code with the package paths it checks beyond the
-tolerance type and the error classes.
+tolerance type and the error classes.  ``bench_inputs`` loads the
+benchmark's scenario generators for tests that run them.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from cotv.errors import NonConvergenceError, NonFiniteError, ValidationError
 from cotv.numerics import DEFAULT_TOLERANCE, Tolerance
+
+
+def bench_inputs():
+    """The benchmark's seeded scenario generators (``bench/inputs.py``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def central_diff(f, x, h):

@@ -3,7 +3,9 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cotv import config
 from cotv.cli import (
@@ -24,6 +26,8 @@ from cotv.non_eu import (
     dt_valuation,
     rdu_valuation,
 )
+
+from oracles import bench_inputs
 
 
 BASE = {
@@ -249,6 +253,47 @@ class TestConfigValidation:
         config = make_config()
         echoed = parse_config(config.canonical())
         assert echoed.canonical() == config.canonical()
+
+    def test_canonical_shares_no_container(self):
+        raw = dict(copy.deepcopy(BASE), framework="rdu",
+                   distribution={"family": "discrete", "outcomes": [1.0, 2.0],
+                                 "probabilities": [0.5, 0.5]},
+                   weighting={"family": "power", "params": {"gamma": 1.5}},
+                   sweep={"axes": {"economics.phi": [1.0, 2.0],
+                                   "distribution": [EXPONENTIAL]}})
+        config = parse_config(raw)
+        before = copy.deepcopy(config.data)
+        echo = config.canonical()
+        assert echo == config.data
+
+        def containers(tree):
+            if isinstance(tree, dict):
+                return [tree] + [c for value in tree.values() for c in containers(value)]
+            if isinstance(tree, list):
+                return [tree] + [c for value in tree for c in containers(value)]
+            return []
+
+        assert len(containers(echo)) == 16
+        shared = {id(c) for c in containers(echo)} & (
+            {id(c) for c in containers(config.data)}
+            | {id(c) for c in containers(raw)})
+        assert shared == set()
+        echo["weighting"]["params"]["gamma"] = 9.0
+        echo["sweep"]["axes"]["distribution"][0]["params"]["rate"] = 9.0
+        raw["distribution"]["outcomes"].append(3.0)
+        assert config.canonical() == config.data == before
+
+    def test_canonical_deep_copies_other_values(self):
+        # the library API takes any axis value; one that is not JSON is
+        # deep-copied
+        leaf = ([1.0, 2.0], {"b": [3.0]})
+        config = make_config(sweep={"axes": {"economics.phi": [leaf]}})
+        kept = config.data["sweep"]["axes"]["economics.phi"][0]
+        echo = config.canonical()["sweep"]["axes"]["economics.phi"][0]
+        for copied in (kept, echo):
+            assert copied == leaf
+            assert copied[0] is not leaf[0] and copied[1]["b"] is not leaf[1]["b"]
+        assert echo[0] is not kept[0] and echo[1]["b"] is not kept[1]["b"]
 
     def test_env_seed_fallback(self, monkeypatch):
         raw = copy.deepcopy(BASE)
@@ -555,6 +600,36 @@ class TestBothMethods:
         assert failure == outcome(dict(raw, method="exact"))
 
 
+def stdlib_json(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def outcome_of(render, payload):
+    """Text of a render, or its error class and message."""
+    try:
+        return render(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-7,
+                     1.7976931348623157e308, 2**53 + 1.0]),
+    st.text(st.characters(exclude_categories=())),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.characters(exclude_categories=())), inner,
+                        max_size=4)),
+    max_leaves=30)
+CIRCULAR: list = []
+CIRCULAR.append(CIRCULAR)
+
+
 class TestRendering:
     def test_envelope_is_canonical_json(self):
         envelope = run_scenario(make_config())
@@ -562,6 +637,26 @@ class TestRendering:
         assert text.endswith("\n")
         parsed = json.loads(text)
         assert parsed == envelope
+
+    @given(JSON_TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_envelope_bytes_are_json_dumps(self, tree):
+        assert render_envelope(tree) == stdlib_json(tree)
+
+    @pytest.mark.parametrize("payload", [
+        {"a": float("nan")}, [1.0, [float("inf")]], float("-inf"),
+        {"a": [{"b": -float("inf")}]}, {"flag": np.bool_(True)},
+        {"x": np.float64(1.5), "y": np.int64(2)}, {1: "a", 2.5: "b", None: "c"},
+        {1: "a", "b": 2}, {True: 1, "t": 2}, {(1, 2): 3}, {"s": {1, 2}},
+        CIRCULAR, {"n": 10**5000},
+    ])
+    def test_other_payloads_render_as_json_dumps(self, payload):
+        assert outcome_of(render_envelope, payload) == outcome_of(stdlib_json, payload)
+
+    def test_report_envelopes_are_json_dumps(self):
+        for item in bench_inputs().report_corpus(1)[:60]:
+            envelope = run_scenario(parse_config(item["config"]))
+            assert render_envelope(envelope) == stdlib_json(envelope)
 
     def test_csv_uses_lf_and_header(self):
         columns, rows = sweep_rows(make_config(

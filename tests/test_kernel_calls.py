@@ -25,9 +25,7 @@ that fails raises the error a parse of its point alone raises.
 """
 
 import copy
-import importlib.util
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +36,8 @@ from cotv.config import parse_config
 from cotv.distributions import ServiceTimeModel
 from cotv.errors import ConfigError
 from cotv.non_eu import RduContext, rdu_ratio
+
+from oracles import bench_inputs
 
 EU_EXACT = {"framework": "eu",
             "distribution": {"family": "exponential", "params": {"rate": 1.0}},
@@ -154,15 +154,6 @@ def test_second_order_report_takes_each_derivative_at_the_mean_once():
     cls = type(scenario.utility)
     counts = count_calls((cls.du, cls.d2u, cls.d3u), lambda: run_scenario(scenario))
     assert counts == {"du": 1, "d2u": 1, "d3u": 1}
-
-
-def bench_inputs():
-    """The benchmark's seeded scenario generators (``bench/inputs.py``)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def premium_roots(run, monkeypatch) -> tuple[list, list]:

@@ -112,6 +112,60 @@ def assert_parity(f, lo, hi, tol=None):
     return batched
 
 
+def lone_panel_estimates(half, y):
+    """Each panel's estimate by its own 1-D dot, as a lone panel computes
+    it (``oracles._sequential_panel``); ``None`` where a row is not finite."""
+    return [h * float(numerics._WEIGHTS @ row) if np.isfinite(row).all() else None
+            for h, row in zip(half.tolist(), y)]
+
+
+def bits(estimates):
+    return [None if v is None else v.hex() for v in estimates]
+
+
+def random_panels(rows, seed):
+    """Half-widths and 15 integrand values per panel, over a wide exponent
+    range, with about 1% of rows holding nan, inf or both infinities."""
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(0.5, 1.0, rows) * 2.0 ** rng.integers(-40, 41, rows)
+    scale = rng.integers(-900, 901, (rows, 1)) + rng.integers(-60, 61, (rows, 15))
+    y = rng.uniform(-1.0, 1.0, (rows, 15)) * 2.0 ** scale.astype(float)
+    bad = rng.choice(rows, rows // 100, replace=False)
+    for row, kind in zip(bad, rng.integers(0, 3, bad.size)):
+        cols = rng.choice(15, 2, replace=False)
+        y[row, cols] = [(np.nan, 1.0), (np.inf, 1.0), (np.inf, -np.inf)][kind]
+    return half, y
+
+
+class TestEstimates:
+    """``_estimates`` takes one vecdot for a batch of panels; each estimate
+    must still be the lone panel's, bit for bit."""
+
+    def test_matches_lone_panels_bit_for_bit(self):
+        half, y = random_panels(100_000, seed=11)
+        got = numerics._estimates(half, y.ravel())
+        want = lone_panel_estimates(half, y)
+        assert sum(v is None for v in want) == 1_000
+        assert bits(got) == bits(want)
+
+    def test_estimate_does_not_depend_on_the_batch(self):
+        half, y = random_panels(20_000, seed=12)
+        whole = numerics._estimates(half, y.ravel())
+        rng = np.random.default_rng(13)
+        start = 0
+        while start < half.size:
+            stop = min(half.size, start + int(rng.integers(1, 998)))
+            part = numerics._estimates(half[start:stop], y[start:stop].ravel())
+            assert bits(part) == bits(whole[start:stop])
+            start = stop
+
+    @pytest.mark.parametrize("value", [2.5, -1e300, 5e-324, np.inf, np.nan])
+    def test_constant_integrand_broadcasts(self, value):
+        half = np.array([0.5, 3.0, 1e-9])
+        got = numerics._estimates(half, value)
+        assert bits(got) == bits(lone_panel_estimates(half, np.full((3, 15), value)))
+
+
 class TestSequentialParity:
     """The batched kernel matches the one-panel-per-call oracle bit for bit."""
 

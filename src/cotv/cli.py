@@ -286,12 +286,17 @@ def render_csv(columns: list[str], rows: list[Mapping]) -> str:
     return buffer.getvalue()
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, path: str | None, source: str) -> None:
+    """Write ``text`` to ``path``, or to stdout; ``source`` names the option
+    or config key that set ``path``, for the error an unwritable path gives."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(source, f"cannot write output file: {exc}") from exc
 
 
 # ---------------------------------------------------------------- commands
@@ -342,9 +347,10 @@ def _run_scenario_command(args) -> int:
     config = load_config(args.config, args.seed, args.method)
     payload, columns, rows = args.table(config)
     out_format = args.format or config.output_format
-    out_path = args.out if args.out is not None else config.output_path
+    out_path, source = ((args.out, "--out") if args.out is not None
+                        else (config.output_path, "output.path"))
     _emit(render_envelope(payload) if out_format == "json"
-          else render_csv(columns, rows), out_path)
+          else render_csv(columns, rows), out_path, source)
     return 0
 
 

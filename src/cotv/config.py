@@ -422,7 +422,9 @@ def load_config(path: str, seed_override: int | None = None,
             )
     except OSError as exc:
         raise ConfigError("", f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+        # integer literal past the str-to-int digit limit
         raise ConfigError("", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("", "top-level config must be an object")

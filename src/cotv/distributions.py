@@ -36,7 +36,7 @@ with scipy's ``gammainc`` within 1e-13 relative of the smaller of P and Q
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -789,14 +789,7 @@ class MomentSet:
     m2_dual_var: float
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "cv": self.cv,
-            "m2_dual_mean": self.m2_dual_mean,
-            "m2_dual_var": self.m2_dual_var,
-        }
+        return asdict(self)
 
 
 def moments(model: ServiceTimeModel, tol: Tolerance | None = None) -> MomentSet:

@@ -137,15 +137,15 @@ def _meta_for(instance: DiscreteModel, p0: float, psi: float) -> DtMetadata:
     return meta
 
 
-def _minus_time(t):
-    return -np.asarray(t, dtype=float)
+def _time(t):
+    return np.asarray(t, dtype=float)
 
 
 def dt_expected_utility(model: ServiceTimeModel, w: WeightingFunction,
                         tol: Tolerance | None = None) -> float:
-    """Dual-theory utility of a random time: the integral of -t against
-    the distorted measure d(w(F))."""
-    return model.distorted_expect(_minus_time, w, tol)
+    """Dual-theory utility of a random time: minus the distorted mean, the
+    integral of t against the distorted measure d(w(F)) (Yaari 1987)."""
+    return -model.distorted_expect(_time, w, tol)
 
 
 def dt_premium_exact(instance: DiscreteModel, ctx: DtContext) -> float:
@@ -176,8 +176,8 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
                 tol: Tolerance | None) -> dict[str, ValuationReport]:
     """Dual-theory reports for ``methods``, in that order, sharing mu,
     sigma and the dual moment m2_dual, which are computed once.  On a
-    continuous model m2_dual and the exact route's E_w[-t] come from one
-    shared call."""
+    continuous model m2_dual and the exact route's distorted mean E_w[t]
+    come from one shared call; the exact premium is E_w[t] - mu."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -192,7 +192,7 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     integrated = meta is None and not model_or_instance.is_degenerate
     terms = _dual_terms(model_or_instance, (1,)) if integrated else []
     if integrated and "exact" in methods:
-        terms.append((_minus_time, ctx.w))
+        terms.append((_time, ctx.w))
     values = model_or_instance._expects(terms, tol)[1]
     m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
                else next(values) if integrated else 0.0)
@@ -206,7 +206,7 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
         elif meta is not None:
             premium = dt_premium_exact(model_or_instance, ctx)
         else:
-            premium = -next(values) - mu
+            premium = next(values) - mu
         rho = premium / mu
 
         reports[method] = ValuationReport(
@@ -363,7 +363,7 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
         raise ZeroCostError("rank-dependent valuation requires a positive mean time")
     sigma = model_or_instance.std()
     terms = _dual_terms(model_or_instance) if meta is None else []
-    terms.append((lambda t: np.asarray(t, dtype=float), ctx.w))  # distorted mean
+    terms.append((_time, ctx.w))  # distorted mean
     if "exact" in methods:
         terms += _exact_terms(ctx.u, ctx.w, phi)
     shared = model_or_instance._expects(terms, tol)

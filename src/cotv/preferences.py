@@ -12,7 +12,7 @@ prudent user also gets a non-negative coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -451,16 +451,7 @@ class RiskProfile:
     d3_sign: int
 
     def to_dict(self) -> dict:
-        return {
-            "at_time": self.at_time,
-            "abs_risk_aversion": self.abs_risk_aversion,
-            "rel_risk_aversion": self.rel_risk_aversion,
-            "abs_prudence": self.abs_prudence,
-            "rel_prudence": self.rel_prudence,
-            "risk_averse": self.risk_averse,
-            "prudent": self.prudent,
-            "d3_sign": self.d3_sign,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -477,10 +468,7 @@ class MomentPreference:
     variance_vs_skewness: str
 
     def to_dict(self) -> dict:
-        return {
-            "mean_vs_variance": self.mean_vs_variance,
-            "variance_vs_skewness": self.variance_vs_skewness,
-        }
+        return asdict(self)
 
 
 def classify_risk_attitude(u: UtilityFunction,

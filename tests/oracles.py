@@ -4,7 +4,8 @@ Everything here is deliberately naive: direct enumeration, central finite
 differences, closed forms, and the one-panel-per-call quadrature loop.
 None of it shares code with the package paths it checks beyond the
 tolerance type and the error classes.  ``bench_inputs`` loads the
-benchmark's scenario generators for tests that run them.
+benchmark's scenario generators for tests that run them.  The gamma
+constants are 40-digit mpmath values, rounded to double once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,66 @@ def bench_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# Incomplete gamma references where scipy is not exact enough to check
+# against, computed once with mpmath (not a dependency of cotv) by:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     for a in (0.5, 0.5005, 0.5015, 0.503):
+#         for x in (0.5, 0.9, 1.075, 1.1, 1.6):
+#             p = mp.gammainc(a, 0, x, regularized=True)
+#             print((a, x, float(p), float(1 - p)))
+#     for a in (300.0, 557.0, 1000.0):
+#         for p in (1e-320, 1e-310, 1e-305, 1e-300):
+#             # log P(a, x) = log p, from 1.1 times the x where x^a / Gamma(a + 1) = p
+#             start = mp.exp((mp.log(p) + mp.loggamma(a + 1)) / a)
+#             x = mp.findroot(lambda x: mp.log(mp.gammainc(a, 0, x, regularized=True))
+#                             - mp.log(p), start * 1.1)
+#             print((a, p, float(x)))
+#
+# (a, x, P(a, x), Q(a, x)) near shape 1/2 and x = 1.1, where scipy's
+# ``gammaincc`` is off by up to 9.7e-14 relative.
+GAMMA_HALF_SHAPE_PQ = (
+    (0.5, 0.5, 0.6826894921370859, 0.3173105078629141),
+    (0.5, 0.9, 0.8202875051210001, 0.17971249487899985),
+    (0.5, 1.075, 0.8574301104191573, 0.1425698895808427),
+    (0.5, 1.1, 0.8619892624313404, 0.13801073756865953),
+    (0.5, 1.6, 0.9263617298796973, 0.07363827012030265),
+    (0.5005, 0.5, 0.6823659114626693, 0.3176340885373306),
+    (0.5005, 0.9, 0.820071154076281, 0.17992884592371905),
+    (0.5005, 1.075, 0.8572498885514549, 0.14275011144854516),
+    (0.5005, 1.1, 0.861813707114545, 0.1381862928854551),
+    (0.5005, 1.6, 0.9262581602423994, 0.07374183975760068),
+    (0.5015, 0.5, 0.6817188674867529, 0.3182811325132471),
+    (0.5015, 0.9, 0.8196383137723525, 0.18036168622764753),
+    (0.5015, 1.075, 0.8568892745822062, 0.1431107254177938),
+    (0.5015, 1.1, 0.8614624236942586, 0.13853757630574143),
+    (0.5015, 1.6, 0.9260508518229723, 0.0739491481770277),
+    (0.503, 0.5, 0.6807485967635528, 0.3192514032364472),
+    (0.503, 0.9, 0.8189887089920286, 0.1810112910079714),
+    (0.503, 1.075, 0.8563479289362864, 0.1436520710637136),
+    (0.503, 1.1, 0.8609350674478501, 0.1390649325521499),
+    (0.503, 1.6, 0.9257394665774833, 0.07426053342251675),
+)
+# (a, p, x) with P(a, x) = p, for p from 1e-300 down to the subnormal
+# 1e-320, where P underflows between the first guess and x; scipy's
+# ``gammaincinv`` is off by up to 4.6e-7 relative at p = 1e-320.
+GAMMA_TINY_P_QUANTILES = (
+    (300.0, 1e-320, 9.906305883662093),
+    (300.0, 1e-310, 10.725739760514134),
+    (300.0, 1e-305, 11.161500314486586),
+    (300.0, 1e-300, 11.615675163139496),
+    (557.0, 1e-320, 61.37624195251499),
+    (557.0, 1e-310, 64.3029637721404),
+    (557.0, 1e-305, 65.82519125386128),
+    (557.0, 1e-300, 67.38840079879462),
+    (1000.0, 1e-320, 220.40233091415246),
+    (1000.0, 1e-310, 227.0351370192862),
+    (1000.0, 1e-305, 230.44827724025353),
+    (1000.0, 1e-300, 233.92836429052844),
+)
 
 
 def central_diff(f, x, h):

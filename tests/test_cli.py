@@ -777,6 +777,32 @@ class TestCliProcess:
     def test_missing_file_exit_two(self, capsys):
         assert main(["value", "--config", "/nonexistent/config.json"]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b'{"seed": 1}\xff',
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"seed": ' + b"7" * 5000 + b"}",
+    ], ids=["not-utf-8", "too-deep", "too-many-digits"])
+    def test_undecodable_config_exit_two(self, content, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main(["value", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("config error: invalid JSON: ")
+        assert err[-1].startswith("wall-time: ")
+
+    @pytest.mark.parametrize("source", ["--out", "output.path"])
+    def test_unwritable_output_exit_two(self, source, tmp_path, capsys):
+        target = str(tmp_path / "no" / "such" / "out.json")
+        raw = copy.deepcopy(BASE)
+        if source == "output.path":
+            raw["output"] = {"path": target}
+        argv = ["--out", target] if source == "--out" else []
+        path = write_config(tmp_path, raw)
+        assert main(["value", "--config", path, *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"config error: {source}: cannot write output file: ")
+        assert err[-1].startswith("wall-time: ")
+
     def test_computation_error_exit_one(self, tmp_path, capsys):
         # utility diverges at zero while the model carries mass there, so
         # quadrature cannot converge

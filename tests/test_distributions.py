@@ -9,6 +9,7 @@ from scipy import stats as ss
 from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv, ndtr, ndtri
 
 from cotv.distributions import (
+    TAIL_MASS,
     _ndtr,
     _ndtri,
     _ndtri_one,
@@ -35,7 +36,12 @@ from cotv.errors import (
 )
 from cotv.numerics import RngStream, Tolerance, mc_estimate
 
-from oracles import brute_pairwise_dual_mean, lognormal_dual_mean
+from oracles import (
+    GAMMA_HALF_SHAPE_PQ,
+    GAMMA_TINY_P_QUANTILES,
+    brute_pairwise_dual_mean,
+    lognormal_dual_mean,
+)
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_iter=400)
 
@@ -567,6 +573,25 @@ class TestGammaAccuracy:
         assert gamma_cdf_within(0.5, x, GAMMA_CDF_REL, lambda x: (
             np.array([math.erf(r) for r in roots]), np.array([math.erfc(r) for r in roots])))
 
+    @pytest.mark.parametrize("a", sorted({a for a, *_ in GAMMA_HALF_SHAPE_PQ}))
+    def test_half_shape_against_40_digits(self, a):
+        # scipy's gammaincc is off by up to 9.7e-14 relative here, too
+        # close to the bound to check against
+        x, p, q = (np.array(c) for c in zip(*(row[1:] for row in GAMMA_HALF_SHAPE_PQ
+                                              if row[0] == a)))
+        assert gamma_cdf_within(a, x, GAMMA_CDF_REL, lambda _: (p, q))
+
+    @pytest.mark.parametrize("a, p, x", GAMMA_TINY_P_QUANTILES)
+    def test_tiny_p_at_large_shapes(self, a, p, x):
+        # P underflows between the first guess and x; both paths step on
+        # log P, which stays finite
+        model = Gamma(shape=a, rate=1.0)
+        one = model.quantile(p)
+        assert one == model.quantile(np.array([p]))[0]
+        assert abs(one - x) <= GAMMA_PPF_REL * x
+        if p > 1e-320:  # scipy's is 4.6e-7 off there
+            assert gamma_quantile_within(a, np.array([p]), GAMMA_PPF_REL)
+
     @pytest.mark.parametrize("a", (0.3, 1.5, 3.25, 5.0, 30.0, 300.0))
     def test_a_value_does_not_depend_on_its_batch(self, a):
         # a quadrature request's values must be those of each point alone,
@@ -641,3 +666,28 @@ class TestStandardNormal:
         assert [_ndtri_one(x) for x in p] == [inv_cdf(x) for x in p]
         model = LogNormal(log_mean=0.3, log_sd=0.7)
         assert [model.quantile(x) for x in p] == model.quantile(np.array(p)).tolist()
+
+
+ONE_QUANTILE_MODELS = [
+    Exponential(rate=0.7),
+    Uniform(0.5, 3.5),
+    LogNormal(log_mean=0.3, log_sd=0.7),
+    *(Gamma(shape=a, rate=1.3) for a in GAMMA_CORNERS),
+    ShiftedScaled(LogNormal(log_mean=0.3, log_sd=0.7), loc=0.5, scale=2.0),
+    ShiftedScaled(Gamma(shape=0.5, rate=1.3), loc=0.5, scale=2.0),
+    ShiftedScaled(Gamma(shape=30.0, rate=1.3), loc=0.5, scale=2.0),
+]
+
+
+@pytest.mark.parametrize("model", ONE_QUANTILE_MODELS, ids=lambda m: m.label())
+def test_one_quantile_per_p(model):
+    # a 0-d quantile (the window's end), a one-point array and a mixed
+    # batch give the same bits, in both tails, the middle and at the window
+    gen = np.random.default_rng(29)
+    p = np.concatenate([10.0 ** -np.linspace(0.3, 300.0, 50),
+                        1.0 - 10.0 ** -np.linspace(1.0, 15.0, 30), gen.random(50),
+                        [TAIL_MASS, 1.0 - TAIL_MASS, 0.5]])
+    batch = model.quantile(np.concatenate([gen.random(40), p, gen.random(40)]))[40:-40]
+    ones = [float(model.quantile(q)) for q in p.tolist()]
+    assert ones == [float(model.quantile(np.array([q]))[0]) for q in p.tolist()]
+    assert ones == batch.tolist()

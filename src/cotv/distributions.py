@@ -461,8 +461,8 @@ class _ScaleFamily(ContinuousModel):
     at p = 0, inf at p = 1 and NaN outside [0, 1].  Subclasses give
     ``_scale()``, the standard-shape ``_pdf``, ``_cdf`` and ``_ppf`` of
     1-d arrays, ``_ppf_one`` of one float inside (0, 1), which a 0-d
-    quantile takes in Python floats, and ``_closed``: whether the
-    density's support is closed, [0, inf], or open, (0, inf).
+    quantile takes, and ``_closed``: whether the density's support is
+    closed, [0, inf], or open, (0, inf).
     """
 
     _closed = False
@@ -489,7 +489,7 @@ class _ScaleFamily(ContinuousModel):
         scale = self._scale()
         p = np.asarray(p, dtype=float)
         if p.ndim == 0:
-            # one value, as the integration window's end: Python floats
+            # one value, as the integration window's end
             q = float(p)
             if 0.0 < q < 1.0:
                 return np.float64(self._ppf_one(q) * scale)
@@ -584,7 +584,8 @@ class Gamma(_ScaleFamily):
         return self._incomplete.ppf(q)
 
     def _ppf_one(self, q):
-        return self._incomplete.ppf_one(q)
+        # one float through the array loop: the x it has in any batch
+        return self._incomplete.ppf(np.array([q]))[0].item()
 
     def mean(self):
         return self.shape / self.rate

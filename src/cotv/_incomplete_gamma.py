@@ -263,8 +263,8 @@ class _IncompleteGamma:
             # log P or log Q; where that is r, from the ratio, as r may underflow
             direct = upper != low
             log_v = np.log(np.where(direct, ratio, 1.0 - r)) + np.where(direct, log_factor, 0.0)
-            t_next = np.clip(self._halley(t, x, log_v, log_factor, sign, log_s),
-                             _LOG_X_MIN, _LOG_X_MAX)
+            t_next = np.minimum(np.maximum(
+                self._halley(t, x, log_v, log_factor, sign, log_s), _LOG_X_MIN), _LOG_X_MAX)
             # a point keeps the step where it first meets the tolerance
             t_next = np.where(done, t, t_next)
             done = done | (np.abs(t_next - t) <= _HALLEY_TOL)

@@ -20,8 +20,9 @@ import copy
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from .distributions import (
     Degenerate,

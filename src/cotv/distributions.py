@@ -255,12 +255,18 @@ class Exponential(ContinuousModel):
     def support(self):
         return 0.0, math.inf
 
+    # An array of t > 0 skips the edge handling.  Zeros take it: np.clip
+    # turns -0.0 into 0.0, which keeps the cdf's zero positive.
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
+        if t.ndim and (t > 0).all():
+            return self.rate * np.exp(-self.rate * t)
         return np.where(t < 0, 0.0, self.rate * np.exp(-self.rate * np.clip(t, 0, None)))
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
+        if t.ndim and (t > 0).all():
+            return -np.expm1(-self.rate * t)
         return np.where(t < 0, 0.0, -np.expm1(-self.rate * np.clip(t, 0, None)))
 
     def quantile(self, p):
@@ -306,7 +312,7 @@ class Uniform(ContinuousModel):
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
-        return np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        return np.minimum(np.maximum((t - self.lo) / (self.hi - self.lo), 0.0), 1.0)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -326,6 +332,7 @@ class Uniform(ContinuousModel):
 
 
 _SQRT1_2 = math.sqrt(0.5)
+_SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def _ndtr(z: np.ndarray) -> np.ndarray:
@@ -438,15 +445,20 @@ def _ndtri_one(p: float) -> float:
 
 
 def _on_support(x: np.ndarray, inside: np.ndarray, formula: Callable,
-                out: np.ndarray):
-    """``out`` with ``formula`` at the points where ``inside`` holds, NaN at NaN.
+                edges: Callable):
+    """``formula`` at the points where ``inside`` holds, ``edges()`` at the
+    others, NaN at NaN.
 
-    ``formula`` sees only the compressed 1-d array of in-support points, as
-    in scipy's frozen distributions: numpy's vectorised exp and log can move
-    by an ulp when the array they run over changes, so this keeps the
-    formulas scipy shares bit-identical to scipy's.  A 0-d input gives a 0-d
-    result.
+    ``formula`` takes a 1-d array.  A 1-d ``x`` whose points all lie inside
+    the support goes to it whole.  Otherwise ``edges()`` builds the result,
+    and ``formula`` sees the compressed 1-d array of in-support points, as
+    in scipy's frozen distributions.  On an all-inside array both are the
+    same values at the same positions, so the formulas scipy shares keep
+    its bits either way.  A 0-d input gives a 0-d result.
     """
+    if x.ndim == 1 and inside.all():
+        return formula(x)
+    out = edges()
     out[np.isnan(x)] = np.nan
     if inside.any():
         out[inside] = formula(x[inside])
@@ -478,12 +490,12 @@ class _ScaleFamily(ContinuousModel):
         else:
             inside = (0 < x) & (x < math.inf)
         return _on_support(x, inside, lambda x: self._pdf(x) / scale,
-                           np.zeros(x.shape))
+                           lambda: np.zeros(x.shape))
 
     def cdf(self, t):
         x = np.asarray(t, dtype=float) / self._scale()
         return _on_support(x, (0 < x) & (x < math.inf), self._cdf,
-                           np.where(x == math.inf, 1.0, 0.0))
+                           lambda: np.where(x == math.inf, 1.0, 0.0))
 
     def quantile(self, p):
         scale = self._scale()
@@ -494,9 +506,8 @@ class _ScaleFamily(ContinuousModel):
             if 0.0 < q < 1.0:
                 return np.float64(self._ppf_one(q) * scale)
             return np.float64(0.0 if q == 0.0 else math.inf if q == 1.0 else math.nan)
-        edges = np.where(p == 0, 0.0, np.where(p == 1, math.inf, math.nan))
         return _on_support(p, (0 < p) & (p < 1), lambda q: self._ppf(q) * scale,
-                           edges)
+                           lambda: np.where(p == 0, 0.0, np.where(p == 1, math.inf, math.nan)))
 
 
 @dataclass(frozen=True)
@@ -519,7 +530,7 @@ class LogNormal(_ScaleFamily):
     def _pdf(self, x):
         s = self.log_sd
         return np.exp(-np.log(x)**2 / (2 * (s * s))
-                      - np.log(s * x * np.sqrt(2 * np.pi)))
+                      - np.log(s * x * _SQRT_2PI))
 
     def _cdf(self, x):
         return _ndtr(np.log(x) / self.log_sd)

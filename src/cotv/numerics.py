@@ -111,18 +111,31 @@ class McEstimate:
     n: int
 
 
-# 15-point Gauss-Legendre rule; exact through polynomial degree 29.
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+# 15-point Gauss-Legendre rule, exact through polynomial degree 29: the
+# values of ``np.polynomial.legendre.leggauss(15)``, bit for bit, written
+# out so that importing the package does not load ``numpy.polynomial``.
+_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451,
+    0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854])
+_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
 
 
 def _nodes(ends: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Half-widths of the ``(a, b)`` panels of ``ends`` and their 15 Gauss
     nodes each, panel after panel, in one flat array."""
-    bounds = np.array(ends, dtype=float)
-    half = 0.5 * (bounds[:, 1] - bounds[:, 0])
-    x = ((0.5 * (bounds[:, 0] + bounds[:, 1]))[:, None]
-         + half[:, None] * _NODES).ravel()
-    return half, x
+    # the half-widths and centres as Python floats: the same IEEE
+    # operations as on an array of the ends, without building it
+    half = np.array([0.5 * (b - a) for a, b in ends])
+    centre = np.array([0.5 * (a + b) for a, b in ends])
+    return half, (centre[:, None] + half[:, None] * _NODES).ravel()
 
 
 def _estimates(half: np.ndarray, y) -> list[float | None]:
@@ -174,6 +187,9 @@ def _adaptive(estimate: Callable, lo: float, hi: float, tol: Tolerance | None,
         raise _non_finite(lo, hi)
     span = hi - lo
     reference = abs(whole)
+    # the budget tol.scale(reference), recomputed only when |total| grows
+    # past the reference
+    limit = tol.scale(reference)
     # Entries carry the estimates of their two halves, made when the entry
     # is pushed, so each bisection is one request.
     stack = [(lo, hi, whole, 0, left, right)]
@@ -192,9 +208,11 @@ def _adaptive(estimate: Callable, lo: float, hi: float, tol: Tolerance | None,
         if panels > _MAX_PANELS:
             raise NonConvergenceError("quadrature panel budget exhausted")
         err = abs(left + right - coarse)
-        if err <= tol.scale(reference) * (b - a) / span:
+        if err <= limit * (b - a) / span:
             total += left + right
-            reference = max(reference, abs(total))
+            if abs(total) > reference:
+                reference = abs(total)
+                limit = tol.scale(reference)
         else:
             if depth + 1 >= tol.max_iter:
                 raise NonConvergenceError(

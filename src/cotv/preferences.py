@@ -56,6 +56,10 @@ RP_BENCHMARK = 2.0
 _GRID_POINTS = 101
 _SIGN_SLACK = 1e-12
 
+# the points inside (0, 1) where a weighting's slope is certified
+_WEIGHTING_GRID = np.linspace(0.001, 0.999, 199)
+_WEIGHTING_GRID.flags.writeable = False
+
 
 class UtilityFunction:
     """Non-increasing utility of service time with three derivatives.
@@ -317,8 +321,7 @@ class WeightingFunction:
         # a ValidationError, so numpy's warnings about it are silenced.
         with np.errstate(all="ignore"):
             ends = np.asarray(self.w(np.array([0.0, 1.0])), dtype=float)
-            slopes = np.asarray(self.dw(np.linspace(0.001, 0.999, 199)),
-                                dtype=float)
+            slopes = np.asarray(self.dw(_WEIGHTING_GRID), dtype=float)
         if not (abs(ends[0]) <= 1e-12 and abs(ends[1] - 1.0) <= 1e-12):
             raise ValidationError(f"{self.family}: requires w(0)=0 and w(1)=1")
         if not np.all(np.isfinite(slopes)):
@@ -409,10 +412,10 @@ class InverseSWeighting(WeightingFunction):
     def dw(self, p):
         g = self.gamma
         p = np.asarray(p, dtype=float)
+        q = 1.0 - p
         a = np.power(p, g)
-        b = np.power(1.0 - p, g)
-        s = a + b
-        n = np.power(p, g - 1.0) - np.power(1.0 - p, g - 1.0)
+        s = a + np.power(q, g)
+        n = np.power(p, g - 1.0) - np.power(q, g - 1.0)
         return a / np.power(s, 1.0 / g) * (g / p - n / s)
 
     def d2w(self, p):

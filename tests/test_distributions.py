@@ -690,3 +690,81 @@ def test_one_quantile_per_p(model):
     ones = [float(model.quantile(q)) for q in p.tolist()]
     assert ones == [float(model.quantile(np.array([q]))[0]) for q in p.tolist()]
     assert ones == batch.tolist()
+
+
+SHAPE_MODELS = [
+    Exponential(rate=1.3),
+    Uniform(0.5, 3.0),
+    Uniform(0.0, 2.0),
+    LogNormal(log_mean=0.2, log_sd=0.5),
+    Gamma(shape=2.0, rate=1.5),
+    Gamma(shape=0.5, rate=1.0),
+    ShiftedScaled(LogNormal(log_mean=0.0, log_sd=0.5), loc=-1.0, scale=2.0),
+    ShiftedScaled(Gamma(shape=0.5, rate=1.0), loc=0.5, scale=2.0),
+    ShiftedScaled(Exponential(rate=1.0), loc=0.5, scale=1.5),
+]
+SHAPE_T = np.array([-1.0, -0.0, 0.0, 1e-300, 0.3, 0.5, 1.7, 2.0, 3.0, 40.0, np.inf, np.nan])
+SHAPE_P = np.array([0.0, 1e-300, 0.3, 0.5, 0.97, 1.0, -0.1, 1.1, np.nan])
+# methods that end in np.where give a 0-d array for a 0-d input, the
+# others a numpy float; a shifted and scaled cdf is its base's
+ZERO_D_ARRAYS = {("exponential", "pdf"), ("exponential", "cdf"), ("uniform", "pdf")}
+
+
+def zero_d_type(model, method):
+    if isinstance(model, ShiftedScaled) and method == "cdf":
+        return zero_d_type(model.base, method)
+    return np.ndarray if (model.family, method) in ZERO_D_ARRAYS else np.float64
+
+
+@pytest.mark.parametrize("model", SHAPE_MODELS, ids=lambda m: m.label())
+@pytest.mark.parametrize("method, points", [("pdf", SHAPE_T), ("cdf", SHAPE_T),
+                                            ("quantile", SHAPE_P)])
+def test_shapes_match_one_dimensional_calls(model, method, points):
+    # 2-d, empty and 0-d inputs give, value for value, what a 1-d call
+    # gives, in the shapes and types they have always had
+    call = getattr(model, method)
+    with np.errstate(all="ignore"):  # inf - inf, log of 0 and of p > 1
+        flat = call(points)
+        assert type(flat) is np.ndarray and flat.shape == points.shape
+        square = points[:8].reshape(2, 4)
+        assert identical(call(square), flat[:8].reshape(2, 4))
+        assert identical(call(square.T), flat[:8].reshape(2, 4).T)
+        for empty in (np.array([]), np.zeros((0, 3)), []):
+            got = call(empty)
+            assert type(got) is np.ndarray and got.dtype == float
+            assert got.shape == np.shape(empty)
+        for k, point in enumerate(points.tolist()):
+            for value in (point, np.float64(point), np.array(point)):
+                got = call(value)
+                assert type(got) is zero_d_type(model, method)
+                assert identical(got, flat[k])
+
+
+@pytest.mark.parametrize("model", SHAPE_MODELS, ids=lambda m: m.label())
+def test_cdf_below_the_support_is_positive_zero(model):
+    lo = model.support()[0]
+    t = np.array([lo - 1.0, -0.0, -5e-324]) if lo == 0.0 else np.array([lo - 1.0])
+    assert identical(model.cdf(t), np.zeros(t.size))
+
+
+@pytest.mark.parametrize("model", [
+    Exponential(rate=0.7),
+    LogNormal(log_mean=0.3, log_sd=0.45),
+    Gamma(shape=2.5, rate=1.2),
+    Gamma(shape=1.0, rate=0.8),
+    Gamma(shape=0.6, rate=2.0),
+    ShiftedScaled(LogNormal(log_mean=0.0, log_sd=0.5), loc=-1.0, scale=2.0),
+], ids=lambda m: m.label())
+@given(t=st.lists(st.floats(1e-6, 80.0), min_size=1, max_size=64),
+       p=st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1, max_size=64))
+@settings(max_examples=40, deadline=None)
+def test_inside_arrays_take_the_edge_paths_values(model, t, p):
+    # a 1-d array inside the support skips the edge handling; with one
+    # point outside appended, the same points take it, with the same bits
+    t = np.array(t) + model.support()[0]
+    outside = model.support()[0] - 1.0
+    assert identical(model.pdf(t), model.pdf(np.append(t, outside))[:-1])
+    assert identical(model.cdf(t), model.cdf(np.append(t, outside))[:-1])
+    p = np.array(p)
+    with np.errstate(invalid="ignore"):  # the exponential's formula at p = 1.5
+        assert identical(model.quantile(p), model.quantile(np.append(p, 1.5))[:-1])

@@ -3,9 +3,11 @@
 ``import cotv`` and scenarios on every family, gamma included, load no
 module of scipy; the lognormal's normal cdf comes from ``math`` and its
 quantile is numpy arithmetic, so no scenario imports ``statistics``
-either.  Each check runs in a fresh interpreter, because the test process
-itself has scipy loaded (scipy is the tests' oracle, in the ``test``
-extra, and not a runtime dependency).
+either.  Nor does any load ``numpy.polynomial`` (a few ms of each cold
+process): the quadrature's Gauss-Legendre rule is a table in
+``cotv.numerics``.  Each check runs in a fresh interpreter, because the
+test process itself has scipy loaded (scipy is the tests' oracle, in the
+``test`` extra, and not a runtime dependency).
 """
 
 import ast
@@ -31,7 +33,8 @@ COMMANDS = {"value": run_scenario, "dualmoments": dualmoments_payload}
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("scipy", "statistics"))
+                  if m.split(".")[0] in ("scipy", "statistics")
+                  or m.startswith("numpy.polynomial"))
 
 seen = {"import": loaded()}
 for name, raw in json.loads(sys.argv[1]).items():

@@ -166,8 +166,46 @@ class TestEstimates:
         assert bits(got) == bits(lone_panel_estimates(half, np.full((3, 15), value)))
 
 
+class TestNodes:
+    def test_table_is_leggauss_15_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert numerics._NODES.tobytes() == nodes.tobytes()
+        assert numerics._WEIGHTS.tobytes() == weights.tobytes()
+
+    @given(ends=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                         min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_array_of_ends_bit_for_bit(self, ends):
+        bounds = np.array(ends, dtype=float)
+        half = 0.5 * (bounds[:, 1] - bounds[:, 0])
+        x = ((0.5 * (bounds[:, 0] + bounds[:, 1]))[:, None]
+             + half[:, None] * numerics._NODES).ravel()
+        got_half, got_x = numerics._nodes(tuple(ends))
+        assert got_half.tobytes() == half.tobytes()
+        assert got_x.tobytes() == x.tobytes()
+
+
 class TestSequentialParity:
     """The batched kernel matches the one-panel-per-call oracle bit for bit."""
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: np.sin(x) / (1.0 + x * x), -7.0, 13.0),
+        (lambda x: np.sin(x) * np.exp(-0.1 * x * x), -6.0, 9.0),
+    ])
+    def test_budget_grows_with_the_running_total(self, f, lo, hi):
+        # The window's estimate cancels, so |total| overtakes it and the
+        # budget grows during the integration; the kernel recomputes its
+        # budget only then, the oracle on every panel.
+        references = []
+
+        class Recording(Tolerance):
+            def scale(self, reference):
+                references.append(reference)
+                return super().scale(reference)
+
+        sequential_integrate(f, lo, hi, Recording())
+        assert max(references) > 20.0 * references[0]
+        assert_parity(f, lo, hi)
 
     @given(
         coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=40),

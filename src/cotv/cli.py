@@ -33,8 +33,8 @@ from typing import Any, Callable, Mapping
 from . import _STARTED, __version__
 from .config import ScenarioConfig, load_config, parse_config
 from .distributions import moments
-from .errors import ConfigError, CotvError
-from .eu import EconomicContext, evaluate as eu_evaluate
+from .errors import ConfigError, CotvError, NonFiniteError
+from .eu import _eu_reports
 from .non_eu import DtContext, RduContext, _dt_reports, _rdu_reports
 from .numerics import RngStream, mc_estimate
 from .preferences import classify_moment_preference, risk_coefficients
@@ -51,21 +51,17 @@ _CROSS_COLUMNS = ["premium_abs_error", "premium_scaled_error", "rho_gap"]
 _BOUND_SLACK_TOL = 1e-9
 
 
-def _value_columns() -> list[str]:
-    cols = list(_BASE_COLUMNS)
-    for method in ("exact", "second_order"):
-        cols.extend(f"{name}_{method}" for name in _METHOD_COLUMNS)
-    cols.extend(_CROSS_COLUMNS)
-    return cols
+_VALUE_COLUMNS = (_BASE_COLUMNS
+                  + [f"{name}_{method}" for method in ("exact", "second_order")
+                     for name in _METHOD_COLUMNS]
+                  + _CROSS_COLUMNS)
 
 
 def _evaluate(config: ScenarioConfig, methods: tuple[str, ...]) -> dict:
-    """{method: report} of one scenario; DT and RDU compute the inputs
-    their methods share once."""
+    """{method: report} of one scenario; each framework computes the
+    inputs its methods share once."""
     if config.framework == "eu":
-        return {method: eu_evaluate(config.utility, config.model,
-                                    EconomicContext(phi=config.phi, method=method))
-                for method in methods}
+        return _eu_reports(config.utility, config.model, config.phi, methods, None)
     anchor = config.data["weighting"]
     if config.framework == "dt":
         ctx = DtContext(w=config.weighting, p0=anchor["p0"], psi=anchor["psi"])
@@ -79,6 +75,14 @@ def _header(config: ScenarioConfig, **body: Any) -> dict:
     """A payload: the tool, the canonical config and ``body``."""
     return {"tool": {"name": "cotv", "version": __version__},
             "config": config.canonical(), **body}
+
+
+def _finite(name: str, value: float) -> float:
+    """``value`` of the result field ``name``, which the reports do not
+    check; ``NonFiniteError`` if it is not finite."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"result field {name!r} is not finite: {value!r}")
+    return value
 
 
 def _scenario_body(config: ScenarioConfig) -> dict:
@@ -95,7 +99,7 @@ def _scenario_body(config: ScenarioConfig) -> dict:
                 continue
             results[f"{name}_{method}"] = getattr(report, name)
         if report.rho_upper_bound is not None:
-            slack = report.rho_upper_bound - report.rho
+            slack = _finite(f"bound_slack_{method}", report.rho_upper_bound - report.rho)
             results[f"bound_slack_{method}"] = slack
             results[f"bound_violated_{method}"] = bool(slack < -_BOUND_SLACK_TOL)
         else:
@@ -104,11 +108,11 @@ def _scenario_body(config: ScenarioConfig) -> dict:
     if len(reports) == 2:
         exact = reports["exact"]
         second = reports["second_order"]
-        err = abs(exact.premium - second.premium)
+        err = _finite("premium_abs_error", abs(exact.premium - second.premium))
         results["premium_abs_error"] = err
-        results["premium_scaled_error"] = (
-            err / exact.sigma**2 if exact.sigma > 0 else 0.0)
-        results["rho_gap"] = abs(exact.rho - second.rho)
+        results["premium_scaled_error"] = _finite(
+            "premium_scaled_error", err / exact.sigma**2 if exact.sigma > 0 else 0.0)
+        results["rho_gap"] = _finite("rho_gap", abs(exact.rho - second.rho))
 
     diagnostics = {method: dict(report.diagnostics)
                    for method, report in reports.items()}
@@ -124,7 +128,7 @@ def scenario_row(envelope: Mapping) -> dict:
     """Flat table row of an envelope's ``results``, keyed by the fixed
     column list."""
     results = envelope["results"]
-    return {column: results.get(column) for column in _value_columns()}
+    return {column: results.get(column) for column in _VALUE_COLUMNS}
 
 
 def _set_path(data: dict, dotted: str, value: Any) -> None:
@@ -160,7 +164,7 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
         raise ConfigError("sweep", "config has no sweep block")
     axes = sweep["axes"]
     names = sorted(axes)
-    columns = [f"axis:{name}" for name in names] + _value_columns()
+    columns = [f"axis:{name}" for name in names] + _VALUE_COLUMNS
     base = config.canonical()
     del base["sweep"]
     blocks: dict = {}
@@ -278,11 +282,26 @@ def _cell(value: Any) -> str:
 
 
 def render_csv(columns: list[str], rows: list[Mapping]) -> str:
+    """The table as CSV.  A dict or list cell is rendered once per call,
+    however many rows hold it, as a sweep's axis values are."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
+    # id of a dict or list cell: the cell, held so its id stays its own, and its text
+    rendered: dict[int, tuple] = {}
+
+    def cell(value: Any) -> str:
+        kind = type(value)
+        if kind is not dict and kind is not list:
+            return _cell(value)
+        held = rendered.get(id(value))
+        if held is None:
+            held = rendered[id(value)] = (value, _cell(value))
+        return held[1]
+
     for row in rows:
-        writer.writerow([_cell(row.get(column)) for column in columns])
+        writer.writerow([float.__repr__(value) if type(value) is float else cell(value)
+                         for value in map(row.get, columns)])
     return buffer.getvalue()
 
 
@@ -317,7 +336,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _value_table(config: ScenarioConfig):
     envelope = run_scenario(config)
-    return envelope, _value_columns(), [scenario_row(envelope)]
+    return envelope, list(_VALUE_COLUMNS), [scenario_row(envelope)]
 
 
 def _sweep_table(config: ScenarioConfig):

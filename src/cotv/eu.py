@@ -16,6 +16,13 @@ is traceable to a single derivation.  The exact route is one core shared
 with rank-dependent utility: expected utility is its identity-weighting
 case, and both solve the premium with the same root search, on the window
 their E_w[u] and VOT integrals share.
+
+Reports are built by :func:`_eu_reports`, as :mod:`cotv.non_eu` builds
+its own: mu, u'(mu), VOT(mu), sigma, cv, the quadratic bound and the
+labels are computed once per scenario, then one report is built per
+requested method.  :func:`evaluate` is its one-method view, and a
+scenario that asks for both methods gets the reports, and the errors, of
+two one-method runs.
 """
 
 from __future__ import annotations
@@ -291,48 +298,68 @@ def rho_upper_bound(u: UtilityFunction, model: ServiceTimeModel) -> float:
     return 0.5 * model.cv() ** 2
 
 
+def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
+                methods: tuple[str, ...],
+                tol: Tolerance | None) -> dict[str, ValuationReport]:
+    """Expected-utility reports for ``methods``, in that order, sharing mu,
+    u'(mu), VOT(mu), sigma, cv, the quadratic bound and the labels, which
+    are computed once.  Each report equals a one-method run bit for bit,
+    and errors are raised in the order one-method runs raise them: sigma,
+    cv and the bound are first read where the first report is built."""
+    for method in methods:
+        EconomicContext(phi, method)  # validates phi and method
+
+    mu = model.mean()
+    d1 = float(u.du(mu))
+    vot_mu = -d1 / phi
+    reports = {}
+    for method in methods:
+        info: dict = {}
+        if model.is_degenerate:  # no variability, nothing to integrate or solve
+            if method == "exact":
+                premium, vot_value = 0.0, vot_mu
+            else:
+                premium = _premium_approx(u, model, mu, d1)
+                vot_value = _vot_approx(model, vot_mu, float(u.d3u(mu)), phi)
+            cotv_value, rho, eta = 0.0, 0.0, 1.0
+        elif method == "exact":
+            shared = model._expects(_exact_terms(u, None, phi), tol, [info, None])
+            premium, vot_value, cotv_value, rho = _exact_valuation(
+                u, model, mu, phi, shared, tol, info=info)
+            eta = vot_mu / vot_value if vot_value != 0 else None
+        else:
+            premium = _premium_approx(u, model, mu, d1)
+            d3 = float(u.d3u(mu))
+            vot_value = _vot_approx(model, vot_mu, d3, phi)
+            cotv_value = premium * vot_mu
+            rho = _approx_ratio(u, model, mu, d1, d3, premium)
+            eta = 1.0 / _second_order_pole(model, mu, d1, d3)
+
+        if not reports:
+            sigma = model.std()
+            cv = model.cv() if mu > 0 else None
+            bound = rho_upper_bound(u, model) if isinstance(u, QuadraticUtility) else None
+            labels = {"utility": u.label(), "model": model.label()}
+        reports[method] = ValuationReport(
+            framework="eu",
+            method=method,
+            phi=phi,
+            mu=mu,
+            sigma=sigma,
+            cv=cv,
+            premium=premium,
+            vot_at_mu=vot_mu,
+            vot=vot_value,
+            cotv=cotv_value,
+            rho=rho,
+            eta=eta,
+            rho_upper_bound=bound,
+            diagnostics={**labels, **info},
+        )
+    return reports
+
+
 def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
              tol: Tolerance | None = None) -> ValuationReport:
     """Full expected-utility valuation report for one method."""
-    info: dict = {}
-    mu = model.mean()
-    d1 = float(u.du(mu))
-    vot_mu = -d1 / ctx.phi
-    if model.is_degenerate:  # no variability, nothing to integrate or solve
-        premium = 0.0 if ctx.method == "exact" else _premium_approx(u, model, mu, d1)
-        vot_value = vot_mean(u, model, ctx, tol)
-        cotv_value, rho, eta = 0.0, 0.0, 1.0
-    elif ctx.method == "exact":
-        shared = model._expects(_exact_terms(u, None, ctx.phi), tol, [info, None])
-        premium, vot_value, cotv_value, rho = _exact_valuation(
-            u, model, mu, ctx.phi, shared, tol, info=info)
-        eta = vot_mu / vot_value if vot_value != 0 else None
-    else:
-        premium = _premium_approx(u, model, mu, d1)
-        d3 = float(u.d3u(mu))
-        vot_value = _vot_approx(model, vot_mu, d3, ctx.phi)
-        cotv_value = premium * vot_mu
-        rho = _approx_ratio(u, model, mu, d1, d3, premium)
-        eta = 1.0 / _second_order_pole(model, mu, d1, d3)
-
-    return ValuationReport(
-        framework="eu",
-        method=ctx.method,
-        phi=ctx.phi,
-        mu=mu,
-        sigma=model.std(),
-        cv=model.cv() if mu > 0 else None,
-        premium=premium,
-        vot_at_mu=vot_mu,
-        vot=vot_value,
-        cotv=cotv_value,
-        rho=rho,
-        eta=eta,
-        rho_upper_bound=(rho_upper_bound(u, model)
-                         if isinstance(u, QuadraticUtility) else None),
-        diagnostics={
-            "utility": u.label(),
-            "model": model.label(),
-            **info,
-        },
-    )
+    return _eu_reports(u, model, ctx.phi, (ctx.method,), tol)[ctx.method]

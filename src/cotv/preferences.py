@@ -78,7 +78,8 @@ class UtilityFunction:
         self.interval = (lo, hi)
         self._certify_monotone()
 
-    # subclasses implement u, du, d2u, d3u as vectorised callables
+    # subclasses implement u, du, d2u, d3u as vectorised callables; the
+    # polynomial families return a Python float for a Python float
     def u(self, t):
         raise NotImplementedError
 
@@ -131,18 +132,34 @@ class QuadraticUtility(UtilityFunction):
         self.a, self.b, self.c = float(a), float(b), float(c)
         super().__init__(interval)
 
+    # A Python float stays one (see AffineUtility too): numpy's t**2 squares,
+    # so t * t and the same association give numpy's bits without its
+    # per-call cost.  A result that is not finite is recomputed by numpy,
+    # which warns about the overflow as it always has.
     def u(self, t):
+        if type(t) is float:
+            value = self.a * (t * t) + self.b * t + self.c
+            if math.isfinite(value):
+                return value
         t = np.asarray(t, dtype=float)
         return self.a * t**2 + self.b * t + self.c
 
     def du(self, t):
+        if type(t) is float:
+            value = 2.0 * self.a * t + self.b
+            if math.isfinite(value):
+                return value
         t = np.asarray(t, dtype=float)
         return 2.0 * self.a * t + self.b
 
     def d2u(self, t):
+        if type(t) is float:
+            return 2.0 * self.a
         return np.full_like(np.asarray(t, dtype=float), 2.0 * self.a)
 
     def d3u(self, t):
+        if type(t) is float:
+            return 0.0
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def params(self):
@@ -275,17 +292,28 @@ class AffineUtility(UtilityFunction):
         self.intercept = float(intercept)
         super().__init__(interval)
 
+    # a Python float stays one, as in QuadraticUtility
     def u(self, t):
+        if type(t) is float:
+            value = -self.slope * t + self.intercept
+            if math.isfinite(value):
+                return value
         t = np.asarray(t, dtype=float)
         return -self.slope * t + self.intercept
 
     def du(self, t):
+        if type(t) is float:
+            return -self.slope
         return np.full_like(np.asarray(t, dtype=float), -self.slope)
 
     def d2u(self, t):
+        if type(t) is float:
+            return 0.0
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def d3u(self, t):
+        if type(t) is float:
+            return 0.0
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def params(self):

@@ -830,6 +830,23 @@ class TestCliProcess:
         assert err.endswith(" at sweep point weighting.params.gamma=0.7")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, fmt", [("value", "json"), ("sweep", "json"),
+                                              ("sweep", "csv")])
+    def test_non_finite_result_field_exit_one(self, command, fmt, tmp_path, capsys):
+        # sigma^2 is a subnormal 8.3e-322, so the scaled premium error is inf
+        raw = dict(eu_quadratic({"family": "uniform",
+                                 "params": {"lo": 0.0, "hi": 1e-160}}),
+                   sweep={"axes": {"economics.phi": [1.0]}})
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, raw),
+                     "--format", fmt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("computation error (NonFiniteError): result field "
+                                 "'premium_scaled_error' is not finite: inf")
+        assert err[0].endswith(" at sweep point economics.phi=1.0") == (command == "sweep")
+        assert err[-1].startswith("wall-time: ")
+        assert not out.exists()
+
     def test_second_order_pole_exit_one(self, tmp_path, capsys):
         # exponential(1) with power(3): 1 + R2 R3 CV^2 / 2 is exactly 0
         path = write_config(tmp_path, POLE)

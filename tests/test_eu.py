@@ -10,11 +10,21 @@ from cotv.distributions import (
     Exponential,
     Gamma,
     LogNormal,
+    ShiftedScaled,
     Uniform,
+    build_dt_instance,
 )
-from cotv.errors import DomainError, NotQuadraticError, ZeroCostError
+from cotv.errors import (
+    CotvError,
+    DerivativeZeroError,
+    DomainError,
+    NotQuadraticError,
+    UndefinedCVError,
+    ZeroCostError,
+)
 from cotv.eu import (
     EconomicContext,
+    _eu_reports,
     cot,
     cotv,
     evaluate,
@@ -363,3 +373,65 @@ class TestEvaluate:
         report = evaluate(PureQuadraticUtility(a=-1.0), Exponential(1.0), SECOND)
         assert report.rho == pytest.approx(0.5, abs=1e-12)
         assert report.eta == 1.0
+
+
+# one model of every family, two degenerate ones at mean 0 whose errors
+# come from the bound (quadratic) and from u'(0) = 0 (power), and a
+# continuous one at mean 0, whose exact ratio fails before the bound
+EVERY_FAMILY = {
+    "degenerate": Degenerate(2.5),
+    "degenerate_zero": Degenerate(0.0),
+    "exponential": Exponential(0.8),
+    "uniform": Uniform(1.0, 4.0),
+    "lognormal": LogNormal(1.0, 0.5),
+    "gamma": Gamma(2.0, 1.0),
+    "shifted_scaled": ShiftedScaled(Exponential(1.0), 1.5, 2.0),
+    "shifted_zero_mean": ShiftedScaled(Exponential(1.0), -1.0, 1.0),
+    "discrete": DiscreteModel([1.0, 2.0, 2.0, 5.0], [0.1, 0.3, 0.2, 0.4]),
+    "banded": build_dt_instance(3.0, [-1.0, -0.5, 0.5, 1.0], 0.5, 0.3),
+}
+
+
+def _outcome(build):
+    try:
+        return repr(build())
+    except CotvError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestSharedReports:
+    """_eu_reports shares the inputs of its methods and must equal one
+    evaluate call per method, diagnostics key order and errors included."""
+
+    # a power utility is not defined below 0, where the zero-mean model reaches
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("u", [QuadraticUtility(a=-0.5, b=-0.2),
+                                   PowerUtility(exponent=1.5),
+                                   AffineUtility(slope=1.0)],
+                             ids=lambda u: u.family)
+    @pytest.mark.parametrize("model", EVERY_FAMILY.values(), ids=EVERY_FAMILY)
+    def test_both_methods_equal_two_evaluate_calls(self, model, u):
+        methods = ("exact", "second_order")
+        try:
+            shared = _eu_reports(u, model, 2.5, methods, None)
+        except CotvError as exc:
+            shared = f"{type(exc).__name__}: {exc}"
+        singles = [_outcome(lambda: evaluate(u, model, EconomicContext(2.5, method)))
+                   for method in methods]
+        if isinstance(shared, str):  # the first failing method's error
+            assert shared == next(s for s in singles if not s.startswith("ValuationReport"))
+            return
+        assert list(shared) == list(methods)
+        assert [repr(shared[method]) for method in methods] == singles
+
+    # the first error a one-method run per method would raise: the exact
+    # report reads the bound, the second-order one divides by u'(0) = 0, and
+    # the exact ratio of a continuous model fails before the bound is read
+    @pytest.mark.parametrize("model, u, error", [
+        ("degenerate_zero", QuadraticUtility(a=-0.5, b=-0.2), UndefinedCVError),
+        ("degenerate_zero", PowerUtility(exponent=1.5), DerivativeZeroError),
+        ("shifted_zero_mean", QuadraticUtility(a=-0.5, b=-0.2), ZeroCostError),
+    ])
+    def test_errors_come_in_one_method_order(self, model, u, error):
+        with pytest.raises(error):
+            _eu_reports(u, EVERY_FAMILY[model], 2.5, ("exact", "second_order"), None)

@@ -60,6 +60,10 @@ GAMMA = {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
 SHIFTED = {"family": "shifted_scaled", "base": {"family": "exponential",
            "params": {"rate": 1.0}}, "loc": 1.5, "scale": 2.0}
 DEGENERATE = {"family": "degenerate", "params": {"value": 2.5}}
+# a zero mean: no cv, and u'(0) = 0 for a power utility
+DEGENERATE_ZERO = {"family": "degenerate", "params": {"value": 0.0}}
+# sigma^2 underflows to a subnormal: the scaled premium error is inf
+UNIFORM_TINY = {"family": "uniform", "params": {"lo": 0.0, "hi": 1e-160}}
 # tied outcomes; the float cumulative mass ends at 1.0000000000000002
 RAW = {"family": "discrete", "outcomes": [1.0, 2.0, 2.0, 3.5, 5.0, 8.0],
        "probabilities": [0.1, 0.2, 0.15, 0.25, 0.2, 0.1]}
@@ -108,6 +112,10 @@ SCENARIOS = {
     "eu-raw-power-both": _scenario("eu", RAW, POWER, "both"),
     "eu-raw_tenths-pure_quadratic-exact": _scenario("eu", RAW_TENTHS, PURE_QUADRATIC, "exact"),
     "eu-banded-pure_quadratic-both": _scenario("eu", BANDED, PURE_QUADRATIC, "both"),
+    "eu-degenerate_zero-quadratic-both": _scenario("eu", DEGENERATE_ZERO, QUADRATIC, "both"),
+    "eu-degenerate_zero-power-both": _scenario("eu", DEGENERATE_ZERO, POWER, "both"),
+    "eu-uniform_tiny-quadratic-both": _scenario(
+        "eu", UNIFORM_TINY, {"family": "quadratic", "params": {"a": -1.0}}, "both"),
     "dt-exponential-inverse_s-both": _scenario("dt", EXPONENTIAL, AFFINE, "both",
                                                weighting=INVERSE_S),
     "dt-uniform-power-both": _scenario("dt", UNIFORM, AFFINE, "both", weighting=POWER_W),
@@ -152,6 +160,21 @@ SWEEPS = {
         "sweep": {"axes": {"distribution.params.rate": [0.5, 1.0, 2.0],
                            "economics.phi": [1.0, 2.5]}},
     },
+    "sweep-eu-distribution-blocks-phi": {
+        **_scenario("eu", EXPONENTIAL, QUADRATIC, "both"),
+        "sweep": {"axes": {"distribution": [EXPONENTIAL, UNIFORM, DEGENERATE, RAW, BANDED],
+                           "economics.phi": [1.0, 2.5]}},
+    },
+    "sweep-dt-uniform-gamma-phi": {
+        **_scenario("dt", UNIFORM, AFFINE, "both", weighting=POWER_W),
+        "sweep": {"axes": {"weighting.params.gamma": [1.5, 2.0, 3.0],
+                           "economics.phi": [1.0, 2.5]}},
+    },
+    "sweep-rdu-exponential-gamma-phi": {
+        **_scenario("rdu", EXPONENTIAL, PURE_QUADRATIC, "both", weighting=INVERSE_S),
+        "sweep": {"axes": {"weighting.params.gamma": [0.6, 0.8, 1.5],
+                           "economics.phi": [1.0, 2.5]}},
+    },
 }
 
 DUAL_MOMENTS = {
@@ -174,6 +197,14 @@ CLI_RUNS = {
 CLI_RUNS["cli-value-unknown_key"] = {
     "command": "value", "format": "json",
     "scenario": {**SCENARIOS["eu-uniform-power-exact"], "bogus": 1}}
+# a non-finite result field is a computation error (exit 1), in a sweep
+# with the point's axis values
+CLI_RUNS.update({
+    f"cli-{command}-nonfinite_result": {
+        "command": command, "format": fmt,
+        "scenario": {**SCENARIOS["eu-uniform_tiny-quadratic-both"],
+                     "sweep": {"axes": {"economics.phi": [1.0, 2.5]}}}}
+    for command, fmt in (("value", "json"), ("sweep", "csv"))})
 CLI_RUNS["cli-sweep-grid_too_large"] = {
     "command": "sweep", "format": "csv",
     "scenario": {**SWEEPS["sweep-eu-exponential-rate-phi"], "sweep": {"axes": {

@@ -262,3 +262,46 @@ class TestEtaFromCoefficients:
 
     def test_zero_product_gives_one(self):
         assert eta_from_coefficients(1.0, 0.0, 0.7) == 1.0
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+COEFFICIENTS = st.floats(1e-100, 1e100)
+TIMES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1e154, 1.4e154, 1e300, 1.7976931348623157e308]),
+)
+POLYNOMIALS = st.one_of(
+    st.builds(lambda a, b, c: QuadraticUtility(-a, -b, c),
+              COEFFICIENTS, st.one_of(st.just(0.0), COEFFICIENTS),
+              st.floats(-1e100, 1e100)),
+    st.builds(lambda a, c: PureQuadraticUtility(-a, c),
+              COEFFICIENTS, st.floats(-1e100, 1e100)),
+    st.builds(AffineUtility, COEFFICIENTS, st.floats(-1e100, 1e100)),
+)
+
+
+class TestPolynomialsOnFloats:
+    """The polynomial families keep a Python float a Python float, with the
+    bits numpy gives for a 0-d array and for an element of a 1-d array."""
+
+    @given(POLYNOMIALS, TIMES, TIMES)
+    @settings(max_examples=300, deadline=None)
+    def test_float_matches_numpy_bit_for_bit(self, u, t, other):
+        for name in ("u", "du", "d2u", "d3u"):
+            method = getattr(u, name)
+            with np.errstate(all="ignore"):
+                value = method(t)
+                zero_d = method(np.asarray(t))
+                vector = method(np.array([other, t]))
+            if np.isfinite(value):
+                assert type(value) is float, name
+            assert _bits(value) == _bits(zero_d) == _bits(vector[1]), (name, t)
+
+    def test_overflow_still_warns(self):
+        u = PureQuadraticUtility(a=-1.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert u.u(1e200) == -np.inf

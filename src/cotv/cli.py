@@ -196,7 +196,13 @@ def classify_payload(config: ScenarioConfig) -> dict:
 
 
 def dualmoments_payload(config: ScenarioConfig) -> dict:
-    """Moment diagnostics with a seeded order-statistic Monte Carlo check."""
+    """Moment diagnostics with a seeded order-statistic Monte Carlo check.
+
+    ``mc_quadrature_delta`` is the Monte Carlo estimate minus
+    ``m2_dual_mean``, which is the closed form on the exponential, uniform
+    and lognormal families and their shifted and scaled views, and
+    quadrature on the others.
+    """
     model = config.model
     mset = moments(model)
     stream = RngStream(seed=config.seed, stream_id=0)

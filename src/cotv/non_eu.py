@@ -7,7 +7,9 @@ with the same distortion and nests both expected utility (identity
 weighting) and dual theory (affine utility); the package asserts those
 reductions numerically.  Exact rank-dependent reports run through the
 expected-utility exact core of :mod:`cotv.eu` with the weighting in
-place, and the dual moments are expectations under d(F^2).
+place, and the dual moments are expectations under d(F^2), in closed
+form for the exponential, uniform and lognormal families and their
+shifted and scaled views.
 
 Each framework builds its reports in two steps: a shared step computes
 mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
@@ -38,7 +40,8 @@ from .distributions import (
     DiscreteModel,
     DtMetadata,
     ServiceTimeModel,
-    _dual_terms,
+    _dual_moments,
+    _quadrature_dual_terms,
     _require_meta,
     discrete_dual_moment,
     discrete_dual_moment_variance,
@@ -176,8 +179,9 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
                 tol: Tolerance | None) -> dict[str, ValuationReport]:
     """Dual-theory reports for ``methods``, in that order, sharing mu,
     sigma and the dual moment m2_dual, which are computed once.  On a
-    continuous model m2_dual and the exact route's distorted mean E_w[t]
-    come from one shared call; the exact premium is E_w[t] - mu."""
+    continuous model without a closed m2_dual, m2_dual and the exact
+    route's distorted mean E_w[t] come from one shared call; the exact
+    premium is E_w[t] - mu."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -190,12 +194,12 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     meta = model_or_instance.dt_meta
 
     integrated = meta is None and not model_or_instance.is_degenerate
-    terms = _dual_terms(model_or_instance, (1,)) if integrated else []
+    terms = _quadrature_dual_terms(model_or_instance, (1,)) if integrated else []
     if integrated and "exact" in methods:
         terms.append((_time, ctx.w))
     values = model_or_instance._expects(terms, tol)[1]
     m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
-               else next(values) if integrated else 0.0)
+               else _dual_moments(model_or_instance, values, (1,))[0])
     vot = 1.0 / phi
     reports = {}
     for method in methods:
@@ -307,8 +311,10 @@ def rdu_premium_approx(ctx: RduContext, mu: float, m2: float,
 def _band_moments(model_or_instance: ServiceTimeModel,
                   values: Iterator) -> tuple[float, float, float]:
     """(m2, m2_dual, m2_dual_var) of the perturbation measure; a model
-    without a band reads its dual moments from ``values``, the shared call
-    that began with :func:`~cotv.distributions._dual_terms`."""
+    without a band takes its dual moments from
+    :func:`~cotv.distributions._dual_moments`, which reads any it
+    integrates from ``values``, the shared call that began with
+    :func:`~cotv.distributions._quadrature_dual_terms`."""
     meta = model_or_instance.dt_meta
     if meta is not None:
         xi = np.asarray(meta.xi, dtype=float)
@@ -316,9 +322,8 @@ def _band_moments(model_or_instance: ServiceTimeModel,
         return (m2,
                 discrete_dual_moment(model_or_instance),
                 discrete_dual_moment_variance(model_or_instance))
-    if model_or_instance.is_degenerate:
-        return model_or_instance.variance(), 0.0, 0.0
-    return model_or_instance.variance(), next(values), next(values)
+    return (model_or_instance.variance(),
+            *_dual_moments(model_or_instance, values))
 
 
 def _resolve_tau(ctx: RduContext, mu: float, mu_w: float) -> float:
@@ -352,8 +357,9 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
                  tol: Tolerance | None) -> dict[str, ValuationReport]:
     """Rank-dependent reports for ``methods``, in that order, sharing mu,
     sigma, the band moments, tau_h and the distorted mean, which are
-    computed once.  The dual moments, the distorted mean and the exact
-    route's E_w[u] and VOT come from one shared call, read in that order."""
+    computed once.  The dual moments that have no closed form, the
+    distorted mean and the exact route's E_w[u] and VOT come from one
+    shared call, read in that order."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -362,7 +368,7 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     if mu <= 0:
         raise ZeroCostError("rank-dependent valuation requires a positive mean time")
     sigma = model_or_instance.std()
-    terms = _dual_terms(model_or_instance) if meta is None else []
+    terms = _quadrature_dual_terms(model_or_instance) if meta is None else []
     terms.append((_time, ctx.w))  # distorted mean
     if "exact" in methods:
         terms += _exact_terms(ctx.u, ctx.w, phi)

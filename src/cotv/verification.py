@@ -30,10 +30,10 @@ from .distributions import (
     Gamma,
     LogNormal,
     Uniform,
+    _dual_terms,
     build_dt_instance,
     discrete_dual_moment,
     discrete_dual_moment_variance,
-    dual_moment_mean,
 )
 from .eu import EconomicContext, premium_approx, premium_exact, ratio_eta, ratio_rho
 from .non_eu import (
@@ -202,18 +202,31 @@ def check_reliability_ratio_identities(fault: float = 1.0) -> list[CheckResult]:
     ]
 
 
+# Dual moments about the mean and the variance; the lognormal's are
+# 40-digit mpmath values, mu erf(s/2) and mu^2 (expm1(s^2) + e^(s^2) erf(s)
+# - 2 erf(s/2)) at mu = e^(1/8), s = 1/2.
+_DUAL_MOMENTS = (
+    ("uniform", Uniform(0.0, 1.0), (1.0 / 6.0, 1.0 / 12.0)),
+    ("exponential", Exponential(1.0), (0.5, 1.5)),
+    ("lognormal", LogNormal(0.0, 0.5), (0.31311882156067794, 0.5132348574043945)),
+)
+
+
 def check_dual_moments(fault: float = 1.0) -> list[CheckResult]:
+    # The quadrature route, which the families without closed forms take,
+    # against the closed forms the reports read and the literal values.
     tol_quad = 1e-8 * fault
-    uniform_val = dual_moment_mean(Uniform(0.0, 1.0), _TIGHT)
-    expo_val = dual_moment_mean(Exponential(1.0), _TIGHT)
-    checks = [
-        _result("A5-dual-moment-uniform",
-                abs(uniform_val - 1.0 / 6.0) <= tol_quad, "1/6",
-                f"{uniform_val:.12f}", tol_quad),
-        _result("A5-dual-moment-exponential",
-                abs(expo_val - 0.5) <= tol_quad, 0.5,
-                f"{expo_val:.12f}", tol_quad),
-    ]
+    checks = []
+    for label, model, literal in _DUAL_MOMENTS:
+        integrated = tuple(model._expects(_dual_terms(model), _TIGHT)[1])
+        closed = model._closed_dual_moments()
+        gap = max(abs(value - reference)
+                  for references in (closed, literal)
+                  for value, reference in zip(integrated, references))
+        checks.append(_result(
+            f"A5-dual-moment-{label}", gap <= tol_quad,
+            f"{literal[0]:.12f}, {literal[1]:.12f}",
+            f"{integrated[0]:.12f}, {integrated[1]:.12f}", tol_quad))
 
     for label, model, reference in (
         ("uniform", Uniform(0.0, 1.0), 1.0 / 6.0),

@@ -4,8 +4,9 @@ Everything here is deliberately naive: direct enumeration, central finite
 differences, closed forms, and the one-panel-per-call quadrature loop.
 None of it shares code with the package paths it checks beyond the
 tolerance type and the error classes.  ``bench_inputs`` loads the
-benchmark's scenario generators for tests that run them.  The gamma
-constants are 40-digit mpmath values, rounded to double once.
+benchmark's scenario generators for tests that run them.  The gamma and
+dual-moment constants are mpmath values at 40 digits or more, rounded to
+double once.
 """
 
 from __future__ import annotations
@@ -87,6 +88,44 @@ GAMMA_TINY_P_QUANTILES = (
     (1000.0, 1e-310, 227.0351370192862),
     (1000.0, 1e-305, 230.44827724025353),
     (1000.0, 1e-300, 233.92836429052844),
+)
+
+
+# Dual moments about the mean and the variance, E[(M - mu)^k] for k = 1, 2
+# with M the larger of two independent draws, computed once with mpmath
+# (not a dependency of cotv) as the integral over the standard normal z of
+# a lognormal's (e^(m + s z) - mu)^k 2 Phi(z) phi(z), checked against the
+# order-statistic moments E[M^k] = 2 e^(k m + k^2 s^2 / 2) Phi(k s / sqrt 2):
+#
+#     import mpmath as mp
+#     mp.mp.dps = 60  # the check cancels 12 digits at s = 1e-6
+#     def lognormal_duals(m, s):
+#         m, s = mp.mpf(m), mp.mpf(s)
+#         mu = mp.exp(m + s**2 / 2)
+#         duals = [mp.quad(lambda z: (mp.exp(m + s * z) - mu)**k * 2 * mp.ncdf(z)
+#                          * mp.npdf(z), [-mp.inf, -5, 0, 5, mp.inf]) for k in (1, 2)]
+#         e1 = 2 * mp.exp(m + s**2 / 2) * mp.ncdf(s / mp.sqrt(2))
+#         e2 = 2 * mp.exp(2 * m + 2 * s**2) * mp.ncdf(2 * s / mp.sqrt(2))
+#         for value, check in zip(duals, (e1 - mu, e2 - 2 * mu * e1 + mu**2)):
+#             assert abs(value - check) <= mp.mpf(10)**-30 * abs(check)
+#         return duals
+#
+# The exponential's are 1/(2 rate) and 3/(2 rate^2), the uniform's w/6 and
+# w^2/12 with w = hi - lo, and a shifted and scaled model's its base's times
+# scale and scale^2, each in mpmath from the double parameters.
+# (family, parameters, dual moment about the mean, about the variance);
+# ``shifted_lognormal`` is (log_mean, log_sd, loc, scale).
+DUAL_MOMENTS = (
+    ("exponential", (0.37,), 1.3513513513513513, 10.95690284879474),
+    ("uniform", (0.3, 2.9), 0.43333333333333335, 0.5633333333333334),
+    ("lognormal", (0.3, 1e-06), 7.615762784948934e-07, 1.8221203424239127e-12),
+    ("lognormal", (0.3, 0.001), 0.0007615765958180937, 1.823663566319045e-06),
+    ("lognormal", (0.3, 0.05), 0.03811850068390755, 0.004765816809474111),
+    ("lognormal", (0.3, 0.25), 0.19541949054094424, 0.15131087832950182),
+    ("lognormal", (0.3, 0.6), 0.5310852938374971, 1.6756660056033075),
+    ("lognormal", (0.3, 1.5), 2.956884028806386, 280.6079273378803),
+    ("lognormal", (0.3, 3.0), 117.39183971521352, 239234592.0390041),
+    ("shifted_lognormal", (-0.4, 0.8, 1.5, 2.5), 0.9886399640266177, 7.7069826059133195),
 )
 
 

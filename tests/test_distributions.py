@@ -10,6 +10,7 @@ from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv, ndtr, 
 
 from cotv.distributions import (
     TAIL_MASS,
+    _dual_terms,
     _ndtr,
     _ndtri,
     _ndtri_one,
@@ -34,9 +35,10 @@ from cotv.errors import (
     ValidationError,
     ZeroMeanError,
 )
-from cotv.numerics import RngStream, Tolerance, mc_estimate
+from cotv.numerics import DEFAULT_TOLERANCE, RngStream, Tolerance, mc_estimate
 
 from oracles import (
+    DUAL_MOMENTS,
     GAMMA_HALF_SHAPE_PQ,
     GAMMA_TINY_P_QUANTILES,
     brute_pairwise_dual_mean,
@@ -202,6 +204,56 @@ class TestDualMoments:
         assert value == pytest.approx(
             brute_pairwise_dual_mean(model.outcomes, model.probabilities),
             abs=1e-14)
+
+
+def _dual_model(family, params):
+    if family == "shifted_lognormal":
+        log_mean, log_sd, loc, scale = params
+        return ShiftedScaled(LogNormal(log_mean, log_sd), loc, scale)
+    return {"exponential": Exponential, "uniform": Uniform,
+            "lognormal": LogNormal}[family](*params)
+
+
+# the families and parameter ranges of the benchmark's report corpus
+REPORT_MIX_MODELS = st.one_of(
+    st.floats(0.2, 3.0).map(Exponential),
+    st.tuples(st.floats(0.0, 5.0), st.floats(0.5, 10.0)).map(
+        lambda p: Uniform(p[0], p[0] + p[1])),
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.25, 0.6)).map(lambda p: LogNormal(*p)),
+)
+
+
+class TestClosedDualMoments:
+    @pytest.mark.parametrize("family, params, mean, variance", DUAL_MOMENTS,
+                             ids=[f"{family}{params}" for family, params, *_ in DUAL_MOMENTS])
+    def test_within_1e14_of_mpmath(self, family, params, mean, variance):
+        model = _dual_model(family, params)
+        assert dual_moment_mean(model) == pytest.approx(mean, rel=1e-14, abs=0)
+        assert dual_moment_variance(model) == pytest.approx(variance, rel=1e-14, abs=0)
+        moment_set = moments(model)
+        assert (moment_set.m2_dual_mean, moment_set.m2_dual_var) == \
+            (dual_moment_mean(model), dual_moment_variance(model))
+
+    @given(REPORT_MIX_MODELS)
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_quadrature(self, model):
+        tol = DEFAULT_TOLERANCE
+        integrated = model._expects(_dual_terms(model), tol)[1]
+        for closed, value in zip(model._closed_dual_moments(), integrated):
+            assert abs(value - closed) <= tol.scale(closed)
+
+    def test_gamma_integrates_them(self):
+        model = Gamma(2.0, 1.0)
+        assert model._closed_dual_moments() is None
+        assert ShiftedScaled(model, 1.0, 2.0)._closed_dual_moments() is None
+        integrated = tuple(model._expects(_dual_terms(model), None)[1])
+        assert (dual_moment_mean(model), dual_moment_variance(model)) == integrated
+
+    def test_uniform_whose_variance_underflows_is_degenerate(self):
+        # as quadrature had it: a zero variance gives zero dual moments
+        model = Uniform(0.0, 1e-170)
+        assert model.variance() == 0.0
+        assert (dual_moment_mean(model), dual_moment_variance(model)) == (0.0, 0.0)
 
 
 class TestDiscreteDualMomentFormula:

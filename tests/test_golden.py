@@ -22,8 +22,8 @@ change is recorded::
 
 It prints the ids of the cases it adds, removes or changes before it
 writes the file, and under each changed case the largest relative change
-of each numeric field that moved, so a regeneration can be checked
-against the bound it was made under.
+of each numeric field that moved, with its old and new value, so a
+regeneration can be checked against the bound it was made under.
 """
 
 from __future__ import annotations
@@ -305,17 +305,30 @@ def _fields(text: str) -> dict[str, list[float]]:
 
 
 def _changes(old: str, new: str) -> list[str]:
-    """``field: largest relative change`` for each numeric field that moved."""
+    """``field: largest relative change (old -> new value)`` for each
+    numeric field that moved, and both lists of a field whose count of
+    numbers changed (a number that turned null, say).  The values show a
+    residue that moved to about 0, whose relative change reads 1."""
     before, after = _fields(old), _fields(new)
     lines = []
     for name in sorted(before.keys() | after.keys()):
         a, b = before.get(name, []), after.get(name, [])
         if len(a) != len(b):
-            lines.append(f"{name}: {len(a)} -> {len(b)} values")
+            lines.append(f"{name}: {len(a)} -> {len(b)} values ({a!r} -> {b!r})")
         elif a != b:
-            worst = max(abs(y - x) / abs(x) if x else abs(y) for x, y in zip(a, b))
-            lines.append(f"{name}: {worst:.3g}")
+            worst, x, y = max((abs(y - x) / abs(x) if x else abs(y), x, y)
+                              for x, y in zip(a, b))
+            lines.append(f"{name}: {worst:.3g} ({x!r} -> {y!r})")
     return lines or ["no numeric field moved"]
+
+
+def test_changes_print_old_and_new_values():
+    # a residue that goes to about 0 reads 1, and a number that turns null
+    # changes the count
+    old = json.dumps({"premium": 2.7e-13, "multiplier": 1.0, "mu": 1.5})
+    new = json.dumps({"premium": -1.4e-17, "multiplier": None, "mu": 1.5})
+    assert _changes(old, new) == ["multiplier: 1 -> 0 values ([1.0] -> [])",
+                                  "premium: 1 (2.7e-13 -> -1.4e-17)"]
 
 
 if __name__ == "__main__":

@@ -4,16 +4,20 @@ Root searches are counted on the code objects of the functions through
 ``sys.setprofile``, so the count does not depend on how a module binds
 them; integrals are counted as the calls of ``numerics._adaptive``.
 Each exact report computes E_w[u] once: EU takes E[u] and VOT (2
-integrals), RDU adds the two dual moments and the distorted mean (5
+integrals), RDU adds the distorted mean (3 integrals) and, on a family
+without closed dual moments such as the gamma, the two dual moments (5
 integrals); the premium is one root solve on a bracket inside the
 integration window, with no bracket search, which evaluates u at the mean
 once and takes at most 10 iterations on the benchmark's report corpus and
 sweep grids.  An EU second-order report takes each of u', u'' and u'''
 at the mean once.  A ``method: "both"``
 scenario computes the inputs its two reports share once: RDU second order
-reuses the dual moments and the distorted mean of the exact report (5
-integrals in all, not 8), DT reuses the dual moment (2, not 3), and EU
-second order integrates nothing (2).  Each integral requests the window
+reuses the dual moments and the distorted mean of the exact report (3
+integrals in all, 5 on the gamma, not 8), DT reuses the dual moment (1,
+2 on the gamma, not 3), and EU second order integrates nothing (2).  The
+exponential, uniform and lognormal families read both dual moments from
+closed forms, so a DT second-order report on them integrates nothing.
+Each integral requests the window
 and its halves, then the quarters of every panel it bisects.  A report's
 integrals share one window and run one after another, and a request an
 earlier integral made is not evaluated again: here pdf is evaluated once
@@ -49,6 +53,10 @@ RDU_EXACT = {"framework": "rdu",
              "preference": {"family": "power", "params": {"exponent": 1.5}},
              "weighting": {"family": "inverse_s", "params": {"gamma": 0.8}},
              "method": "exact"}
+# the gamma integrates its dual moments: the shared quadrature of the
+# dual terms
+GAMMA = {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
+RDU_GAMMA = dict(RDU_EXACT, distribution=GAMMA)
 
 
 def count_calls(functions, run) -> dict:
@@ -130,18 +138,22 @@ def report(raw: dict):
 
 @pytest.mark.parametrize("raw, expected", [
     (EU_EXACT, {"integrals": 2, "find_root": 1, "expand_bracket": 0}),
-    (RDU_EXACT, {"integrals": 5, "find_root": 1, "expand_bracket": 0}),
-], ids=["eu", "rdu"])
+    (RDU_EXACT, {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
+    (RDU_GAMMA, {"integrals": 5, "find_root": 1, "expand_bracket": 0}),
+], ids=["eu", "rdu", "rdu-gamma"])
 def test_exact_report_kernel_calls(raw, expected, monkeypatch):
     assert kernel_calls(report(raw), monkeypatch) == expected
 
 
-def test_rdu_ratio_kernel_calls(monkeypatch):
-    # the two dual moments and the distorted mean; no premium root
-    scenario = parse_config(RDU_EXACT)
+@pytest.mark.parametrize("raw, integrals", [(RDU_EXACT, 1), (RDU_GAMMA, 3)],
+                         ids=["lognormal", "gamma"])
+def test_rdu_ratio_kernel_calls(raw, integrals, monkeypatch):
+    # the distorted mean, and the two dual moments where they have no
+    # closed form; no premium root
+    scenario = parse_config(raw)
     ctx = RduContext(u=scenario.utility, w=scenario.weighting)
     counts = kernel_calls(lambda: rdu_ratio(scenario.model, ctx, 1.0), monkeypatch)
-    assert counts == {"integrals": 3, "find_root": 0, "expand_bracket": 0}
+    assert counts == {"integrals": integrals, "find_root": 0, "expand_bracket": 0}
 
 
 def both(raw: dict) -> dict:
@@ -218,15 +230,30 @@ DT_EXPONENTIAL = {"framework": "dt",
                   "distribution": {"family": "exponential", "params": {"rate": 1.0}},
                   "preference": {"family": "affine", "params": {"slope": 1.0}},
                   "weighting": {"family": "inverse_s", "params": {"gamma": 0.8}}}
+DT_GAMMA = dict(DT_EXPONENTIAL, distribution=GAMMA)
 
 
 @pytest.mark.parametrize("raw, expected", [
     (both(EU_EXACT), {"integrals": 2, "find_root": 1, "expand_bracket": 0}),
-    (both(DT_EXPONENTIAL), {"integrals": 2, "find_root": 0, "expand_bracket": 0}),
-    (both(RDU_EXACT), {"integrals": 5, "find_root": 1, "expand_bracket": 0}),
-], ids=["eu", "dt", "rdu"])
+    (both(DT_EXPONENTIAL), {"integrals": 1, "find_root": 0, "expand_bracket": 0}),
+    (both(DT_GAMMA), {"integrals": 2, "find_root": 0, "expand_bracket": 0}),
+    (both(RDU_EXACT), {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
+    (both(RDU_GAMMA), {"integrals": 5, "find_root": 1, "expand_bracket": 0}),
+], ids=["eu", "dt", "dt-gamma", "rdu", "rdu-gamma"])
 def test_both_report_kernel_calls(raw, expected, monkeypatch):
     assert kernel_calls(report(raw), monkeypatch) == expected
+
+
+@pytest.mark.parametrize("distribution", [
+    {"family": "exponential", "params": {"rate": 1.0}},
+    {"family": "uniform", "params": {"lo": 1.0, "hi": 4.0}},
+    {"family": "lognormal", "params": {"log_mean": 1.0, "log_sd": 0.5}},
+], ids=lambda distribution: distribution["family"])
+def test_dt_second_order_on_closed_dual_moments_integrates_nothing(distribution,
+                                                                  monkeypatch):
+    raw = dict(DT_EXPONENTIAL, distribution=distribution, method="second_order")
+    records, pdf_calls = kernel_records(report(raw), monkeypatch)
+    assert records == [] and pdf_calls == [0]
 
 
 # (run, integrals, pdf evaluations per shared call): terms that refine the
@@ -235,9 +262,11 @@ def test_both_report_kernel_calls(raw, expected, monkeypatch):
 # its longest integral.
 INTEGRALS = {
     "eu": (report(EU_EXACT), 2, [2]),
-    "rdu": (report(RDU_EXACT), 5, [8]),
-    "rdu-both": (report(both(RDU_EXACT)), 5, [8]),
-    "dt-both": (report(both(DT_EXPONENTIAL)), 2, [22]),
+    "rdu": (report(RDU_EXACT), 3, [8]),
+    "rdu-both": (report(both(RDU_EXACT)), 3, [8]),
+    "rdu-gamma": (report(RDU_GAMMA), 5, [15]),
+    "dt-both": (report(both(DT_EXPONENTIAL)), 1, [22]),
+    "dt-both-gamma": (report(both(DT_GAMMA)), 2, [11]),
 }
 
 

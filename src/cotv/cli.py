@@ -199,9 +199,8 @@ def dualmoments_payload(config: ScenarioConfig) -> dict:
     """Moment diagnostics with a seeded order-statistic Monte Carlo check.
 
     ``mc_quadrature_delta`` is the Monte Carlo estimate minus
-    ``m2_dual_mean``, which is the closed form on the exponential, uniform
-    and lognormal families and their shifted and scaled views, and
-    quadrature on the others.
+    ``m2_dual_mean``, the closed form on every continuous family and an
+    exact sum on a discrete model.
     """
     model = config.model
     mset = moments(model)

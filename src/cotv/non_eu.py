@@ -7,9 +7,9 @@ with the same distortion and nests both expected utility (identity
 weighting) and dual theory (affine utility); the package asserts those
 reductions numerically.  Exact rank-dependent reports run through the
 expected-utility exact core of :mod:`cotv.eu` with the weighting in
-place, and the dual moments are expectations under d(F^2), in closed
-form for the exponential, uniform and lognormal families and their
-shifted and scaled views.
+place, and the dual moments are expectations under d(F^2), which every
+model gives without integrating: in closed form, or as exact sums on a
+discrete model.
 
 Each framework builds its reports in two steps: a shared step computes
 mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .distributions import (
     DtMetadata,
     ServiceTimeModel,
     _dual_moments,
-    _quadrature_dual_terms,
     _require_meta,
     discrete_dual_moment,
     discrete_dual_moment_variance,
@@ -178,10 +176,9 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
                 phi: float, methods: tuple[str, ...],
                 tol: Tolerance | None) -> dict[str, ValuationReport]:
     """Dual-theory reports for ``methods``, in that order, sharing mu,
-    sigma and the dual moment m2_dual, which are computed once.  On a
-    continuous model without a closed m2_dual, m2_dual and the exact
-    route's distorted mean E_w[t] come from one shared call; the exact
-    premium is E_w[t] - mu."""
+    sigma and the dual moment m2_dual, which are computed once.  Outside a
+    banded instance the exact premium is E_w[t] - mu, the one term of the
+    shared call; the second-order report integrates nothing."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -194,12 +191,10 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     meta = model_or_instance.dt_meta
 
     integrated = meta is None and not model_or_instance.is_degenerate
-    terms = _quadrature_dual_terms(model_or_instance, (1,)) if integrated else []
-    if integrated and "exact" in methods:
-        terms.append((_time, ctx.w))
+    terms = [(_time, ctx.w)] if integrated and "exact" in methods else []
     values = model_or_instance._expects(terms, tol)[1]
     m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
-               else _dual_moments(model_or_instance, values, (1,))[0])
+               else _dual_moments(model_or_instance)[0])
     vot = 1.0 / phi
     reports = {}
     for method in methods:
@@ -308,13 +303,10 @@ def rdu_premium_approx(ctx: RduContext, mu: float, m2: float,
             + 0.5 * a2 * 0.5 * wr * (m2_dual_var - m2))
 
 
-def _band_moments(model_or_instance: ServiceTimeModel,
-                  values: Iterator) -> tuple[float, float, float]:
-    """(m2, m2_dual, m2_dual_var) of the perturbation measure; a model
-    without a band takes its dual moments from
-    :func:`~cotv.distributions._dual_moments`, which reads any it
-    integrates from ``values``, the shared call that began with
-    :func:`~cotv.distributions._quadrature_dual_terms`."""
+def _band_moments(model_or_instance: ServiceTimeModel) -> tuple[float, float, float]:
+    """(m2, m2_dual, m2_dual_var) of the perturbation measure: the band's
+    on a banded instance, and otherwise the variance and the dual moments
+    of :func:`~cotv.distributions._dual_moments`."""
     meta = model_or_instance.dt_meta
     if meta is not None:
         xi = np.asarray(meta.xi, dtype=float)
@@ -322,8 +314,7 @@ def _band_moments(model_or_instance: ServiceTimeModel,
         return (m2,
                 discrete_dual_moment(model_or_instance),
                 discrete_dual_moment_variance(model_or_instance))
-    return (model_or_instance.variance(),
-            *_dual_moments(model_or_instance, values))
+    return (model_or_instance.variance(), *_dual_moments(model_or_instance))
 
 
 def _resolve_tau(ctx: RduContext, mu: float, mu_w: float) -> float:
@@ -357,9 +348,8 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
                  tol: Tolerance | None) -> dict[str, ValuationReport]:
     """Rank-dependent reports for ``methods``, in that order, sharing mu,
     sigma, the band moments, tau_h and the distorted mean, which are
-    computed once.  The dual moments that have no closed form, the
-    distorted mean and the exact route's E_w[u] and VOT come from one
-    shared call, read in that order."""
+    computed once.  The distorted mean and the exact route's E_w[u] and
+    VOT come from one shared call, read in that order."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -368,14 +358,12 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     if mu <= 0:
         raise ZeroCostError("rank-dependent valuation requires a positive mean time")
     sigma = model_or_instance.std()
-    terms = _quadrature_dual_terms(model_or_instance) if meta is None else []
-    terms.append((_time, ctx.w))  # distorted mean
+    terms = [(_time, ctx.w)]  # distorted mean
     if "exact" in methods:
         terms += _exact_terms(ctx.u, ctx.w, phi)
     shared = model_or_instance._expects(terms, tol)
-    values = shared[1]
-    m2, m2_dual, m2_dual_var = _band_moments(model_or_instance, values)
-    mu_w = next(values)
+    m2, m2_dual, m2_dual_var = _band_moments(model_or_instance)
+    mu_w = next(shared[1])
     tau = _resolve_tau(ctx, mu, mu_w)
     vot_mu = -float(ctx.u.du(mu)) / phi
     reports = {}

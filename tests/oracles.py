@@ -110,11 +110,33 @@ GAMMA_TINY_P_QUANTILES = (
 #             assert abs(value - check) <= mp.mpf(10)**-30 * abs(check)
 #         return duals
 #
+# The gamma's are g / rate and (a + g) / rate^2 with g = Gamma(a + 1/2) /
+# (sqrt(pi) Gamma(a)), since X + Y and X / (X + Y) ~ Beta(a, a) are
+# independent for iid gamma draws (Lukacs 1955).  At shapes 0.3 and 2.5 they
+# agree to all 60 digits with the d(F^2) integrals, taken after x = y^(1/a),
+# which takes x^(a - 1) dx to dy / a and so removes the singularity at 0:
+#
+#     def gamma_duals(a, rate):
+#         a, theta = mp.mpf(a), 1 / mp.mpf(rate)
+#         g = mp.gamma(a + mp.mpf(1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(a))
+#         return theta * g, theta**2 * (a + g)
+#
+#     def gamma_quad_duals(a, rate):
+#         a, theta = mp.mpf(a), 1 / mp.mpf(rate)
+#         def integrand(y, k):
+#             x = y**(1 / a)
+#             return ((x - a)**k * 2 * mp.gammainc(a, 0, x, regularized=True)
+#                     * mp.exp(-x) / mp.gamma(a + 1))
+#         return [theta**k * mp.quad(lambda y: integrand(y, k),
+#                                    [0, a**a, (4 * a + 40)**a, mp.inf])
+#                 for k in (1, 2)]
+#
 # The exponential's are 1/(2 rate) and 3/(2 rate^2), the uniform's w/6 and
 # w^2/12 with w = hi - lo, and a shifted and scaled model's its base's times
 # scale and scale^2, each in mpmath from the double parameters.
 # (family, parameters, dual moment about the mean, about the variance);
-# ``shifted_lognormal`` is (log_mean, log_sd, loc, scale).
+# ``shifted_lognormal`` is (log_mean, log_sd, loc, scale), ``gamma`` is
+# (shape, rate) and ``shifted_gamma`` (shape, rate, loc, scale).
 DUAL_MOMENTS = (
     ("exponential", (0.37,), 1.3513513513513513, 10.95690284879474),
     ("uniform", (0.3, 2.9), 0.43333333333333335, 0.5633333333333334),
@@ -126,6 +148,15 @@ DUAL_MOMENTS = (
     ("lognormal", (0.3, 1.5), 2.956884028806386, 280.6079273378803),
     ("lognormal", (0.3, 3.0), 117.39183971521352, 239234592.0390041),
     ("shifted_lognormal", (-0.4, 0.8, 1.5, 2.5), 0.9886399640266177, 7.7069826059133195),
+    ("gamma", (0.05, 0.7), 0.06690120206473972, 0.19761396213330165),
+    ("gamma", (0.3, 0.7), 0.31366544734026414, 1.060338394159561),
+    ("gamma", (0.5, 0.7), 0.4547284088339867, 1.6700201758852873),
+    ("gamma", (1.0, 0.7), 0.7142857142857143, 3.0612244897959187),
+    ("gamma", (2.5, 0.7), 1.2126090902239646, 6.834339516646481),
+    ("gamma", (20.0, 0.7), 3.5820196462736935, 45.93349745386038),
+    ("gamma", (100.0, 0.7), 8.04978271560806, 215.58132224678704),
+    ("gamma", (1000.0, 0.7), 25.484301636934745, 2077.2224717262334),
+    ("shifted_gamma", (3.5, 0.8, 1.5, 2.5), 3.1830988618379066, 44.12687144324345),
 )
 
 

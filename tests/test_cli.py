@@ -887,6 +887,23 @@ class TestCliProcess:
         assert payload["results"]["m2_dual_mean"] == pytest.approx(0.5, abs=1e-8)
         assert payload["results"]["mc_within_3se"] is True
 
+    # a d(F^2) integral on a gamma below shape 0.5 ran to the panel cap and
+    # exited 1; the closed forms take no integral
+    @pytest.mark.parametrize("command, framework, preference", [
+        ("value", "rdu", {"family": "power", "params": {"exponent": 1.5}}),
+        ("value", "dt", {"family": "affine", "params": {}}),
+        ("dualmoments", "rdu", {"family": "power", "params": {"exponent": 1.5}}),
+    ], ids=["value-rdu", "value-dt", "dualmoments"])
+    def test_gamma_below_half_shape(self, tmp_path, capsys, command, framework,
+                                    preference):
+        raw = dict(BASE, framework=framework, method="second_order",
+                   distribution={"family": "gamma", "params": {"shape": 0.3, "rate": 1.0}},
+                   preference=preference, weighting=inverse_s(0.8))
+        assert main([command, "--config", write_config(tmp_path, raw)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        if command == "dualmoments":
+            assert results["mc_within_3se"] is True
+
     def test_sweep_csv_deterministic(self, tmp_path):
         raw = copy.deepcopy(BASE)
         raw["sweep"] = {"axes": {"distribution.params.rate": [0.5, 1.0, 2.0]}}

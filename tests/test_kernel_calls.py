@@ -4,19 +4,17 @@ Root searches are counted on the code objects of the functions through
 ``sys.setprofile``, so the count does not depend on how a module binds
 them; integrals are counted as the calls of ``numerics._adaptive``.
 Each exact report computes E_w[u] once: EU takes E[u] and VOT (2
-integrals), RDU adds the distorted mean (3 integrals) and, on a family
-without closed dual moments such as the gamma, the two dual moments (5
-integrals); the premium is one root solve on a bracket inside the
-integration window, with no bracket search, which evaluates u at the mean
-once and takes at most 10 iterations on the benchmark's report corpus and
-sweep grids.  An EU second-order report takes each of u', u'' and u'''
-at the mean once.  A ``method: "both"``
-scenario computes the inputs its two reports share once: RDU second order
-reuses the dual moments and the distorted mean of the exact report (3
-integrals in all, 5 on the gamma, not 8), DT reuses the dual moment (1,
-2 on the gamma, not 3), and EU second order integrates nothing (2).  The
-exponential, uniform and lognormal families read both dual moments from
-closed forms, so a DT second-order report on them integrates nothing.
+integrals), and RDU adds the distorted mean (3 integrals); the premium is
+one root solve on a bracket inside the integration window, with no
+bracket search, which evaluates u at the mean once and takes at most 10
+iterations on the benchmark's report corpus and sweep grids.  An EU
+second-order report takes each of u', u'' and u''' at the mean once.
+Every family reads its dual moments from a closed form or an exact sum,
+so no report and no ``moments()`` call integrates one, and a DT
+second-order report integrates nothing.  A ``method: "both"`` scenario
+computes the inputs its two reports share once: RDU second order reuses
+the distorted mean of the exact report (3 integrals in all, not 4), and
+DT and EU second order integrate nothing (1 and 2).
 Each integral requests the window
 and its halves, then the quarters of every panel it bisects.  A report's
 integrals share one window and run one after another, and a request an
@@ -53,8 +51,8 @@ RDU_EXACT = {"framework": "rdu",
              "preference": {"family": "power", "params": {"exponent": 1.5}},
              "weighting": {"family": "inverse_s", "params": {"gamma": 0.8}},
              "method": "exact"}
-# the gamma integrates its dual moments: the shared quadrature of the
-# dual terms
+# the gamma twins of the lognormal scenarios: its dual moments are closed
+# forms too, so its reports make the lognormal's integrals
 GAMMA = {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
 RDU_GAMMA = dict(RDU_EXACT, distribution=GAMMA)
 
@@ -139,21 +137,19 @@ def report(raw: dict):
 @pytest.mark.parametrize("raw, expected", [
     (EU_EXACT, {"integrals": 2, "find_root": 1, "expand_bracket": 0}),
     (RDU_EXACT, {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
-    (RDU_GAMMA, {"integrals": 5, "find_root": 1, "expand_bracket": 0}),
+    (RDU_GAMMA, {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
 ], ids=["eu", "rdu", "rdu-gamma"])
 def test_exact_report_kernel_calls(raw, expected, monkeypatch):
     assert kernel_calls(report(raw), monkeypatch) == expected
 
 
-@pytest.mark.parametrize("raw, integrals", [(RDU_EXACT, 1), (RDU_GAMMA, 3)],
-                         ids=["lognormal", "gamma"])
-def test_rdu_ratio_kernel_calls(raw, integrals, monkeypatch):
-    # the distorted mean, and the two dual moments where they have no
-    # closed form; no premium root
+@pytest.mark.parametrize("raw", [RDU_EXACT, RDU_GAMMA], ids=["lognormal", "gamma"])
+def test_rdu_ratio_kernel_calls(raw, monkeypatch):
+    # the distorted mean alone; no premium root
     scenario = parse_config(raw)
     ctx = RduContext(u=scenario.utility, w=scenario.weighting)
     counts = kernel_calls(lambda: rdu_ratio(scenario.model, ctx, 1.0), monkeypatch)
-    assert counts == {"integrals": integrals, "find_root": 0, "expand_bracket": 0}
+    assert counts == {"integrals": 1, "find_root": 0, "expand_bracket": 0}
 
 
 def both(raw: dict) -> dict:
@@ -236,9 +232,9 @@ DT_GAMMA = dict(DT_EXPONENTIAL, distribution=GAMMA)
 @pytest.mark.parametrize("raw, expected", [
     (both(EU_EXACT), {"integrals": 2, "find_root": 1, "expand_bracket": 0}),
     (both(DT_EXPONENTIAL), {"integrals": 1, "find_root": 0, "expand_bracket": 0}),
-    (both(DT_GAMMA), {"integrals": 2, "find_root": 0, "expand_bracket": 0}),
+    (both(DT_GAMMA), {"integrals": 1, "find_root": 0, "expand_bracket": 0}),
     (both(RDU_EXACT), {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
-    (both(RDU_GAMMA), {"integrals": 5, "find_root": 1, "expand_bracket": 0}),
+    (both(RDU_GAMMA), {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
 ], ids=["eu", "dt", "dt-gamma", "rdu", "rdu-gamma"])
 def test_both_report_kernel_calls(raw, expected, monkeypatch):
     assert kernel_calls(report(raw), monkeypatch) == expected
@@ -248,12 +244,30 @@ def test_both_report_kernel_calls(raw, expected, monkeypatch):
     {"family": "exponential", "params": {"rate": 1.0}},
     {"family": "uniform", "params": {"lo": 1.0, "hi": 4.0}},
     {"family": "lognormal", "params": {"log_mean": 1.0, "log_sd": 0.5}},
+    GAMMA,
 ], ids=lambda distribution: distribution["family"])
 def test_dt_second_order_on_closed_dual_moments_integrates_nothing(distribution,
                                                                   monkeypatch):
     raw = dict(DT_EXPONENTIAL, distribution=distribution, method="second_order")
     records, pdf_calls = kernel_records(report(raw), monkeypatch)
     assert records == [] and pdf_calls == [0]
+
+
+@pytest.mark.parametrize("model", [
+    distributions.Exponential(1.0),
+    distributions.Uniform(1.0, 4.0),
+    distributions.LogNormal(1.0, 0.5),
+    distributions.Gamma(2.0, 1.0),
+    distributions.Gamma(0.3, 1.0),
+    distributions.Gamma(0.05, 1.0),
+    distributions.ShiftedScaled(distributions.Gamma(2.0, 1.0), 1.0, 2.0),
+    distributions.DiscreteModel([1.0, 2.0, 5.0], [0.2, 0.5, 0.3]),
+    distributions.Degenerate(3.0),
+], ids=lambda model: model.label())
+def test_moments_integrate_nothing(model, monkeypatch):
+    # a d(F^2) integral on a gamma below shape 0.5 ran to the panel cap
+    records, _ = kernel_records(lambda: distributions.moments(model), monkeypatch)
+    assert records == []
 
 
 # (run, integrals, pdf evaluations per shared call): terms that refine the
@@ -264,9 +278,9 @@ INTEGRALS = {
     "eu": (report(EU_EXACT), 2, [2]),
     "rdu": (report(RDU_EXACT), 3, [8]),
     "rdu-both": (report(both(RDU_EXACT)), 3, [8]),
-    "rdu-gamma": (report(RDU_GAMMA), 5, [15]),
+    "rdu-gamma": (report(RDU_GAMMA), 3, [15]),
     "dt-both": (report(both(DT_EXPONENTIAL)), 1, [22]),
-    "dt-both-gamma": (report(both(DT_GAMMA)), 2, [11]),
+    "dt-both-gamma": (report(both(DT_GAMMA)), 1, [11]),
 }
 
 

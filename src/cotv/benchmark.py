@@ -10,8 +10,7 @@ order of the premium approximation under shrinking variability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ __all__ = [
 _RP_THRESHOLD = 2.0
 
 
-@dataclass(frozen=True)
-class LotteryPair:
+class LotteryPair(NamedTuple):
     """Equal-mean lottery pair separating variance from skewness appetite.
 
     Both mix a proportional time saving ``loss`` and a zero-mean
@@ -86,8 +84,7 @@ def build_lottery_pair(t0: float, loss: float,
     return LotteryPair(s1=s1, s2=s2, t0=float(t0), loss=float(loss))
 
 
-@dataclass(frozen=True)
-class RpThresholdResult:
+class RpThresholdResult(NamedTuple):
     prefers: str            # "S1" | "S2" | "indifferent"
     predicted_by_rp: str    # "S1" | "S2" | "mixed"
     agree: bool | None
@@ -186,8 +183,7 @@ def vertex_identity_check(a: float, h: float, k: float,
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class BoundSweepRow:
+class BoundSweepRow(NamedTuple):
     a: float
     b: float
     model_label: str
@@ -199,8 +195,7 @@ class BoundSweepRow:
     eta_consistent: bool
 
 
-@dataclass(frozen=True)
-class BoundSweepResult:
+class BoundSweepResult(NamedTuple):
     rows: tuple[BoundSweepRow, ...]
     violations: tuple[BoundSweepRow, ...]
     eta_violations: tuple[BoundSweepRow, ...]

@@ -21,8 +21,7 @@ import json
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .distributions import (
     Degenerate,
@@ -255,8 +254,7 @@ def _build(blocks: dict | None, build, spec: Any) -> tuple[Any, dict]:
 
 # ---------------------------------------------------------------- scenario
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Validated scenario, as returned by :func:`parse_config`.
 
     ``data`` holds the canonical raw document, with the weighting anchor

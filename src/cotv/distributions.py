@@ -39,9 +39,8 @@ with scipy's ``gammainc`` within 1e-13 relative of the smaller of P and Q
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -248,16 +247,14 @@ def _require_finite_moments(model: ContinuousModel) -> None:
         raise ValidationError(f"{model.family} mean or variance is not a finite float")
 
 
-@dataclass(frozen=True)
 class Exponential(ContinuousModel):
     """Exponential service time; the user-facing time of a memoryless queue."""
 
-    rate: float
-
     family = "exponential"
 
-    def __post_init__(self):
-        if not self.rate > 0:
+    def __init__(self, rate: float):
+        self.rate = rate
+        if not rate > 0:
             raise ValidationError("exponential rate must be positive")
         _require_finite_moments(self)
 
@@ -298,19 +295,16 @@ class Exponential(ContinuousModel):
         return {"rate": self.rate}
 
 
-@dataclass(frozen=True)
 class Uniform(ContinuousModel):
     """Uniform service time on [lo, hi], lo >= 0."""
 
-    lo: float
-    hi: float
-
     family = "uniform"
 
-    def __post_init__(self):
-        if not self.hi > self.lo:
+    def __init__(self, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+        if not hi > lo:
             raise ValidationError("uniform requires hi > lo")
-        if self.lo < 0:
+        if lo < 0:
             raise ValidationError("service times carry no mass below zero")
         _require_finite_moments(self)
 
@@ -526,17 +520,14 @@ class _ScaleFamily(ContinuousModel):
                            lambda: np.where(p == 0, 0.0, np.where(p == 1, math.inf, math.nan)))
 
 
-@dataclass(frozen=True)
 class LogNormal(_ScaleFamily):
     """Lognormal service time parameterised by log-mean and log-sd."""
 
-    log_mean: float
-    log_sd: float
-
     family = "lognormal"
 
-    def __post_init__(self):
-        if not self.log_sd > 0:
+    def __init__(self, log_mean: float, log_sd: float):
+        self.log_mean, self.log_sd = log_mean, log_sd
+        if not log_sd > 0:
             raise ValidationError("lognormal log_sd must be positive")
         _require_finite_moments(self)
 
@@ -601,18 +592,15 @@ def _erf_gap(s: float) -> float:
     return _2_SQRTPI * total
 
 
-@dataclass(frozen=True)
 class Gamma(_ScaleFamily):
     """Gamma service time with shape/rate parameterisation."""
-
-    shape: float
-    rate: float
 
     family = "gamma"
     _closed = True
 
-    def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
+    def __init__(self, shape: float, rate: float):
+        self.shape, self.rate = shape, rate
+        if not (shape > 0 and rate > 0):
             raise ValidationError("gamma shape and rate must be positive")
         _require_finite_moments(self)
 
@@ -688,7 +676,6 @@ def _gamma_half_ratio(a: float) -> float:
     return a * math.gamma(a + 0.5) / math.gamma(a + 1.0)
 
 
-@dataclass(frozen=True)
 class ShiftedScaled(ContinuousModel):
     """Affine wrapper t = loc + scale * s around a continuous base model.
 
@@ -698,16 +685,13 @@ class ShiftedScaled(ContinuousModel):
     legitimate use.
     """
 
-    base: ContinuousModel
-    loc: float = 0.0
-    scale: float = 1.0
-
     family = "shifted_scaled"
 
-    def __post_init__(self):
-        if not isinstance(self.base, ContinuousModel):
+    def __init__(self, base: ContinuousModel, loc: float = 0.0, scale: float = 1.0):
+        self.base, self.loc, self.scale = base, loc, scale
+        if not isinstance(base, ContinuousModel):
             raise ValidationError("shifted_scaled wraps continuous models only")
-        if not self.scale > 0:
+        if not scale > 0:
             raise ValidationError("scale must be positive")
         _require_finite_moments(self)
 
@@ -745,8 +729,7 @@ class ShiftedScaled(ContinuousModel):
         return {"base": self.base.label(), "loc": self.loc, "scale": self.scale}
 
 
-@dataclass(frozen=True)
-class DtMetadata:
+class DtMetadata(NamedTuple):
     """Construction record of a banded discrete instance.
 
     ``xi`` is the zero-mean perturbation attached to baseline time ``t0``;
@@ -876,8 +859,7 @@ class Degenerate(DiscreteModel):
         return {"value": self.value}
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(NamedTuple):
     """Primal and dual moments of a service-time model."""
 
     mu: float
@@ -888,7 +870,7 @@ class MomentSet:
     m2_dual_var: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def moments(model: ServiceTimeModel, tol: Tolerance | None = None) -> MomentSet:

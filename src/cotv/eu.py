@@ -27,7 +27,6 @@ two one-method runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +59,6 @@ __all__ = [
 _METHODS = ("exact", "second_order")
 
 
-@dataclass(frozen=True)
 class EconomicContext:
     """Marginal utility of wealth and the computational method.
 
@@ -68,14 +66,13 @@ class EconomicContext:
     ``-u'(T)/phi`` non-negative for non-increasing utilities.
     """
 
-    phi: float = 1.0
-    method: str = "exact"
-
-    def __post_init__(self) -> None:
-        if not self.phi > 0:
+    def __init__(self, phi: float = 1.0, method: str = "exact") -> None:
+        if not phi > 0:
             raise ValidationError("phi must be strictly positive")
-        if self.method not in _METHODS:
+        if method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}")
+        self.phi = phi
+        self.method = method
 
 
 # The exact route shared by EU and RDU.  Expectations are taken against

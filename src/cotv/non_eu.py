@@ -31,7 +31,6 @@ averse) flips that sign; this module does not silently re-sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +69,6 @@ __all__ = [
     "rdu_valuation",
 ]
 
-@dataclass(frozen=True)
 class DtContext:
     """Dual-theory context: weighting plus the probability anchor and band.
 
@@ -79,18 +77,17 @@ class DtContext:
     second-order premium formula assumes.
     """
 
-    w: WeightingFunction
-    p0: float = 0.5
-    psi: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.p0 < 1:
+    def __init__(self, w: WeightingFunction, p0: float = 0.5,
+                 psi: float = 0.5) -> None:
+        if not 0 < p0 < 1:
             raise ValidationError("p0 must lie strictly inside (0, 1)")
-        if not 0 < self.psi <= min(self.p0, 1.0 - self.p0) + 1e-15:
+        if not 0 < psi <= min(p0, 1.0 - p0) + 1e-15:
             raise ValidationError("psi must satisfy 0 < psi <= min(p0, 1 - p0)")
+        self.w = w
+        self.p0 = p0
+        self.psi = psi
 
 
-@dataclass(frozen=True)
 class RduContext:
     """Rank-dependent context: utility, weighting, anchor, and the
     value-of-time transfer parameter.
@@ -101,19 +98,19 @@ class RduContext:
     recorded in diagnostics.
     """
 
-    u: UtilityFunction
-    w: WeightingFunction
-    p0: float = 0.5
-    tau_h: float | str = "auto"
-
-    def __post_init__(self) -> None:
-        if not 0 < self.p0 < 1:
+    def __init__(self, u: UtilityFunction, w: WeightingFunction,
+                 p0: float = 0.5, tau_h: float | str = "auto") -> None:
+        if not 0 < p0 < 1:
             raise ValidationError("p0 must lie strictly inside (0, 1)")
-        if isinstance(self.tau_h, str):
-            if self.tau_h != "auto":
+        if isinstance(tau_h, str):
+            if tau_h != "auto":
                 raise ValidationError("tau_h must be a number or 'auto'")
-        elif not (math.isfinite(self.tau_h) and self.tau_h > 0):
+        elif not (math.isfinite(tau_h) and tau_h > 0):
             raise ValidationError("numeric tau_h must be positive and finite")
+        self.u = u
+        self.w = w
+        self.p0 = p0
+        self.tau_h = tau_h
 
 
 def _band_weights(meta: DtMetadata, w: WeightingFunction
@@ -178,7 +175,8 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     """Dual-theory reports for ``methods``, in that order, sharing mu,
     sigma and the dual moment m2_dual, which are computed once.  Outside a
     banded instance the exact premium is E_w[t] - mu, the one term of the
-    shared call; the second-order report integrates nothing."""
+    shared call; the second-order report integrates nothing and computes
+    no window."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -192,7 +190,7 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
 
     integrated = meta is None and not model_or_instance.is_degenerate
     terms = [(_time, ctx.w)] if integrated and "exact" in methods else []
-    values = model_or_instance._expects(terms, tol)[1]
+    values = model_or_instance._expects(terms, tol)[1] if terms else None
     m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
                else _dual_moments(model_or_instance)[0])
     vot = 1.0 / phi

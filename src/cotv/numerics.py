@@ -18,8 +18,7 @@ functions of their inputs; randomness enters only through an explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +46,6 @@ _UINT64_MAX = 2**64 - 1
 _MAX_PANELS = 400_000
 
 
-@dataclass(frozen=True)
 class Tolerance:
     """Error budget shared by the quadrature and root-finding routines.
 
@@ -56,17 +54,17 @@ class Tolerance:
     depth for quadrature and iteration count for root finding.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8,
+                 max_iter: int = 200) -> None:
+        if abs_tol < 0 or rel_tol < 0:
             raise ValidationError("tolerances must be non-negative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
+        if abs_tol == 0 and rel_tol == 0:
             raise ValidationError("at least one of abs_tol/rel_tol must be positive")
-        if self.max_iter < 1:
+        if max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
+        self.abs_tol = abs_tol
+        self.rel_tol = rel_tol
+        self.max_iter = max_iter
 
     def scale(self, reference: float) -> float:
         """Combined tolerance relative to a reference magnitude."""
@@ -76,7 +74,6 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True)
 class RngStream:
     """Named random stream.
 
@@ -86,14 +83,13 @@ class RngStream:
     Monte Carlo work.
     """
 
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) <= _UINT64_MAX:
+    def __init__(self, seed: int, stream_id: int = 0) -> None:
+        if not 0 <= int(seed) <= _UINT64_MAX:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        if int(self.stream_id) < 0:
+        if int(stream_id) < 0:
             raise ValidationError("stream_id must be non-negative")
+        self.seed = seed
+        self.stream_id = stream_id
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(
@@ -102,8 +98,7 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Monte Carlo estimate with its sample standard error."""
 
     estimate: float

@@ -12,7 +12,7 @@ prudent user also gets a non-negative coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -462,8 +462,7 @@ class InverseSWeighting(WeightingFunction):
 # risk coefficients and classification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RiskProfile:
+class RiskProfile(NamedTuple):
     """Pointwise risk coefficients plus interval-level attitude flags.
 
     ``abs_prudence``/``rel_prudence`` are ``None`` when the second
@@ -482,24 +481,22 @@ class RiskProfile:
     d3_sign: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class RiskAttitude:
+class RiskAttitude(NamedTuple):
     risk_averse: bool
     prudent: bool
 
 
-@dataclass(frozen=True)
-class MomentPreference:
+class MomentPreference(NamedTuple):
     """Which moment reductions the user values more, per benchmark values."""
 
     mean_vs_variance: str
     variance_vs_skewness: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def classify_risk_attitude(u: UtilityFunction,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import NonFiniteError
@@ -11,7 +10,6 @@ from .errors import NonFiniteError
 __all__ = ["ValuationReport"]
 
 
-@dataclass(frozen=True)
 class ValuationReport:
     """One framework/method evaluation of a service scenario.
 
@@ -24,22 +22,8 @@ class ValuationReport:
 
     ``cot`` = vot * mu and ``congestion_multiplier`` = 1 + rho (None for a
     negative rho) are derived; construction rejects non-finite fields.
+    ``repr`` lists every field in declaration order.
     """
-
-    framework: str
-    method: str
-    phi: float
-    mu: float
-    sigma: float
-    cv: float | None
-    premium: float
-    vot_at_mu: float
-    vot: float
-    cotv: float
-    rho: float
-    eta: float | None
-    rho_upper_bound: float | None
-    diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
     _NUMERIC_FIELDS = (
         "phi", "mu", "sigma", "cv", "premium", "vot_at_mu", "vot",
@@ -47,8 +31,36 @@ class ValuationReport:
         "congestion_multiplier",
     )
 
-    def __post_init__(self) -> None:
+    _FIELDS = (
+        "framework", "method", "phi", "mu", "sigma", "cv", "premium",
+        "vot_at_mu", "vot", "cotv", "rho", "eta", "rho_upper_bound",
+        "diagnostics",
+    )
+
+    def __init__(self, framework: str, method: str, phi: float, mu: float,
+                 sigma: float, cv: float | None, premium: float,
+                 vot_at_mu: float, vot: float, cotv: float, rho: float,
+                 eta: float | None, rho_upper_bound: float | None,
+                 diagnostics: Mapping[str, Any] | None = None) -> None:
+        self.framework = framework
+        self.method = method
+        self.phi = phi
+        self.mu = mu
+        self.sigma = sigma
+        self.cv = cv
+        self.premium = premium
+        self.vot_at_mu = vot_at_mu
+        self.vot = vot
+        self.cotv = cotv
+        self.rho = rho
+        self.eta = eta
+        self.rho_upper_bound = rho_upper_bound
+        self.diagnostics = {} if diagnostics is None else diagnostics
         self.require_finite()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"ValuationReport({fields})"
 
     @property
     def cot(self) -> float:

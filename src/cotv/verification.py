@@ -14,7 +14,7 @@ rate anyway and reports the honest FAIL; see the README for discussion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ __all__ = ["CheckResult", "run_checks", "format_line", "QUICK_CHECKS", "FULL_CHE
 _TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_iter=400)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     expected: str

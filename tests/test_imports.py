@@ -1,4 +1,5 @@
-"""Start-up guard: no code path of the package loads scipy.
+"""Start-up guards: no code path of the package loads scipy, and none
+loads ``dataclasses``.
 
 ``import cotv`` and scenarios on every family, gamma included, load no
 module of scipy; the lognormal's normal cdf comes from ``math`` and its
@@ -7,7 +8,9 @@ either.  Nor does any load ``numpy.polynomial`` (a few ms of each cold
 process): the quadrature's Gauss-Legendre rule is a table in
 ``cotv.numerics``.  Each check runs in a fresh interpreter, because the
 test process itself has scipy loaded (scipy is the tests' oracle, in the
-``test`` extra, and not a runtime dependency).
+``test`` extra, and not a runtime dependency).  The records are plain
+classes and ``NamedTuple``s: decorating a dataclass runs several ``exec``
+calls, a fixed cost of every cold ``cotv`` process.
 """
 
 import ast
@@ -124,3 +127,36 @@ def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
 
     assert names(project["dependencies"]) == ["numpy"]
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+DATACLASSES_PROBE = """
+import json, sys
+import cotv.cli
+from cotv.cli import run_scenario
+from cotv.config import parse_config
+
+seen = {"import": "dataclasses" in sys.modules}
+for name, raw in json.loads(sys.argv[1]).items():
+    run_scenario(parse_config(raw))
+    seen[name] = "dataclasses" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_no_module_imports_dataclasses():
+    sources = sorted((ROOT / "src" / "cotv").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert "dataclasses" not in list(_imported(tree)), path.name
+
+
+def test_value_runs_load_no_dataclasses():
+    gamma = {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
+    scenarios = {framework: scenario(gamma, framework)
+                 for framework in ("eu", "dt", "rdu")}
+    scenarios["banded"] = scenario({"family": "discrete",
+                                    "dt": {"t0": 2.0, "xi": [-1.0, 1.0],
+                                           "p0": 0.5, "psi": 0.3}}, framework="dt")
+    seen = run_fresh(DATACLASSES_PROBE, json.dumps(scenarios))
+    assert seen == {name: False for name in ("import", "eu", "dt", "rdu", "banded")}

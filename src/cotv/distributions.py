@@ -148,16 +148,13 @@ class ServiceTimeModel:
         raise NotImplementedError
 
     def integration_interval(self) -> tuple[float, float, bool]:
-        """Finite window carrying all mass up to ``TAIL_MASS``."""
+        """Finite window from the start of the support, finite for every
+        family, and whether an unbounded support was cut at the
+        ``1 - TAIL_MASS`` quantile."""
         lo, hi = self.support()
-        truncated = False
-        if not math.isfinite(hi):
-            hi = float(self.quantile(1.0 - TAIL_MASS))
-            truncated = True
-        if not math.isfinite(lo):
-            lo = float(self.quantile(TAIL_MASS))
-            truncated = True
-        return lo, hi, truncated
+        if math.isfinite(hi):
+            return lo, hi, False
+        return lo, float(self.quantile(1.0 - TAIL_MASS)), True
 
     def expect(self, g: Callable, tol: Tolerance | None = None) -> float:
         """E[g(t)]: :meth:`distorted_expect` without a weighting."""

@@ -106,12 +106,15 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     bracket keeps mu + pi inside the window, where u is defined, and no
     bracket search is needed; a decreasing u makes the root unique.
     The gap at 0 picks the bracket and is one of its ends, so it is
-    evaluated once.
+    evaluated once; a gap of exactly 0 there is the root 0, as find_root's
+    end rule has it, also for a point mass, whose window holds no bracket.
     """
     def gap(pi: float) -> float:
         return at_mu if pi == 0.0 else float(u.u(mu + pi)) - expected_u
 
     at_mu = float(u.u(mu)) - expected_u
+    if at_mu == 0.0:
+        return 0.0
     lo, hi = window
     if at_mu > 0:
         return find_root(gap, 0.0, max(hi - mu, 1e-6), tol, info)

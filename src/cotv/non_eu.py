@@ -9,7 +9,8 @@ reductions numerically.  Exact rank-dependent reports run through the
 expected-utility exact core of :mod:`cotv.eu` with the weighting in
 place, and the dual moments are expectations under d(F^2), which every
 model gives without integrating: in closed form, or as exact sums on a
-discrete model.
+discrete model.  A point mass takes the same route as any model: its sums
+give E_w[t] = mu and E_w[u] = u(mu), so premium, COTV and rho are 0.
 
 Each framework builds its reports in two steps: a shared step computes
 mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
@@ -188,18 +189,14 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     sigma = model_or_instance.std()
     meta = model_or_instance.dt_meta
 
-    integrated = meta is None and not model_or_instance.is_degenerate
-    terms = [(_time, ctx.w)] if integrated and "exact" in methods else []
+    terms = [(_time, ctx.w)] if meta is None and "exact" in methods else []
     values = model_or_instance._expects(terms, tol)[1] if terms else None
-    m2_dual = (discrete_dual_moment(model_or_instance) if meta is not None
-               else _dual_moments(model_or_instance)[0])
+    m2_dual = _band_moments(model_or_instance)[1]
     vot = 1.0 / phi
     reports = {}
     for method in methods:
         if method == "second_order":
             premium = dt_premium_approx(ctx, m2_dual)
-        elif model_or_instance.is_degenerate:
-            premium = 0.0
         elif meta is not None:
             premium = dt_premium_exact(model_or_instance, ctx)
         else:
@@ -367,18 +364,15 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     reports = {}
     for method in methods:
         if method == "exact":
-            premium = None  # solved from the distorted utility
-            if model_or_instance.is_degenerate:
-                premium = 0.0
-            elif meta is not None:
-                premium = rdu_premium_exact(model_or_instance, ctx, tol)
+            premium = (rdu_premium_exact(model_or_instance, ctx, tol)
+                       if meta is not None else None)  # None: solved from E_w[u]
             premium, vot, cotv_value, rho = _exact_valuation(
                 ctx.u, model_or_instance, mu, phi, shared, tol, premium)
         else:
             premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
             vot = -float(ctx.u.du(mu_w)) / phi
             cotv_value = premium * vot_mu
-            rho = 0.0 if model_or_instance.is_degenerate else tau * premium / mu
+            rho = tau * premium / mu
 
         reports[method] = ValuationReport(
             framework="rdu",

@@ -113,29 +113,15 @@ class UtilityFunction:
         return f"{self.family}({inner})"
 
 
-class QuadraticUtility(UtilityFunction):
-    """u(t) = a t^2 + b t + c with a < 0 and b <= 0.
+class _PolynomialUtility(UtilityFunction):
+    """u(t) = a t^2 + b t + c, whose subclasses set a, b and c: the
+    quadratic utilities, and the affine one as the a = 0 member.
 
-    The sign constraints are exactly what keeps the parabola non-increasing
-    on the whole positive axis, and they pin relative risk aversion into
-    [0, 1] there.
+    A Python float stays one: numpy's t**2 squares, so t * t and the same
+    association give numpy's bits without its per-call cost.  A result that
+    is not finite is recomputed by numpy, which warns about the overflow.
     """
 
-    family = "quadratic"
-
-    def __init__(self, a: float, b: float = 0.0, c: float = 0.0,
-                 interval: tuple[float, float] = (0.0, 1000.0)):
-        if not a < 0:
-            raise ValidationError("quadratic utility requires a < 0")
-        if b > 0:
-            raise ValidationError("quadratic utility requires b <= 0")
-        self.a, self.b, self.c = float(a), float(b), float(c)
-        super().__init__(interval)
-
-    # A Python float stays one (see AffineUtility too): numpy's t**2 squares,
-    # so t * t and the same association give numpy's bits without its
-    # per-call cost.  A result that is not finite is recomputed by numpy,
-    # which warns about the overflow as it always has.
     def u(self, t):
         if type(t) is float:
             value = self.a * (t * t) + self.b * t + self.c
@@ -161,6 +147,26 @@ class QuadraticUtility(UtilityFunction):
         if type(t) is float:
             return 0.0
         return np.zeros_like(np.asarray(t, dtype=float))
+
+
+class QuadraticUtility(_PolynomialUtility):
+    """u(t) = a t^2 + b t + c with a < 0 and b <= 0.
+
+    The sign constraints are exactly what keeps the parabola non-increasing
+    on the whole positive axis, and they pin relative risk aversion into
+    [0, 1] there.
+    """
+
+    family = "quadratic"
+
+    def __init__(self, a: float, b: float = 0.0, c: float = 0.0,
+                 interval: tuple[float, float] = (0.0, 1000.0)):
+        if not a < 0:
+            raise ValidationError("quadratic utility requires a < 0")
+        if b > 0:
+            raise ValidationError("quadratic utility requires b <= 0")
+        self.a, self.b, self.c = float(a), float(b), float(c)
+        super().__init__(interval)
 
     def params(self):
         return {"a": self.a, "b": self.b, "c": self.c}
@@ -279,8 +285,9 @@ class ConstantPrudenceUtility(UtilityFunction):
                 "slope_at_one": self.slope_at_one}
 
 
-class AffineUtility(UtilityFunction):
-    """u(t) = -m t + c; the risk-neutral user."""
+class AffineUtility(_PolynomialUtility):
+    """u(t) = -m t + c; the risk-neutral user, the a = 0 member of the
+    polynomial utilities with b = -m."""
 
     family = "affine"
 
@@ -288,11 +295,11 @@ class AffineUtility(UtilityFunction):
                  interval: tuple[float, float] = (0.0, 1000.0)):
         if not slope > 0:
             raise ValidationError("affine slope must be positive")
-        self.slope = float(slope)
-        self.intercept = float(intercept)
+        self.slope, self.intercept = float(slope), float(intercept)
+        self.a, self.b, self.c = 0.0, -self.slope, self.intercept
         super().__init__(interval)
 
-    # a Python float stays one, as in QuadraticUtility
+    # its own u: the shared a * (t * t) is 0 * inf, NaN, beyond |t| = 1.3e154
     def u(self, t):
         if type(t) is float:
             value = -self.slope * t + self.intercept
@@ -300,21 +307,6 @@ class AffineUtility(UtilityFunction):
                 return value
         t = np.asarray(t, dtype=float)
         return -self.slope * t + self.intercept
-
-    def du(self, t):
-        if type(t) is float:
-            return -self.slope
-        return np.full_like(np.asarray(t, dtype=float), -self.slope)
-
-    def d2u(self, t):
-        if type(t) is float:
-            return 0.0
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def d3u(self, t):
-        if type(t) is float:
-            return 0.0
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def params(self):
         return {"slope": self.slope, "intercept": self.intercept}

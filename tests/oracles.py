@@ -4,7 +4,8 @@ Everything here is deliberately naive: direct enumeration, central finite
 differences, closed forms, and the one-panel-per-call quadrature loop.
 None of it shares code with the package paths it checks beyond the
 tolerance type and the error classes.  ``bench_inputs`` loads the
-benchmark's scenario generators for tests that run them.  The gamma and
+benchmark's scenario generators for tests that run them, and
+``parity_tool`` the harness ``tools/parity.py``.  The gamma and
 dual-moment constants are mpmath values at 40 digits or more, rounded to
 double once.
 """
@@ -22,13 +23,22 @@ from cotv.errors import NonConvergenceError, NonFiniteError, ValidationError
 from cotv.numerics import DEFAULT_TOLERANCE, Tolerance
 
 
-def bench_inputs():
-    """The benchmark's seeded scenario generators (``bench/inputs.py``)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+def _load(name: str, relative: str):
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_inputs():
+    """The benchmark's seeded scenario generators (``bench/inputs.py``)."""
+    return _load("bench_inputs", "bench/inputs.py")
+
+
+def parity_tool():
+    """The two-tree parity harness (``tools/parity.py``)."""
+    return _load("parity", "tools/parity.py")
 
 
 # Incomplete gamma references where scipy is not exact enough to check

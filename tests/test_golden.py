@@ -29,12 +29,10 @@ regeneration can be checked against the bound it was made under.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import tempfile
 import warnings
-from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -49,6 +47,8 @@ from cotv.cli import (
 )
 from cotv.config import parse_config
 from cotv.errors import CotvError
+
+from oracles import parity_tool
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.json"
 LEDGER = Path(__file__).parent.parent / "bench" / "ledger.json"
@@ -145,6 +145,17 @@ SCENARIOS = {
         "rdu", SHIFTED, POWER, "exact", weighting=IDENTITY),
     "rdu-degenerate-pure_quadratic-inverse_s-both": _scenario(
         "rdu", DEGENERATE, PURE_QUADRATIC, "both", weighting=INVERSE_S),
+    # a point mass on the general route: no variability to integrate or
+    # solve, for every utility family and a plain or distorting weighting
+    **{f"rdu-degenerate-{name}-{wname}-both": _scenario(
+        "rdu", DEGENERATE, utility, "both", weighting=weighting)
+       for name, utility in (("power", POWER), ("prudence", PRUDENCE),
+                             ("affine", AFFINE))
+       for wname, weighting in (("identity", IDENTITY), ("power", POWER_W))},
+    "dt-degenerate_zero-inverse_s-both": _scenario("dt", DEGENERATE_ZERO, AFFINE, "both",
+                                                   weighting=INVERSE_S),
+    "rdu-degenerate_zero-pure_quadratic-inverse_s-both": _scenario(
+        "rdu", DEGENERATE_ZERO, PURE_QUADRATIC, "both", weighting=INVERSE_S),
     "rdu-raw-pure_quadratic-power-both": _scenario(
         "rdu", RAW, PURE_QUADRATIC, "both", weighting=POWER_W),
     "rdu-raw_tenths-power-inverse_s-exact": _scenario(
@@ -277,31 +288,13 @@ def test_golden_corpus_covers_the_scenarios():
 
 
 def _fields(text: str) -> dict[str, list[float]]:
-    """The numbers of a rendered text by field name: the keys of a JSON
-    document (a list's items take its key), the columns of a CSV.  An
-    error line has none."""
+    """The numbers of a rendered text by field name, as the parity harness
+    reads them: the keys of a JSON document (a list's items take its key),
+    the columns of a CSV.  An error line has none, and a cli case's
+    numbers follow its exit line."""
     if text.startswith("exit "):
         text = text.partition("\n")[2]
-    fields = defaultdict(list)
-
-    def walk(name, node):
-        if isinstance(node, dict):
-            for key, value in node.items():
-                walk(key, value)
-        elif isinstance(node, list):
-            for value in node:
-                walk(name, value)
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            fields[name].append(float(node))
-
-    try:
-        walk(None, json.loads(text))
-    except ValueError:
-        for row in csv.DictReader(io.StringIO(text)):
-            for name, value in row.items():
-                with contextlib.suppress(TypeError, ValueError):
-                    fields[name].append(float(value))
-    return fields
+    return parity_tool()._fields(text)
 
 
 def _changes(old: str, new: str) -> list[str]:

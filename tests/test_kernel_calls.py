@@ -240,6 +240,24 @@ def test_both_report_kernel_calls(raw, expected, monkeypatch):
     assert kernel_calls(report(raw), monkeypatch) == expected
 
 
+# A point mass takes the general route: its exact sums give E_w[u] = u(mu),
+# so the premium gap at 0 is exactly 0 and is the root.  EU's report block
+# for it solves nothing, DT's exact premium is E_w[t] - mu, and RDU reads
+# the zero gap once (u at the mean) and calls no root finder.
+@pytest.mark.parametrize("raw, at_mean", [
+    (EU_EXACT, []),
+    (DT_EXPONENTIAL, []),
+    (RDU_EXACT, [1]),
+], ids=["eu", "dt", "rdu"])
+def test_point_mass_exact_report_integrates_and_solves_nothing(raw, at_mean,
+                                                                monkeypatch):
+    run = report(dict(raw, distribution={"family": "degenerate",
+                                         "params": {"value": 2.5}}, method="exact"))
+    assert kernel_calls(run, monkeypatch) == {"integrals": 0, "find_root": 0,
+                                              "expand_bracket": 0}
+    assert premium_roots(run, monkeypatch) == ([], at_mean)
+
+
 @pytest.mark.parametrize("distribution", [
     {"family": "exponential", "params": {"rate": 1.0}},
     {"family": "uniform", "params": {"lo": 1.0, "hi": 4.0}},

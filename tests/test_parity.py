@@ -1,0 +1,50 @@
+"""``tools/parity.py``: both sides on the working tree render every case
+identically, and a change of a number, an error or a warning is reported
+with its case id."""
+
+import pytest
+
+from oracles import parity_tool
+
+
+@pytest.fixture(scope="module")
+def parity():
+    return parity_tool()
+
+
+def test_working_tree_against_itself_is_identical(parity):
+    # every 25th case of seed 1, and of each group's cases at least 3
+    groups = {}
+    for case in parity.build_cases(seeds=(1,)):
+        groups.setdefault(case[0].split("/")[0], []).append(case)
+    cases = [case for group in groups.values()
+             for case in group[::min(25, len(group) // 3)]]
+    assert {case_id.split("/")[0] for case_id, _, _ in cases} == {
+        "report-mix", "sweep-grid", "ledger", "point-mass"}
+    old = parity.render_tree(parity.ROOT, cases)
+    new = parity.render_tree(parity.ROOT, cases)
+    assert any(out["error"] for out in old) and any(out["text"] for out in old)
+    assert parity.compare(cases, old, new) == [f"identical: {len(cases)} of {len(cases)}"]
+
+
+def test_point_mass_grid_covers_every_family(parity):
+    cases = parity._point_mass_cases()
+    # 4 values x 5 utilities x (EU + 3 DT + 3 RDU weightings) x 2 phi x 3 methods
+    assert len(cases) == 4 * 5 * 7 * 2 * 3
+    assert {raw["distribution"]["params"]["value"] for _, _, raw in cases} == {
+        0.0, 1.0, 2.5, 1e-300}
+
+
+def test_changes_are_reported_with_their_case(parity):
+    cases = [("a", "value", {}), ("b", "value", {}), ("c", "value", {})]
+    old = [{"text": '{"premium": 1.0, "rho": 2.0}', "error": None, "warnings": []},
+           {"text": None, "error": "ZeroCostError: x", "warnings": []},
+           {"text": "col\n1.5\n", "error": None, "warnings": []}]
+    new = [{"text": '{"premium": 1.5, "rho": 2.0}', "error": None, "warnings": []},
+           {"text": None, "error": "ValidationError: y", "warnings": ["W: z"]},
+           dict(old[2])]
+    assert parity.compare(cases, old, new) == [
+        "identical: 1 of 3",
+        "premium: 0.5 (1.0 -> 1.5) at a",
+        "b: ZeroCostError: x [] -> ValidationError: y ['W: z']",
+    ]

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cotv.errors import (
     DerivativeZeroError,
@@ -305,3 +307,40 @@ class TestPolynomialsOnFloats:
         u = PureQuadraticUtility(a=-1.0)
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert u.u(1e200) == -np.inf
+
+
+# Finite times, with |slope * t| at most 1e300: zero, negative times, and
+# times past 1.3e154, where t * t overflows while -m t + c stays finite.
+AFFINE_TIMES = st.one_of(
+    st.floats(-1e200, 1e200),
+    st.sampled_from([0.0, -0.0, -1.0, 1.4e154, 1e160, -1e160, 1e200, -1e200]),
+)
+
+
+class TestAffineIsTheZeroQuadratic:
+    """AffineUtility shares du, d2u and d3u with the quadratic utilities
+    (a = 0, b = -m, c) and keeps its own u."""
+
+    @given(COEFFICIENTS, st.floats(-1e100, 1e100), AFFINE_TIMES)
+    @example(1.0, 0.0, 1e160)
+    @example(2.5, -3.0, -1e200)
+    @settings(max_examples=300, deadline=None)
+    def test_values_are_minus_m_t_plus_c_bit_for_bit(self, m, c, t):
+        u = AffineUtility(m, c)
+        expected = {"u": -m * t + c, "du": -m, "d2u": 0.0, "d3u": 0.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, want in expected.items():
+                method = getattr(u, name)
+                value, array = method(t), method(np.array([0.0, t]))
+                assert type(value) is float, name
+                assert _bits(value) == _bits(want) == _bits(array[1]), (name, t)
+
+    def test_keeps_its_parameters_and_no_bound(self):
+        u = AffineUtility(slope=2.0, intercept=3.0)
+        assert (u.slope, u.intercept) == (2.0, 3.0)
+        assert (u.a, u.b, u.c) == (0.0, -2.0, 3.0)
+        assert u.params() == {"slope": 2.0, "intercept": 3.0}
+        assert u.label() == "affine(slope=2,intercept=3)"
+        assert not isinstance(u, QuadraticUtility)
+        assert {"du", "d2u", "d3u"}.isdisjoint(vars(AffineUtility))

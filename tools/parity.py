@@ -1,0 +1,235 @@
+"""Render the same inputs with two trees of cotv and compare them.
+
+    python tools/parity.py --against REV
+
+REV is any git revision.  It is checked out into a temporary
+``git worktree``, which is removed afterwards, and each tree renders every
+case in a child process with its own ``src/`` on ``PYTHONPATH``.  Nothing
+touches the network.  The cases are:
+
+* the benchmark's report-mix corpora (``bench/inputs.py``) of each seed,
+  under the methods exact, second_order and both;
+* the benchmark's sweep grids of each seed;
+* the fast reproducers of ``bench/ledger.json``, under the three methods;
+* a point-mass grid: values 0, 1, 2.5 and 1e-300, every utility family,
+  EU and DT and RDU under every weighting family, phi 1 and 2.5, the
+  three methods.
+
+A case renders as the text ``cotv value`` or ``cotv sweep`` would write,
+or as ``"<ErrorClass>: <message>"`` when it fails, plus the warnings it
+raised.  The tool prints how many cases are identical, the largest
+relative change of each numeric field that moved, and each case whose
+error or warnings changed, with its id.  It exits 0 when every case is
+identical and 1 otherwise.  The inputs come from this checkout's
+``bench/``, so both trees render the same documents.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+METHODS = ("exact", "second_order", "both")
+
+POINT_MASS_VALUES = (0.0, 1.0, 2.5, 1e-300)
+POINT_MASS_PHIS = (1.0, 2.5)
+UTILITIES = (
+    {"family": "quadratic", "params": {"a": -0.5, "b": -0.2}},
+    {"family": "pure_quadratic", "params": {"a": -1.0}},
+    {"family": "power", "params": {"exponent": 1.5}},
+    {"family": "constant_prudence", "params": {"prudence": 2.0}},
+    {"family": "affine", "params": {"slope": 1.0}},
+)
+WEIGHTINGS = (
+    {"family": "identity"},
+    {"family": "power", "params": {"gamma": 2.0}},
+    {"family": "inverse_s", "params": {"gamma": 0.8}},
+)
+
+
+def _bench_inputs():
+    path = ROOT / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _point_mass_cases() -> list[tuple[str, str, dict]]:
+    cases = []
+    for value in POINT_MASS_VALUES:
+        for utility in UTILITIES:
+            for framework in ("eu", "dt", "rdu"):
+                for weighting in (None,) if framework == "eu" else WEIGHTINGS:
+                    for phi in POINT_MASS_PHIS:
+                        for method in METHODS:
+                            raw = {"framework": framework,
+                                   "distribution": {"family": "degenerate",
+                                                    "params": {"value": value}},
+                                   "preference": utility, "economics": {"phi": phi},
+                                   "method": method, "seed": 0}
+                            name = f"point-mass/{value!r}/{utility['family']}/{framework}"
+                            if weighting is not None:
+                                raw["weighting"] = weighting
+                                name += f"/{weighting['family']}"
+                            cases.append((f"{name}/{phi!r}/{method}", "value", raw))
+    return cases
+
+
+def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
+    """``(id, kind, config)`` for every case; kind is "value" or "sweep"."""
+    inputs = _bench_inputs()
+    cases = []
+    for seed in seeds:
+        for index, item in enumerate(inputs.report_corpus(seed)):
+            for method in METHODS:
+                cases.append((f"report-mix/{seed}/{index}/{method}", "value",
+                              dict(item["config"], method=method)))
+    for seed in seeds:
+        for index, raw in enumerate(inputs.sweep_grids(seed)):
+            cases.append((f"sweep-grid/{seed}/{index}", "sweep", raw))
+    ledger = json.loads((ROOT / "bench" / "ledger.json").read_text(encoding="utf-8"))
+    for region in ledger["regions"]:
+        if region["fast"]:
+            for method in METHODS:
+                cases.append((f"ledger/{region['id']}/{method}", "value",
+                              dict(region["config"], method=method)))
+    return cases + _point_mass_cases()
+
+
+def _render_all(cases: list[list]) -> list[dict]:
+    """Runs in the child, with the tree under test first on the path."""
+    from cotv.cli import render_csv, render_envelope, run_scenario, sweep_rows
+    from cotv.config import parse_config
+
+    outputs = []
+    for kind, raw in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                config = parse_config(raw)
+                if kind == "sweep":
+                    text, error = render_csv(*sweep_rows(config)), None
+                else:
+                    text, error = render_envelope(run_scenario(config)), None
+            except Exception as exc:  # the error is the case's output
+                text, error = None, f"{type(exc).__name__}: {exc}"
+        found = sorted({f"{w.category.__name__}: {w.message}" for w in caught})
+        outputs.append({"text": text, "error": error, "warnings": found})
+    return outputs
+
+
+def render_tree(tree: Path, cases: list[tuple[str, str, dict]]) -> list[dict]:
+    """Each case rendered by the cotv of ``tree`` in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    payload = json.dumps([[kind, raw] for _, kind, raw in cases])
+    result = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--render"],
+                            input=payload, capture_output=True, text=True, env=env,
+                            check=False)
+    if result.returncode != 0:
+        raise RuntimeError(f"rendering in {tree} failed:\n{result.stderr}")
+    return json.loads(result.stdout)
+
+
+def _fields(text: str) -> dict[str, list[float]]:
+    """The numbers of an envelope by JSON key, or of a CSV by column."""
+    fields = defaultdict(list)
+
+    def walk(name, node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(key, value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(name, value)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            fields[name].append(float(node))
+
+    try:
+        walk(None, json.loads(text))
+    except ValueError:
+        for row in csv.DictReader(io.StringIO(text)):
+            for name, value in row.items():
+                with contextlib.suppress(TypeError, ValueError):
+                    fields[name].append(float(value))
+    return fields
+
+
+def compare(cases, old: list[dict], new: list[dict]) -> list[str]:
+    """The summary lines; the first one counts the identical cases."""
+    identical = 0
+    worst: dict[str, tuple] = {}
+    lines = []
+    for (case_id, _, _), a, b in zip(cases, old, new):
+        if a == b:
+            identical += 1
+            continue
+        if a["error"] != b["error"] or a["warnings"] != b["warnings"]:
+            lines.append(f"{case_id}: {a['error']} {a['warnings']} "
+                         f"-> {b['error']} {b['warnings']}")
+        if a["text"] is None or b["text"] is None or a["text"] == b["text"]:
+            continue
+        before, after = _fields(a["text"]), _fields(b["text"])
+        for name in sorted(before.keys() | after.keys()):
+            x, y = before.get(name, []), after.get(name, [])
+            if len(x) != len(y):
+                lines.append(f"{case_id}: {name} has {len(x)} -> {len(y)} numbers")
+                continue
+            for p, q in zip(x, y):
+                change = abs(q - p) / abs(p) if p else abs(q)
+                if p != q and change >= worst.get(name, (-1.0,))[0]:
+                    worst[name] = (change, p, q, case_id)
+        if before == after:
+            lines.append(f"{case_id}: text changed, no number moved")
+    summary = [f"identical: {identical} of {len(cases)}"]
+    summary += [f"{name}: {change:.3g} ({p!r} -> {q!r}) at {case_id}"
+                for name, (change, p, q, case_id) in sorted(worst.items())]
+    return summary + lines
+
+
+@contextlib.contextmanager
+def _checkout(rev: str):
+    with tempfile.TemporaryDirectory(prefix="cotv-parity-") as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), rev], check=True)
+        try:
+            yield tree
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(tree)], check=False)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", help="git revision to compare the working tree with")
+    parser.add_argument("--render", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.render:
+        json.dump(_render_all(json.load(sys.stdin)), sys.stdout)
+        return 0
+    if args.against is None:
+        parser.error("--against REV is required")
+    cases = build_cases()
+    with _checkout(args.against) as tree:
+        old = render_tree(tree, cases)
+    new = render_tree(ROOT, cases)
+    summary = compare(cases, old, new)
+    print("\n".join(summary))
+    return 0 if summary[0] == f"identical: {len(cases)} of {len(cases)}" else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

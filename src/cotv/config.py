@@ -343,6 +343,14 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
         if ("tau_h" in anchor and anchor["tau_h"] != "auto"
                 and not _number(anchor["tau_h"], "weighting.tau_h") > 0):
             raise ConfigError("weighting.tau_h", "must be 'auto' or a positive number")
+        # the reports value a banded instance at its own anchor: dt checks
+        # p0 and psi against the weighting's, rdu p0, within 1e-12
+        meta = model.dt_meta
+        checked = {"p0": p0, "psi": psi} if framework == "dt" else {"p0": p0}
+        for key, value in checked.items():
+            if meta is not None and abs(getattr(meta, key) - value) > 1e-12:
+                raise ConfigError(f"weighting.{key}", f"disagrees with the banded "
+                                  f"instance's {key}={getattr(meta, key)!r}")
 
     economics = raw.get("economics", {"phi": 1.0})
     _check_keys(economics, {"phi"}, "economics")

@@ -47,6 +47,7 @@ import numpy as np
 from .errors import (
     MassError,
     MetadataMissingError,
+    NonFiniteError,
     UndefinedCVError,
     ValidationError,
     ZeroMeanError,
@@ -829,16 +830,22 @@ class DiscreteModel(ServiceTimeModel):
                      for power in (1, 2))
 
     def _sum(self, g, w) -> float:
+        """Sum of g against the increments of w(F), or the probabilities for
+        ``w=None``; ``NonFiniteError`` where g is not finite, as on a panel."""
         if w is None:
-            return float(self.probabilities @ np.asarray(g(self.outcomes), dtype=float))
-        cum = np.concatenate(([0.0], self._cum))
-        if w is not _SQUARED:
-            # Rounding can carry the cumulative mass past 1, outside a
-            # weighting's domain; p^2 is defined there and the dual moments
-            # are taken on the unclipped mass.
-            cum = np.clip(cum, 0.0, 1.0)
-        increments = np.diff(np.asarray(w.w(cum), dtype=float))
-        return float(increments @ np.asarray(g(self._values), dtype=float))
+            weights, points = self.probabilities, self.outcomes
+        else:
+            cum = np.concatenate(([0.0], self._cum))
+            if w is not _SQUARED:
+                # Rounding can carry the cumulative mass past 1, outside a
+                # weighting's domain; p^2 is defined there and the dual
+                # moments are taken on the unclipped mass.
+                cum = np.clip(cum, 0.0, 1.0)
+            weights, points = np.diff(np.asarray(w.w(cum), dtype=float)), self._values
+        values = np.asarray(g(points), dtype=float)
+        if not np.isfinite(values).all():
+            raise NonFiniteError(f"summand not finite on [{points[0]:g}, {points[-1]:g}]")
+        return float(weights @ values)
 
 
 class Degenerate(DiscreteModel):

@@ -86,13 +86,14 @@ def _exact_terms(u: UtilityFunction, w, phi: float) -> list:
     return [(u.u, w), (lambda t: -np.asarray(u.du(t), dtype=float) / phi, w)]
 
 
-def _exact_ratio(model: ServiceTimeModel, cotv_value: float, cot_value: float) -> float:
-    """rho = COTV/COT, literally; 0 for a degenerate model."""
-    if model.is_degenerate:
+def _exact_ratio(cotv_value: float, cot_value: float) -> float:
+    """rho = COTV/COT, literally; a zero COTV is a zero ratio also where
+    the COT is not positive, as the 0/0 of a point mass at t = 0."""
+    if cot_value > 0:
+        return cotv_value / cot_value
+    if cotv_value == 0.0:
         return 0.0
-    if cot_value <= 0:
-        raise ZeroCostError(f"cost of time is {cot_value:g}; ratio undefined")
-    return cotv_value / cot_value
+    raise ZeroCostError(f"cost of time is {cot_value:g}; ratio undefined")
 
 
 def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
@@ -121,9 +122,8 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     return find_root(gap, lo - mu, 0.0, tol, info)
 
 
-def _exact_valuation(u: UtilityFunction, model: ServiceTimeModel, mu: float,
-                     phi: float, shared: tuple, tol: Tolerance | None,
-                     premium: float | None = None,
+def _exact_valuation(u: UtilityFunction, mu: float, phi: float, shared: tuple,
+                     tol: Tolerance | None, premium: float | None = None,
                      info: dict | None = None) -> tuple[float, float, float, float]:
     """(premium, VOT, COTV, rho) of the exact route.
 
@@ -139,15 +139,13 @@ def _exact_valuation(u: UtilityFunction, model: ServiceTimeModel, mu: float,
         premium = _solve_premium(u, mu, expected_u, window, tol, info)
     vot = next(values)
     cotv_value = (float(u.u(mu)) - expected_u) / phi
-    return premium, vot, cotv_value, _exact_ratio(model, cotv_value, vot * mu)
+    return premium, vot, cotv_value, _exact_ratio(cotv_value, vot * mu)
 
 
 def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
                   tol: Tolerance | None = None) -> float:
     """Variability premium: the extra certain time with the same utility
     as facing the random time, solving E[u(t)] = u(mu + pi)."""
-    if model.is_degenerate:
-        return 0.0
     window, values = model._expects([(u.u, None)], tol)
     return _solve_premium(u, model.mean(), next(values), window, tol)
 
@@ -184,11 +182,9 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     Exact method aggregates the instantaneous value, E[-u'(t)/phi];
     second order expands it at the mean, VOT(mu) - sigma^2/2 u'''(mu)/phi.
     """
-    mu = model.mean()
     if ctx.method == "exact":
-        if model.is_degenerate:
-            return vot_at(u, mu, ctx)
         return model.distorted_expect(*_exact_terms(u, None, ctx.phi)[1], tol)
+    mu = model.mean()
     return _vot_approx(model, vot_at(u, mu, ctx), float(u.d3u(mu)), ctx.phi)
 
 
@@ -208,8 +204,6 @@ def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     utilities.
     """
     mu = model.mean()
-    if model.is_degenerate:
-        return 0.0
     if ctx.method == "exact":
         return (float(u.u(mu)) - model.expect(u.u, tol)) / ctx.phi
     return premium_approx(u, model) * vot_at(u, mu, ctx)
@@ -234,13 +228,11 @@ def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     Exact method divides the exact costs.  Second order evaluates
     (pi/mu) / (1 + R2 R3 CV^2 / 2) with the signed higher-order term, the
     pi-based restatement of the coefficient closed form; the two agree
-    identically.  A degenerate model has ratio 0 by continuity.
+    identically.
     """
-    if model.is_degenerate:
-        return 0.0
     if ctx.method == "exact":
         denominator = cot(u, model, ctx, tol)
-        return _exact_ratio(model, cotv(u, model, ctx, tol), denominator)
+        return _exact_ratio(cotv(u, model, ctx, tol), denominator)
     mu = model.mean()
     return _approx_ratio(u, model, mu, float(u.du(mu)), float(u.d3u(mu)))
 
@@ -261,8 +253,6 @@ def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> f
     Requires both coefficients to exist; agrees with the second-order
     :func:`ratio_rho` wherever defined (asserted by the test suite).
     """
-    if model.is_degenerate:
-        return 0.0
     mu = model.mean()
     profile = risk_coefficients(u, mu)
     if profile.rel_prudence is None:
@@ -279,10 +269,8 @@ def ratio_eta(u: UtilityFunction, model: ServiceTimeModel) -> float:
 
     Computed through the signed higher-order term so quadratic utilities
     (third derivative zero) give exactly 1, and affine utilities stay
-    defined.  A degenerate model gives 1 by continuity.
+    defined.
     """
-    if model.is_degenerate:
-        return 1.0
     mu = model.mean()
     return 1.0 / _second_order_pole(model, mu, float(u.du(mu)), float(u.d3u(mu)))
 
@@ -315,17 +303,10 @@ def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
     reports = {}
     for method in methods:
         info: dict = {}
-        if model.is_degenerate:  # no variability, nothing to integrate or solve
-            if method == "exact":
-                premium, vot_value = 0.0, vot_mu
-            else:
-                premium = _premium_approx(u, model, mu, d1)
-                vot_value = _vot_approx(model, vot_mu, float(u.d3u(mu)), phi)
-            cotv_value, rho, eta = 0.0, 0.0, 1.0
-        elif method == "exact":
+        if method == "exact":
             shared = model._expects(_exact_terms(u, None, phi), tol, [info, None])
             premium, vot_value, cotv_value, rho = _exact_valuation(
-                u, model, mu, phi, shared, tol, info=info)
+                u, mu, phi, shared, tol, info=info)
             eta = vot_mu / vot_value if vot_value != 0 else None
         else:
             premium = _premium_approx(u, model, mu, d1)

@@ -9,8 +9,9 @@ reductions numerically.  Exact rank-dependent reports run through the
 expected-utility exact core of :mod:`cotv.eu` with the weighting in
 place, and the dual moments are expectations under d(F^2), which every
 model gives without integrating: in closed form, or as exact sums on a
-discrete model.  A point mass takes the same route as any model: its sums
-give E_w[t] = mu and E_w[u] = u(mu), so premium, COTV and rho are 0.
+discrete model.  A point mass takes the same route as any model, in
+expected utility too: its sums give E_w[t] = mu and E_w[u] = u(mu), so
+premium, COTV and rho are 0.
 
 Each framework builds its reports in two steps: a shared step computes
 mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
@@ -325,16 +326,13 @@ def _resolve_tau(ctx: RduContext, mu: float, mu_w: float) -> float:
 def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
               tol: Tolerance | None = None) -> float:
     """Second-order rank-dependent cost ratio: the ``rho`` of the
-    second-order :func:`rdu_valuation` report, 0 for a degenerate model.
+    second-order :func:`rdu_valuation` report.
 
     ``tau_h`` times the premium-to-mean ratio, with the premium expanded
     into its utility, weighting, and interaction terms.  Identity
     weighting reduces it to R2 CV^2 / 2; affine utility reduces it to the
     dual-theory ratio.
     """
-    EconomicContext(phi)  # validates phi
-    if model_or_instance.is_degenerate:
-        return 0.0
     return rdu_valuation(model_or_instance, ctx, phi, "second_order", tol).rho
 
 
@@ -367,7 +365,7 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
             premium = (rdu_premium_exact(model_or_instance, ctx, tol)
                        if meta is not None else None)  # None: solved from E_w[u]
             premium, vot, cotv_value, rho = _exact_valuation(
-                ctx.u, model_or_instance, mu, phi, shared, tol, premium)
+                ctx.u, mu, phi, shared, tol, premium)
         else:
             premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
             vot = -float(ctx.u.du(mu_w)) / phi

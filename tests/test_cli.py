@@ -744,6 +744,30 @@ class TestCliProcess:
         assert capsys.readouterr().err.splitlines()[0] == (
             "config error: distribution: service times carry no mass below zero")
 
+    # The band is built at p0 = 0.4, psi = 0.3; the reports value it at its
+    # own anchor, dt reading p0 and psi and rdu reading p0.
+    @pytest.mark.parametrize("framework, anchor, expected", [
+        ("dt", {}, "weighting.p0: disagrees with the banded instance's p0=0.4"),
+        ("dt", {"p0": 0.4, "psi": 0.4},
+         "weighting.psi: disagrees with the banded instance's psi=0.3"),
+        ("rdu", {}, "weighting.p0: disagrees with the banded instance's p0=0.4"),
+        ("rdu", {"p0": 0.4 + 1e-13, "psi": 0.4}, None),
+        ("dt", {"p0": 0.4, "psi": 0.3 - 1e-13}, None),
+    ], ids=["dt-p0", "dt-psi", "rdu-p0", "rdu-psi-unread", "dt-within-1e-12"])
+    def test_band_anchor_disagreeing_with_weighting_exit_two(self, framework, anchor,
+                                                             expected, tmp_path, capsys):
+        raw = {"framework": framework,
+               "distribution": {"family": "discrete",
+                                "dt": {"t0": 3, "xi": [-1, 1], "p0": 0.4, "psi": 0.3}},
+               "preference": {"family": "affine", "params": {"slope": 1.0}},
+               "weighting": {"family": "power", "params": {"gamma": 2.0}, **anchor}}
+        path = write_config(tmp_path, raw)
+        if expected is None:
+            assert main(["value", "--config", path]) == 0
+        else:
+            assert main(["value", "--config", path]) == 2
+            assert capsys.readouterr().err.splitlines()[0] == f"config error: {expected}"
+
     def test_bad_tau_h_exit_two(self, tmp_path, capsys):
         raw = copy.deepcopy(BASE)
         raw["framework"] = "rdu"

@@ -30,11 +30,13 @@ from cotv.distributions import (
 from cotv.errors import (
     MassError,
     MetadataMissingError,
+    NonFiniteError,
     UndefinedCVError,
     ValidationError,
     ZeroMeanError,
 )
 from cotv.numerics import DEFAULT_TOLERANCE, RngStream, Tolerance, mc_estimate
+from cotv.preferences import InverseSWeighting, PowerWeighting
 
 from oracles import (
     DUAL_MOMENTS,
@@ -376,6 +378,23 @@ class TestDiscreteModel:
         model = DiscreteModel([1.0, 3.0], [0.25, 0.75])
         assert model.expect(lambda t: t**2) == pytest.approx(
             0.25 * 1 + 0.75 * 9, abs=1e-15)
+
+    # a summand is non-finite where g is, whatever its weight, as on a
+    # quadrature panel; the second model gives the infinite outcome no mass
+    @pytest.mark.parametrize("w", [None, PowerWeighting(gamma=2.0),
+                                   InverseSWeighting(gamma=0.7)],
+                             ids=["plain", "power", "inverse_s"])
+    @pytest.mark.parametrize("model", [DiscreteModel([0.0, 1.0], [0.5, 0.5]),
+                                       DiscreteModel([1.0, 2.0, 3.0], [0.5, 0.5, 0.0]),
+                                       Degenerate(3.0)],
+                             ids=["half", "massless", "point-mass"])
+    def test_non_finite_summand_raises(self, model, w):
+        def g(t):
+            return np.where(t == model.support()[1], np.inf, t)
+
+        with pytest.raises(NonFiniteError, match="summand not finite"):
+            model.distorted_expect(g, w)
+        assert math.isfinite(model.distorted_expect(lambda t: t, w))
 
 
 # Corners and centre of the lognormal and gamma ranges the benchmark's

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from cotv.preferences import (
     QuadraticUtility,
     eta_from_coefficients,
 )
+from cotv.reports import ValuationReport
 
 from oracles import quadratic_premium
 
@@ -435,3 +438,56 @@ class TestSharedReports:
     def test_errors_come_in_one_method_order(self, model, u, error):
         with pytest.raises(error):
             _eu_reports(u, EVERY_FAMILY[model], 2.5, ("exact", "second_order"), None)
+
+
+POINT_MASS_UTILITIES = [QuadraticUtility(a=-0.5, b=-0.2), PureQuadraticUtility(a=-1.0),
+                        PowerUtility(exponent=1.5),
+                        ConstantPrudenceUtility(prudence=2.0), AffineUtility(slope=1.0)]
+
+
+class TestPointMassViews:
+    """A point mass takes the general route in the one-quantity functions
+    as in the report, so each equals its report field by repr, the sign of
+    a zero included.
+
+    At 1e-300, u''' of the power utility and u'' of the constant-prudence
+    one overflow, so some fields are NaN; the report rejects them, and no
+    view checks finiteness, so the report is built here without that check.
+    Every report of this grid builds then, and no view raises.
+    """
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["exact", "second_order"])
+    @pytest.mark.parametrize("u", POINT_MASS_UTILITIES, ids=lambda u: u.family)
+    @pytest.mark.parametrize("value", [1.0, 2.5, 1e-300])
+    def test_views_equal_their_report_field(self, value, u, method, monkeypatch):
+        monkeypatch.setattr(ValuationReport, "require_finite", lambda self: None)
+        model, ctx = Degenerate(value), EconomicContext(2.5, method)
+        views = {
+            "premium": (lambda: premium_exact(u, model)) if method == "exact"
+            else (lambda: premium_approx(u, model)),
+            "vot": lambda: vot_mean(u, model, ctx),
+            "cot": lambda: cot(u, model, ctx),
+            "cotv": lambda: cotv(u, model, ctx),
+            "rho": lambda: ratio_rho(u, model, ctx),
+        }
+        if method == "second_order":
+            views["eta"] = lambda: ratio_eta(u, model)
+        report = evaluate(u, model, ctx)
+        assert {field: _outcome(view) for field, view in views.items()} == {
+            field: repr(getattr(report, field)) for field in views}
+
+
+def test_only_the_dual_moments_read_is_degenerate():
+    # a point mass takes every framework's general formulas; the dual
+    # moments alone read the property, for a variance that underflows to 0
+    source = Path(__file__).resolve().parents[1] / "src" / "cotv"
+    reads, trees = [], {}
+    for path in sorted(source.glob("*.py")):
+        trees[path.stem] = ast.parse(path.read_text(), filename=str(path))
+        reads += [(path.stem, node.lineno) for node in ast.walk(trees[path.stem])
+                  if isinstance(node, ast.Attribute) and node.attr == "is_degenerate"]
+    dual = next(node for node in ast.walk(trees["distributions"])
+                if isinstance(node, ast.FunctionDef) and node.name == "_dual_moments")
+    assert len(reads) == 1 and reads[0][0] == "distributions"
+    assert dual.lineno <= reads[0][1] <= dual.end_lineno

@@ -241,11 +241,11 @@ def test_both_report_kernel_calls(raw, expected, monkeypatch):
 
 
 # A point mass takes the general route: its exact sums give E_w[u] = u(mu),
-# so the premium gap at 0 is exactly 0 and is the root.  EU's report block
-# for it solves nothing, DT's exact premium is E_w[t] - mu, and RDU reads
-# the zero gap once (u at the mean) and calls no root finder.
+# so the premium gap at 0 is exactly 0 and is the root.  EU and RDU read the
+# zero gap once (u at the mean) and call no root finder, and DT's exact
+# premium is E_w[t] - mu.
 @pytest.mark.parametrize("raw, at_mean", [
-    (EU_EXACT, []),
+    (EU_EXACT, [1]),
     (DT_EXPONENTIAL, []),
     (RDU_EXACT, [1]),
 ], ids=["eu", "dt", "rdu"])

@@ -352,8 +352,10 @@ class TestRduRatio:
         (LogNormal(0.2, 0.5), PowerUtility(1.5), INVERSE_S),
         (ShiftedScaled(Exponential(1.0), 1.0, 2.0), PowerUtility(2.5), IDENTITY),
         (Degenerate(2.0), PowerUtility(1.5), INVERSE_S),
+        # a real spread whose variance underflows to 0: rho is 1.67e-201
+        (build_dt_instance(t0=3.0, xi=[-1e-200, 1e-200]), PowerUtility(1.5), SQUARE),
     ], ids=["banded", "discrete-ties", "exponential", "lognormal", "shifted",
-            "degenerate"])
+            "degenerate", "banded-underflow"])
     @pytest.mark.parametrize("tau_h", ["auto", 2.0])
     def test_equals_second_order_report_rho(self, model, u, w, tau_h):
         ctx = RduContext(u=u, w=w, tau_h=tau_h)

@@ -20,7 +20,7 @@ def test_working_tree_against_itself_is_identical(parity):
     cases = [case for group in groups.values()
              for case in group[::min(25, len(group) // 3)]]
     assert {case_id.split("/")[0] for case_id, _, _ in cases} == {
-        "report-mix", "sweep-grid", "ledger", "point-mass"}
+        "report-mix", "sweep-grid", "ledger", "point-mass", "view"}
     old = parity.render_tree(parity.ROOT, cases)
     new = parity.render_tree(parity.ROOT, cases)
     assert any(out["error"] for out in old) and any(out["text"] for out in old)
@@ -33,6 +33,23 @@ def test_point_mass_grid_covers_every_family(parity):
     assert len(cases) == 4 * 5 * 7 * 2 * 3
     assert {raw["distribution"]["params"]["value"] for _, _, raw in cases} == {
         0.0, 1.0, 2.5, 1e-300}
+
+
+def test_view_grid_covers_every_function(parity):
+    cases = parity._view_cases([(1, parity._bench_inputs().report_corpus(1))])
+    grid = [raw for case_id, _, raw in cases if "/report-mix/" not in case_id]
+    # 5 models x 5 utilities x (3 views without a context + 4 with one x
+    # 2 phi x 2 methods + rdu_ratio x 3 weightings x 2 phi)
+    assert len(grid) == 5 * 5 * (3 + 4 * 2 * 2 + 3 * 2)
+    assert {raw["view"] for raw in grid} == set(parity.VIEWS)
+    assert {raw["view"] for _, _, raw in cases[len(grid):]} == {"rdu_ratio"}
+    rendered = parity.render_tree(parity.ROOT, [
+        case for case in cases if case[0] in (
+            "view/rdu_ratio/band-underflow/power/power/1.0",
+            "view/ratio_rho/point-mass/1.0/affine/1.0/second_order")])
+    # the underflowing band's rho, and the sign of an affine point mass's zero
+    assert [out["text"] for out in rendered] == [
+        '{"ratio_rho": -0.0}', '{"rdu_ratio": 1.6666666666666668e-201}']
 
 
 def test_changes_are_reported_with_their_case(parity):

@@ -13,10 +13,16 @@ touches the network.  The cases are:
 * the fast reproducers of ``bench/ledger.json``, under the three methods;
 * a point-mass grid: values 0, 1, 2.5 and 1e-300, every utility family,
   EU and DT and RDU under every weighting family, phi 1 and 2.5, the
-  three methods.
+  three methods;
+* the one-quantity views (``premium_exact``, ``vot_mean``, ``cot``,
+  ``cotv``, ``ratio_rho``, ``ratio_eta``, ``ratio_rho_coefficient_form``
+  and ``rdu_ratio``) over the point-mass grid and a band whose variance
+  underflows to 0, and ``rdu_ratio`` over the report-mix RDU scenarios of
+  each seed.
 
 A case renders as the text ``cotv value`` or ``cotv sweep`` would write,
-or as ``"<ErrorClass>: <message>"`` when it fails, plus the warnings it
+a view as ``{"<function>": <value>}`` with the value's repr, or as
+``"<ErrorClass>: <message>"`` when it fails, plus the warnings it
 raised.  The tool prints how many cases are identical, the largest
 relative change of each numeric field that moved, and each case whose
 error or warnings changed, with its id.  It exits 0 when every case is
@@ -57,6 +63,17 @@ WEIGHTINGS = (
     {"family": "power", "params": {"gamma": 2.0}},
     {"family": "inverse_s", "params": {"gamma": 0.8}},
 )
+EU_VIEWS = ("premium_exact", "vot_mean", "cot", "cotv", "ratio_rho", "ratio_eta",
+            "ratio_rho_coefficient_form")
+VIEWS = EU_VIEWS + ("rdu_ratio",)
+# the EU views that take an EconomicContext, so a phi and a method
+CONTEXT_VIEWS = ("vot_mean", "cot", "cotv", "ratio_rho")
+VIEW_MODELS = {
+    **{f"point-mass/{value!r}": {"family": "degenerate", "params": {"value": value}}
+       for value in POINT_MASS_VALUES},
+    # a real spread whose variance underflows to 0
+    "band-underflow": {"family": "discrete", "dt": {"t0": 3.0, "xi": [-1e-200, 1e-200]}},
+}
 
 
 def _bench_inputs():
@@ -88,12 +105,50 @@ def _point_mass_cases() -> list[tuple[str, str, dict]]:
     return cases
 
 
-def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
-    """``(id, kind, config)`` for every case; kind is "value" or "sweep"."""
-    inputs = _bench_inputs()
+def _view_case(case_id: str, view: str, config: dict) -> tuple[str, str, dict]:
+    return f"view/{view}/{case_id}", "view", {"view": view, "config": config}
+
+
+def _view_cases(corpora) -> list[tuple[str, str, dict]]:
+    """Each view over :data:`VIEW_MODELS` and every utility family, and
+    ``rdu_ratio`` over the RDU scenarios of each ``(seed, corpus)``."""
     cases = []
-    for seed in seeds:
-        for index, item in enumerate(inputs.report_corpus(seed)):
+    for model_id, distribution in VIEW_MODELS.items():
+        for utility in UTILITIES:
+            raw = {"framework": "eu", "distribution": distribution,
+                   "preference": utility, "seed": 0}
+            case_id = f"{model_id}/{utility['family']}"
+            for view in EU_VIEWS:
+                if view not in CONTEXT_VIEWS:
+                    cases.append(_view_case(case_id, view, raw))
+                    continue
+                for phi in POINT_MASS_PHIS:
+                    for method in ("exact", "second_order"):
+                        cases.append(_view_case(
+                            f"{case_id}/{phi!r}/{method}", view,
+                            dict(raw, method=method, economics={"phi": phi})))
+            for weighting in WEIGHTINGS:
+                for phi in POINT_MASS_PHIS:
+                    cases.append(_view_case(
+                        f"{case_id}/{weighting['family']}/{phi!r}", "rdu_ratio",
+                        dict(raw, framework="rdu", weighting=weighting,
+                             economics={"phi": phi})))
+    for seed, corpus in corpora:
+        for index, item in enumerate(corpus):
+            if item["config"]["framework"] == "rdu":
+                cases.append(_view_case(f"report-mix/{seed}/{index}", "rdu_ratio",
+                                        item["config"]))
+    return cases
+
+
+def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
+    """``(id, kind, config)`` for every case; kind is "value", "sweep" or
+    "view"."""
+    inputs = _bench_inputs()
+    corpora = [(seed, inputs.report_corpus(seed)) for seed in seeds]
+    cases = []
+    for seed, corpus in corpora:
+        for index, item in enumerate(corpus):
             for method in METHODS:
                 cases.append((f"report-mix/{seed}/{index}/{method}", "value",
                               dict(item["config"], method=method)))
@@ -106,7 +161,23 @@ def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
             for method in METHODS:
                 cases.append((f"ledger/{region['id']}/{method}", "value",
                               dict(region["config"], method=method)))
-    return cases + _point_mass_cases()
+    return cases + _point_mass_cases() + _view_cases(corpora)
+
+
+def _render_view(view: str, config) -> str:
+    """``{view: value}`` as JSON, which writes a float as its repr."""
+    from cotv import eu, non_eu
+
+    u, model = config.utility, config.model
+    if view == "rdu_ratio":
+        anchor = config.data["weighting"]
+        ctx = non_eu.RduContext(u, config.weighting, anchor["p0"], anchor["tau_h"])
+        value = non_eu.rdu_ratio(model, ctx, config.phi)
+    elif view in CONTEXT_VIEWS:
+        value = getattr(eu, view)(u, model, eu.EconomicContext(config.phi, config.method))
+    else:
+        value = getattr(eu, view)(u, model)
+    return json.dumps({view: value})
 
 
 def _render_all(cases: list[list]) -> list[dict]:
@@ -119,11 +190,13 @@ def _render_all(cases: list[list]) -> list[dict]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                config = parse_config(raw)
-                if kind == "sweep":
-                    text, error = render_csv(*sweep_rows(config)), None
+                if kind == "view":
+                    text = _render_view(raw["view"], parse_config(raw["config"]))
+                elif kind == "sweep":
+                    text = render_csv(*sweep_rows(parse_config(raw)))
                 else:
-                    text, error = render_envelope(run_scenario(config)), None
+                    text = render_envelope(run_scenario(parse_config(raw)))
+                error = None
             except Exception as exc:  # the error is the case's output
                 text, error = None, f"{type(exc).__name__}: {exc}"
         found = sorted({f"{w.category.__name__}: {w.message}" for w in caught})

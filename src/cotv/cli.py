@@ -57,18 +57,21 @@ _VALUE_COLUMNS = (_BASE_COLUMNS
                   + _CROSS_COLUMNS)
 
 
-def _evaluate(config: ScenarioConfig, methods: tuple[str, ...]) -> dict:
+def _evaluate(config: ScenarioConfig, methods: tuple[str, ...],
+              moments: dict | None = None) -> dict:
     """{method: report} of one scenario; each framework computes the
-    inputs its methods share once."""
+    inputs its methods share once, and reads the basis integrals a sweep's
+    ``moments`` holds (:func:`cotv.eu._moments`)."""
     if config.framework == "eu":
-        return _eu_reports(config.utility, config.model, config.phi, methods, None)
+        return _eu_reports(config.utility, config.model, config.phi, methods, None,
+                           moments)
     anchor = config.data["weighting"]
     if config.framework == "dt":
         ctx = DtContext(w=config.weighting, p0=anchor["p0"], psi=anchor["psi"])
-        return _dt_reports(config.model, ctx, config.phi, methods, None)
+        return _dt_reports(config.model, ctx, config.phi, methods, None, moments)
     ctx = RduContext(u=config.utility, w=config.weighting, p0=anchor["p0"],
                      tau_h=anchor["tau_h"])
-    return _rdu_reports(config.model, ctx, config.phi, methods, None)
+    return _rdu_reports(config.model, ctx, config.phi, methods, None, moments)
 
 
 def _header(config: ScenarioConfig, **body: Any) -> dict:
@@ -85,11 +88,11 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _scenario_body(config: ScenarioConfig) -> dict:
+def _scenario_body(config: ScenarioConfig, moments: dict | None = None) -> dict:
     """The ``results`` and ``diagnostics`` of one scenario's reports."""
     methods = (("exact", "second_order") if config.method == "both"
                else (config.method,))
-    reports = _evaluate(config, methods)
+    reports = _evaluate(config, methods, moments)
 
     first = reports[methods[0]]
     results: dict[str, Any] = {name: getattr(first, name) for name in _BASE_COLUMNS}
@@ -157,7 +160,10 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
     Axes are set in sorted-name order, so a nested axis overrides a
     whole-block axis.  Every point is the base config with only the dicts
     on its axis paths copied, and each distinct distribution, preference
-    and weighting block is built once per call.
+    and weighting block is built once per call.  The basis integrals
+    E_w[t] and E_w[t^2] depend on the model and the weighting alone, so
+    they are integrated once per (model, weighting) of the call and read
+    at every point that shares them; no memo outlives the call.
     """
     sweep = config.sweep
     if sweep is None:
@@ -168,6 +174,7 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
     base = config.canonical()
     del base["sweep"]
     blocks: dict = {}
+    moments: dict = {}
     rows = []
     for combo in itertools.product(*(axes[name] for name in names)):
         point = dict(base)
@@ -175,7 +182,7 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
             _set_path(point, name, value)
         point_config = parse_config(point, _blocks=blocks)
         try:
-            body = _scenario_body(point_config)
+            body = _scenario_body(point_config, moments)
         except ConfigError:
             raise
         except CotvError as exc:

@@ -15,7 +15,10 @@ The two paths are never mixed inside one number, so each reported value
 is traceable to a single derivation.  The exact route is one core shared
 with rank-dependent utility: expected utility is its identity-weighting
 case, and both solve the premium with the same root search, on the window
-their E_w[u] and VOT integrals share.
+their E_w[u] and VOT integrals share.  A quadratic, pure-quadratic or
+affine utility integrates E_w[t] and E_w[t^2] (affine: E_w[t]) in their
+place, and the one-quantity functions read each exact number as the
+report does.
 
 Reports are built by :func:`_eu_reports`, as :mod:`cotv.non_eu` builds
 its own: mu, u'(mu), VOT(mu), sigma, cv, the quadratic bound and the
@@ -27,6 +30,7 @@ two one-method runs.
 
 from __future__ import annotations
 
+from typing import Iterator
 
 import numpy as np
 
@@ -77,13 +81,68 @@ class EconomicContext:
 
 # The exact route shared by EU and RDU.  Expectations are taken against
 # d(w(F)); ``w=None`` is the plain density, i.e. expected utility is the
-# identity-weighting case.
+# identity-weighting case.  A distorted expectation is linear in its
+# integrand and E_w[1] = 1, so a polynomial utility u = a t^2 + b t + c
+# reads E_w[u] and VOT from its moment basis E_w[t] and E_w[t^2].
+
+def _time(t):
+    return np.asarray(t, dtype=float)
+
+
+def _square(t):
+    t = np.asarray(t, dtype=float)
+    return t * t
+
+
+def _moments(model: ServiceTimeModel, w, square: bool, tol: Tolerance | None,
+             info: dict | None = None, memo: dict | None = None):
+    """The window, E_w[t], and E_w[t^2] if ``square`` (else None), from one
+    shared call; ``info`` receives the window and panels of the last.
+    ``memo``, a sweep's for one call, maps (model, w) to the integrals
+    with their info: a memo read is what a fresh call gives, and an
+    integral that fails is not kept."""
+    held = memo.get((model, w)) if memo is not None else None
+    if held is None or (square and len(held[1]) == 1):
+        terms = [(_time, w), (_square, w)] if square else [(_time, w)]
+        infos = [{} for _ in terms]
+        window, values = model._expects(terms, tol, infos)
+        held = window, list(zip(values, infos))
+        if memo is not None:
+            memo[model, w] = held
+    window, integrals = held
+    if info is not None:
+        info.update(integrals[1 if square else 0][1])
+    return window, integrals[0][0], integrals[1][0] if square else None
+
+
+def _basis_values(u: UtilityFunction, phi: float, mean_t: float,
+                  mean_t2: float | None = None) -> tuple[float | None, float]:
+    """E_w[u] = a E_w[t^2] + b E_w[t] + c, None if E_w[t^2] is needed but
+    not given, and VOT = -(2a E_w[t] + b)/phi; affine u needs no E_w[t^2]."""
+    a, b, c = u.basis
+    vot = -(2.0 * a * mean_t + b) / phi
+    if a == 0.0:
+        return b * mean_t + c, vot
+    return (None if mean_t2 is None else a * mean_t2 + b * mean_t + c), vot
+
 
 def _exact_terms(u: UtilityFunction, w, phi: float) -> list:
     """The :meth:`~cotv.distributions.ServiceTimeModel._expects` terms of
-    the exact route, in the order it reads them: E_w[u], then
-    VOT = E_w[-u'(t)/phi]."""
+    the exact route of a utility without a basis, in the order it reads
+    them: E_w[u], then VOT = E_w[-u'(t)/phi]."""
     return [(u.u, w), (lambda t: -np.asarray(u.du(t), dtype=float) / phi, w)]
+
+
+def _exact_values(u: UtilityFunction, model: ServiceTimeModel, w, phi: float,
+                  tol: Tolerance | None, info: dict | None = None,
+                  memo: dict | None = None) -> tuple[tuple[float, float], Iterator]:
+    """The window and an iterator of E_w[u], then VOT: integrated when
+    read, or from a polynomial utility's basis.  ``info`` receives the
+    window and panels of E_w[u] or of the last basis integral."""
+    if u.basis is None:
+        return model._expects(_exact_terms(u, w, phi), tol, [info, None])
+    window, mean_t, mean_t2 = _moments(model, w, u.basis[0] != 0.0, tol, info, memo)
+    return window, iter(_basis_values(u, phi, mean_t, mean_t2))
 
 
 def _exact_ratio(cotv_value: float, cot_value: float) -> float:
@@ -127,9 +186,8 @@ def _exact_valuation(u: UtilityFunction, mu: float, phi: float, shared: tuple,
                      info: dict | None = None) -> tuple[float, float, float, float]:
     """(premium, VOT, COTV, rho) of the exact route.
 
-    ``shared`` is the window and the values of a shared
-    :meth:`~cotv.distributions.ServiceTimeModel._expects` call whose next
-    terms are :func:`_exact_terms`: E_w[u] is read once, the premium is
+    ``shared`` is the window and an iterator of E_w[u] and then VOT, as
+    :func:`_exact_values` gives them: E_w[u] is read once, the premium is
     solved from it on that window unless the caller supplies it, then VOT
     is read.  ``info`` receives the premium root search.
     """
@@ -146,7 +204,7 @@ def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
                   tol: Tolerance | None = None) -> float:
     """Variability premium: the extra certain time with the same utility
     as facing the random time, solving E[u(t)] = u(mu + pi)."""
-    window, values = model._expects([(u.u, None)], tol)
+    window, values = _exact_values(u, model, None, 1.0, tol)  # phi enters VOT only
     return _solve_premium(u, model.mean(), next(values), window, tol)
 
 
@@ -179,10 +237,13 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
              tol: Tolerance | None = None) -> float:
     """Average value of time over the random service time.
 
-    Exact method aggregates the instantaneous value, E[-u'(t)/phi];
-    second order expands it at the mean, VOT(mu) - sigma^2/2 u'''(mu)/phi.
+    Exact method aggregates the instantaneous value, E[-u'(t)/phi] (from
+    E[t] for a polynomial utility); second order expands it at the mean,
+    VOT(mu) - sigma^2/2 u'''(mu)/phi.
     """
     if ctx.method == "exact":
+        if u.basis is not None:
+            return _basis_values(u, ctx.phi, _moments(model, None, False, tol)[1])[1]
         return model.distorted_expect(*_exact_terms(u, None, ctx.phi)[1], tol)
     mu = model.mean()
     return _vot_approx(model, vot_at(u, mu, ctx), float(u.d3u(mu)), ctx.phi)
@@ -205,7 +266,8 @@ def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     """
     mu = model.mean()
     if ctx.method == "exact":
-        return (float(u.u(mu)) - model.expect(u.u, tol)) / ctx.phi
+        expected_u = next(_exact_values(u, model, None, ctx.phi, tol)[1])
+        return (float(u.u(mu)) - expected_u) / ctx.phi
     return premium_approx(u, model) * vot_at(u, mu, ctx)
 
 
@@ -225,15 +287,16 @@ def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
               tol: Tolerance | None = None) -> float:
     """Ratio of the cost of time variability to the cost of time.
 
-    Exact method divides the exact costs.  Second order evaluates
-    (pi/mu) / (1 + R2 R3 CV^2 / 2) with the signed higher-order term, the
-    pi-based restatement of the coefficient closed form; the two agree
-    identically.
+    Exact method divides the exact costs, read as the report reads them.
+    Second order evaluates (pi/mu) / (1 + R2 R3 CV^2 / 2) with the signed
+    higher-order term, the pi-based restatement of the coefficient closed
+    form; the two agree identically.
     """
-    if ctx.method == "exact":
-        denominator = cot(u, model, ctx, tol)
-        return _exact_ratio(cotv(u, model, ctx, tol), denominator)
     mu = model.mean()
+    if ctx.method == "exact":
+        values = _exact_values(u, model, None, ctx.phi, tol)[1]
+        expected_u, vot = next(values), next(values)
+        return _exact_ratio((float(u.u(mu)) - expected_u) / ctx.phi, vot * mu)
     return _approx_ratio(u, model, mu, float(u.du(mu)), float(u.d3u(mu)))
 
 
@@ -287,13 +350,18 @@ def rho_upper_bound(u: UtilityFunction, model: ServiceTimeModel) -> float:
 
 
 def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
-                methods: tuple[str, ...],
-                tol: Tolerance | None) -> dict[str, ValuationReport]:
+                methods: tuple[str, ...], tol: Tolerance | None,
+                moments: dict | None = None) -> dict[str, ValuationReport]:
     """Expected-utility reports for ``methods``, in that order, sharing mu,
     u'(mu), VOT(mu), sigma, cv, the quadratic bound and the labels, which
     are computed once.  Each report equals a one-method run bit for bit,
     and errors are raised in the order one-method runs raise them: sigma,
-    cv and the bound are first read where the first report is built."""
+    cv and the bound are first read where the first report is built.
+    ``moments`` is a sweep's memo of basis integrals (:func:`_moments`).
+    Exact ``diagnostics``: the window (``integration_interval``,
+    ``truncated``), ``panels`` and ``max_depth`` of E[u], or of E[t^2]
+    (affine: E[t]) for a polynomial utility, and the root's
+    ``iterations``; a discrete model, which sums, only the last."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -304,7 +372,7 @@ def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
     for method in methods:
         info: dict = {}
         if method == "exact":
-            shared = model._expects(_exact_terms(u, None, phi), tol, [info, None])
+            shared = _exact_values(u, model, None, phi, tol, info, moments)
             premium, vot_value, cotv_value, rho = _exact_valuation(
                 u, mu, phi, shared, tol, info=info)
             eta = vot_mu / vot_value if vot_value != 0 else None

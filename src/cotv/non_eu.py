@@ -7,11 +7,13 @@ with the same distortion and nests both expected utility (identity
 weighting) and dual theory (affine utility); the package asserts those
 reductions numerically.  Exact rank-dependent reports run through the
 expected-utility exact core of :mod:`cotv.eu` with the weighting in
-place, and the dual moments are expectations under d(F^2), which every
-model gives without integrating: in closed form, or as exact sums on a
-discrete model.  A point mass takes the same route as any model, in
-expected utility too: its sums give E_w[t] = mu and E_w[u] = u(mu), so
-premium, COTV and rho are 0.
+place: a quadratic, pure-quadratic or affine utility reads E_w[u] and
+VOT from the distorted mean E_w[t] and from E_w[t^2], which an affine
+one does not need.  The dual moments are expectations under d(F^2),
+which every model gives without integrating: in closed form, or as exact
+sums on a discrete model.  A point mass takes the same route as any
+model, in expected utility too: its sums give E_w[t] = mu and
+E_w[u] = u(mu), so premium, COTV and rho are 0.
 
 Each framework builds its reports in two steps: a shared step computes
 mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
@@ -52,7 +54,15 @@ from .errors import (
     ValidationError,
     ZeroCostError,
 )
-from .eu import EconomicContext, _exact_terms, _exact_valuation
+from .eu import (
+    EconomicContext,
+    _basis_values,
+    _exact_terms,
+    _exact_valuation,
+    _exact_values,
+    _moments,
+    _time,
+)
 from .numerics import Tolerance, find_root
 from .preferences import UtilityFunction, WeightingFunction, weighting_derivative_ratio
 from .reports import ValuationReport
@@ -137,10 +147,6 @@ def _meta_for(instance: DiscreteModel, p0: float, psi: float) -> DtMetadata:
     return meta
 
 
-def _time(t):
-    return np.asarray(t, dtype=float)
-
-
 def dt_expected_utility(model: ServiceTimeModel, w: WeightingFunction,
                         tol: Tolerance | None = None) -> float:
     """Dual-theory utility of a random time: minus the distorted mean, the
@@ -172,13 +178,14 @@ def dt_premium_approx(ctx: DtContext, m2_dual: float) -> float:
 
 
 def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
-                phi: float, methods: tuple[str, ...],
-                tol: Tolerance | None) -> dict[str, ValuationReport]:
+                phi: float, methods: tuple[str, ...], tol: Tolerance | None,
+                moments: dict | None = None) -> dict[str, ValuationReport]:
     """Dual-theory reports for ``methods``, in that order, sharing mu,
     sigma and the dual moment m2_dual, which are computed once.  Outside a
     banded instance the exact premium is E_w[t] - mu, the one term of the
-    shared call; the second-order report integrates nothing and computes
-    no window."""
+    shared call, which a sweep's ``moments`` may hold
+    (:func:`cotv.eu._moments`); the second-order report integrates nothing
+    and computes no window."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -190,9 +197,9 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     sigma = model_or_instance.std()
     meta = model_or_instance.dt_meta
 
-    terms = [(_time, ctx.w)] if meta is None and "exact" in methods else []
-    values = model_or_instance._expects(terms, tol)[1] if terms else None
     m2_dual = _band_moments(model_or_instance)[1]
+    mean_t = (_moments(model_or_instance, ctx.w, False, tol, None, moments)[1]
+              if meta is None and "exact" in methods else None)
     vot = 1.0 / phi
     reports = {}
     for method in methods:
@@ -201,7 +208,7 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
         elif meta is not None:
             premium = dt_premium_exact(model_or_instance, ctx)
         else:
-            premium = next(values) - mu
+            premium = mean_t - mu
         rho = premium / mu
 
         reports[method] = ValuationReport(
@@ -248,8 +255,10 @@ def dt_valuation(model_or_instance: ServiceTimeModel, ctx: DtContext,
 def rdu_expected_utility(model: ServiceTimeModel, u: UtilityFunction,
                          w: WeightingFunction,
                          tol: Tolerance | None = None) -> float:
-    """Rank-dependent utility: the integral of u(t) against d(w(F))."""
-    return model.distorted_expect(u.u, w, tol)
+    """Rank-dependent utility: the integral of u(t) against d(w(F)), read
+    as the exact report reads it (from E_w[t] and E_w[t^2] for a
+    polynomial utility)."""
+    return next(_exact_values(u, model, w, 1.0, tol)[1])  # phi enters VOT only
 
 
 def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
@@ -337,12 +346,17 @@ def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
 
 
 def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
-                 phi: float, methods: tuple[str, ...],
-                 tol: Tolerance | None) -> dict[str, ValuationReport]:
+                 phi: float, methods: tuple[str, ...], tol: Tolerance | None,
+                 moments: dict | None = None) -> dict[str, ValuationReport]:
     """Rank-dependent reports for ``methods``, in that order, sharing mu,
     sigma, the band moments, tau_h and the distorted mean, which are
-    computed once.  The distorted mean and the exact route's E_w[u] and
-    VOT come from one shared call, read in that order."""
+    computed once.  The distorted mean E_w[t] and the exact route's
+    integrals come from one shared call: E_w[u] and VOT, each integrated
+    when it is read, or for a polynomial utility E_w[t^2] (nothing more for
+    an affine one), from which with E_w[t] they follow by linearity.  A
+    sweep's ``moments`` may hold the basis integrals
+    (:func:`cotv.eu._moments`).  The reports record no integral in their
+    ``diagnostics``."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -351,12 +365,16 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     if mu <= 0:
         raise ZeroCostError("rank-dependent valuation requires a positive mean time")
     sigma = model_or_instance.std()
-    terms = [(_time, ctx.w)]  # distorted mean
-    if "exact" in methods:
-        terms += _exact_terms(ctx.u, ctx.w, phi)
-    shared = model_or_instance._expects(terms, tol)
     m2, m2_dual, m2_dual_var = _band_moments(model_or_instance)
-    mu_w = next(shared[1])
+    exact = "exact" in methods
+    if exact and ctx.u.basis is None:
+        window, values = model_or_instance._expects(
+            [(_time, ctx.w)] + _exact_terms(ctx.u, ctx.w, phi), tol)
+        mu_w = next(values)  # distorted mean
+    else:
+        window, mu_w, mean_t2 = _moments(model_or_instance, ctx.w,
+                                         exact and ctx.u.basis[0] != 0.0, tol, None, moments)
+        values = iter(_basis_values(ctx.u, phi, mu_w, mean_t2)) if exact else None
     tau = _resolve_tau(ctx, mu, mu_w)
     vot_mu = -float(ctx.u.du(mu)) / phi
     reports = {}
@@ -365,7 +383,7 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
             premium = (rdu_premium_exact(model_or_instance, ctx, tol)
                        if meta is not None else None)  # None: solved from E_w[u]
             premium, vot, cotv_value, rho = _exact_valuation(
-                ctx.u, mu, phi, shared, tol, premium)
+                ctx.u, mu, phi, (window, values), tol, premium)
         else:
             premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
             vot = -float(ctx.u.du(mu_w)) / phi

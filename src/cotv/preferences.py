@@ -70,6 +70,9 @@ class UtilityFunction:
     """
 
     family: str = "abstract"
+    # (a, b, c) of a utility linear in {t^2, t, 1}, u = a t^2 + b t + c;
+    # None for a utility that is not
+    basis: tuple[float, float, float] | None = None
 
     def __init__(self, interval: tuple[float, float]):
         lo, hi = float(interval[0]), float(interval[1])
@@ -120,7 +123,13 @@ class _PolynomialUtility(UtilityFunction):
     A Python float stays one: numpy's t**2 squares, so t * t and the same
     association give numpy's bits without its per-call cost.  A result that
     is not finite is recomputed by numpy, which warns about the overflow.
+    ``basis`` is (a, b, c): against any distorted measure, E_w[u] =
+    a E_w[t^2] + b E_w[t] + c and E_w[u'] = 2a E_w[t] + b.
     """
+
+    @property
+    def basis(self) -> tuple[float, float, float]:
+        return self.a, self.b, self.c
 
     def u(self, t):
         if type(t) is float:

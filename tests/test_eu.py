@@ -39,11 +39,13 @@ from cotv.eu import (
     vot_at,
     vot_mean,
 )
+from cotv.non_eu import RduContext, rdu_expected_utility, rdu_valuation
 from cotv.numerics import Tolerance
 from cotv.preferences import (
     AffineUtility,
     ConstantPrudenceUtility,
     PowerUtility,
+    PowerWeighting,
     PureQuadraticUtility,
     QuadraticUtility,
     eta_from_coefficients,
@@ -476,6 +478,45 @@ class TestPointMassViews:
         report = evaluate(u, model, ctx)
         assert {field: _outcome(view) for field, view in views.items()} == {
             field: repr(getattr(report, field)) for field in views}
+
+
+class TestContinuousViews:
+    """On a continuous model each exact one-quantity function reads its
+    number as the report does, so it equals the report field by repr: a
+    polynomial utility through its moment basis E[t] and E[t^2], any
+    other by integrating u and u'.  RDU's ``rdu_expected_utility`` gives
+    the E_w[u] behind the RDU report's COTV."""
+
+    MODELS = [Exponential(0.8), Uniform(1.0, 4.0), LogNormal(1.0, 0.5), Gamma(2.0, 1.0)]
+    # every pair but constant_prudence on the exponential: its u ~ log t at
+    # t = 0, where the density is not 0, runs quadrature to its panel cap
+    # (ROADMAP item 6)
+    PAIRS = [(model, u) for model in MODELS for u in POINT_MASS_UTILITIES
+             if (model.family, u.family) != ("exponential", "constant_prudence")]
+
+    @pytest.mark.parametrize("model, u", PAIRS,
+                             ids=[f"{m.family}-{u.family}" for m, u in PAIRS])
+    def test_exact_views_equal_their_report_field(self, model, u):
+        ctx = EconomicContext(2.5, "exact")
+        views = {
+            "premium": lambda: premium_exact(u, model),
+            "vot": lambda: vot_mean(u, model, ctx),
+            "cot": lambda: cot(u, model, ctx),
+            "cotv": lambda: cotv(u, model, ctx),
+            "rho": lambda: ratio_rho(u, model, ctx),
+        }
+        report = evaluate(u, model, ctx)
+        assert {field: _outcome(view) for field, view in views.items()} == {
+            field: repr(getattr(report, field)) for field in views}
+
+    @pytest.mark.parametrize("u", POINT_MASS_UTILITIES, ids=lambda u: u.family)
+    @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.family)
+    def test_rdu_expected_utility_is_the_report_cotv(self, model, u):
+        w = PowerWeighting(2.0)  # w' = 2F: finite at both ends of every window
+        report = rdu_valuation(model, RduContext(u, w), 2.5, "exact")
+        mu = model.mean()
+        assert repr((float(u.u(mu)) - rdu_expected_utility(model, u, w)) / 2.5) == \
+            repr(report.cotv)
 
 
 def test_only_the_dual_moments_read_is_degenerate():

@@ -3,11 +3,14 @@
 Root searches are counted on the code objects of the functions through
 ``sys.setprofile``, so the count does not depend on how a module binds
 them; integrals are counted as the calls of ``numerics._adaptive``.
-Each exact report computes E_w[u] once: EU takes E[u] and VOT (2
-integrals), and RDU adds the distorted mean (3 integrals); the premium is
-one root solve on a bracket inside the integration window, with no
-bracket search, which evaluates u at the mean once and takes at most 10
-iterations on the benchmark's report corpus and sweep grids.  An EU
+Each exact report computes E_w[u] once: with a power or constant-prudence
+utility EU takes E[u] and VOT (2 integrals), and RDU adds the distorted
+mean (3 integrals); a polynomial utility reads E_w[u] and VOT from its
+moment basis, E_w[t] and E_w[t^2] (2 integrals in EU and in RDU, whose
+distorted mean is E_w[t]), or E_w[t] alone when it is affine (1).  The
+premium is one root solve on a bracket inside the integration window,
+with no bracket search, which evaluates u at the mean once and takes at
+most 10 iterations on the benchmark's report corpus and sweep grids.  An EU
 second-order report takes each of u', u'' and u''' at the mean once.
 Every family reads its dual moments from a closed form or an exact sum,
 so no report and no ``moments()`` call integrates one, and a DT
@@ -23,7 +26,9 @@ per request of the longest integral.  ``parse_config`` builds a
 scenario's model, utility and weighting once, and every report of the
 scenario uses those objects.  A sweep parses each grid point once but
 builds each distinct block (equal canonical JSON) once per sweep; a block
-that fails raises the error a parse of its point alone raises.
+that fails raises the error a parse of its point alone raises.  It also
+integrates each basis term once per model and weighting of the call, so
+a sweep over a utility coefficient integrates 2 per distinct model.
 """
 
 import copy
@@ -134,11 +139,21 @@ def report(raw: dict):
     return lambda: run_scenario(scenario)
 
 
+PURE_QUADRATIC = {"family": "pure_quadratic", "params": {"a": -1.0}}
+AFFINE = {"family": "affine", "params": {"slope": 1.0}}
+
+
 @pytest.mark.parametrize("raw, expected", [
     (EU_EXACT, {"integrals": 2, "find_root": 1, "expand_bracket": 0}),
+    (dict(EU_EXACT, preference=AFFINE),
+     {"integrals": 1, "find_root": 1, "expand_bracket": 0}),
     (RDU_EXACT, {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
     (RDU_GAMMA, {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
-], ids=["eu", "rdu", "rdu-gamma"])
+    (dict(RDU_EXACT, preference=PURE_QUADRATIC),
+     {"integrals": 2, "find_root": 1, "expand_bracket": 0}),
+    (dict(RDU_EXACT, preference=AFFINE),
+     {"integrals": 1, "find_root": 1, "expand_bracket": 0}),
+], ids=["eu", "eu-affine", "rdu", "rdu-gamma", "rdu-pure_quadratic", "rdu-affine"])
 def test_exact_report_kernel_calls(raw, expected, monkeypatch):
     assert kernel_calls(report(raw), monkeypatch) == expected
 
@@ -198,14 +213,8 @@ def premium_roots(run, monkeypatch) -> tuple[list, list]:
     return iterations, at_mean
 
 
-# Brent's method solves every premium of these inputs in at most 10
-# iterations (bisection with secant steps took up to 33), and the gap at 0,
-# which picks the bracket and is one of its ends, is evaluated once.
-@pytest.mark.parametrize("workload, roots, on_window", [
-    ("report_corpus", 225, 210),
-    ("sweep_grids", 1024, 1024),
-])
-def test_premium_roots_take_few_iterations(workload, roots, on_window, monkeypatch):
+def bench_pass(workload: str):
+    """A seed-1 pass over the benchmark's report corpus or sweep grids."""
     # a report corpus item holds its scenario under "config"
     configs = [item.get("config", item) for item in getattr(bench_inputs(), workload)(1)]
 
@@ -217,7 +226,18 @@ def test_premium_roots_take_few_iterations(workload, roots, on_window, monkeypat
             else:
                 run_scenario(scenario)
 
-    iterations, at_mean = premium_roots(run, monkeypatch)
+    return run
+
+
+# Brent's method solves every premium of these inputs in at most 10
+# iterations (bisection with secant steps took up to 33), and the gap at 0,
+# which picks the bracket and is one of its ends, is evaluated once.
+@pytest.mark.parametrize("workload, roots, on_window", [
+    ("report_corpus", 225, 210),
+    ("sweep_grids", 1024, 1024),
+])
+def test_premium_roots_take_few_iterations(workload, roots, on_window, monkeypatch):
+    iterations, at_mean = premium_roots(bench_pass(workload), monkeypatch)
     assert len(iterations) == roots and max(iterations) <= 10
     assert len(at_mean) == on_window and set(at_mean) == {1}
 
@@ -379,3 +399,37 @@ def test_sweep_block_error_equals_its_point_parse(block, key, good, bad):
         sweep_rows(parse_config(raw))
     assert (swept.value.path, swept.value.message) == \
         (alone.value.path, alone.value.message)
+
+
+def integrals(run, monkeypatch) -> int:
+    return len(kernel_records(run, monkeypatch)[0])
+
+
+def test_sweep_over_a_utility_coefficient_integrates_twice_per_model(monkeypatch):
+    # 8 models x 4 values of b: E[t] and E[t^2] once per model, and a
+    # second call keeps no memo of the first
+    grid = parse_config(bench_inputs().sweep_grids(1)[0])
+    assert integrals(lambda: sweep_rows(grid), monkeypatch) == 16
+    assert integrals(lambda: sweep_rows(grid), monkeypatch) == 16
+
+
+@pytest.mark.parametrize("variant, expected", [
+    ("rdu", 2 * 3),  # 3 weightings x E_w[t], E_w[t^2]
+    ("dt", 3),       # E_w[t] per weighting
+])
+def test_weighted_sweep_integrates_once_per_weighting(variant, expected, monkeypatch):
+    raw = {"framework": variant, "distribution": EXPONENTIAL,
+           "preference": {"family": "quadratic", "params": {"a": -1.0, "b": 0.0}},
+           "weighting": {"family": "power", "params": {"gamma": 2.0}},
+           "method": "both",
+           "sweep": {"axes": {"preference.params.b": [-1.0, -0.5, 0.0],
+                              "weighting.params.gamma": [1.5, 2.0, 3.0]}}}
+    assert integrals(lambda: sweep_rows(parse_config(raw)), monkeypatch) == expected
+
+
+@pytest.mark.parametrize("workload, expected", [
+    ("report_corpus", 435),
+    ("sweep_grids", 512),
+])
+def test_benchmark_pass_integrals(workload, expected, monkeypatch):
+    assert integrals(bench_pass(workload), monkeypatch) == expected

@@ -20,11 +20,26 @@ def test_working_tree_against_itself_is_identical(parity):
     cases = [case for group in groups.values()
              for case in group[::min(25, len(group) // 3)]]
     assert {case_id.split("/")[0] for case_id, _, _ in cases} == {
-        "report-mix", "sweep-grid", "ledger", "point-mass", "view"}
+        "report-mix", "sweep-grid", "sweep-dt", "sweep-rdu", "ledger", "point-mass",
+        "view"}
     old = parity.render_tree(parity.ROOT, cases)
     new = parity.render_tree(parity.ROOT, cases)
     assert any(out["error"] for out in old) and any(out["text"] for out in old)
     assert parity.compare(cases, old, new) == [f"identical: {len(cases)} of {len(cases)}"]
+
+
+def test_weighted_sweeps_cross_b_with_gamma(parity):
+    grid = parity._bench_inputs().sweep_grids(1)[0]
+    for framework in ("dt", "rdu"):
+        raw = parity._weighted_sweep(grid, framework)
+        assert raw["framework"] == framework
+        assert set(raw["sweep"]["axes"]) == {
+            "distribution", "preference.params.b", "weighting.params.gamma"}
+    # one sweep of each renders, in 8 models x 4 b x 2 gamma rows
+    cases = [case for case in parity.build_cases(seeds=(1,))
+             if case[0] in ("sweep-dt/1/0", "sweep-rdu/1/0")]
+    rendered = parity.render_tree(parity.ROOT, cases)
+    assert [out["text"].count("\n") for out in rendered] == [1 + 64, 1 + 64]
 
 
 def test_point_mass_grid_covers_every_family(parity):

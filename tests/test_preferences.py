@@ -344,3 +344,15 @@ class TestAffineIsTheZeroQuadratic:
         assert u.label() == "affine(slope=2,intercept=3)"
         assert not isinstance(u, QuadraticUtility)
         assert {"du", "d2u", "d3u"}.isdisjoint(vars(AffineUtility))
+
+
+@pytest.mark.parametrize("u, basis", [
+    (QuadraticUtility(a=-0.5, b=-0.2, c=1.5), (-0.5, -0.2, 1.5)),
+    (PureQuadraticUtility(a=-1.0, c=2.0), (-1.0, 0.0, 2.0)),
+    (AffineUtility(slope=2.0, intercept=3.0), (0.0, -2.0, 3.0)),
+    (PowerUtility(exponent=1.5), None),
+    (ConstantPrudenceUtility(prudence=2.0), None),
+], ids=lambda value: getattr(value, "family", ""))
+def test_basis_coefficients(u, basis):
+    # u = a t^2 + b t + c on the polynomial families, no basis otherwise
+    assert u.basis == basis

@@ -9,7 +9,10 @@ touches the network.  The cases are:
 
 * the benchmark's report-mix corpora (``bench/inputs.py``) of each seed,
   under the methods exact, second_order and both;
-* the benchmark's sweep grids of each seed;
+* the benchmark's sweep grids of each seed, and their DT and RDU
+  variants: each grid's axes crossed with the gamma of a power weighting
+  (2 and 3, clear of the ledger's regions), so a sweep shares its basis
+  integrals per model and weighting across the values of b;
 * the fast reproducers of ``bench/ledger.json``, under the three methods;
 * a point-mass grid: values 0, 1, 2.5 and 1e-300, every utility family,
   EU and DT and RDU under every weighting family, phi 1 and 2.5, the
@@ -58,6 +61,8 @@ UTILITIES = (
     {"family": "constant_prudence", "params": {"prudence": 2.0}},
     {"family": "affine", "params": {"slope": 1.0}},
 )
+# the power weighting's gamma axis of the DT and RDU sweep variants
+SWEEP_GAMMAS = (2.0, 3.0)
 WEIGHTINGS = (
     {"family": "identity"},
     {"family": "power", "params": {"gamma": 2.0}},
@@ -82,6 +87,14 @@ def _bench_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _weighted_sweep(grid: dict, framework: str) -> dict:
+    """``grid`` under ``framework`` with a power weighting, its axes
+    crossed with :data:`SWEEP_GAMMAS`."""
+    axes = dict(grid["sweep"]["axes"], **{"weighting.params.gamma": list(SWEEP_GAMMAS)})
+    return dict(grid, framework=framework, sweep={"axes": axes},
+                weighting={"family": "power", "params": {"gamma": SWEEP_GAMMAS[0]}})
 
 
 def _point_mass_cases() -> list[tuple[str, str, dict]]:
@@ -155,6 +168,9 @@ def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
     for seed in seeds:
         for index, raw in enumerate(inputs.sweep_grids(seed)):
             cases.append((f"sweep-grid/{seed}/{index}", "sweep", raw))
+            for framework in ("dt", "rdu"):
+                cases.append((f"sweep-{framework}/{seed}/{index}", "sweep",
+                              _weighted_sweep(raw, framework)))
     ledger = json.loads((ROOT / "bench" / "ledger.json").read_text(encoding="utf-8"))
     for region in ledger["regions"]:
         if region["fast"]:

@@ -34,7 +34,8 @@ from .distributions import (
     Uniform,
     build_dt_instance,
 )
-from .errors import ConfigError, GridTooLargeError
+from .errors import CollapsedBandError, ConfigError, DomainError, GridTooLargeError
+from .eu import _report_mean
 from .preferences import (
     AffineUtility,
     ConstantPrudenceUtility,
@@ -139,9 +140,12 @@ def _params(spec: Mapping, names: set[str], path: str) -> dict[str, float]:
 
 
 def _construct(constructor, path: str, *args, **kwargs):
-    """Call a constructor; its argument errors become a ConfigError at ``path``."""
+    """Call a constructor; its argument errors become a ConfigError at
+    ``path``, and a band's collapse at the path of its ``xi``."""
     try:
         return constructor(*args, **kwargs)
+    except CollapsedBandError as exc:
+        raise ConfigError(f"{path}.dt.xi", str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -351,6 +355,11 @@ def parse_config(raw: Mapping, seed_override: int | None = None,
             if meta is not None and abs(getattr(meta, key) - value) > 1e-12:
                 raise ConfigError(f"weighting.{key}", f"disagrees with the banded "
                                   f"instance's {key}={getattr(meta, key)!r}")
+    if framework != "dt":
+        try:
+            _report_mean(utility, model, rank_dependent=framework == "rdu")
+        except DomainError as exc:
+            raise ConfigError("preference", str(exc)) from exc
 
     economics = raw.get("economics", {"phi": 1.0})
     _check_keys(economics, {"phi"}, "economics")

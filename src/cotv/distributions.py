@@ -45,6 +45,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    CollapsedBandError,
     MassError,
     MetadataMissingError,
     NonFiniteError,
@@ -963,7 +964,9 @@ def build_dt_instance(
     ``t_min`` and worst time ``t_max`` absorb the remaining mass
     ``p0 - psi`` and ``1 - p0 - psi``.  With ``2 psi = 1`` the flanks
     vanish and the result is the plain n-point instance.  No outcome may
-    lie below 0.
+    lie below 0, and ``t0 + xi`` must keep the distinct values of ``xi``
+    apart (``CollapsedBandError``, a ``ValidationError``, where rounding
+    merges two).
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size == 0:
@@ -980,6 +983,11 @@ def build_dt_instance(
 
     n = xi.size
     band = t0 + xi
+    band_values = band.tolist()
+    # sets of a few floats: np.unique would import numpy.ma
+    if len(set(band_values)) < len(set(xi.tolist())):
+        raise CollapsedBandError(
+            f"t0 + xi rounds distinct perturbations to one outcome at t0={t0!r}")
     lo_mass = p0 - psi
     hi_mass = 1.0 - p0 - psi
     if t_min is None:
@@ -991,7 +999,7 @@ def build_dt_instance(
 
     outcomes = [t_min] if lo_mass > 1e-15 else []
     probs = [lo_mass] if lo_mass > 1e-15 else []
-    outcomes.extend(band.tolist())
+    outcomes.extend(band_values)
     probs.extend([2.0 * psi / n] * n)
     if hi_mass > 1e-15:
         outcomes.append(t_max)

@@ -22,6 +22,7 @@ __all__ = [
     "MetadataMismatchError",
     "MassError",
     "ZeroMeanError",
+    "CollapsedBandError",
     "ZeroCostError",
     "NotQuadraticError",
     "MonotonicityError",
@@ -80,6 +81,10 @@ class MassError(ValidationError):
 
 class ZeroMeanError(ValidationError):
     """A perturbation that must be zero-mean is not."""
+
+
+class CollapsedBandError(ValidationError):
+    """Rounding t0 + xi merges perturbations of a band that xi keeps apart."""
 
 
 class ZeroCostError(CotvError):

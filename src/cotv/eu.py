@@ -14,11 +14,12 @@ Every quantity comes in two flavours:
 The two paths are never mixed inside one number, so each reported value
 is traceable to a single derivation.  The exact route is one core shared
 with rank-dependent utility: expected utility is its identity-weighting
-case, and both solve the premium with the same root search, on the window
-their E_w[u] and VOT integrals share.  A quadratic, pure-quadratic or
-affine utility integrates E_w[t] and E_w[t^2] (affine: E_w[t]) in their
-place, and the one-quantity functions read each exact number as the
-report does.
+case, and both solve the premium the same way, on the window their E_w[u]
+and VOT integrals share.  A quadratic, pure-quadratic or affine utility
+integrates E_w[t] and E_w[t^2] (affine: E_w[t]) in their place, and its
+premium is the root of a quadratic, written down in closed form; a power
+or constant-prudence utility searches for its root.  The one-quantity
+functions read each exact number as the report does.
 
 Reports are built by :func:`_eu_reports`, as :mod:`cotv.non_eu` builds
 its own: mu, u'(mu), VOT(mu), sigma, cv, the quadratic bound and the
@@ -30,13 +31,17 @@ two one-method runs.
 
 from __future__ import annotations
 
-from typing import Iterator
+import math
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .distributions import ServiceTimeModel
 from .errors import (
     DerivativeZeroError,
+    DomainError,
+    NoBracketError,
+    NonFiniteError,
     NotQuadraticError,
     ValidationError,
     ZeroCostError,
@@ -168,6 +173,8 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     The gap at 0 picks the bracket and is one of its ends, so it is
     evaluated once; a gap of exactly 0 there is the root 0, as find_root's
     end rule has it, also for a point mass, whose window holds no bracket.
+    A utility with a basis solves for its root in closed form
+    (:func:`_polynomial_premium`) and records no ``iterations``.
     """
     def gap(pi: float) -> float:
         return at_mu if pi == 0.0 else float(u.u(mu + pi)) - expected_u
@@ -176,9 +183,56 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     if at_mu == 0.0:
         return 0.0
     lo, hi = window
-    if at_mu > 0:
-        return find_root(gap, 0.0, max(hi - mu, 1e-6), tol, info)
-    return find_root(gap, lo - mu, 0.0, tol, info)
+    bracket = (0.0, max(hi - mu, 1e-6)) if at_mu > 0 else (lo - mu, 0.0)
+    if u.basis is not None:
+        return _polynomial_premium(u, mu, gap, bracket)
+    return find_root(gap, *bracket, tol, info)
+
+
+def _polynomial_premium(u: UtilityFunction, mu: float, gap: Callable[[float], float],
+                        bracket: tuple[float, float]) -> float:
+    """Root in ``bracket`` of gap(pi) = u(mu + pi) - E_w[u] for a utility
+    with a basis (a, b, c), where it is a quadratic in pi.
+
+    With K = gap(0) and d1 = u'(mu) = 2a mu + b, the gap is
+    a pi^2 + d1 pi + K, and its root on the decreasing branch, where
+    u'(mu + pi) < 0, is 2K / (sqrt(d1^2 - 4aK) - d1): the denominator
+    adds two non-negative terms, as d1 < 0, so nothing cancels, and a = 0
+    gives K / -d1.  Where there is no root in ``bracket`` (the
+    discriminant is negative, or mu + pi leaves the window or band), the
+    gap is read at the bracket's ends to raise the error
+    :func:`~cotv.numerics.find_root` raises there: ``NonFiniteError`` if
+    either is not finite, else ``NoBracketError``.
+    """
+    k = gap(0.0)
+    d1 = float(u.du(mu))
+    discriminant = d1 * d1 - 4.0 * u.basis[0] * k
+    lo, hi = bracket
+    if discriminant >= 0.0:
+        root = 2.0 * k / (math.sqrt(discriminant) - d1)
+        if lo <= root <= hi:
+            return root
+    g_lo, g_hi = gap(lo), gap(hi)
+    if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
+        raise NonFiniteError("function returned non-finite value at a bracket end")
+    raise NoBracketError(f"no sign change on [{lo:g}, {hi:g}]: g(lo)={g_lo:.6g}, "
+                         f"g(hi)={g_hi:.6g}")
+
+
+def _report_mean(u: UtilityFunction, model: ServiceTimeModel,
+                 rank_dependent: bool = False) -> float:
+    """The mean time a report values ``model`` at: model.mean(), or under
+    rank-dependent utility a band's anchor t0.  ``DomainError`` where it
+    lies outside ``u.interval``, the range u is certified non-increasing
+    on; every report, and every view that reads u at the mean, asks here.
+    """
+    meta = model.dt_meta if rank_dependent else None
+    mu = meta.t0 if meta is not None else model.mean()
+    lo, hi = u.interval
+    if not lo <= mu <= hi:
+        raise DomainError(f"mean time {mu!r} lies outside the utility's interval "
+                          f"[{lo:g}, {hi:g}]")
+    return mu
 
 
 def _exact_valuation(u: UtilityFunction, mu: float, phi: float, shared: tuple,
@@ -204,13 +258,14 @@ def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
                   tol: Tolerance | None = None) -> float:
     """Variability premium: the extra certain time with the same utility
     as facing the random time, solving E[u(t)] = u(mu + pi)."""
+    mu = _report_mean(u, model)
     window, values = _exact_values(u, model, None, 1.0, tol)  # phi enters VOT only
-    return _solve_premium(u, model.mean(), next(values), window, tol)
+    return _solve_premium(u, mu, next(values), window, tol)
 
 
 def premium_approx(u: UtilityFunction, model: ServiceTimeModel) -> float:
     """Second-order premium: sigma^2/2 times absolute risk aversion at the mean."""
-    mu = model.mean()
+    mu = _report_mean(u, model)
     return _premium_approx(u, model, mu, float(u.du(mu)))
 
 
@@ -241,11 +296,11 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     E[t] for a polynomial utility); second order expands it at the mean,
     VOT(mu) - sigma^2/2 u'''(mu)/phi.
     """
+    mu = _report_mean(u, model)
     if ctx.method == "exact":
         if u.basis is not None:
             return _basis_values(u, ctx.phi, _moments(model, None, False, tol)[1])[1]
         return model.distorted_expect(*_exact_terms(u, None, ctx.phi)[1], tol)
-    mu = model.mean()
     return _vot_approx(model, vot_at(u, mu, ctx), float(u.d3u(mu)), ctx.phi)
 
 
@@ -264,7 +319,7 @@ def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     mean value of time, pi * VOT(mu).  Both are non-negative for concave
     utilities.
     """
-    mu = model.mean()
+    mu = _report_mean(u, model)
     if ctx.method == "exact":
         expected_u = next(_exact_values(u, model, None, ctx.phi, tol)[1])
         return (float(u.u(mu)) - expected_u) / ctx.phi
@@ -292,7 +347,7 @@ def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     higher-order term, the pi-based restatement of the coefficient closed
     form; the two agree identically.
     """
-    mu = model.mean()
+    mu = _report_mean(u, model)
     if ctx.method == "exact":
         values = _exact_values(u, model, None, ctx.phi, tol)[1]
         expected_u, vot = next(values), next(values)
@@ -316,7 +371,7 @@ def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> f
     Requires both coefficients to exist; agrees with the second-order
     :func:`ratio_rho` wherever defined (asserted by the test suite).
     """
-    mu = model.mean()
+    mu = _report_mean(u, model)
     profile = risk_coefficients(u, mu)
     if profile.rel_prudence is None:
         raise DerivativeZeroError("coefficient form needs u''(mu) != 0")
@@ -334,7 +389,7 @@ def ratio_eta(u: UtilityFunction, model: ServiceTimeModel) -> float:
     (third derivative zero) give exactly 1, and affine utilities stay
     defined.
     """
-    mu = model.mean()
+    mu = _report_mean(u, model)
     return 1.0 / _second_order_pole(model, mu, float(u.du(mu)), float(u.d3u(mu)))
 
 
@@ -357,15 +412,17 @@ def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
     are computed once.  Each report equals a one-method run bit for bit,
     and errors are raised in the order one-method runs raise them: sigma,
     cv and the bound are first read where the first report is built.
+    ``DomainError`` where mu lies outside ``u.interval``.
     ``moments`` is a sweep's memo of basis integrals (:func:`_moments`).
     Exact ``diagnostics``: the window (``integration_interval``,
-    ``truncated``), ``panels`` and ``max_depth`` of E[u], or of E[t^2]
-    (affine: E[t]) for a polynomial utility, and the root's
-    ``iterations``; a discrete model, which sums, only the last."""
+    ``truncated``), ``panels`` and ``max_depth`` of E[u], and the premium
+    root's ``iterations``; a discrete model, which sums, only the last.  A
+    polynomial utility gives the panels of E[t^2] (affine: E[t]) and no
+    ``iterations``, as its premium is solved in closed form."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
-    mu = model.mean()
+    mu = _report_mean(u, model)
     d1 = float(u.du(mu))
     vot_mu = -d1 / phi
     reports = {}

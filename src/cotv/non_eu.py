@@ -9,7 +9,8 @@ reductions numerically.  Exact rank-dependent reports run through the
 expected-utility exact core of :mod:`cotv.eu` with the weighting in
 place: a quadratic, pure-quadratic or affine utility reads E_w[u] and
 VOT from the distorted mean E_w[t] and from E_w[t^2], which an affine
-one does not need.  The dual moments are expectations under d(F^2),
+one does not need, and solves its premium in closed form, as it does on
+a band.  The dual moments are expectations under d(F^2),
 which every model gives without integrating: in closed form, or as exact
 sums on a discrete model.  A point mass takes the same route as any
 model, in expected utility too: its sums give E_w[t] = mu and
@@ -61,6 +62,8 @@ from .eu import (
     _exact_valuation,
     _exact_values,
     _moments,
+    _polynomial_premium,
+    _report_mean,
     _time,
 )
 from .numerics import Tolerance, find_root
@@ -257,7 +260,9 @@ def rdu_expected_utility(model: ServiceTimeModel, u: UtilityFunction,
                          tol: Tolerance | None = None) -> float:
     """Rank-dependent utility: the integral of u(t) against d(w(F)), read
     as the exact report reads it (from E_w[t] and E_w[t^2] for a
-    polynomial utility)."""
+    polynomial utility).  ``DomainError`` where the mean (a band's t0)
+    lies outside ``u.interval``, as in the report."""
+    _report_mean(u, model, rank_dependent=True)
     return next(_exact_values(u, model, w, 1.0, tol)[1])  # phi enters VOT only
 
 
@@ -266,12 +271,15 @@ def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
     """Rank-dependent variability premium of a banded instance.
 
     Solves the band indifference equation
-    ``total_weight * u(t0 + pi) = sum_i weight_i * u(t0 + xi_i)`` by root
-    finding.  The right side is a positively weighted average of utilities
-    at the band outcomes, so the root is bracketed by the extreme
-    perturbations.
+    ``total_weight * u(t0 + pi) = sum_i weight_i * u(t0 + xi_i)``.  The
+    right side is a positively weighted average of utilities at the band
+    outcomes, so the root is bracketed by the extreme perturbations.  A
+    quadratic, pure-quadratic or affine utility solves it in closed form
+    (:func:`cotv.eu._polynomial_premium`, with mu = t0), any other by root
+    finding.  ``DomainError`` where t0 lies outside ``ctx.u.interval``.
     """
     meta = _require_meta(instance)
+    _report_mean(ctx.u, instance, rank_dependent=True)
     if abs(meta.p0 - ctx.p0) > 1e-12:
         raise MetadataMismatchError(
             f"instance anchor p0={meta.p0} disagrees with context p0={ctx.p0}")
@@ -285,6 +293,8 @@ def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
     hi = float(xi[-1])
     if lo == hi:
         return lo
+    if ctx.u.basis is not None:
+        return _polynomial_premium(ctx.u, meta.t0, gap, (lo, hi))
     return find_root(gap, lo, hi, tol)
 
 
@@ -356,12 +366,13 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     an affine one), from which with E_w[t] they follow by linearity.  A
     sweep's ``moments`` may hold the basis integrals
     (:func:`cotv.eu._moments`).  The reports record no integral in their
-    ``diagnostics``."""
+    ``diagnostics``.  ``DomainError`` where mu (t0 on a banded instance)
+    lies outside ``ctx.u.interval``."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
     meta = model_or_instance.dt_meta
-    mu = meta.t0 if meta is not None else model_or_instance.mean()
+    mu = _report_mean(ctx.u, model_or_instance, rank_dependent=True)
     if mu <= 0:
         raise ZeroCostError("rank-dependent valuation requires a positive mean time")
     sigma = model_or_instance.std()

@@ -66,7 +66,11 @@ class UtilityFunction:
 
     ``interval`` is the certification range: monotonicity and the
     risk-attitude flags are checked on a grid over it.  Evaluation outside
-    the interval is permitted wherever the family's formula is defined.
+    the interval is permitted wherever the family's formula is defined,
+    but a valuation report, and each view that reads u at the mean, needs
+    the mean time (an RDU band's t0) inside it: ``DomainError`` otherwise,
+    also beyond the (0, 1000) default of a polynomial utility whose u' is
+    negative there.
     """
 
     family: str = "abstract"

@@ -218,8 +218,9 @@ def lognormal_dual_mean(log_mean: float, log_sd: float) -> float:
 
 
 def quadratic_premium(mu: float, sigma: float) -> float:
-    """Exact premium of u = -t^2 (any pure quadratic): sqrt(mu^2+s^2)-mu."""
-    return math.sqrt(mu**2 + sigma**2) - mu
+    """Exact premium of u = -t^2 (any pure quadratic): sqrt(mu^2+s^2)-mu,
+    written as s^2 / (sqrt(mu^2+s^2)+mu), which does not cancel."""
+    return sigma**2 / (math.sqrt(mu**2 + sigma**2) + mu)
 
 
 # The adaptive kernel as it was before batching, one integrand call per

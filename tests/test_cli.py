@@ -183,6 +183,28 @@ class TestConfigValidation:
             "distribution.dt.bogus", "distribution.dt.bogus: unknown key",
             id="dt-extra-key"),
         pytest.param(
+            {"distribution": {"family": "discrete",
+                              "dt": {"t0": 3.0, "xi": [-1e-200, 1e-200]}}},
+            "distribution.dt.xi", "distribution.dt.xi: t0 + xi rounds distinct "
+            "perturbations to one outcome at t0=3.0",
+            id="dt-collapsed-band"),
+        pytest.param(
+            {"distribution": {"family": "degenerate", "params": {"value": 1e-300}},
+             "preference": {"family": "constant_prudence", "params": {"prudence": 2.0}}},
+            "preference", "preference: mean time 1e-300 lies outside the "
+            "utility's interval [1, 1000]",
+            id="mean-outside-interval"),
+        pytest.param(
+            # rdu values a band at its anchor t0 = 0.5; its mean is 1.35
+            {"framework": "rdu", "weighting": {"family": "identity"},
+             "distribution": {"family": "discrete", "dt": {
+                 "t0": 0.5, "xi": [-0.25, 0.25], "psi": 0.3, "t_max": 5.0}},
+             "preference": {"family": "power", "params": {"exponent": 1.5},
+                            "interval": [1.0, 10.0]}},
+            "preference", "preference: mean time 0.5 lies outside the "
+            "utility's interval [1, 10]",
+            id="band-anchor-outside-interval"),
+        pytest.param(
             {"preference": {"family": "pure_quadratic", "params": {"a": 1.0}}},
             "preference", "preference: quadratic utility requires a < 0",
             id="pure-quadratic-a-positive"),
@@ -833,7 +855,8 @@ class TestCliProcess:
         raw = copy.deepcopy(BASE)
         raw["distribution"] = {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}}
         raw["preference"] = {"family": "constant_prudence",
-                             "params": {"prudence": 3.0}}
+                             "params": {"prudence": 3.0, "slope_at_one": -100.0},
+                             "interval": [0.1, 1000.0]}
         raw["method"] = "exact"
         path = write_config(tmp_path, raw)
         assert main(["value", "--config", path]) == 1
@@ -857,9 +880,13 @@ class TestCliProcess:
     @pytest.mark.parametrize("command, fmt", [("value", "json"), ("sweep", "json"),
                                               ("sweep", "csv")])
     def test_non_finite_result_field_exit_one(self, command, fmt, tmp_path, capsys):
-        # sigma^2 is a subnormal 8.3e-322, so the scaled premium error is inf
-        raw = dict(eu_quadratic({"family": "uniform",
-                                 "params": {"lo": 0.0, "hi": 1e-160}}),
+        # sigma^2 is a subnormal 8.3e-322, and the power utility's premium
+        # root stops within its absolute tolerance, far above 1e-162, so the
+        # scaled premium error is inf
+        raw = dict(BASE, distribution={"family": "uniform",
+                                       "params": {"lo": 0.0, "hi": 1e-160}},
+                   preference={"family": "power", "params": {"exponent": 1.5},
+                               "interval": [0.0, 10.0]},
                    sweep={"axes": {"economics.phi": [1.0]}})
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, raw),

@@ -50,7 +50,6 @@ from cotv.preferences import (
     QuadraticUtility,
     eta_from_coefficients,
 )
-from cotv.reports import ValuationReport
 
 from oracles import quadratic_premium
 
@@ -430,11 +429,13 @@ class TestSharedReports:
         assert [repr(shared[method]) for method in methods] == singles
 
     # the first error a one-method run per method would raise: the exact
-    # report reads the bound, the second-order one divides by u'(0) = 0, and
-    # the exact ratio of a continuous model fails before the bound is read
+    # report reads the bound, the second-order one divides by u'(0) = 0
+    # (the power utility's interval holds the mean 0), and the exact ratio
+    # of a continuous model fails before the bound is read
     @pytest.mark.parametrize("model, u, error", [
         ("degenerate_zero", QuadraticUtility(a=-0.5, b=-0.2), UndefinedCVError),
-        ("degenerate_zero", PowerUtility(exponent=1.5), DerivativeZeroError),
+        ("degenerate_zero", PowerUtility(exponent=1.5, interval=(0.0, 1000.0)),
+         DerivativeZeroError),
         ("shifted_zero_mean", QuadraticUtility(a=-0.5, b=-0.2), ZeroCostError),
     ])
     def test_errors_come_in_one_method_order(self, model, u, error):
@@ -452,18 +453,16 @@ class TestPointMassViews:
     as in the report, so each equals its report field by repr, the sign of
     a zero included.
 
-    At 1e-300, u''' of the power utility and u'' of the constant-prudence
-    one overflow, so some fields are NaN; the report rejects them, and no
-    view checks finiteness, so the report is built here without that check.
-    Every report of this grid builds then, and no view raises.
+    A mean outside the utility's interval, 1e-300 for the power and
+    constant-prudence utilities, makes the report and every view raise the
+    same ``DomainError``.  Every other report of this grid builds, and no
+    view raises.
     """
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["exact", "second_order"])
     @pytest.mark.parametrize("u", POINT_MASS_UTILITIES, ids=lambda u: u.family)
     @pytest.mark.parametrize("value", [1.0, 2.5, 1e-300])
-    def test_views_equal_their_report_field(self, value, u, method, monkeypatch):
-        monkeypatch.setattr(ValuationReport, "require_finite", lambda self: None)
+    def test_views_equal_their_report_field(self, value, u, method):
         model, ctx = Degenerate(value), EconomicContext(2.5, method)
         views = {
             "premium": (lambda: premium_exact(u, model)) if method == "exact"
@@ -475,9 +474,14 @@ class TestPointMassViews:
         }
         if method == "second_order":
             views["eta"] = lambda: ratio_eta(u, model)
-        report = evaluate(u, model, ctx)
-        assert {field: _outcome(view) for field, view in views.items()} == {
-            field: repr(getattr(report, field)) for field in views}
+        try:
+            report = evaluate(u, model, ctx)
+        except DomainError as exc:
+            assert not u.interval[0] <= value <= u.interval[1]
+            expected = dict.fromkeys(views, f"DomainError: {exc}")
+        else:
+            expected = {field: repr(getattr(report, field)) for field in views}
+        assert {field: _outcome(view) for field, view in views.items()} == expected
 
 
 class TestContinuousViews:

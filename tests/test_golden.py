@@ -62,7 +62,7 @@ SHIFTED = {"family": "shifted_scaled", "base": {"family": "exponential",
 DEGENERATE = {"family": "degenerate", "params": {"value": 2.5}}
 # a zero mean: no cv, and u'(0) = 0 for a power utility
 DEGENERATE_ZERO = {"family": "degenerate", "params": {"value": 0.0}}
-# sigma^2 underflows to a subnormal: the scaled premium error is inf
+# sigma^2 underflows to a subnormal 8.3e-322
 UNIFORM_TINY = {"family": "uniform", "params": {"lo": 0.0, "hi": 1e-160}}
 # tied outcomes; the float cumulative mass ends at 1.0000000000000002
 RAW = {"family": "discrete", "outcomes": [1.0, 2.0, 2.0, 3.5, 5.0, 8.0],
@@ -209,11 +209,14 @@ CLI_RUNS["cli-value-unknown_key"] = {
     "command": "value", "format": "json",
     "scenario": {**SCENARIOS["eu-uniform-power-exact"], "bogus": 1}}
 # a non-finite result field is a computation error (exit 1), in a sweep
-# with the point's axis values
+# with the point's axis values: on UNIFORM_TINY the power utility's premium
+# root stops within its absolute tolerance, far above the true premium, so
+# the scaled premium error is inf
 CLI_RUNS.update({
     f"cli-{command}-nonfinite_result": {
         "command": command, "format": fmt,
-        "scenario": {**SCENARIOS["eu-uniform_tiny-quadratic-both"],
+        "scenario": {**_scenario("eu", UNIFORM_TINY,
+                                 {**POWER, "interval": [0.0, 10.0]}, "both"),
                      "sweep": {"axes": {"economics.phi": [1.0, 2.5]}}}}
     for command, fmt in (("value", "json"), ("sweep", "csv"))})
 CLI_RUNS["cli-sweep-grid_too_large"] = {
@@ -300,7 +303,9 @@ def _fields(text: str) -> dict[str, list[float]]:
 def _changes(old: str, new: str) -> list[str]:
     """``field: largest relative change (old -> new value)`` for each
     numeric field that moved, and both lists of a field whose count of
-    numbers changed (a number that turned null, say).  The values show a
+    numbers changed (a number that turned null, say).  A change is
+    relative to the old value, or for a difference field to the larger of
+    its old operands, as the parity harness reads it.  The values show a
     residue that moved to about 0, whose relative change reads 1."""
     before, after = _fields(old), _fields(new)
     lines = []
@@ -309,8 +314,7 @@ def _changes(old: str, new: str) -> list[str]:
         if len(a) != len(b):
             lines.append(f"{name}: {len(a)} -> {len(b)} values ({a!r} -> {b!r})")
         elif a != b:
-            worst, x, y = max((abs(y - x) / abs(x) if x else abs(y), x, y)
-                              for x, y in zip(a, b))
+            worst, x, y = max(parity_tool().relative_changes(before, after, name))
             lines.append(f"{name}: {worst:.3g} ({x!r} -> {y!r})")
     return lines or ["no numeric field moved"]
 
@@ -322,6 +326,22 @@ def test_changes_print_old_and_new_values():
     new = json.dumps({"premium": -1.4e-17, "multiplier": None, "mu": 1.5})
     assert _changes(old, new) == ["multiplier: 1 -> 0 values ([1.0] -> [])",
                                   "premium: 1 (2.7e-13 -> -1.4e-17)"]
+
+
+def test_difference_fields_change_relative_to_their_larger_operand():
+    # the exact premium moves by 2.5e-11: premium_abs_error and rho_gap by
+    # that share of the premiums and rhos they are the differences of
+    old = {"premium_exact": 0.5, "premium_second_order": 0.4, "sigma": 2.0,
+           "premium_abs_error": 0.1, "premium_scaled_error": 0.025,
+           "rho_exact": 0.25, "rho_second_order": 0.2, "rho_gap": 0.05}
+    new = dict(old, premium_exact=0.5 + 2.5e-11, premium_abs_error=0.1 + 2.5e-11,
+               premium_scaled_error=0.025 + 2.5e-11 / 4.0,
+               rho_exact=0.25 + 1.25e-11, rho_gap=0.05 + 1.25e-11)
+    changes = {line.split(":")[0]: float(line.split()[1])
+               for line in _changes(json.dumps(old), json.dumps(new))}
+    assert changes == pytest.approx({"premium_exact": 5e-11, "premium_abs_error": 5e-11,
+                                     "premium_scaled_error": 5e-11,
+                                     "rho_exact": 5e-11, "rho_gap": 5e-11}, rel=1e-4)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import assume, given, note, settings, strategies as st
 from scipy import integrate, optimize, stats
 
 from cotv.distributions import (
@@ -159,6 +159,8 @@ class TestDtPremiumApprox:
             st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n))
         xi = np.sort(np.asarray(raw, dtype=float))
         xi -= xi.mean()
+        # a band whose outcomes t0 + xi collapse is rejected
+        assume(np.unique(20.0 + xi).size == np.unique(xi).size)
         instance = build_dt_instance(t0=20.0, xi=xi)
         ctx = DtContext(w=SQUARE)
         exact = dt_premium_exact(instance, ctx)
@@ -360,8 +362,10 @@ class TestRduRatio:
         (LogNormal(0.2, 0.5), PowerUtility(1.5), INVERSE_S),
         (ShiftedScaled(Exponential(1.0), 1.0, 2.0), PowerUtility(2.5), IDENTITY),
         (Degenerate(2.0), PowerUtility(1.5), INVERSE_S),
-        # a real spread whose variance underflows to 0: rho is 1.67e-201
-        (build_dt_instance(t0=3.0, xi=[-1e-200, 1e-200]), PowerUtility(1.5), SQUARE),
+        # a real spread whose variance underflows to 0, at a t0 small enough
+        # to keep its outcomes apart: rho is 0.22 from the weighting alone
+        (build_dt_instance(t0=1e-200, xi=[-5e-201, 5e-201]),
+         PowerUtility(1.5, interval=(0.0, 10.0)), SQUARE),
     ], ids=["banded", "discrete-ties", "exponential", "lognormal", "shifted",
             "degenerate", "banded-underflow"])
     @pytest.mark.parametrize("tau_h", ["auto", 2.0])

@@ -60,11 +60,27 @@ def test_view_grid_covers_every_function(parity):
     assert {raw["view"] for _, _, raw in cases[len(grid):]} == {"rdu_ratio"}
     rendered = parity.render_tree(parity.ROOT, [
         case for case in cases if case[0] in (
+            "view/rdu_ratio/band-underflow/quadratic/power/1.0",
             "view/rdu_ratio/band-underflow/power/power/1.0",
             "view/ratio_rho/point-mass/1.0/affine/1.0/second_order")])
-    # the underflowing band's rho, and the sign of an affine point mass's zero
-    assert [out["text"] for out in rendered] == [
-        '{"ratio_rho": -0.0}', '{"rdu_ratio": 1.6666666666666668e-201}']
+    # the sign of an affine point mass's zero, the underflowing band's rho,
+    # and a band whose anchor t0 lies below the power utility's interval
+    assert [(out["text"], out["error"]) for out in rendered] == [
+        ('{"ratio_rho": -0.0}', None), ('{"rdu_ratio": 0.25}', None),
+        (None, "ConfigError: preference: mean time 1e-200 lies outside the "
+               "utility's interval [0.01, 1000]")]
+
+
+def test_difference_fields_are_relative_to_their_larger_operand(parity):
+    # a move of 2.5e-11 in the exact premium is 5e-11 of the premiums that
+    # premium_abs_error is the difference of, not 2.5e-10 of the error
+    old = [{"text": '{"premium_exact": 0.5, "premium_second_order": 0.4, '
+                    '"premium_abs_error": 0.1}', "error": None, "warnings": []}]
+    new = [{"text": '{"premium_exact": 0.500000000025, "premium_second_order": 0.4, '
+                    '"premium_abs_error": 0.100000000025}', "error": None, "warnings": []}]
+    lines = parity.compare([("a", "value", {})], old, new)
+    assert [line.split(" (")[0] for line in lines] == [
+        "identical: 0 of 1", "premium_abs_error: 5e-11", "premium_exact: 5e-11"]
 
 
 def test_changes_are_reported_with_their_case(parity):

@@ -171,17 +171,21 @@ def test_premium_root_failure_comes_before_a_failing_vot():
         model.expect(lambda t: -np.asarray(u.du(t), dtype=float))
 
 
-REGION_F = {"framework": "eu",
-            "distribution": {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
-            "preference": {"family": "constant_prudence", "params": {"prudence": 3.0}},
-            "method": "exact"}
+# the divergence of the ledger's region f, u ~ -c/t near 0 on uniform(0, 1),
+# with a slope and an interval that certify u decreasing at the mean 0.5
+DIVERGENT = {"framework": "eu",
+             "distribution": {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
+             "preference": {"family": "constant_prudence",
+                            "params": {"prudence": 3.0, "slope_at_one": -100.0},
+                            "interval": [0.1, 1000.0]},
+             "method": "exact"}
 
 
 def test_divergent_integral_stops_the_terms_after_it(monkeypatch):
     # E[u] diverges at 0 and runs to the panel cap, lowered here to keep
     # the test fast; VOT after it is never evaluated
     monkeypatch.setattr(numerics, "_MAX_PANELS", 20_001)
-    scenario = parse_config(REGION_F)
+    scenario = parse_config(DIVERGENT)
     model, u = scenario.model, scenario.utility
     calls = {"pdf": 0, "u": 0, "du": 0}
 
@@ -226,7 +230,7 @@ def traced_peak_mb(run) -> float:
 def test_divergent_report_keeps_a_bounded_share(monkeypatch):
     # 5,000 requests of E[u]; kept all, they take about 10 MB
     monkeypatch.setattr(numerics, "_MAX_PANELS", 20_001)
-    scenario = parse_config(REGION_F)
+    scenario = parse_config(DIVERGENT)
     assert traced_peak_mb(lambda: run_scenario(scenario)) < 2.0
 
 
@@ -234,7 +238,7 @@ def test_one_term_keeps_nothing(monkeypatch):
     # the divergent E[u] alone, for 1,000 requests; a kept share of them
     # would take about 0.4 MB
     monkeypatch.setattr(numerics, "_MAX_PANELS", 4_001)
-    scenario = parse_config(REGION_F)
+    scenario = parse_config(DIVERGENT)
     model, u = scenario.model, scenario.utility
     assert traced_peak_mb(lambda: model.expect(u.u)) < 0.05
 

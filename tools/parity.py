@@ -28,8 +28,10 @@ a view as ``{"<function>": <value>}`` with the value's repr, or as
 ``"<ErrorClass>: <message>"`` when it fails, plus the warnings it
 raised.  The tool prints how many cases are identical, the largest
 relative change of each numeric field that moved, and each case whose
-error or warnings changed, with its id.  It exits 0 when every case is
-identical and 1 otherwise.  The inputs come from this checkout's
+error or warnings changed, with its id.  A change is relative to the old
+value, or for a difference field such as ``premium_abs_error`` to the
+larger of its old operands (:data:`OPERANDS`).  It exits 0 when every
+case is identical and 1 otherwise.  The inputs come from this checkout's
 ``bench/``, so both trees render the same documents.
 """
 
@@ -76,8 +78,19 @@ CONTEXT_VIEWS = ("vot_mean", "cot", "cotv", "ratio_rho")
 VIEW_MODELS = {
     **{f"point-mass/{value!r}": {"family": "degenerate", "params": {"value": value}}
        for value in POINT_MASS_VALUES},
-    # a real spread whose variance underflows to 0
-    "band-underflow": {"family": "discrete", "dt": {"t0": 3.0, "xi": [-1e-200, 1e-200]}},
+    # a real spread whose variance underflows to 0, at a t0 small enough to
+    # keep its outcomes apart
+    "band-underflow": {"family": "discrete",
+                       "dt": {"t0": 1e-200, "xi": [-5e-201, 5e-201]}},
+}
+# a difference field's change is relative to the larger of the fields it
+# is the difference of, as a change of those is (premium_scaled_error's
+# are divided by sigma^2)
+OPERANDS = {
+    "premium_abs_error": ("premium_exact", "premium_second_order"),
+    "premium_scaled_error": ("premium_exact", "premium_second_order"),
+    "rho_gap": ("rho_exact", "rho_second_order"),
+    "mc_quadrature_delta": ("mc_m2_dual_mean", "m2_dual_mean"),
 }
 
 
@@ -256,6 +269,23 @@ def _fields(text: str) -> dict[str, list[float]]:
     return fields
 
 
+def relative_changes(before: dict, after: dict, name: str) -> list[tuple]:
+    """``(change, old, new)`` of each number of the field ``name`` that
+    moved between the :func:`_fields` ``before`` and ``after``, relative
+    to its old value, or to the larger of its old operands where it is a
+    difference field whose operands line up with it."""
+    x, y = before.get(name, []), after.get(name, [])
+    scales = [abs(p) for p in x]
+    operands = [before.get(field, []) for field in OPERANDS.get(name, ())]
+    if operands and all(len(values) == len(x) for values in operands):
+        scales = [max(abs(values[i]) for values in operands) for i in range(len(x))]
+        if name == "premium_scaled_error" and len(before.get("sigma", [])) == len(x):
+            scales = [scale / (sigma * sigma) if sigma * sigma else scale
+                      for scale, sigma in zip(scales, before["sigma"])]
+    return [(abs(q - p) / scale if scale else abs(q), p, q)
+            for p, q, scale in zip(x, y, scales) if p != q]
+
+
 def compare(cases, old: list[dict], new: list[dict]) -> list[str]:
     """The summary lines; the first one counts the identical cases."""
     identical = 0
@@ -276,9 +306,8 @@ def compare(cases, old: list[dict], new: list[dict]) -> list[str]:
             if len(x) != len(y):
                 lines.append(f"{case_id}: {name} has {len(x)} -> {len(y)} numbers")
                 continue
-            for p, q in zip(x, y):
-                change = abs(q - p) / abs(p) if p else abs(q)
-                if p != q and change >= worst.get(name, (-1.0,))[0]:
+            for change, p, q in relative_changes(before, after, name):
+                if change >= worst.get(name, (-1.0,))[0]:
                     worst[name] = (change, p, q, case_id)
         if before == after:
             lines.append(f"{case_id}: text changed, no number moved")

@@ -1,16 +1,17 @@
 """The regularised incomplete gamma functions of one shape, and their
-inverse: the gamma family's cdf and quantile.
+inverses: the gamma family's cdf, quantile and survival quantile.
 
 ``Gamma`` imports this module on its first model, so processes that build
 no gamma model never compile it.  ``_IncompleteGamma(a)`` holds what a
 shape needs (its log Gamma, series coefficients and stretched
 Gauss-Laguerre weights), and evaluates P(a, x), Q(a, x) = 1 - P(a, x)
-and the x with P(a, x) = p in numpy and ``math``, without scipy.  A value
-does not depend on its batch: rows are summed by ``np.vecdot``, and each
-quantile keeps the step where it first meets the tolerance, so one p,
-alone or in an array, gives one x.  For shapes 0.05 to 100 they agree
-with scipy's ``gammainc`` within 1e-13 relative of the smaller of P and Q
-(plus the rounding of 1 - Q) and with ``gammaincinv`` within 1e-12.
+and the x with P(a, x) = p or Q(a, x) = q in numpy and ``math``, without
+scipy.  A value does not depend on its batch: rows are summed by
+``np.vecdot``, and each quantile keeps the step where it first meets the
+tolerance, so one p, alone or in an array, gives one x.  For shapes 0.05
+to 100 they agree with scipy's ``gammainc`` within 1e-13 relative of the
+smaller of P and Q (plus the rounding of 1 - Q) and with ``gammaincinv``
+within 1e-12.
 """
 
 from __future__ import annotations
@@ -243,14 +244,26 @@ class _IncompleteGamma:
     def ppf(self, p: np.ndarray) -> np.ndarray:
         """The x with P(a, x) = p, of a 1-d array inside (0, 1): one x per
         p, alone or in any batch, as each point keeps its own last step."""
-        out = np.empty_like(p)
-        for start in range(0, p.size, _PPF_BLOCK):
-            out[start:start + _PPF_BLOCK] = self._invert(p[start:start + _PPF_BLOCK])
+        upper = p > 0.5
+        return self.invert(np.where(upper, 1.0 - p, p), upper)
+
+    def invert(self, s: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """The x with Q(a, x) = s where ``upper`` holds and P(a, x) = s
+        elsewhere, of 1-d arrays, s inside (0, 1), in blocks that bound the
+        temporaries."""
+        out = np.empty_like(s)
+        for start in range(0, s.size, _PPF_BLOCK):
+            block = slice(start, start + _PPF_BLOCK)
+            out[block] = self._invert(s[block], upper[block])
         return out
 
-    def _invert(self, p: np.ndarray) -> np.ndarray:
-        upper = p > 0.5
-        s = np.where(upper, 1.0 - p, p)
+    def _invert(self, s: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """The x with Q(a, x) = s where ``upper`` holds and P(a, x) = s
+        elsewhere, for tail probabilities s inside (0, 1): one Halley loop
+        for both sides.  The first guess alone reads p = 1 - s on the upper
+        side, which is the p ``ppf`` was given: its s = 1 - p is exact, and
+        so is 1 - s."""
+        p = np.where(upper, 1.0 - s, s)
         sign = np.where(upper, -1.0, 1.0)
         log_s = np.log(s)
         t_low = self._lower_bound(p)

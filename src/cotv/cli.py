@@ -88,6 +88,18 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _scaled_error(err: float, sigma: float) -> float | None:
+    """The premium error over sigma^2: 0 for a point mass, and None where
+    sigma^2 is below the smallest normal float, where the quotient would
+    print the rounding of sigma^2 rather than the error."""
+    if sigma == 0.0:
+        return 0.0
+    variance = sigma * sigma
+    if variance < sys.float_info.min:
+        return None
+    return _finite("premium_scaled_error", err / variance)
+
+
 def _scenario_body(config: ScenarioConfig, moments: dict | None = None) -> dict:
     """The ``results`` and ``diagnostics`` of one scenario's reports."""
     methods = (("exact", "second_order") if config.method == "both"
@@ -113,8 +125,7 @@ def _scenario_body(config: ScenarioConfig, moments: dict | None = None) -> dict:
         second = reports["second_order"]
         err = _finite("premium_abs_error", abs(exact.premium - second.premium))
         results["premium_abs_error"] = err
-        results["premium_scaled_error"] = _finite(
-            "premium_scaled_error", err / exact.sigma**2 if exact.sigma > 0 else 0.0)
+        results["premium_scaled_error"] = _scaled_error(err, exact.sigma)
         results["rho_gap"] = _finite("rho_gap", abs(exact.rho - second.rho))
 
     diagnostics = {method: dict(report.diagnostics)

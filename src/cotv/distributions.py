@@ -11,19 +11,24 @@ the module computes two probability-plane dispersion measures:
 
 Every expectation goes through one primitive,
 ``ServiceTimeModel._expects(terms)``: the integrals of each g of
-``terms`` against its d(w(F)), over one window.  ``w=None`` is the plain
-expectation, and the dual moments are the w(p) = p^2 case, expectations
-under d(F^2); ``distorted_expect(g, w)`` is the one-term view.  No
-report integrates a dual moment: every continuous family and its shifted
-and scaled views give the two in closed form, and a discrete model sums
-them exactly (``_closed_dual_moments``).
-Continuous models integrate by quadrature in one node pass: a report's
-integrals run one after another, and the nodes of each refinement
-request, with their pdf, cdf and w'(F) of each weighting, are evaluated
-once for all of them, with every value equal to that of its integral
-alone.  Discrete models sum exactly.
+``terms`` against its d(w(F)).  ``w=None`` is the plain expectation, and
+the dual moments are the w(p) = p^2 case, expectations under d(F^2);
+``distorted_expect(g, w)`` is the one-term view.  No report integrates a
+dual moment: every continuous family and its shifted and scaled views
+give the two in closed form, and a discrete model sums them exactly
+(``_closed_dual_moments``).
+A continuous model integrates in the probability plane, Yaari's (1987)
+dual form E_w[g] = int_0^1 g(Q(p)) w'(p) dp, by the tanh-sinh rule of
+:func:`cotv.numerics._tanh_sinh`: no window, no truncated tail.  The
+times at the nodes are read from the quantile Q(p) where p <= 1/2 and
+from the survival quantile Q(1 - q), computed from q, above, and w' from
+(p, q), so nothing cancels near p = 1.  All terms of a call read the
+same nodes: each level's times, and w' of each weighting, are computed
+once for all of them, and each value equals that of its term alone.
+Discrete models sum exactly.
 
-Every family's pdf, cdf and quantile is numpy and ``math`` arithmetic;
+Every family's pdf, cdf, quantile and survival quantile is numpy and
+``math`` arithmetic;
 no code path imports scipy.  The lognormal's normal cdf adds
 ``math.erfc``, and its normal quantile is AS241, bit-identical to
 ``statistics.NormalDist.inv_cdf``: they agree with scipy's ``ndtr``
@@ -53,7 +58,7 @@ from .errors import (
     ValidationError,
     ZeroMeanError,
 )
-from .numerics import RngStream, Tolerance, _adaptive, _estimates, _nodes
+from .numerics import RngStream, Tolerance, _tanh_sinh, _tanh_sinh_level
 from .preferences import PowerWeighting
 
 __all__ = [
@@ -77,10 +82,8 @@ __all__ = [
     "build_dt_instance",
 ]
 
-# Upper-tail mass left outside the integration window for unbounded
-# supports.  1e-12 is enough for second moments but provably too loose for
-# third moments of heavy lognormals at the 1e-8 agreement level, so the
-# window is cut at the last representable quantile instead.
+# Upper-tail mass beyond the first upper end of a premium root search on
+# an unbounded support: the last quantile below 1 that a float resolves.
 TAIL_MASS = 1e-15
 
 
@@ -102,6 +105,17 @@ class ServiceTimeModel:
 
     def quantile(self, p):
         raise NotImplementedError
+
+    def survival_quantile(self, q):
+        """The time with upper-tail probability q, Q(1 - q), computed from
+        q: exact where 1 - q rounds."""
+        raise NotImplementedError
+
+    def _tail_quantile(self, s, upper):
+        """Times from the smaller tail probabilities ``s`` of a 1-d array:
+        ``survival_quantile(s)`` where ``upper`` holds, ``quantile(s)``
+        elsewhere."""
+        return np.where(upper, self.survival_quantile(s), self.quantile(s))
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -149,14 +163,13 @@ class ServiceTimeModel:
         quadrature."""
         raise NotImplementedError
 
-    def integration_interval(self) -> tuple[float, float, bool]:
-        """Finite window from the start of the support, finite for every
-        family, and whether an unbounded support was cut at the
-        ``1 - TAIL_MASS`` quantile."""
+    def integration_interval(self) -> tuple[float, float]:
+        """The support, with an unbounded end cut at the ``1 - TAIL_MASS``
+        quantile: where a premium root search first brackets its root."""
         lo, hi = self.support()
         if math.isfinite(hi):
-            return lo, hi, False
-        return lo, float(self.quantile(1.0 - TAIL_MASS)), True
+            return lo, hi
+        return lo, float(self.quantile(1.0 - TAIL_MASS))
 
     def expect(self, g: Callable, tol: Tolerance | None = None) -> float:
         """E[g(t)]: :meth:`distorted_expect` without a weighting."""
@@ -168,65 +181,57 @@ class ServiceTimeModel:
 
     def distorted_expect(self, g: Callable, w, tol: Tolerance | None = None,
                          info: dict | None = None) -> float:
-        """Integral of g against the distorted measure d(w(F)) = w'(F) f dt.
+        """Integral of g against the distorted measure d(w(F)), the
+        integral of g(Q(p)) w'(p) over p in (0, 1).
 
-        ``w=None`` integrates against the plain density f dt, without
-        evaluating the cdf.  The one-term view of :meth:`_expects`.
+        ``w=None`` integrates against the plain law.  The one-term view of
+        :meth:`_expects`.
         """
-        return next(self._expects([(g, w)], tol, [info])[1])
+        return next(self._expects([(g, w)], tol, [info]))
 
     def _expects(self, terms: list, tol: Tolerance | None = None,
-                 infos: list | None = None) -> tuple[tuple[float, float], Iterator]:
-        """The window, and the integral of each ``(g, w)`` of ``terms``
-        against d(w(F)) on it, computed in one node pass.
+                 infos: list | None = None) -> Iterator[float]:
+        """The integral of each ``(g, w)`` of ``terms`` against d(w(F)).
 
         The integrals are an iterator that computes each one when it is
-        read, in the order of ``terms``, by :func:`~cotv.numerics._adaptive`.
-        Terms that refine the same panel request the same nodes, so the
-        half-widths, nodes, pdf, the cdf (once a term has a weighting) and
-        w'(F) of each weighting that one term computes on a request are
-        kept for the terms after it: at most ``_SHARED_REQUESTS`` of them,
-        and none for the last term.  Each value, ``infos[k]`` and error is
-        that of the term integrated alone, on the same node arrays; a
-        failed term raises when it is read, and the terms after it are
-        never evaluated.
+        read, in the order of ``terms``, by
+        :func:`~cotv.numerics._tanh_sinh` over p.  The times at each
+        level's nodes come from one quantile pass, made when the first term
+        reaches that level, and w'(p, q) of each weighting from one call
+        per level; every term reads them, and evaluates g once per level it
+        reaches.  Each value, ``infos[k]`` (``levels``, ``nodes``,
+        ``error``) and error is that of the term integrated alone: a term
+        whose g w' is not finite at a node raises ``NonFiniteError`` when
+        it is read, and the terms after it are never evaluated.
         """
-        lo, hi, truncated = self.integration_interval()
+        times: dict = {}
+        slopes: dict = {}
+
+        def integral(g, w, info: dict | None) -> float:
+            def values(level: int) -> np.ndarray:
+                nodes = _tanh_sinh_level(level)
+                x = times.get(level)
+                if x is None:
+                    x = times[level] = self._tail_quantile(nodes.s, nodes.upper)
+                y = np.asarray(g(x), dtype=float)
+                if y.shape != x.shape:  # a constant g may return one value
+                    y = np.broadcast_to(y, x.shape)
+                if w is not None:
+                    slope = slopes.get((id(w), level))
+                    if slope is None:
+                        slope = slopes[id(w), level] = w.dw(nodes.p, nodes.q)
+                    y = y * slope
+                if not np.isfinite(y).all():
+                    bad = x[~np.isfinite(y)]
+                    raise NonFiniteError(f"integrand returned non-finite values on "
+                                         f"[{bad.min():g}, {bad.max():g}]")
+                return y
+
+            return _tanh_sinh(values, tol, info)
+
         infos = infos or [None] * len(terms)
-        for info in infos:
-            if info is not None:
-                info["integration_interval"] = [lo, hi]
-                info["truncated"] = truncated
-        shared: dict = {}
+        return (integral(g, w, info) for (g, w), info in zip(terms, infos))
 
-        def integral(g, w, keep: bool, info: dict | None) -> float:
-            def estimate(ends):
-                request = shared.get(ends)
-                if request is None:
-                    half, x = _nodes(ends)
-                    request = [half, x, self.pdf(x), None, {}]
-                    if keep and len(shared) < _SHARED_REQUESTS:
-                        shared[ends] = request
-                half, x, density, cdf, slopes = request
-                if w is None:
-                    return _estimates(half, np.asarray(g(x)) * density)
-                if id(w) not in slopes:
-                    if cdf is None:
-                        request[3] = cdf = self.cdf(x)
-                    slopes[id(w)] = w.dw(cdf)
-                return _estimates(half, np.asarray(g(x)) * slopes[id(w)] * density)
-
-            return _adaptive(estimate, lo, hi, tol, info)
-
-        last = len(terms) - 1
-        return (lo, hi), (integral(g, w, k < last, info)
-                          for k, ((g, w), info) in enumerate(zip(terms, infos)))
-
-
-# Requests one :meth:`ServiceTimeModel._expects` call keeps for its later
-# terms; a report's integrals make a few dozen, and an integral that runs
-# to the panel cap makes 100,000.
-_SHARED_REQUESTS = 256
 
 # w(p) = p^2: the law of the larger of two independent draws.
 _SQUARED = PowerWeighting(gamma=2.0)
@@ -278,6 +283,9 @@ class Exponential(ContinuousModel):
         p = np.asarray(p, dtype=float)
         return -np.log1p(-p) / self.rate
 
+    def survival_quantile(self, q):
+        return -np.log(np.asarray(q, dtype=float)) / self.rate
+
     def mean(self):
         return 1.0 / self.rate
 
@@ -322,6 +330,9 @@ class Uniform(ContinuousModel):
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         return self.lo + p * (self.hi - self.lo)
+
+    def survival_quantile(self, q):
+        return self.hi - (self.hi - self.lo) * np.asarray(q, dtype=float)
 
     def mean(self):
         return 0.5 * (self.lo + self.hi)
@@ -481,9 +492,12 @@ class _ScaleFamily(ContinuousModel):
     is 0 outside the support, cdf is 0 below it and 1 at +inf, quantile is 0
     at p = 0, inf at p = 1 and NaN outside [0, 1].  Subclasses give
     ``_scale()``, the standard-shape ``_pdf``, ``_cdf`` and ``_ppf`` of
-    1-d arrays, ``_ppf_one`` of one float inside (0, 1), which a 0-d
-    quantile takes, and ``_closed``: whether the density's support is
-    closed, [0, inf], or open, (0, inf).
+    1-d arrays, ``_tail`` (the standard shape's ``_tail_quantile``),
+    ``_ppf_one`` of one float inside (0, 1), which a 0-d quantile takes,
+    and ``_closed``: whether the density's support is closed, [0, inf], or
+    open, (0, inf).  The survival quantile is inf at q = 0, 0 at q = 1 and
+    NaN outside [0, 1]; above q = 1/2 it reads the quantile at the exact
+    1 - q.
     """
 
     _closed = False
@@ -510,13 +524,24 @@ class _ScaleFamily(ContinuousModel):
         scale = self._scale()
         p = np.asarray(p, dtype=float)
         if p.ndim == 0:
-            # one value, as the integration window's end
+            # one value, as the end of a premium bracket
             q = float(p)
             if 0.0 < q < 1.0:
                 return np.float64(self._ppf_one(q) * scale)
             return np.float64(0.0 if q == 0.0 else math.inf if q == 1.0 else math.nan)
         return _on_support(p, (0 < p) & (p < 1), lambda q: self._ppf(q) * scale,
                            lambda: np.where(p == 0, 0.0, np.where(p == 1, math.inf, math.nan)))
+
+    def survival_quantile(self, q):
+        scale = self._scale()
+        q = np.asarray(q, dtype=float)
+        return _on_support(q, (0 < q) & (q < 1),
+                           lambda s: self._tail(np.minimum(s, 1.0 - s), s <= 0.5) * scale,
+                           lambda: np.where(q == 0, math.inf,
+                                            np.where(q == 1, 0.0, math.nan)))
+
+    def _tail_quantile(self, s, upper):
+        return self._tail(s, upper) * self._scale()
 
 
 class LogNormal(_ScaleFamily):
@@ -546,6 +571,11 @@ class LogNormal(_ScaleFamily):
 
     def _ppf_one(self, q):
         return np.exp(self.log_sd * _ndtri_one(q))
+
+    def _tail(self, s, upper):
+        # one normal quantile for both sides: Q(1 - s) takes -ndtri(s)
+        z = _ndtri(s)
+        return np.exp(self.log_sd * np.where(upper, -z, z))
 
     def mean(self):
         return math.exp(self.log_mean + 0.5 * self.log_sd**2)
@@ -630,6 +660,10 @@ class Gamma(_ScaleFamily):
         # one float through the array loop: the x it has in any batch
         return self._incomplete.ppf(np.array([q]))[0].item()
 
+    def _tail(self, s, upper):
+        # P and Q inverted in one Halley loop
+        return self._incomplete.invert(s, upper)
+
     def mean(self):
         return self.shape / self.rate
 
@@ -709,6 +743,12 @@ class ShiftedScaled(ContinuousModel):
 
     def quantile(self, p):
         return self.loc + self.scale * np.asarray(self.base.quantile(p))
+
+    def survival_quantile(self, q):
+        return self.loc + self.scale * np.asarray(self.base.survival_quantile(q))
+
+    def _tail_quantile(self, s, upper):
+        return self.loc + self.scale * self.base._tail_quantile(s, upper)
 
     def mean(self):
         return self.loc + self.scale * self.base.mean()
@@ -823,7 +863,7 @@ class DiscreteModel(ServiceTimeModel):
 
     def _expects(self, terms, tol=None, infos=None):
         """Exact sums, each computed when it is read."""
-        return self.integration_interval()[:2], (self._sum(g, w) for g, w in terms)
+        return (self._sum(g, w) for g, w in terms)
 
     def _closed_dual_moments(self):
         mu = self.mean()

@@ -14,11 +14,11 @@ Every quantity comes in two flavours:
 The two paths are never mixed inside one number, so each reported value
 is traceable to a single derivation.  The exact route is one core shared
 with rank-dependent utility: expected utility is its identity-weighting
-case, and both solve the premium the same way, on the window their E_w[u]
-and VOT integrals share.  A quadratic, pure-quadratic or affine utility
-integrates E_w[t] and E_w[t^2] (affine: E_w[t]) in their place, and its
-premium is the root of a quadratic, written down in closed form; a power
-or constant-prudence utility searches for its root.  The one-quantity
+case, and both solve the premium the same way, from E_w[u] and VOT
+integrals that share one quantile pass.  A quadratic, pure-quadratic or
+affine utility integrates E_w[t] and E_w[t^2] (affine: E_w[t]) in their
+place, and its premium is the root of a quadratic, written down in closed
+form; a power or constant-prudence utility searches for its root.  The one-quantity
 functions read each exact number as the report does.
 
 Reports are built by :func:`_eu_reports`, as :mod:`cotv.non_eu` builds
@@ -101,23 +101,22 @@ def _square(t):
 
 def _moments(model: ServiceTimeModel, w, square: bool, tol: Tolerance | None,
              info: dict | None = None, memo: dict | None = None):
-    """The window, E_w[t], and E_w[t^2] if ``square`` (else None), from one
-    shared call; ``info`` receives the window and panels of the last.
+    """E_w[t], and E_w[t^2] if ``square`` (else None), from one shared
+    call; ``info`` receives the ``levels``, ``nodes`` and ``error`` of the
+    last.
     ``memo``, a sweep's for one call, maps (model, w) to the integrals
     with their info: a memo read is what a fresh call gives, and an
     integral that fails is not kept."""
     held = memo.get((model, w)) if memo is not None else None
-    if held is None or (square and len(held[1]) == 1):
+    if held is None or (square and len(held) == 1):
         terms = [(_time, w), (_square, w)] if square else [(_time, w)]
         infos = [{} for _ in terms]
-        window, values = model._expects(terms, tol, infos)
-        held = window, list(zip(values, infos))
+        held = list(zip(model._expects(terms, tol, infos), infos))
         if memo is not None:
             memo[model, w] = held
-    window, integrals = held
     if info is not None:
-        info.update(integrals[1 if square else 0][1])
-    return window, integrals[0][0], integrals[1][0] if square else None
+        info.update(held[1 if square else 0][1])
+    return held[0][0], held[1][0] if square else None
 
 
 def _basis_values(u: UtilityFunction, phi: float, mean_t: float,
@@ -140,14 +139,14 @@ def _exact_terms(u: UtilityFunction, w, phi: float) -> list:
 
 def _exact_values(u: UtilityFunction, model: ServiceTimeModel, w, phi: float,
                   tol: Tolerance | None, info: dict | None = None,
-                  memo: dict | None = None) -> tuple[tuple[float, float], Iterator]:
-    """The window and an iterator of E_w[u], then VOT: integrated when
-    read, or from a polynomial utility's basis.  ``info`` receives the
-    window and panels of E_w[u] or of the last basis integral."""
+                  memo: dict | None = None) -> Iterator[float]:
+    """An iterator of E_w[u], then VOT: integrated when read, or from a
+    polynomial utility's basis.  ``info`` receives the ``levels``,
+    ``nodes`` and ``error`` of E_w[u] or of the last basis integral."""
     if u.basis is None:
         return model._expects(_exact_terms(u, w, phi), tol, [info, None])
-    window, mean_t, mean_t2 = _moments(model, w, u.basis[0] != 0.0, tol, info, memo)
-    return window, iter(_basis_values(u, phi, mean_t, mean_t2))
+    mean_t, mean_t2 = _moments(model, w, u.basis[0] != 0.0, tol, info, memo)
+    return iter(_basis_values(u, phi, mean_t, mean_t2))
 
 
 def _exact_ratio(cotv_value: float, cot_value: float) -> float:
@@ -161,20 +160,24 @@ def _exact_ratio(cotv_value: float, cot_value: float) -> float:
 
 
 def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
-                   window: tuple[float, float], tol: Tolerance | None,
+                   model: ServiceTimeModel, tol: Tolerance | None,
                    info: dict | None = None) -> float:
-    """Root of u(mu + pi) = expected_u, bracketed inside the window.
+    """Root of u(mu + pi) = expected_u, where expected_u averages u over
+    ``model``.
 
-    u is decreasing and expected_u averages u over the integration window
-    [lo, hi], so the root lies in [0, hi - mu] when u(mu) > expected_u
-    (variability costs utility) and in [lo - mu, 0] otherwise.  Either
-    bracket keeps mu + pi inside the window, where u is defined, and no
-    bracket search is needed; a decreasing u makes the root unique.
-    The gap at 0 picks the bracket and is one of its ends, so it is
-    evaluated once; a gap of exactly 0 there is the root 0, as find_root's
-    end rule has it, also for a point mass, whose window holds no bracket.
-    A utility with a basis solves for its root in closed form
-    (:func:`_polynomial_premium`) and records no ``iterations``.
+    u is decreasing, so the root is unique: it lies in [lo - mu, 0], lo
+    the start of the support, when u(mu) < expected_u, and above 0 when
+    u(mu) > expected_u (variability costs utility).  The gap at 0 picks
+    the side and is one of the bracket's ends, so it is evaluated once; a
+    gap of exactly 0 there is the root 0, as find_root's end rule has it,
+    also for a point mass.  A utility with a basis solves for its root in
+    closed form (:func:`_polynomial_premium`) and records no
+    ``iterations``; above 0 its root needs no bracket.  A root search
+    above 0 brackets the root by [0, hi - mu], hi the end of
+    :meth:`~cotv.distributions.ServiceTimeModel.integration_interval`.
+    That window leaves ``TAIL_MASS`` of an unbounded support out, and a
+    heavy enough tail puts the root above it, so while the gap at the end
+    keeps the sign of the gap at 0 the end doubles.
     """
     def gap(pi: float) -> float:
         return at_mu if pi == 0.0 else float(u.u(mu + pi)) - expected_u
@@ -182,8 +185,15 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     at_mu = float(u.u(mu)) - expected_u
     if at_mu == 0.0:
         return 0.0
-    lo, hi = window
-    bracket = (0.0, max(hi - mu, 1e-6)) if at_mu > 0 else (lo - mu, 0.0)
+    if at_mu < 0:
+        bracket = (model.support()[0] - mu, 0.0)
+    elif u.basis is not None:
+        bracket = (0.0, math.inf)
+    else:
+        top = max(model.integration_interval()[1] - mu, 1e-6)
+        while gap(top) > 0:
+            top *= 2.0
+        bracket = (0.0, top)
     if u.basis is not None:
         return _polynomial_premium(u, mu, gap, bracket)
     return find_root(gap, *bracket, tol, info)
@@ -198,11 +208,13 @@ def _polynomial_premium(u: UtilityFunction, mu: float, gap: Callable[[float], fl
     a pi^2 + d1 pi + K, and its root on the decreasing branch, where
     u'(mu + pi) < 0, is 2K / (sqrt(d1^2 - 4aK) - d1): the denominator
     adds two non-negative terms, as d1 < 0, so nothing cancels, and a = 0
-    gives K / -d1.  Where there is no root in ``bracket`` (the
-    discriminant is negative, or mu + pi leaves the window or band), the
-    gap is read at the bracket's ends to raise the error
-    :func:`~cotv.numerics.find_root` raises there: ``NonFiniteError`` if
-    either is not finite, else ``NoBracketError``.
+    gives K / -d1.  ``bracket`` is unbounded above for a premium above 0
+    outside a band, where that root always exists.  Where there is no
+    root in ``bracket`` (the discriminant is negative, or mu + pi leaves
+    the support or band), the gap is read at the bracket's ends to raise
+    the error :func:`~cotv.numerics.find_root` raises there:
+    ``NonFiniteError`` if either is not finite, as at an infinite end,
+    else ``NoBracketError``.
     """
     k = gap(0.0)
     d1 = float(u.du(mu))
@@ -212,7 +224,8 @@ def _polynomial_premium(u: UtilityFunction, mu: float, gap: Callable[[float], fl
         root = 2.0 * k / (math.sqrt(discriminant) - d1)
         if lo <= root <= hi:
             return root
-    g_lo, g_hi = gap(lo), gap(hi)
+    with np.errstate(invalid="ignore"):  # u at an infinite end may be NaN
+        g_lo, g_hi = gap(lo), gap(hi)
     if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
         raise NonFiniteError("function returned non-finite value at a bracket end")
     raise NoBracketError(f"no sign change on [{lo:g}, {hi:g}]: g(lo)={g_lo:.6g}, "
@@ -235,20 +248,20 @@ def _report_mean(u: UtilityFunction, model: ServiceTimeModel,
     return mu
 
 
-def _exact_valuation(u: UtilityFunction, mu: float, phi: float, shared: tuple,
-                     tol: Tolerance | None, premium: float | None = None,
+def _exact_valuation(u: UtilityFunction, model: ServiceTimeModel, mu: float,
+                     phi: float, values: Iterator[float], tol: Tolerance | None,
+                     premium: float | None = None,
                      info: dict | None = None) -> tuple[float, float, float, float]:
     """(premium, VOT, COTV, rho) of the exact route.
 
-    ``shared`` is the window and an iterator of E_w[u] and then VOT, as
+    ``values`` is an iterator of E_w[u] and then VOT, as
     :func:`_exact_values` gives them: E_w[u] is read once, the premium is
-    solved from it on that window unless the caller supplies it, then VOT
-    is read.  ``info`` receives the premium root search.
+    solved from it unless the caller supplies it, then VOT is read.
+    ``info`` receives the premium root search.
     """
-    window, values = shared
     expected_u = next(values)
     if premium is None:
-        premium = _solve_premium(u, mu, expected_u, window, tol, info)
+        premium = _solve_premium(u, mu, expected_u, model, tol, info)
     vot = next(values)
     cotv_value = (float(u.u(mu)) - expected_u) / phi
     return premium, vot, cotv_value, _exact_ratio(cotv_value, vot * mu)
@@ -259,8 +272,8 @@ def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
     """Variability premium: the extra certain time with the same utility
     as facing the random time, solving E[u(t)] = u(mu + pi)."""
     mu = _report_mean(u, model)
-    window, values = _exact_values(u, model, None, 1.0, tol)  # phi enters VOT only
-    return _solve_premium(u, mu, next(values), window, tol)
+    expected_u = next(_exact_values(u, model, None, 1.0, tol))  # phi enters VOT only
+    return _solve_premium(u, mu, expected_u, model, tol)
 
 
 def premium_approx(u: UtilityFunction, model: ServiceTimeModel) -> float:
@@ -299,7 +312,7 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     mu = _report_mean(u, model)
     if ctx.method == "exact":
         if u.basis is not None:
-            return _basis_values(u, ctx.phi, _moments(model, None, False, tol)[1])[1]
+            return _basis_values(u, ctx.phi, _moments(model, None, False, tol)[0])[1]
         return model.distorted_expect(*_exact_terms(u, None, ctx.phi)[1], tol)
     return _vot_approx(model, vot_at(u, mu, ctx), float(u.d3u(mu)), ctx.phi)
 
@@ -321,7 +334,7 @@ def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     """
     mu = _report_mean(u, model)
     if ctx.method == "exact":
-        expected_u = next(_exact_values(u, model, None, ctx.phi, tol)[1])
+        expected_u = next(_exact_values(u, model, None, ctx.phi, tol))
         return (float(u.u(mu)) - expected_u) / ctx.phi
     return premium_approx(u, model) * vot_at(u, mu, ctx)
 
@@ -349,7 +362,7 @@ def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     """
     mu = _report_mean(u, model)
     if ctx.method == "exact":
-        values = _exact_values(u, model, None, ctx.phi, tol)[1]
+        values = _exact_values(u, model, None, ctx.phi, tol)
         expected_u, vot = next(values), next(values)
         return _exact_ratio((float(u.u(mu)) - expected_u) / ctx.phi, vot * mu)
     return _approx_ratio(u, model, mu, float(u.du(mu)), float(u.d3u(mu)))
@@ -414,11 +427,13 @@ def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
     cv and the bound are first read where the first report is built.
     ``DomainError`` where mu lies outside ``u.interval``.
     ``moments`` is a sweep's memo of basis integrals (:func:`_moments`).
-    Exact ``diagnostics``: the window (``integration_interval``,
-    ``truncated``), ``panels`` and ``max_depth`` of E[u], and the premium
-    root's ``iterations``; a discrete model, which sums, only the last.  A
-    polynomial utility gives the panels of E[t^2] (affine: E[t]) and no
-    ``iterations``, as its premium is solved in closed form."""
+    Exact ``diagnostics``: the tanh-sinh ``levels`` E[u] reached (3 is the
+    step h = 1/8), the ``nodes`` it summed and its ``error``, the
+    difference of its last two levels, and the premium root's
+    ``iterations``; a discrete model, which sums, only the last.  A
+    polynomial utility gives the levels, nodes and error of E[t^2]
+    (affine: E[t]) and no ``iterations``, as its premium is solved in
+    closed form."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -429,9 +444,9 @@ def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
     for method in methods:
         info: dict = {}
         if method == "exact":
-            shared = _exact_values(u, model, None, phi, tol, info, moments)
+            values = _exact_values(u, model, None, phi, tol, info, moments)
             premium, vot_value, cotv_value, rho = _exact_valuation(
-                u, mu, phi, shared, tol, info=info)
+                u, model, mu, phi, values, tol, info=info)
             eta = vot_mu / vot_value if vot_value != 0 else None
         else:
             premium = _premium_approx(u, model, mu, d1)

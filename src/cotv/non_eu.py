@@ -21,8 +21,8 @@ mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
 mean) once, then one report is built per requested method.  A scenario
 that asks for both methods therefore integrates those inputs once, and
 its reports equal two single-method runs bit for bit.  On a continuous
-model every integral of a scenario comes from one shared call over one
-window, so pdf, cdf and w'(F) are evaluated once per refinement request.
+model every integral of a scenario comes from one shared call, so the
+quantile and w'(p) are evaluated once per tanh-sinh level.
 :func:`rdu_ratio` is a one-method view of the second-order report, like
 :func:`rdu_valuation`.
 
@@ -187,8 +187,8 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     sigma and the dual moment m2_dual, which are computed once.  Outside a
     banded instance the exact premium is E_w[t] - mu, the one term of the
     shared call, which a sweep's ``moments`` may hold
-    (:func:`cotv.eu._moments`); the second-order report integrates nothing
-    and computes no window."""
+    (:func:`cotv.eu._moments`); the second-order report integrates
+    nothing."""
     for method in methods:
         EconomicContext(phi, method)  # validates phi and method
 
@@ -201,7 +201,7 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
     meta = model_or_instance.dt_meta
 
     m2_dual = _band_moments(model_or_instance)[1]
-    mean_t = (_moments(model_or_instance, ctx.w, False, tol, None, moments)[1]
+    mean_t = (_moments(model_or_instance, ctx.w, False, tol, None, moments)[0]
               if meta is None and "exact" in methods else None)
     vot = 1.0 / phi
     reports = {}
@@ -263,7 +263,7 @@ def rdu_expected_utility(model: ServiceTimeModel, u: UtilityFunction,
     polynomial utility).  ``DomainError`` where the mean (a band's t0)
     lies outside ``u.interval``, as in the report."""
     _report_mean(u, model, rank_dependent=True)
-    return next(_exact_values(u, model, w, 1.0, tol)[1])  # phi enters VOT only
+    return next(_exact_values(u, model, w, 1.0, tol))  # phi enters VOT only
 
 
 def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
@@ -379,12 +379,12 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     m2, m2_dual, m2_dual_var = _band_moments(model_or_instance)
     exact = "exact" in methods
     if exact and ctx.u.basis is None:
-        window, values = model_or_instance._expects(
+        values = model_or_instance._expects(
             [(_time, ctx.w)] + _exact_terms(ctx.u, ctx.w, phi), tol)
         mu_w = next(values)  # distorted mean
     else:
-        window, mu_w, mean_t2 = _moments(model_or_instance, ctx.w,
-                                         exact and ctx.u.basis[0] != 0.0, tol, None, moments)
+        mu_w, mean_t2 = _moments(model_or_instance, ctx.w,
+                                 exact and ctx.u.basis[0] != 0.0, tol, None, moments)
         values = iter(_basis_values(ctx.u, phi, mu_w, mean_t2)) if exact else None
     tau = _resolve_tau(ctx, mu, mu_w)
     vot_mu = -float(ctx.u.du(mu)) / phi
@@ -394,7 +394,7 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
             premium = (rdu_premium_exact(model_or_instance, ctx, tol)
                        if meta is not None else None)  # None: solved from E_w[u]
             premium, vot, cotv_value, rho = _exact_valuation(
-                ctx.u, mu, phi, (window, values), tol, premium)
+                ctx.u, model_or_instance, mu, phi, values, tol, premium)
         else:
             premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
             vot = -float(ctx.u.du(mu_w)) / phi

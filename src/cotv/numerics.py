@@ -1,16 +1,21 @@
-"""Deterministic numerical kernel: adaptive quadrature, a bracketing root
-finder (Brent's method), and seeded Monte Carlo estimation.
+"""Deterministic numerical kernel: the tanh-sinh rule in the probability
+plane, adaptive Gauss quadrature, a bracketing root finder (Brent's
+method), and seeded Monte Carlo estimation.
 
 These routines are the reference path against which every closed-form
 approximation in the package is checked, so they favour predictable error
-control over raw speed.  The quadrature makes one integrand call per
+control over raw speed.  A report's integrals are integrals over
+probability, E_w[g] = int_0^1 g(Q(p)) w'(p) dp, and :func:`_tanh_sinh`
+sums them on the double-exponential nodes of (0, 1) (Takahasi & Mori
+1974), which converge exponentially on the endpoint singularities of w'
+and of the quantile Q.  Its nodes depend only on their level, so every
+term of a report reads the same ones, and a caller that evaluates the
+quantile once per level serves all of them.  :func:`integrate` is the
+adaptive Gauss route on a finite window: it makes one integrand call per
 refinement step, holding the nodes of several panels, with the panel
-order, sums and errors of one call per panel.  Each call's nodes depend
-only on the panel it refines, so integrals over one window that refine
-the same panel ask for the same nodes, and a caller that runs them one
-after another can reuse what it computed on them.  The root finder
-keeps a sign-changing bracket around its estimate and returns a point of
-it once the bracket is narrower than the tolerance.  All of them are pure
+order, sums and errors of one call per panel.  The root finder keeps a
+sign-changing bracket around its estimate and returns a point of it once
+the bracket is narrower than the tolerance.  All of them are pure
 functions of their inputs; randomness enters only through an explicit
 :class:`RngStream`.
 """
@@ -51,7 +56,8 @@ class Tolerance:
 
     ``abs_tol`` and ``rel_tol`` combine as ``max(abs_tol, rel_tol * |ref|)``;
     at least one must be strictly positive.  ``max_iter`` bounds bisection
-    depth for quadrature and iteration count for root finding.
+    depth for :func:`integrate` and iteration count for root finding; the
+    tanh-sinh rule stops at its finest level instead.
     """
 
     def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8,
@@ -155,6 +161,85 @@ def _estimates(half: np.ndarray, y) -> list[float | None]:
     return [v if ok else None for v, ok in zip(values, finite.tolist())]
 
 
+# The tanh-sinh rule on (0, 1): the node t = k h maps to
+# p = 1 / (1 + exp(-pi sinh t)), with weight h dp/dt = h pi cosh t p (1 - p).
+# With e = exp(-pi |sinh t|), the smaller tail probability is e / (1 + e)
+# and the larger 1 / (1 + e), so p and q = 1 - p are both exact at every
+# node.  |t| <= 6 reaches tail probabilities of 1e-275.  Level l has the
+# step h = 2^-l; the base level h = 1/8 has 97 nodes, and each finer level
+# adds the odd multiples of its step, up to h = 1/128.
+_TS_RANGE = 6
+_TS_BASE = 3
+_TS_FINEST = 7
+
+
+class _Level(NamedTuple):
+    """Nodes of one tanh-sinh level, in ascending p: the smaller tail
+    probability ``s`` = min(p, q), ``p``, ``q``, whether p > 1/2
+    (``upper``), and the weight dp/dt without the step."""
+
+    s: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    upper: np.ndarray
+    weight: np.ndarray
+
+
+_LEVELS: dict[int, _Level] = {}
+
+
+def _tanh_sinh_level(level: int) -> _Level:
+    """The nodes of ``level``: all of them at the base level, only the new
+    ones (the odd multiples of the step) at a finer level.  Each level is
+    built on its first use and kept."""
+    nodes = _LEVELS.get(level)
+    if nodes is None:
+        n = _TS_RANGE << level
+        k = np.arange(-n, n + 1) if level == _TS_BASE else np.arange(1 - n, n, 2)
+        t = k * 2.0 ** -level
+        e = np.exp(-math.pi * np.abs(np.sinh(t)))
+        tail, body = e / (1.0 + e), 1.0 / (1.0 + e)
+        upper = t > 0
+        nodes = _LEVELS[level] = _Level(
+            tail, np.where(upper, body, tail), np.where(upper, tail, body), upper,
+            math.pi * np.cosh(t) * tail * body)
+    return nodes
+
+
+def _tanh_sinh(values: Callable[[int], np.ndarray], tol: Tolerance | None,
+               info: dict | None = None) -> float:
+    """The integral over (0, 1) of an integrand whose values at the nodes
+    of a level ``values(level)`` returns, by the tanh-sinh rule.
+
+    The base level's values give the estimates of the steps 1/4 (every
+    other node) and 1/8.  While the last two estimates differ by more than
+    ``tol.scale`` of the last, the next level's values are asked for,
+    halving the step, and after h = 1/128 ``NonConvergenceError`` is
+    raised.  ``info`` receives the finest ``levels`` reached (3 is
+    h = 1/8), the ``nodes`` summed and the ``error``, the last difference.
+    """
+    tol = tol or DEFAULT_TOLERANCE
+    level = _TS_BASE
+    weight = _tanh_sinh_level(level).weight
+    y = values(level)
+    coarse = float(y[::2] @ weight[::2]) * 2.0 ** (1 - level)
+    estimate = float(y @ weight) * 2.0 ** -level
+    error = abs(estimate - coarse)
+    while error > tol.scale(estimate):
+        if level == _TS_FINEST:
+            raise NonConvergenceError(
+                f"tanh-sinh levels still differ by {error:.3g} at step "
+                f"h = 2^-{level}")
+        level += 1
+        coarse = estimate
+        estimate = 0.5 * coarse + float(
+            values(level) @ _tanh_sinh_level(level).weight) * 2.0 ** -level
+        error = abs(estimate - coarse)
+    if info is not None:
+        info.update(levels=level, nodes=(2 * _TS_RANGE << level) + 1, error=error)
+    return estimate
+
+
 def _non_finite(a: float, b: float) -> NonFiniteError:
     return NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
 
@@ -246,8 +331,8 @@ def integrate(
     elementwise: one call holds the nodes of several panels.  Panels are
     still visited depth first and summed in that order, and a non-finite
     value raises when that order reaches its panel: the value, ``info``
-    and errors are those of one call per panel.  A report's shared
-    integrals run through the same loop, :func:`_adaptive`.
+    and errors are those of one call per panel.  A report's integrals do
+    not come here: they are tanh-sinh sums over p (:func:`_tanh_sinh`).
     """
     def estimate(ends):
         half, x = _nodes(ends)

@@ -340,7 +340,9 @@ class WeightingFunction:
     def w(self, p):
         raise NotImplementedError
 
-    def dw(self, p):
+    def dw(self, p, q=None):
+        """w'(p); ``q``, if given, is 1 - p computed without rounding, which
+        a slope that depends on 1 - p reads in its place."""
         raise NotImplementedError
 
     def d2w(self, p):
@@ -376,7 +378,7 @@ class IdentityWeighting(WeightingFunction):
     def w(self, p):
         return np.asarray(p, dtype=float)
 
-    def dw(self, p):
+    def dw(self, p, q=None):
         return np.ones_like(np.asarray(p, dtype=float))
 
     def d2w(self, p):
@@ -397,7 +399,7 @@ class PowerWeighting(WeightingFunction):
     def w(self, p):
         return np.power(np.asarray(p, dtype=float), self.gamma)
 
-    def dw(self, p):
+    def dw(self, p, q=None):
         g = self.gamma
         return g * np.power(np.asarray(p, dtype=float), g - 1.0)
 
@@ -442,10 +444,10 @@ class InverseSWeighting(WeightingFunction):
         dn = (g - 1.0) * (np.power(p, g - 2.0) + np.power(1.0 - p, g - 2.0))
         return a, b, s, n, dn
 
-    def dw(self, p):
+    def dw(self, p, q=None):
         g = self.gamma
         p = np.asarray(p, dtype=float)
-        q = 1.0 - p
+        q = 1.0 - p if q is None else np.asarray(q, dtype=float)
         a = np.power(p, g)
         s = a + np.power(q, g)
         n = np.power(p, g - 1.0) - np.power(q, g - 1.0)

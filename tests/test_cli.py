@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import itertools
 import json
 from pathlib import Path
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cotv import config
+from cotv import cli, config
 from cotv.cli import (
     main,
     render_csv,
@@ -567,6 +569,20 @@ def ledger_config(region_id):
                 if region["id"] == region_id)
 
 
+# Ledger regions a and c-exact render since the probability-plane kernel.
+# Their failing stand-ins: region a's dual-theory scenario on a lognormal
+# so heavy that t w'(p) overflows at the top node under inverse-S 0.7
+# (and not under 2.0, where w'(p) vanishes there), and region c's on an
+# exponential shifted to start at -1, where u = -t^1.5 is NaN.
+FAILING_STAND_INS = {
+    "a": dict(ledger_config("a"), distribution={
+        "family": "lognormal", "params": {"log_mean": 0.0, "log_sd": 15.0}}),
+    "c-exact": dict(ledger_config("c-exact"), distribution={
+        "family": "shifted_scaled", "loc": -1.0, "scale": 1.0,
+        "base": {"family": "exponential", "params": {"rate": 0.5}}}),
+}
+
+
 def outcome(raw):
     """The envelope of a scenario, or its error class and message."""
     try:
@@ -616,7 +632,7 @@ class TestBothMethods:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("region", ["a", "c-exact"])
     def test_ledger_error_matches_exact_run(self, region):
-        raw = ledger_config(region)
+        raw = FAILING_STAND_INS[region]
         failure = outcome(dict(raw, method="both"))
         assert isinstance(failure, tuple)
         assert failure == outcome(dict(raw, method="exact"))
@@ -864,9 +880,9 @@ class TestCliProcess:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_sweep_names_its_point(self, tmp_path, capsys):
-        # the ledger (a) weighting: inverse-S with gamma < 1 is singular at
-        # the end of a uniform window, gamma = 2 is not
-        raw = dict(ledger_config("a"), sweep={
+        # inverse-S with gamma < 1 is singular at the ends of (0, 1), and
+        # gamma = 2 is not (see FAILING_STAND_INS)
+        raw = dict(FAILING_STAND_INS["a"], sweep={
             "axes": {"weighting.params.gamma": [2.0, 0.7]}})
         path = write_config(tmp_path, raw)
         out = tmp_path / "rows.csv"
@@ -879,15 +895,19 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("command, fmt", [("value", "json"), ("sweep", "json"),
                                               ("sweep", "csv")])
-    def test_non_finite_result_field_exit_one(self, command, fmt, tmp_path, capsys):
-        # sigma^2 is a subnormal 8.3e-322, and the power utility's premium
-        # root stops within its absolute tolerance, far above 1e-162, so the
-        # scaled premium error is inf
-        raw = dict(BASE, distribution={"family": "uniform",
-                                       "params": {"lo": 0.0, "hi": 1e-160}},
-                   preference={"family": "power", "params": {"exponent": 1.5},
-                               "interval": [0.0, 10.0]},
-                   sweep={"axes": {"economics.phi": [1.0]}})
+    def test_non_finite_result_field_exit_one(self, command, fmt, tmp_path, capsys,
+                                              monkeypatch):
+        # an exact premium 1e300 off the second-order one on a sigma of
+        # 1e-10, a normal sigma^2: the scaled premium error overflows to inf
+        evaluate = cli._evaluate
+
+        def far_premium(*args):
+            reports = evaluate(*args)
+            reports["exact"].premium, reports["exact"].sigma = 1e300, 1e-10
+            return reports
+
+        monkeypatch.setattr(cli, "_evaluate", far_premium)
+        raw = dict(BASE, sweep={"axes": {"economics.phi": [1.0]}})
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, raw),
                      "--format", fmt, "--out", str(out)]) == 1
@@ -897,6 +917,31 @@ class TestCliProcess:
         assert err[0].endswith(" at sweep point economics.phi=1.0") == (command == "sweep")
         assert err[-1].startswith("wall-time: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, fmt", [("value", "json"), ("sweep", "json"),
+                                              ("sweep", "csv")])
+    def test_subnormal_variance_prints_null_scaled_error(self, command, fmt, tmp_path,
+                                                         capsys):
+        # sigma^2 is a subnormal 8.3e-322, and the power utility's premium
+        # root stops within its absolute tolerance, far above 1e-162: the
+        # premium error over sigma^2 would be inf here, as it was 7.1e158,
+        # the rounding of sigma^2, with a quadratic utility
+        raw = dict(BASE, distribution={"family": "uniform",
+                                       "params": {"lo": 0.0, "hi": 1e-160}},
+                   preference={"family": "power", "params": {"exponent": 1.5},
+                               "interval": [0.0, 10.0]},
+                   sweep={"axes": {"economics.phi": [1.0]}})
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, raw),
+                     "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "csv":
+            rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        else:
+            payload = json.loads(out.read_text())
+            rows = payload["rows"] if command == "sweep" else [payload["results"]]
+        assert [row["premium_scaled_error"] for row in rows] == \
+            ["" if fmt == "csv" else None]
+        assert float(rows[0]["premium_abs_error"]) > 0.0
 
     def test_second_order_pole_exit_one(self, tmp_path, capsys):
         # exponential(1) with power(3): 1 + R2 R3 CV^2 / 2 is exactly 0

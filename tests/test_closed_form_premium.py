@@ -108,7 +108,7 @@ def test_pure_quadratic_premium_on_the_exponential():
 @SETTINGS
 @given(models(), quadratics())
 def test_eu_premium_closes_the_gap(model, u):
-    expected_u = next(_exact_values(u, model, None, 1.0, None)[1])
+    expected_u = next(_exact_values(u, model, None, 1.0, None))
     assert_gap_within_ulps(u, model.mean(), premium_exact(u, model), expected_u)
 
 
@@ -181,7 +181,7 @@ def test_polynomial_premium_reports_no_iterations():
 def test_no_root_raises_as_the_root_search(expected_u, window):
     u, mu = PureQuadraticUtility(-1.0), 1.0
     with pytest.raises(NoBracketError) as closed:
-        _solve_premium(u, mu, expected_u, window, None)
+        _solve_premium(u, mu, expected_u, Uniform(*window), None)
     with pytest.raises(NoBracketError) as searched:
         find_root(lambda pi: float(u.u(mu + pi)) - expected_u, window[0] - mu, 0.0)
     assert str(closed.value) == str(searched.value)

@@ -35,13 +35,14 @@ from cotv.errors import (
     ValidationError,
     ZeroMeanError,
 )
-from cotv.numerics import DEFAULT_TOLERANCE, RngStream, Tolerance, mc_estimate
+from cotv.numerics import DEFAULT_TOLERANCE, RngStream, Tolerance, integrate, mc_estimate
 from cotv.preferences import InverseSWeighting, PowerWeighting
 
 from oracles import (
     DUAL_MOMENTS,
     GAMMA_HALF_SHAPE_PQ,
     GAMMA_TINY_P_QUANTILES,
+    SURVIVAL_QUANTILES,
     brute_pairwise_dual_mean,
     lognormal_dual_mean,
 )
@@ -114,7 +115,7 @@ class TestFamilyMoments:
 
     @pytest.mark.parametrize("model", CONTINUOUS_GRID, ids=lambda m: m.label())
     def test_cdf_shape(self, model):
-        lo, hi, _ = model.integration_interval()
+        lo, hi = model.integration_interval()
         grid = np.linspace(lo, hi, 200)
         values = np.asarray(model.cdf(grid))
         assert np.all(np.diff(values) >= -1e-13)
@@ -418,16 +419,22 @@ def scipy_oracle(model):
 
 
 def quadrature_nodes(model):
-    """Every 15-node panel the adaptive kernel visits for a dual moment."""
+    """Every 15-node panel the adaptive kernel visits for a dual moment:
+    the integral of (t - mean)^2 against d(F^2) = 2 F f dt on the model's
+    window."""
     panels = []
+    lo, hi = model.integration_interval()
 
-    def g(t):
+    def f(t):
         # one call holds the nodes of several panels, panel after panel
         panels.extend(np.array(t).reshape(-1, 15))
-        return (t - model.mean()) ** 2
+        return (t - model.mean()) ** 2 * SQUARED.dw(model.cdf(t)) * model.pdf(t)
 
-    model.dual_expect(g, TIGHT)
+    integrate(f, lo, hi, TIGHT)
     return panels
+
+
+SQUARED = PowerWeighting(2.0)
 
 
 def identical(a, b):
@@ -763,6 +770,75 @@ def test_one_quantile_per_p(model):
     ones = [float(model.quantile(q)) for q in p.tolist()]
     assert ones == [float(model.quantile(np.array([q]))[0]) for q in p.tolist()]
     assert ones == batch.tolist()
+
+
+def survival_cases():
+    """(model, q, reference) of ``SURVIVAL_QUANTILES`` grouped by model, and
+    each lognormal and gamma model again as loc 1 + scale 2 of itself, whose
+    reference is 1 + 2x (each operation exact, or rounded once)."""
+    families = {"exponential": Exponential, "uniform": Uniform,
+                "lognormal": LogNormal, "gamma": Gamma}
+    grouped = {}
+    for family, params, q, x in SURVIVAL_QUANTILES:
+        grouped.setdefault((family, params), []).append((q, x))
+    cases = []
+    for (family, params), rows in grouped.items():
+        model = families[family](*params)
+        q, x = map(np.array, zip(*rows))
+        cases.append((model, q, x))
+        if family in ("lognormal", "gamma"):
+            cases.append((ShiftedScaled(model, loc=1.0, scale=2.0), q, 1.0 + 2.0 * x))
+    return cases
+
+
+def survival_rel(model, q):
+    """The survival quantile's bound: the quantile's (``ppf_rel``) at the
+    mirrored tail for lognormal and gamma, two ulps for the closed forms,
+    and two more for the rounding of 1 + 2x of a shifted and scaled one."""
+    if isinstance(model, ShiftedScaled):
+        return survival_rel(model.base, q) + 4.5e-16
+    if isinstance(model, (LogNormal, Gamma)):
+        return ppf_rel(model, q)
+    return 4.5e-16
+
+
+@pytest.mark.parametrize("model, q, reference", survival_cases(),
+                         ids=[case[0].label() for case in survival_cases()])
+def test_survival_quantile_matches_40_digit_values(model, q, reference):
+    # q from 1/2 down to 1e-300, where 1 - q is 1 and quantile(1 - q) inf
+    assert close(model.survival_quantile(q), reference, survival_rel(model, q))
+    assert [float(model.survival_quantile(x)) for x in q.tolist()] == \
+        model.survival_quantile(q).tolist()
+
+
+@pytest.mark.parametrize("model", [*ONE_QUANTILE_MODELS, *PARITY_MODELS],
+                         ids=lambda m: m.label())
+def test_survival_quantile_is_the_mirrored_quantile(model):
+    # where 1 - q is exact, the two quantiles name one time
+    q = np.array([0.5, 0.375, 0.125, 2.0 ** -10, 2.0 ** -30])
+    assert np.array_equal(1.0 - (1.0 - q), q)
+    base = model.base if isinstance(model, ShiftedScaled) else model
+    rel = ppf_rel(base, 1.0 - q) if isinstance(base, (LogNormal, Gamma)) else 4.5e-16
+    assert close(model.survival_quantile(q), model.quantile(1.0 - q),
+                 rel + (4.5e-16 if base is not model else 0.0))
+
+
+@pytest.mark.parametrize("model", ONE_QUANTILE_MODELS, ids=lambda m: m.label())
+def test_tail_quantile_reads_each_side(model):
+    # the probability-plane nodes take Q(s) below the median and Q(1 - s)
+    # above it, in one pass, with the bits of the lone quantiles; s is at
+    # most 1/2, as at the nodes
+    s = np.concatenate([0.5 * 10.0 ** -np.linspace(0.0, 299.0, 40), [0.5, 0.25]])
+    upper = np.arange(s.size) % 2 == 1
+    both = model._tail_quantile(s, upper)
+    assert both[~upper].tolist() == model.quantile(s[~upper]).tolist()
+    assert both[upper].tolist() == model.survival_quantile(s[upper]).tolist()
+
+
+@pytest.mark.parametrize("model", PARITY_MODELS[::5], ids=lambda m: m.label())
+def test_survival_quantile_edges(model):
+    q = np.array([0.0, 1.0, -0.1, 1.1, np.nan])
+    assert close(model.survival_quantile(q), [np.inf, 0.0, np.nan, np.nan, np.nan], 0.0)
 
 
 SHAPE_MODELS = [

@@ -122,6 +122,21 @@ class TestPremiumExact:
         assert pi < 0
         assert pi == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("u, k, model, rel", [
+        (PureQuadraticUtility(a=-1.0), 2.0, LogNormal(-32.0, 8.0), 1e-12),
+        (PowerUtility(exponent=1.5), 1.5, LogNormal(-60.5, 11.0), 1e-8),
+    ], ids=["pure_quadratic-closed_form", "power-root_search"])
+    def test_root_above_the_tail_quantile(self, u, k, model, rel):
+        # the certainty equivalent E[t^k]^(1/k) = exp(m + k s^2 / 2) of a
+        # lognormal this heavy lies above its 1 - 1e-15 quantile, the first
+        # upper end of a root search; both means are 1
+        mu = model.mean()
+        certain = math.exp(model.log_mean + 0.5 * k * model.log_sd**2)
+        assert certain > model.integration_interval()[1]
+        pi = premium_exact(u, model)
+        assert pi == pytest.approx(certain - mu, rel=rel)
+        assert _eu_reports(u, model, 1.0, ("exact",), None)["exact"].premium == pi
+
     def test_depends_only_on_first_two_moments_for_quadratics(self):
         # same mean/sd, different shapes: premium identical for pure quadratic
         u = PureQuadraticUtility(a=-2.0, c=1.0)
@@ -364,7 +379,10 @@ class TestEvaluate:
         assert report.rho == pytest.approx(0.5, abs=1e-6)
         assert report.rho_upper_bound == pytest.approx(0.5)
         assert report.congestion_multiplier == pytest.approx(1.5, abs=1e-6)
-        assert report.diagnostics["truncated"] is True
+        # the probability-plane rule has no window to cut
+        levels = report.diagnostics["levels"]
+        assert report.diagnostics["nodes"] == (12 << levels) + 1
+        assert "truncated" not in report.diagnostics
 
     def test_report_degenerate(self):
         report = evaluate(PureQuadraticUtility(a=-1.0), Degenerate(5.0), EXACT)

@@ -73,6 +73,9 @@ RAW_TENTHS = {"family": "discrete",
               "probabilities": [0.1] * 10}
 BANDED = {"family": "discrete", "dt": {"t0": 3.0, "xi": [-1.0, -0.5, 0.5, 1.0],
                                         "p0": 0.5, "psi": 0.3}}
+# support from -1, where a power utility is NaN: a NonFiniteError
+SHIFTED_BELOW_ZERO = {"family": "shifted_scaled", "base": {"family": "exponential",
+                      "params": {"rate": 0.5}}, "loc": -1.0, "scale": 1.0}
 
 PURE_QUADRATIC = {"family": "pure_quadratic", "params": {"a": -1.0}}
 QUADRATIC = {"family": "quadratic", "params": {"a": -0.5, "b": -0.2}}
@@ -143,6 +146,8 @@ SCENARIOS = {
         "rdu", GAMMA, PRUDENCE, "second_order", weighting=INVERSE_S),
     "rdu-shifted-power-identity-exact": _scenario(
         "rdu", SHIFTED, POWER, "exact", weighting=IDENTITY),
+    "rdu-shifted_below_zero-power-inverse_s-exact": _scenario(
+        "rdu", SHIFTED_BELOW_ZERO, POWER, "exact", weighting=INVERSE_S),
     "rdu-degenerate-pure_quadratic-inverse_s-both": _scenario(
         "rdu", DEGENERATE, PURE_QUADRATIC, "both", weighting=INVERSE_S),
     # a point mass on the general route: no variability to integrate or
@@ -208,12 +213,11 @@ CLI_RUNS = {
 CLI_RUNS["cli-value-unknown_key"] = {
     "command": "value", "format": "json",
     "scenario": {**SCENARIOS["eu-uniform-power-exact"], "bogus": 1}}
-# a non-finite result field is a computation error (exit 1), in a sweep
-# with the point's axis values: on UNIFORM_TINY the power utility's premium
-# root stops within its absolute tolerance, far above the true premium, so
-# the scaled premium error is inf
+# on UNIFORM_TINY the power utility's premium root stops within its
+# absolute tolerance, far above the true premium, so the premium error over
+# the subnormal sigma^2 would be inf; the scaled error prints null there
 CLI_RUNS.update({
-    f"cli-{command}-nonfinite_result": {
+    f"cli-{command}-subnormal_variance": {
         "command": command, "format": fmt,
         "scenario": {**_scenario("eu", UNIFORM_TINY,
                                  {**POWER, "interval": [0.0, 10.0]}, "both"),

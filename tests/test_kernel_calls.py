@@ -2,7 +2,8 @@
 
 Root searches are counted on the code objects of the functions through
 ``sys.setprofile``, so the count does not depend on how a module binds
-them; integrals are counted as the calls of ``numerics._adaptive``.
+them; integrals are counted as the terms read, the calls of
+``numerics._tanh_sinh``.
 Each exact report computes E_w[u] once: with a power or constant-prudence
 utility EU takes E[u] and VOT (2 integrals), and RDU adds the distorted
 mean (3 integrals); a polynomial utility reads E_w[u] and VOT from its
@@ -10,10 +11,10 @@ moment basis, E_w[t] and E_w[t^2] (2 integrals in EU and in RDU, whose
 distorted mean is E_w[t]), or E_w[t] alone when it is affine (1).  The
 premium evaluates u at the mean once.  A polynomial utility's premium is
 the root of a quadratic, written down in closed form, so it calls no root
-finder, on a window or on a band; any other is one root solve on a
-bracket inside the integration window, with no bracket search, which
-takes at most 10 iterations on the benchmark's report corpus and sweep
-grids.  An EU second-order report takes each of u', u'' and u''' at the
+finder; any other is one root solve on a bracket from the support and
+its ``1 - TAIL_MASS`` quantile, which widens only where the root lies
+above that quantile (on none of the benchmark's inputs) and takes at
+most 10 iterations on the benchmark's report corpus and sweep grids.  An EU second-order report takes each of u', u'' and u''' at the
 mean once.
 Every family reads its dual moments from a closed form or an exact sum,
 so no report and no ``moments()`` call integrates one, and a DT
@@ -21,11 +22,11 @@ second-order report integrates nothing.  A ``method: "both"`` scenario
 computes the inputs its two reports share once: RDU second order reuses
 the distorted mean of the exact report (3 integrals in all, not 4), and
 DT and EU second order integrate nothing (1 and 2).
-Each integral requests the window
-and its halves, then the quarters of every panel it bisects.  A report's
-integrals share one window and run one after another, and a request an
-earlier integral made is not evaluated again: here pdf is evaluated once
-per request of the longest integral.  ``parse_config`` builds a
+Each integral sums the tanh-sinh nodes of p in (0, 1), level after level,
+and calls its integrand once per level it reaches.  A report's integrals
+share one call, which reads the quantile once per level for all of them:
+one quantile pass per shared call on every report here, whose terms all
+stop at the base level, h = 1/8.  ``parse_config`` builds a
 scenario's model, utility and weighting once, and every report of the
 scenario uses those objects.  A sweep parses each grid point once but
 builds each distinct block (equal canonical JSON) once per sweep; a block
@@ -83,51 +84,65 @@ def count_calls(functions, run) -> dict:
     return counts
 
 
+def model_classes(cls=ServiceTimeModel):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from model_classes(sub)
+
+
 def kernel_records(run, monkeypatch) -> tuple[list, list]:
-    """(requests, panels) of each integral ``run()`` computes, and the pdf
-    evaluations of each shared call.
+    """(level calls, levels) of each integral ``run()`` computes, and the
+    quantile passes of each shared call.
 
-    An integral is one call of ``numerics._adaptive``; its requests are
-    the calls of the panel estimate it is handed.  A shared call is one
+    An integral is one call of ``numerics._tanh_sinh``, one term read; its
+    level calls are the calls of the node values it is handed, and its
+    levels the finest it reached (3 is h = 1/8).  A shared call is one
     :meth:`~cotv.distributions.ServiceTimeModel._expects` call of a
-    continuous model, and its pdf evaluations are the calls of its model's
-    ``pdf`` until the next shared call.
+    continuous model, and its quantile passes are the outermost calls of
+    a model's ``_tail_quantile`` (a shifted and scaled model calls its
+    base's) until the next shared call.
     """
-    integrals, pdf_calls, counted_classes = [], [], set()
-    adaptive, expects = numerics._adaptive, ServiceTimeModel._expects
+    integrals, passes = [], []
+    tanh_sinh, expects = numerics._tanh_sinh, ServiceTimeModel._expects
+    depth = 0
 
-    def counted_adaptive(estimate, lo, hi, tol, info):
+    def counted_tanh_sinh(values, tol, info=None):
         info = {} if info is None else info
-        requests = 0
+        calls = 0
 
-        def counted(ends):
-            nonlocal requests
-            requests += 1
-            return estimate(ends)
+        def counted(level):
+            nonlocal calls
+            calls += 1
+            return values(level)
 
-        value = adaptive(counted, lo, hi, tol, info)
-        integrals.append((requests, info["panels"]))
+        value = tanh_sinh(counted, tol, info)
+        integrals.append((calls, info["levels"]))
         return value
 
-    def counted_pdf(pdf):
-        def counted(self, t):
-            pdf_calls[-1] += 1
-            return pdf(self, t)
+    def counted_tail(tail):
+        def counted(self, s, upper):
+            nonlocal depth
+            passes[-1] += depth == 0
+            depth += 1
+            try:
+                return tail(self, s, upper)
+            finally:
+                depth -= 1
         return counted
 
     def counted_expects(self, *args):
-        cls = type(self)
-        if cls not in counted_classes:
-            counted_classes.add(cls)
-            monkeypatch.setattr(cls, "pdf", counted_pdf(cls.pdf))
-        pdf_calls.append(0)
+        passes.append(0)
         return expects(self, *args)
 
     for module in (numerics, distributions):
-        monkeypatch.setattr(module, "_adaptive", counted_adaptive)
+        monkeypatch.setattr(module, "_tanh_sinh", counted_tanh_sinh)
+    for cls in set(model_classes()):
+        if "_tail_quantile" in vars(cls):
+            monkeypatch.setattr(cls, "_tail_quantile",
+                                counted_tail(vars(cls)["_tail_quantile"]))
     monkeypatch.setattr(ServiceTimeModel, "_expects", counted_expects)
     run()
-    return integrals, pdf_calls
+    return integrals, passes
 
 
 def kernel_calls(run, monkeypatch) -> dict:
@@ -190,8 +205,7 @@ def test_second_order_report_takes_each_derivative_at_the_mean_once():
 
 def premium_roots(run, monkeypatch) -> tuple[list, list]:
     """The iterations of each premium root ``run()`` searches for, and how
-    many times each premium on an integration window evaluates u at the
-    mean."""
+    many times each premium solved from E_w[u] evaluates u at the mean."""
     iterations, at_mean = [], []
     find_root, solve = numerics.find_root, eu._solve_premium
 
@@ -302,8 +316,8 @@ def test_point_mass_exact_report_integrates_and_solves_nothing(raw, at_mean,
 def test_dt_second_order_on_closed_dual_moments_integrates_nothing(distribution,
                                                                   monkeypatch):
     raw = dict(DT_EXPONENTIAL, distribution=distribution, method="second_order")
-    records, pdf_calls = kernel_records(report(raw), monkeypatch)
-    assert records == [] and pdf_calls == []
+    records, passes = kernel_records(report(raw), monkeypatch)
+    assert records == [] and passes == []
 
 
 @pytest.mark.parametrize("model", [
@@ -323,31 +337,42 @@ def test_moments_integrate_nothing(model, monkeypatch):
     assert records == []
 
 
-# (run, integrals, pdf evaluations per shared call): terms that refine the
-# same panel share its request, and each integral here refines a subset of
-# the panels of the longest, so a report evaluates pdf once per request of
-# its longest integral.
+# (run, integrals): every term of a report reads the nodes of one shared
+# call, which makes one quantile pass per level its terms reach; each term
+# calls its integrand once per level, and here all stop at h = 1/8.
 INTEGRALS = {
-    "eu": (report(EU_EXACT), 2, [2]),
-    "rdu": (report(RDU_EXACT), 3, [8]),
-    "rdu-both": (report(both(RDU_EXACT)), 3, [8]),
-    "rdu-gamma": (report(RDU_GAMMA), 3, [15]),
-    "dt-both": (report(both(DT_EXPONENTIAL)), 1, [22]),
-    "dt-both-gamma": (report(both(DT_GAMMA)), 1, [11]),
+    "eu": (report(EU_EXACT), 2),
+    "rdu": (report(RDU_EXACT), 3),
+    "rdu-both": (report(both(RDU_EXACT)), 3),
+    "rdu-gamma": (report(RDU_GAMMA), 3),
+    "dt-both": (report(both(DT_EXPONENTIAL)), 1),
+    "dt-both-gamma": (report(both(DT_GAMMA)), 1),
 }
 
 
-@pytest.mark.parametrize("run, integrals, pdf_calls", INTEGRALS.values(), ids=INTEGRALS)
-def test_one_pdf_evaluation_per_shared_request(run, integrals, pdf_calls, monkeypatch):
+@pytest.mark.parametrize("run, integrals", INTEGRALS.values(), ids=INTEGRALS)
+def test_one_quantile_pass_per_shared_call(run, integrals, monkeypatch):
     records, shared = kernel_records(run, monkeypatch)
-    assert len(records) == integrals
-    requests = [calls for calls, _ in records]
-    for calls, panels in records:
-        assert calls == 1 + (panels - 3) // 4
-    assert shared == pdf_calls == [max(requests)]
+    assert records == [(1, 3)] * integrals
+    assert shared == [1]
+
+
+def test_a_finer_level_is_one_more_pass_for_every_term(monkeypatch):
+    # power weighting's w'(p) ~ p^0.2 on a uniform model: at a 1e-12
+    # budget E_w[t^2] needs h = 1/16 and E_w[t] does not; each term calls
+    # its integrand once per level it reaches, and the finer level is one
+    # more quantile pass, made once for the call
+    model, w = distributions.Uniform(4.6, 7.3), distributions.PowerWeighting(1.2)
+    terms = [(lambda t: t * t, w), (lambda t: t, w), (lambda t: t * t, w)]
+    tight = numerics.Tolerance(abs_tol=1e-14, rel_tol=1e-12)
+    records, shared = kernel_records(lambda: list(model._expects(terms, tight)),
+                                     monkeypatch)
+    assert records == [(2, 4), (1, 3), (2, 4)] and shared == [2]
 
 
 def test_lone_integrate_calls_its_integrand_once_per_request(monkeypatch):
+    # the adaptive Gauss route of the public integrate: one request holds
+    # the window and its halves
     calls = 0
 
     def f(t):
@@ -355,8 +380,10 @@ def test_lone_integrate_calls_its_integrand_once_per_request(monkeypatch):
         calls += 1
         return np.exp(-t)
 
-    records, shared = kernel_records(lambda: numerics.integrate(f, 0.0, 10.0), monkeypatch)
-    assert records == [(1, 3)] and shared == [] and calls == 1
+    info = {}
+    records, shared = kernel_records(
+        lambda: numerics.integrate(f, 0.0, 10.0, None, info), monkeypatch)
+    assert records == [] and shared == [] and calls == 1 and info["panels"] == 3
 
 
 BUILDERS = (config.build_model, config.build_utility, config.build_weighting)
@@ -448,3 +475,15 @@ def test_weighted_sweep_integrates_once_per_weighting(variant, expected, monkeyp
 ])
 def test_benchmark_pass_integrals(workload, expected, monkeypatch):
     assert integrals(bench_pass(workload), monkeypatch) == expected
+
+
+@pytest.mark.parametrize("workload, calls", [
+    ("report_corpus", 225),
+    ("sweep_grids", 256),
+])
+def test_benchmark_pass_makes_one_quantile_pass_per_call(workload, calls, monkeypatch):
+    # every integral of both passes stops at h = 1/8, its integrand called
+    # once
+    records, passes = kernel_records(bench_pass(workload), monkeypatch)
+    assert passes == [1] * calls
+    assert set(records) == {(1, 3)}

@@ -1,11 +1,12 @@
-"""A report's integrals run one after another over one window and share
-the nodes of each request: every term must come out as it does alone.
+"""A report's integrals share one call: the terms read the same tanh-sinh
+nodes of p in (0, 1), and every term must come out as it does alone.
 
-Each term of a shared call is compared, value, ``info`` and error, with a
-lone :func:`cotv.numerics.integrate` of its integrand written out as
-g(t) w'(F(t)) f(t), and with the one-panel-per-call oracle.  The error
-cases pin the order in which a report meets its failures and what a
-divergent integral costs the terms after it.
+Each term of a shared call is compared, value, ``info`` and error, with
+the one-term call of :meth:`~cotv.distributions.ServiceTimeModel.
+distorted_expect`, and its value with the adaptive Gauss integral of
+g(t) w'(F(t)) f(t) on the model's window.  The error cases pin the order
+in which a report meets its failures and what a divergent integral costs
+the terms after it.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cotv import distributions, numerics
+from cotv import numerics
 from cotv.cli import render_csv, render_envelope, run_scenario, sweep_rows
 from cotv.config import parse_config
 from cotv.distributions import (
@@ -29,9 +30,8 @@ from cotv.distributions import (
 )
 from cotv.errors import CotvError, NonConvergenceError, NonFiniteError
 from cotv.eu import EconomicContext, evaluate
+from cotv.numerics import DEFAULT_TOLERANCE, Tolerance
 from cotv.preferences import InverseSWeighting, PowerWeighting, PureQuadraticUtility
-
-from oracles import sequential_integrate
 
 MODELS = {
     "exponential": Exponential(1.3),
@@ -51,55 +51,59 @@ INTEGRANDS = {
     "square": lambda t: (t - 1.7) ** 2,
     "decay": lambda t: -np.exp(-0.4 * np.asarray(t, dtype=float)),
 }
+ALL_TERMS = [(g, w) for w in WEIGHTINGS.values() for g in INTEGRANDS.values()]
 
 
 def lone_integrand(model, g, w):
-    """The integrand as one integral evaluates it alone."""
+    """The integrand in t, g(t) w'(F(t)) f(t), for the adaptive route."""
     if w is None:
         return lambda t: np.asarray(g(t)) * model.pdf(t)
     return lambda t: np.asarray(g(t)) * w.dw(model.cdf(t)) * model.pdf(t)
 
 
-def outcome(integrate, f, lo, hi):
+def outcome(run):
+    """The value and info of ``run(info)``, or its error class and message."""
     info = {}
     try:
-        return integrate(f, lo, hi, None, info), info
+        return run(info), info
     except (NonFiniteError, NonConvergenceError) as exc:
         return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
 def test_each_term_equals_its_lone_integral(model):
-    terms = [(g, w) for w in WEIGHTINGS.values() for g in INTEGRANDS.values()]
-    infos = [{} for _ in terms]
-    (lo, hi), values = model._expects(terms, None, infos)
-    assert (lo, hi) == model.integration_interval()[:2]
-    for (g, w), value, info in zip(terms, values, infos):
-        f = lone_integrand(model, g, w)
-        alone = outcome(numerics.integrate, f, lo, hi)
-        assert (value, {k: info[k] for k in ("panels", "max_depth")}) == alone
-        assert alone == outcome(sequential_integrate, f, lo, hi)
-        assert info["integration_interval"] == [lo, hi]
+    infos = [{} for _ in ALL_TERMS]
+    values = model._expects(ALL_TERMS, None, infos)
+    lo, hi = model.integration_interval()
+    for (g, w), value, info in zip(ALL_TERMS, values, infos):
+        alone = outcome(lambda info: model.distorted_expect(g, w, None, info))
+        assert (value, info) == alone
+        assert set(info) == {"levels", "nodes", "error"}
+        # the window the adaptive route integrates on leaves out 1e-15 of
+        # probability, far below the budget
+        gauss = numerics.integrate(lone_integrand(model, g, w), lo, hi)
+        assert abs(value - gauss) <= DEFAULT_TOLERANCE.scale(gauss)
 
 
 def test_terms_refine_apart():
-    # the terms bisect different panels, so some requests are not shared
-    model = MODELS["lognormal"]
-    terms = [(g, w) for w in WEIGHTINGS.values() for g in INTEGRANDS.values()]
+    # at a 1e-12 budget E_w[t^2] under power weighting needs a finer level
+    # than E_w[t]: each term stops where its own levels agree
+    model, w = Uniform(4.6, 7.3), PowerWeighting(1.2)
+    tight = Tolerance(abs_tol=1e-14, rel_tol=1e-12)
+    terms = [(INTEGRANDS["t"], w), (lambda t: t * t, w)]
     infos = [{} for _ in terms]
-    list(model._expects(terms, None, infos)[1])
-    assert len({info["panels"] for info in infos}) > 1
+    list(model._expects(terms, tight, infos))
+    assert [info["levels"] for info in infos] == [3, 4]
 
 
 def test_one_term_is_distorted_expect():
     model, w = MODELS["gamma"], WEIGHTINGS["inverse_s"]
     g = INTEGRANDS["decay"]
-    info = {}
+    info, alone = {}, {}
     value = model.distorted_expect(g, w, None, info)
-    lo, hi, truncated = model.integration_interval()
-    alone = {}
-    assert value == numerics.integrate(lone_integrand(model, g, w), lo, hi, None, alone)
-    assert info == {"integration_interval": [lo, hi], "truncated": truncated, **alone}
+    assert value == next(model._expects([(g, w)], None, [alone]))
+    assert info == alone and info["nodes"] == (12 << info["levels"]) + 1
+    assert info["error"] <= DEFAULT_TOLERANCE.scale(value)
 
 
 def bad_after(threshold):
@@ -109,17 +113,15 @@ def bad_after(threshold):
 
 def test_non_finite_term_raises_its_own_error_when_read():
     model = MODELS["uniform"]
-    lo, hi = model.integration_interval()[:2]
     bad = bad_after(1.9)
     terms = [(INTEGRANDS["decay"], None), (bad, None), (INTEGRANDS["t"], None)]
-    values = model._expects(terms)[1]
-    assert next(values) == numerics.integrate(
-        lone_integrand(model, INTEGRANDS["decay"], None), lo, hi)
+    values = model._expects(terms)
+    assert next(values) == model.expect(INTEGRANDS["decay"])
     with pytest.raises(NonFiniteError) as shared:
         next(values)
-    alone = outcome(numerics.integrate, lone_integrand(model, bad, None), lo, hi)
+    alone = outcome(lambda info: model.distorted_expect(bad, None, None, info))
     assert alone == (NonFiniteError, str(shared.value))
-    assert alone == outcome(sequential_integrate, lone_integrand(model, bad, None), lo, hi)
+    assert str(shared.value).startswith("integrand returned non-finite values on [1.9")
 
 
 def test_terms_after_a_failed_one_are_dropped():
@@ -130,16 +132,16 @@ def test_terms_after_a_failed_one_are_dropped():
         calls += 1
         return np.exp(-np.asarray(t, dtype=float))
 
-    values = MODELS["uniform"]._expects([(bad_after(0.0), None), (later, None)])[1]
+    values = MODELS["uniform"]._expects([(bad_after(0.0), None), (later, None)])
     with pytest.raises(NonFiniteError, match=r"on \[0.5, 2\]"):
         next(values)
     assert calls == 0
 
 
 def test_raising_integrand_is_charged_to_its_term():
-    # the integrand raises on deep nodes only
+    # the integrand raises on the nodes near the top of the support only
     model = MODELS["uniform"]
-    lo, hi = model.integration_interval()[:2]
+    lo, hi = model.integration_interval()
 
     def raises(t):
         if np.any(np.asarray(t) > 1.99):
@@ -147,11 +149,12 @@ def test_raising_integrand_is_charged_to_its_term():
         return np.asarray(t, dtype=float)
 
     terms = [(INTEGRANDS["square"], None), (raises, None), (INTEGRANDS["t"], None)]
-    values = model._expects(terms)[1]
-    assert next(values) == numerics.integrate(
-        lone_integrand(model, INTEGRANDS["square"], None), lo, hi)
+    values = model._expects(terms)
+    assert next(values) == model.expect(INTEGRANDS["square"])
     with pytest.raises(ArithmeticError, match="deep node"):
         next(values)
+    with pytest.raises(ArithmeticError, match="deep node"):
+        model.expect(raises)
     with pytest.raises(ArithmeticError, match="deep node"):
         numerics.integrate(lone_integrand(model, raises, None), lo, hi)
 
@@ -182,36 +185,32 @@ DIVERGENT = {"framework": "eu",
 
 
 def test_divergent_integral_stops_the_terms_after_it(monkeypatch):
-    # E[u] diverges at 0 and runs to the panel cap, lowered here to keep
-    # the test fast; VOT after it is never evaluated
-    monkeypatch.setattr(numerics, "_MAX_PANELS", 20_001)
+    # E[u] diverges at 0: its levels never agree, and after the finest,
+    # h = 1/128, it raises; VOT after it is never evaluated
     scenario = parse_config(DIVERGENT)
     model, u = scenario.model, scenario.utility
-    calls = {"pdf": 0, "u": 0, "du": 0}
+    calls = {"_tail_quantile": 0, "u": 0, "du": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
 
-        def counted(self, t):
+        def counted(self, *args):
             calls[name] += 1
-            return original(self, t)
+            return original(self, *args)
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((type(model), "pdf"), (type(u), "u"), (type(u), "du")):
+    for owner, name in ((type(model), "_tail_quantile"), (type(u), "u"), (type(u), "du")):
         counting(owner, name)
-    lo, hi = model.integration_interval()[:2]
-    alone = outcome(numerics.integrate, lone_integrand(model, u.u, None), lo, hi)
-    assert alone == (NonConvergenceError, "quadrature panel budget exhausted")
-    lone = calls["pdf"]
-    assert calls == {"pdf": lone, "u": lone, "du": 0}
-    calls.update(pdf=0, u=0)
+    alone = outcome(lambda info: model.expect(u.u))
+    assert alone[0] is NonConvergenceError
+    # one quantile pass and one u call per level, 3 to 7
+    assert calls == {"_tail_quantile": 5, "u": 5, "du": 0}
+    calls.update(_tail_quantile=0, u=0)
     with pytest.raises(NonConvergenceError) as shared:
         run_scenario(scenario)
     assert (type(shared.value), str(shared.value)) == alone
-    # one u (E[u]) call per request, as alone, and u'(mu) once for VOT at
-    # the mean
-    assert calls["pdf"] == calls["u"] == lone
-    assert calls["du"] == 1
+    # u at the nodes as alone, and u'(mu) once for VOT at the mean
+    assert calls == {"_tail_quantile": 5, "u": 5, "du": 1}
 
 
 def traced_peak_mb(run) -> float:
@@ -227,47 +226,30 @@ def traced_peak_mb(run) -> float:
     return peak / 1e6
 
 
-def test_divergent_report_keeps_a_bounded_share(monkeypatch):
-    # 5,000 requests of E[u]; kept all, they take about 10 MB
-    monkeypatch.setattr(numerics, "_MAX_PANELS", 20_001)
+def test_divergent_report_keeps_a_bounded_share():
+    # every level to the finest holds 1,537 node times in all
     scenario = parse_config(DIVERGENT)
     assert traced_peak_mb(lambda: run_scenario(scenario)) < 2.0
 
 
-def test_one_term_keeps_nothing(monkeypatch):
-    # the divergent E[u] alone, for 1,000 requests; a kept share of them
-    # would take about 0.4 MB
-    monkeypatch.setattr(numerics, "_MAX_PANELS", 4_001)
+def test_one_term_keeps_nothing():
+    # the divergent E[u] alone, to the finest level, with the node levels
+    # built beforehand: its node times and integrand values take 12 KB each
     scenario = parse_config(DIVERGENT)
     model, u = scenario.model, scenario.utility
+    for level in range(3, 8):
+        numerics._tanh_sinh_level(level)
     assert traced_peak_mb(lambda: model.expect(u.u)) < 0.05
 
 
-def test_bounded_share_changes_no_term(monkeypatch):
-    model = MODELS["lognormal"]
-    terms = [(g, w) for w in WEIGHTINGS.values() for g in INTEGRANDS.values()]
-
-    def run():
-        infos = [{} for _ in terms]
-        return list(model._expects(terms, None, infos)[1]), infos
-
-    unbounded = run()
-    monkeypatch.setattr(distributions, "_SHARED_REQUESTS", 2)
-    assert run() == unbounded
-    # a term makes more than 2 requests, so the bound is reached
-    assert max(info["panels"] for info in unbounded[1]) > 3 + 4 * 2
+EXPECTS = ServiceTimeModel._expects
 
 
 def each_alone(self, terms, tol=None, infos=None):
-    """``_expects`` with each term integrated by its own ``integrate``."""
-    lo, hi, truncated = self.integration_interval()
-
-    def values():
-        for (g, w), info in zip(terms, infos or [None] * len(terms)):
-            if info is not None:
-                info.update(integration_interval=[lo, hi], truncated=truncated)
-            yield numerics.integrate(lone_integrand(self, g, w), lo, hi, tol, info)
-    return (lo, hi), values()
+    """``_expects`` with each term integrated by its own call."""
+    infos = infos or [None] * len(terms)
+    return (next(EXPECTS(self, [term], tol, [info]))
+            for term, info in zip(terms, infos))
 
 
 def render_corpus(configs) -> list[str]:

@@ -21,16 +21,17 @@ place, and its premium is the root of a quadratic, written down in closed
 form; a power or constant-prudence utility searches for its root.  The one-quantity
 functions read each exact number as the report does.
 
-Reports are built by :func:`_eu_reports`, as :mod:`cotv.non_eu` builds
-its own: mu, u'(mu), VOT(mu), sigma, cv, the quadratic bound and the
-labels are computed once per scenario, then one report is built per
-requested method.  :func:`evaluate` is its one-method view, and a
-scenario that asks for both methods gets the reports, and the errors, of
-two one-method runs.
+EU, DT and RDU build their reports on one scaffold, :func:`_reports`,
+which validates phi and the methods, reads sigma, cv and a quadratic
+utility's bound once, and builds one report per method; each framework
+supplies only its formulas.  :func:`evaluate` is the one-method view of
+:func:`_eu_reports`, and a scenario that asks for both methods gets the
+reports, and the errors, of two one-method runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterator
 
@@ -267,6 +268,19 @@ def _exact_valuation(u: UtilityFunction, model: ServiceTimeModel, mu: float,
     return premium, vot, cotv_value, _exact_ratio(cotv_value, vot * mu)
 
 
+def _finite_view(view: Callable[..., float]) -> Callable[..., float]:
+    """``view``, raising ``NonFiniteError`` where its value is not finite,
+    as its report does where a field is not finite."""
+    @functools.wraps(view)
+    def checked(*args, **kwargs) -> float:
+        value = view(*args, **kwargs)
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{view.__name__} is not finite: {value!r}")
+        return value
+    return checked
+
+
+@_finite_view
 def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
                   tol: Tolerance | None = None) -> float:
     """Variability premium: the extra certain time with the same utility
@@ -276,6 +290,7 @@ def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
     return _solve_premium(u, mu, expected_u, model, tol)
 
 
+@_finite_view
 def premium_approx(u: UtilityFunction, model: ServiceTimeModel) -> float:
     """Second-order premium: sigma^2/2 times absolute risk aversion at the mean."""
     mu = _report_mean(u, model)
@@ -301,6 +316,7 @@ def vot_at(u: UtilityFunction, at_time: float, ctx: EconomicContext) -> float:
     return -float(u.du(at_time)) / ctx.phi
 
 
+@_finite_view
 def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
              tol: Tolerance | None = None) -> float:
     """Average value of time over the random service time.
@@ -317,12 +333,14 @@ def vot_mean(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
     return _vot_approx(model, vot_at(u, mu, ctx), float(u.d3u(mu)), ctx.phi)
 
 
+@_finite_view
 def cot(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
         tol: Tolerance | None = None) -> float:
     """Cost of time: average value of time multiplied by the mean duration."""
     return vot_mean(u, model, ctx, tol) * model.mean()
 
 
+@_finite_view
 def cotv(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
          tol: Tolerance | None = None) -> float:
     """Cost of time variability.
@@ -351,6 +369,7 @@ def _second_order_pole(model: ServiceTimeModel, mu: float, d1: float, d3: float)
     return _off_pole(1.0 + 0.5 * (-model.variance() * d3 / d1))
 
 
+@_finite_view
 def ratio_rho(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,
               tol: Tolerance | None = None) -> float:
     """Ratio of the cost of time variability to the cost of time.
@@ -378,6 +397,7 @@ def _approx_ratio(u: UtilityFunction, model: ServiceTimeModel, mu: float,
     return (premium / mu) / _second_order_pole(model, mu, d1, d3)
 
 
+@_finite_view
 def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> float:
     """Cost ratio through the coefficients: R2 CV^2 / (2 + R2 R3 CV^2).
 
@@ -394,6 +414,7 @@ def ratio_rho_coefficient_form(u: UtilityFunction, model: ServiceTimeModel) -> f
     return r2 * cv2 / _off_pole(2.0 + r2 * r3 * cv2)
 
 
+@_finite_view
 def ratio_eta(u: UtilityFunction, model: ServiceTimeModel) -> float:
     """Reliability ratio: marginal value of variability reduction relative
     to marginal value of mean reduction, 1 / (1 + R2 R3 CV^2 / 2).
@@ -417,14 +438,40 @@ def rho_upper_bound(u: UtilityFunction, model: ServiceTimeModel) -> float:
     return 0.5 * model.cv() ** 2
 
 
+def _reports(framework: str, model: ServiceTimeModel, phi: float,
+             methods: tuple[str, ...], steps: Iterator[tuple],
+             quadratic: bool = False) -> dict[str, ValuationReport]:
+    """The reports of EU, DT and RDU for ``methods``, in that order.
+
+    ``steps`` is a framework's generator of its formulas.  Its first item
+    is the scenario's (mu, VOT(mu), diagnostics), computed once; each next
+    one is the (premium, VOT, COTV, rho, eta, extra diagnostics) of the
+    next method.  phi and every method are validated before it starts.
+    sigma, cv (None where mu <= 0) and, for a ``quadratic`` utility, the
+    bound CV^2/2 (None with cv) are read where the first report is built.
+    So each report equals a one-method run bit for bit, and errors are
+    raised in the order one-method runs raise them."""
+    for method in methods:
+        EconomicContext(phi, method)  # validates phi and method
+
+    mu, vot_mu, diagnostics = next(steps)
+    reports = {}
+    for method, (premium, vot, cotv_value, rho, eta, extra) in zip(methods, steps):
+        if not reports:
+            sigma = model.std()
+            cv = model.cv() if mu > 0 else None
+            bound = 0.5 * cv**2 if quadratic and cv is not None else None
+        reports[method] = ValuationReport(
+            framework, method, phi, mu, sigma, cv, premium, vot_mu, vot, cotv_value,
+            rho, eta, bound, {**diagnostics, **extra})
+    return reports
+
+
 def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
                 methods: tuple[str, ...], tol: Tolerance | None,
                 moments: dict | None = None) -> dict[str, ValuationReport]:
-    """Expected-utility reports for ``methods``, in that order, sharing mu,
-    u'(mu), VOT(mu), sigma, cv, the quadratic bound and the labels, which
-    are computed once.  Each report equals a one-method run bit for bit,
-    and errors are raised in the order one-method runs raise them: sigma,
-    cv and the bound are first read where the first report is built.
+    """Expected-utility reports for ``methods`` (:func:`_reports`), sharing
+    mu, u'(mu), VOT(mu) and the labels.
     ``DomainError`` where mu lies outside ``u.interval``.
     ``moments`` is a sweep's memo of basis integrals (:func:`_moments`).
     Exact ``diagnostics``: the tanh-sinh ``levels`` E[u] reached (3 is the
@@ -434,50 +481,28 @@ def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
     polynomial utility gives the levels, nodes and error of E[t^2]
     (affine: E[t]) and no ``iterations``, as its premium is solved in
     closed form."""
-    for method in methods:
-        EconomicContext(phi, method)  # validates phi and method
+    def steps():
+        mu = _report_mean(u, model)
+        d1 = float(u.du(mu))
+        vot_mu = -d1 / phi
+        yield mu, vot_mu, {"utility": u.label(), "model": model.label()}
+        for method in methods:
+            info: dict = {}
+            if method == "exact":
+                values = _exact_values(u, model, None, phi, tol, info, moments)
+                premium, vot, cotv_value, rho = _exact_valuation(
+                    u, model, mu, phi, values, tol, info=info)
+                eta = vot_mu / vot if vot != 0 else None
+            else:
+                premium = _premium_approx(u, model, mu, d1)
+                d3 = float(u.d3u(mu))
+                vot = _vot_approx(model, vot_mu, d3, phi)
+                cotv_value = premium * vot_mu
+                rho = _approx_ratio(u, model, mu, d1, d3, premium)
+                eta = 1.0 / _second_order_pole(model, mu, d1, d3)
+            yield premium, vot, cotv_value, rho, eta, info
 
-    mu = _report_mean(u, model)
-    d1 = float(u.du(mu))
-    vot_mu = -d1 / phi
-    reports = {}
-    for method in methods:
-        info: dict = {}
-        if method == "exact":
-            values = _exact_values(u, model, None, phi, tol, info, moments)
-            premium, vot_value, cotv_value, rho = _exact_valuation(
-                u, model, mu, phi, values, tol, info=info)
-            eta = vot_mu / vot_value if vot_value != 0 else None
-        else:
-            premium = _premium_approx(u, model, mu, d1)
-            d3 = float(u.d3u(mu))
-            vot_value = _vot_approx(model, vot_mu, d3, phi)
-            cotv_value = premium * vot_mu
-            rho = _approx_ratio(u, model, mu, d1, d3, premium)
-            eta = 1.0 / _second_order_pole(model, mu, d1, d3)
-
-        if not reports:
-            sigma = model.std()
-            cv = model.cv() if mu > 0 else None
-            bound = rho_upper_bound(u, model) if isinstance(u, QuadraticUtility) else None
-            labels = {"utility": u.label(), "model": model.label()}
-        reports[method] = ValuationReport(
-            framework="eu",
-            method=method,
-            phi=phi,
-            mu=mu,
-            sigma=sigma,
-            cv=cv,
-            premium=premium,
-            vot_at_mu=vot_mu,
-            vot=vot_value,
-            cotv=cotv_value,
-            rho=rho,
-            eta=eta,
-            rho_upper_bound=bound,
-            diagnostics={**labels, **info},
-        )
-    return reports
+    return _reports("eu", model, phi, methods, steps(), isinstance(u, QuadraticUtility))
 
 
 def evaluate(u: UtilityFunction, model: ServiceTimeModel, ctx: EconomicContext,

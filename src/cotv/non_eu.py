@@ -16,13 +16,16 @@ sums on a discrete model.  A point mass takes the same route as any
 model, in expected utility too: its sums give E_w[t] = mu and
 E_w[u] = u(mu), so premium, COTV and rho are 0.
 
-Each framework builds its reports in two steps: a shared step computes
-mu, sigma and the dual moments (and, for RDU, tau_h and the distorted
-mean) once, then one report is built per requested method.  A scenario
-that asks for both methods therefore integrates those inputs once, and
-its reports equal two single-method runs bit for bit.  On a continuous
-model every integral of a scenario comes from one shared call, so the
-quantile and w'(p) are evaluated once per tanh-sinh level.
+Both frameworks build their reports on the scaffold of
+:func:`cotv.eu._reports`, and supply only their formulas: DT the mean,
+the constant VOT 1/phi, the dual moment and each method's premium (a
+closed band sum, E_w[t] - mu, or the second-order form), RDU the anchor,
+the band moments, tau_h and the distorted mean, the exact route it
+shares with EU and the second-order premium.  A scenario that asks for
+both methods therefore computes those inputs once, and its reports equal
+two single-method runs bit for bit.  On a continuous model every
+integral of a scenario comes from one shared call, so the quantile and
+w'(p) are evaluated once per tanh-sinh level.
 :func:`rdu_ratio` is a one-method view of the second-order report, like
 :func:`rdu_valuation`.
 
@@ -56,7 +59,6 @@ from .errors import (
     ZeroCostError,
 )
 from .eu import (
-    EconomicContext,
     _basis_values,
     _exact_terms,
     _exact_valuation,
@@ -64,6 +66,7 @@ from .eu import (
     _moments,
     _polynomial_premium,
     _report_mean,
+    _reports,
     _time,
 )
 from .numerics import Tolerance, find_root
@@ -183,62 +186,36 @@ def dt_premium_approx(ctx: DtContext, m2_dual: float) -> float:
 def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
                 phi: float, methods: tuple[str, ...], tol: Tolerance | None,
                 moments: dict | None = None) -> dict[str, ValuationReport]:
-    """Dual-theory reports for ``methods``, in that order, sharing mu,
-    sigma and the dual moment m2_dual, which are computed once.  Outside a
-    banded instance the exact premium is E_w[t] - mu, the one term of the
-    shared call, which a sweep's ``moments`` may hold
-    (:func:`cotv.eu._moments`); the second-order report integrates
-    nothing."""
-    for method in methods:
-        EconomicContext(phi, method)  # validates phi and method
+    """Dual-theory reports for ``methods`` (:func:`cotv.eu._reports`),
+    sharing mu and the dual moment m2_dual.  Outside a banded instance the
+    exact premium is E_w[t] - mu, the one term of the shared call, which a
+    sweep's ``moments`` may hold (:func:`cotv.eu._moments`); the
+    second-order report integrates nothing."""
+    def steps():
+        mu = model_or_instance.mean()
+        if mu <= 0:
+            raise ZeroCostError("dual valuation requires a positive mean time")
+        if mu**2 == 0.0:
+            raise DomainError(f"mean time {mu!r} is too small: its square underflows to 0")
+        meta = model_or_instance.dt_meta
+        m2_dual = _band_moments(model_or_instance)[1]
+        mean_t = (_moments(model_or_instance, ctx.w, False, tol, None, moments)[0]
+                  if meta is None and "exact" in methods else None)
+        vot = 1.0 / phi
+        yield mu, vot, {"model": model_or_instance.label(), "weighting": ctx.w.label(),
+                        "p0": ctx.p0, "psi": ctx.psi, "m2_dual": m2_dual,
+                        "cv_dual_sq": m2_dual / mu**2}
+        for method in methods:
+            if method == "second_order":
+                premium = dt_premium_approx(ctx, m2_dual)
+            elif meta is not None:
+                premium = dt_premium_exact(model_or_instance, ctx)
+            else:
+                premium = mean_t - mu
+            yield (premium, vot, premium * vot, premium / mu, 1.0,
+                   {"dual_risk_averse_time_domain": bool(premium >= 0)})
 
-    mu = model_or_instance.mean()
-    if mu <= 0:
-        raise ZeroCostError("dual valuation requires a positive mean time")
-    if mu**2 == 0.0:
-        raise DomainError(f"mean time {mu!r} is too small: its square underflows to 0")
-    sigma = model_or_instance.std()
-    meta = model_or_instance.dt_meta
-
-    m2_dual = _band_moments(model_or_instance)[1]
-    mean_t = (_moments(model_or_instance, ctx.w, False, tol, None, moments)[0]
-              if meta is None and "exact" in methods else None)
-    vot = 1.0 / phi
-    reports = {}
-    for method in methods:
-        if method == "second_order":
-            premium = dt_premium_approx(ctx, m2_dual)
-        elif meta is not None:
-            premium = dt_premium_exact(model_or_instance, ctx)
-        else:
-            premium = mean_t - mu
-        rho = premium / mu
-
-        reports[method] = ValuationReport(
-            framework="dt",
-            method=method,
-            phi=phi,
-            mu=mu,
-            sigma=sigma,
-            cv=model_or_instance.cv(),
-            premium=premium,
-            vot_at_mu=vot,
-            vot=vot,
-            cotv=premium * vot,
-            rho=rho,
-            eta=1.0,
-            rho_upper_bound=None,
-            diagnostics={
-                "model": model_or_instance.label(),
-                "weighting": ctx.w.label(),
-                "p0": ctx.p0,
-                "psi": ctx.psi,
-                "m2_dual": m2_dual,
-                "cv_dual_sq": m2_dual / mu**2,
-                "dual_risk_averse_time_domain": bool(premium >= 0),
-            },
-        )
-    return reports
+    return _reports("dt", model_or_instance, phi, methods, steps())
 
 
 def dt_valuation(model_or_instance: ServiceTimeModel, ctx: DtContext,
@@ -358,77 +335,49 @@ def rdu_ratio(model_or_instance: ServiceTimeModel, ctx: RduContext, phi: float,
 def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
                  phi: float, methods: tuple[str, ...], tol: Tolerance | None,
                  moments: dict | None = None) -> dict[str, ValuationReport]:
-    """Rank-dependent reports for ``methods``, in that order, sharing mu,
-    sigma, the band moments, tau_h and the distorted mean, which are
-    computed once.  The distorted mean E_w[t] and the exact route's
-    integrals come from one shared call: E_w[u] and VOT, each integrated
-    when it is read, or for a polynomial utility E_w[t^2] (nothing more for
-    an affine one), from which with E_w[t] they follow by linearity.  A
-    sweep's ``moments`` may hold the basis integrals
-    (:func:`cotv.eu._moments`).  The reports record no integral in their
-    ``diagnostics``.  ``DomainError`` where mu (t0 on a banded instance)
-    lies outside ``ctx.u.interval``."""
-    for method in methods:
-        EconomicContext(phi, method)  # validates phi and method
-
-    meta = model_or_instance.dt_meta
-    mu = _report_mean(ctx.u, model_or_instance, rank_dependent=True)
-    if mu <= 0:
-        raise ZeroCostError("rank-dependent valuation requires a positive mean time")
-    sigma = model_or_instance.std()
-    m2, m2_dual, m2_dual_var = _band_moments(model_or_instance)
-    exact = "exact" in methods
-    if exact and ctx.u.basis is None:
-        values = model_or_instance._expects(
-            [(_time, ctx.w)] + _exact_terms(ctx.u, ctx.w, phi), tol)
-        mu_w = next(values)  # distorted mean
-    else:
-        mu_w, mean_t2 = _moments(model_or_instance, ctx.w,
-                                 exact and ctx.u.basis[0] != 0.0, tol, None, moments)
-        values = iter(_basis_values(ctx.u, phi, mu_w, mean_t2)) if exact else None
-    tau = _resolve_tau(ctx, mu, mu_w)
-    vot_mu = -float(ctx.u.du(mu)) / phi
-    reports = {}
-    for method in methods:
-        if method == "exact":
-            premium = (rdu_premium_exact(model_or_instance, ctx, tol)
-                       if meta is not None else None)  # None: solved from E_w[u]
-            premium, vot, cotv_value, rho = _exact_valuation(
-                ctx.u, model_or_instance, mu, phi, values, tol, premium)
+    """Rank-dependent reports for ``methods`` (:func:`cotv.eu._reports`),
+    sharing mu, the band moments, tau_h and the distorted mean.  The
+    distorted mean E_w[t] and the exact route's integrals come from one
+    shared call: E_w[u] and VOT, each integrated when it is read, or for a
+    polynomial utility E_w[t^2] (nothing more for an affine one), from
+    which with E_w[t] they follow by linearity.  A sweep's ``moments`` may
+    hold the basis integrals (:func:`cotv.eu._moments`).  The reports
+    record no integral in their ``diagnostics``.  ``DomainError`` where mu
+    (t0 on a banded instance) lies outside ``ctx.u.interval``."""
+    def steps():
+        meta = model_or_instance.dt_meta
+        mu = _report_mean(ctx.u, model_or_instance, rank_dependent=True)
+        if mu <= 0:
+            raise ZeroCostError("rank-dependent valuation requires a positive mean time")
+        m2, m2_dual, m2_dual_var = _band_moments(model_or_instance)
+        exact = "exact" in methods
+        if exact and ctx.u.basis is None:
+            values = model_or_instance._expects(
+                [(_time, ctx.w)] + _exact_terms(ctx.u, ctx.w, phi), tol)
+            mu_w = next(values)  # distorted mean
         else:
-            premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
-            vot = -float(ctx.u.du(mu_w)) / phi
-            cotv_value = premium * vot_mu
-            rho = tau * premium / mu
+            mu_w, mean_t2 = _moments(model_or_instance, ctx.w,
+                                     exact and ctx.u.basis[0] != 0.0, tol, None, moments)
+            values = iter(_basis_values(ctx.u, phi, mu_w, mean_t2)) if exact else None
+        tau = _resolve_tau(ctx, mu, mu_w)
+        vot_mu = -float(ctx.u.du(mu)) / phi
+        yield mu, vot_mu, {
+            "model": model_or_instance.label(), "utility": ctx.u.label(),
+            "weighting": ctx.w.label(), "p0": ctx.p0, "tau_h": tau,
+            "tau_h_mode": "auto" if isinstance(ctx.tau_h, str) else "override",
+            "distorted_mean": mu_w, "m2": m2, "m2_dual": m2_dual, "m2_dual_var": m2_dual_var}
+        for method in methods:
+            if method == "exact":
+                premium = (rdu_premium_exact(model_or_instance, ctx, tol)
+                           if meta is not None else None)  # None: solved from E_w[u]
+                yield (*_exact_valuation(ctx.u, model_or_instance, mu, phi, values, tol,
+                                         premium), None, {})
+            else:
+                premium = rdu_premium_approx(ctx, mu, m2, m2_dual, m2_dual_var)
+                yield (premium, -float(ctx.u.du(mu_w)) / phi, premium * vot_mu,
+                       tau * premium / mu, None, {})
 
-        reports[method] = ValuationReport(
-            framework="rdu",
-            method=method,
-            phi=phi,
-            mu=mu,
-            sigma=sigma,
-            cv=model_or_instance.cv(),
-            premium=premium,
-            vot_at_mu=vot_mu,
-            vot=vot,
-            cotv=cotv_value,
-            rho=rho,
-            eta=None,
-            rho_upper_bound=None,
-            diagnostics={
-                "model": model_or_instance.label(),
-                "utility": ctx.u.label(),
-                "weighting": ctx.w.label(),
-                "p0": ctx.p0,
-                "tau_h": tau,
-                "tau_h_mode": "auto" if isinstance(ctx.tau_h, str) else "override",
-                "distorted_mean": mu_w,
-                "m2": m2,
-                "m2_dual": m2_dual,
-                "m2_dual_var": m2_dual_var,
-            },
-        )
-    return reports
+    return _reports("rdu", model_or_instance, phi, methods, steps())
 
 
 def rdu_valuation(model_or_instance: ServiceTimeModel, ctx: RduContext,

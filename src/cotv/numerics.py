@@ -11,9 +11,10 @@ sums them on the double-exponential nodes of (0, 1) (Takahasi & Mori
 and of the quantile Q.  Its nodes depend only on their level, so every
 term of a report reads the same ones, and a caller that evaluates the
 quantile once per level serves all of them.  :func:`integrate` is the
-adaptive Gauss route on a finite window: it makes one integrand call per
-refinement step, holding the nodes of several panels, with the panel
-order, sums and errors of one call per panel.  The root finder keeps a
+adaptive Gauss route on a finite window: each refinement step calls the
+integrand once on the nodes of several panels (:func:`_nodes`) and sums
+each panel as a lone one (:func:`_estimates`), so the panel order, sums
+and errors are those of one call per panel.  The root finder keeps a
 sign-changing bracket around its estimate and returns a point of it once
 the bracket is narrower than the tolerance.  All of them are pure
 functions of their inputs; randomness enters only through an explicit
@@ -145,7 +146,7 @@ def _estimates(half: np.ndarray, y) -> list[float | None]:
 
     Each estimate is computed as on a lone panel, so it does not depend on
     the batch; a panel where ``y`` is not finite comes back as ``None`` for
-    :func:`_adaptive` to raise on when it reaches that panel.
+    :func:`integrate` to raise on when it reaches that panel.
     """
     shape = (half.size, _NODES.size)
     y = np.asarray(y, dtype=float)
@@ -244,17 +245,28 @@ def _non_finite(a: float, b: float) -> NonFiniteError:
     return NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
 
 
-def _adaptive(estimate: Callable, lo: float, hi: float, tol: Tolerance | None,
-              info: dict | None) -> float:
-    """One adaptive integral on ``[lo, hi]``.
+def integrate(
+    f: Callable,
+    lo: float,
+    hi: float,
+    tol: Tolerance | None = None,
+    info: dict | None = None,
+) -> float:
+    """Adaptive quadrature of a vectorised scalar function on ``[lo, hi]``.
 
-    ``estimate(ends)`` returns the estimates of the ``(a, b)`` panels of
-    the tuple ``ends`` (``None`` where the integrand was not finite).  A
-    request depends only on the panel it refines: the window and its
-    halves first, then the four quarters of each panel that is bisected.
-    Panels are visited depth first and summed in that order, and a
-    non-finite estimate raises when that order reaches its panel: the
-    value, ``info`` and errors are those of one integrand call per panel.
+    Bisects a fixed-order Gauss panel until the parent/children discrepancy
+    on every subinterval fits inside its proportional share of the budget.
+    The discrepancy estimate is extremely conservative for smooth
+    integrands, which is what gives the package its oracle-grade headroom.
+
+    ``f`` is called once for the window and its halves, then once for the
+    four quarters of each panel that is bisected, so it must act
+    elementwise: one call holds the nodes of several panels.  Panels are
+    still visited depth first and summed in that order, and a non-finite
+    value raises when that order reaches its panel: the value, ``info``
+    (``panels`` and ``max_depth``) and errors are those of one call per
+    panel.  A report's integrals do not come here: they are tanh-sinh
+    sums over p (:func:`_tanh_sinh`).
     """
     tol = tol or DEFAULT_TOLERANCE
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -262,7 +274,8 @@ def _adaptive(estimate: Callable, lo: float, hi: float, tol: Tolerance | None,
     if not lo < hi:
         raise ValidationError(f"integration requires lo < hi, got [{lo}, {hi}]")
     mid = 0.5 * (lo + hi)
-    whole, left, right = estimate(((lo, hi), (lo, mid), (mid, hi)))
+    half, x = _nodes(((lo, hi), (lo, mid), (mid, hi)))
+    whole, left, right = _estimates(half, f(x))
     if whole is None:
         raise _non_finite(lo, hi)
     span = hi - lo
@@ -271,7 +284,7 @@ def _adaptive(estimate: Callable, lo: float, hi: float, tol: Tolerance | None,
     # past the reference
     limit = tol.scale(reference)
     # Entries carry the estimates of their two halves, made when the entry
-    # is pushed, so each bisection is one request.
+    # is pushed, so each bisection is one call of f.
     stack = [(lo, hi, whole, 0, left, right)]
     total = 0.0
     panels = 1
@@ -302,7 +315,8 @@ def _adaptive(estimate: Callable, lo: float, hi: float, tol: Tolerance | None,
             deepest = max(deepest, depth + 1)
             q1 = 0.5 * (a + mid)
             q3 = 0.5 * (mid + b)
-            quarters = estimate(((a, q1), (q1, mid), (mid, q3), (q3, b)))
+            half, x = _nodes(((a, q1), (q1, mid), (mid, q3), (q3, b)))
+            quarters = _estimates(half, f(x))
             stack.append((a, mid, left, depth + 1, *quarters[:2]))
             stack.append((mid, b, right, depth + 1, *quarters[2:]))
 
@@ -310,35 +324,6 @@ def _adaptive(estimate: Callable, lo: float, hi: float, tol: Tolerance | None,
         info["panels"] = panels
         info["max_depth"] = deepest
     return total
-
-
-def integrate(
-    f: Callable,
-    lo: float,
-    hi: float,
-    tol: Tolerance | None = None,
-    info: dict | None = None,
-) -> float:
-    """Adaptive quadrature of a vectorised scalar function on ``[lo, hi]``.
-
-    Bisects a fixed-order Gauss panel until the parent/children discrepancy
-    on every subinterval fits inside its proportional share of the budget.
-    The discrepancy estimate is extremely conservative for smooth
-    integrands, which is what gives the package its oracle-grade headroom.
-
-    ``f`` is called once for the window and its halves, then once for the
-    four quarters of each panel that is bisected, so it must act
-    elementwise: one call holds the nodes of several panels.  Panels are
-    still visited depth first and summed in that order, and a non-finite
-    value raises when that order reaches its panel: the value, ``info``
-    and errors are those of one call per panel.  A report's integrals do
-    not come here: they are tanh-sinh sums over p (:func:`_tanh_sinh`).
-    """
-    def estimate(ends):
-        half, x = _nodes(ends)
-        return _estimates(half, f(x))
-
-    return _adaptive(estimate, lo, hi, tol, info)
 
 
 def find_root(

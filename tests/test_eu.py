@@ -20,8 +20,8 @@ from cotv.errors import (
     CotvError,
     DerivativeZeroError,
     DomainError,
+    NonFiniteError,
     NotQuadraticError,
-    UndefinedCVError,
     ZeroCostError,
 )
 from cotv.eu import (
@@ -446,12 +446,13 @@ class TestSharedReports:
         assert list(shared) == list(methods)
         assert [repr(shared[method]) for method in methods] == singles
 
-    # the first error a one-method run per method would raise: the exact
-    # report reads the bound, the second-order one divides by u'(0) = 0
+    # the first error a one-method run per method would raise: at a point
+    # mass at 0 the exact report builds (its bound is None, as cv is) and
+    # the second-order one needs a positive mean or divides by u'(0) = 0
     # (the power utility's interval holds the mean 0), and the exact ratio
     # of a continuous model fails before the bound is read
     @pytest.mark.parametrize("model, u, error", [
-        ("degenerate_zero", QuadraticUtility(a=-0.5, b=-0.2), UndefinedCVError),
+        ("degenerate_zero", QuadraticUtility(a=-0.5, b=-0.2), ZeroCostError),
         ("degenerate_zero", PowerUtility(exponent=1.5, interval=(0.0, 1000.0)),
          DerivativeZeroError),
         ("shifted_zero_mean", QuadraticUtility(a=-0.5, b=-0.2), ZeroCostError),
@@ -500,6 +501,25 @@ class TestPointMassViews:
         else:
             expected = {field: repr(getattr(report, field)) for field in views}
         assert {field: _outcome(view) for field, view in views.items()} == expected
+
+    # u''' at 1e-300 overflows under a power utility whose interval holds
+    # the mean: the second-order VOT is NaN, and so are rho and the pole
+    # 1 + R2 R3 CV^2 / 2, which eta and the coefficient form divide by
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_views_raise_where_the_report_field_is_not_finite(self):
+        u = PowerUtility(exponent=1.5, interval=(0.0, 1000.0))
+        model, ctx = Degenerate(1e-300), EconomicContext(2.5, "second_order")
+        with pytest.raises(NonFiniteError, match="report field 'vot'"):
+            evaluate(u, model, ctx)
+        # each view names the number that is not finite: cot its vot_mean
+        views = {"vot_mean": lambda: vot_mean(u, model, ctx),
+                 "cot": lambda: cot(u, model, ctx),
+                 "ratio_rho": lambda: ratio_rho(u, model, ctx),
+                 "ratio_eta": lambda: ratio_eta(u, model),
+                 "ratio_rho_coefficient_form": lambda: ratio_rho_coefficient_form(u, model)}
+        assert {name: _outcome(view) for name, view in views.items()} == {
+            name: f"NonFiniteError: {'vot_mean' if name == 'cot' else name} is not finite: nan"
+            for name in views}
 
 
 class TestContinuousViews:

@@ -34,12 +34,13 @@ def test_weighted_sweeps_cross_b_with_gamma(parity):
         raw = parity._weighted_sweep(grid, framework)
         assert raw["framework"] == framework
         assert set(raw["sweep"]["axes"]) == {
-            "distribution", "preference.params.b", "weighting.params.gamma"}
-    # one sweep of each renders, in 8 models x 4 b x 2 gamma rows
+            "distribution", "economics.phi", "preference.params.b",
+            "weighting.params.gamma"}
+    # one sweep of each renders, in 8 models x 2 phi x 4 b x 2 gamma rows
     cases = [case for case in parity.build_cases(seeds=(1,))
              if case[0] in ("sweep-dt/1/0", "sweep-rdu/1/0")]
     rendered = parity.render_tree(parity.ROOT, cases)
-    assert [out["text"].count("\n") for out in rendered] == [1 + 64, 1 + 64]
+    assert [out["text"].count("\n") for out in rendered] == [1 + 128, 1 + 128]
 
 
 def test_point_mass_grid_covers_every_family(parity):

@@ -11,8 +11,9 @@ touches the network.  The cases are:
   under the methods exact, second_order and both;
 * the benchmark's sweep grids of each seed, and their DT and RDU
   variants: each grid's axes crossed with the gamma of a power weighting
-  (2 and 3, clear of the ledger's regions), so a sweep shares its basis
-  integrals per model and weighting across the values of b;
+  (2 and 3, clear of the ledger's regions) and with phi (1 and 2.5), so a
+  sweep shares its basis integrals per model and weighting across the
+  values of b and phi;
 * the fast reproducers of ``bench/ledger.json``, under the three methods;
 * a point-mass grid: values 0, 1, 2.5 and 1e-300, every utility family,
   EU and DT and RDU under every weighting family, phi 1 and 2.5, the
@@ -63,8 +64,10 @@ UTILITIES = (
     {"family": "constant_prudence", "params": {"prudence": 2.0}},
     {"family": "affine", "params": {"slope": 1.0}},
 )
-# the power weighting's gamma axis of the DT and RDU sweep variants
+# the power weighting's gamma axis and the phi axis of the DT and RDU
+# sweep variants
 SWEEP_GAMMAS = (2.0, 3.0)
+SWEEP_PHIS = (1.0, 2.5)
 WEIGHTINGS = (
     {"family": "identity"},
     {"family": "power", "params": {"gamma": 2.0}},
@@ -104,8 +107,9 @@ def _bench_inputs():
 
 def _weighted_sweep(grid: dict, framework: str) -> dict:
     """``grid`` under ``framework`` with a power weighting, its axes
-    crossed with :data:`SWEEP_GAMMAS`."""
-    axes = dict(grid["sweep"]["axes"], **{"weighting.params.gamma": list(SWEEP_GAMMAS)})
+    crossed with :data:`SWEEP_GAMMAS` and :data:`SWEEP_PHIS`."""
+    axes = dict(grid["sweep"]["axes"], **{"weighting.params.gamma": list(SWEEP_GAMMAS),
+                                          "economics.phi": list(SWEEP_PHIS)})
     return dict(grid, framework=framework, sweep={"axes": axes},
                 weighting={"family": "power", "params": {"gamma": SWEEP_GAMMAS[0]}})
 

@@ -110,7 +110,7 @@ def _lgamma(a: float) -> float:
 
 class _IncompleteGamma:
     """The regularised incomplete gamma functions P(a, x) and
-    Q(a, x) = 1 - P(a, x) of one shape a, and the inverse of P.
+    Q(a, x) = 1 - P(a, x) of one shape a, and their inverses.
 
     Both share the factor x^a e^-x / Gamma(a).  Below x = a + 1, P is the
     power series x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a+1)...(a+n)),
@@ -241,16 +241,11 @@ class _IncompleteGamma:
         """log x where x^a / Gamma(a + 1) = p, which P(a, x) never exceeds."""
         return (np.log(p) + math.lgamma(self.a + 1.0)) / self.a
 
-    def ppf(self, p: np.ndarray) -> np.ndarray:
-        """The x with P(a, x) = p, of a 1-d array inside (0, 1): one x per
-        p, alone or in any batch, as each point keeps its own last step."""
-        upper = p > 0.5
-        return self.invert(np.where(upper, 1.0 - p, p), upper)
-
     def invert(self, s: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """The x with Q(a, x) = s where ``upper`` holds and P(a, x) = s
         elsewhere, of 1-d arrays, s inside (0, 1), in blocks that bound the
-        temporaries."""
+        temporaries: one x per s, alone or in any batch, as each point
+        keeps its own last step."""
         out = np.empty_like(s)
         for start in range(0, s.size, _PPF_BLOCK):
             block = slice(start, start + _PPF_BLOCK)
@@ -261,8 +256,8 @@ class _IncompleteGamma:
         """The x with Q(a, x) = s where ``upper`` holds and P(a, x) = s
         elsewhere, for tail probabilities s inside (0, 1): one Halley loop
         for both sides.  The first guess alone reads p = 1 - s on the upper
-        side, which is the p ``ppf`` was given: its s = 1 - p is exact, and
-        so is 1 - s."""
+        side, which is the p a quantile was given: its s = 1 - p is exact,
+        and so is 1 - s."""
         p = np.where(upper, 1.0 - s, s)
         sign = np.where(upper, -1.0, 1.0)
         log_s = np.log(s)

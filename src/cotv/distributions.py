@@ -62,7 +62,6 @@ from .numerics import RngStream, Tolerance, _tanh_sinh, _tanh_sinh_level
 from .preferences import PowerWeighting
 
 __all__ = [
-    "TAIL_MASS",
     "ServiceTimeModel",
     "ContinuousModel",
     "Degenerate",
@@ -81,10 +80,6 @@ __all__ = [
     "discrete_dual_moment_variance",
     "build_dt_instance",
 ]
-
-# Upper-tail mass beyond the first upper end of a premium root search on
-# an unbounded support: the last quantile below 1 that a float resolves.
-TAIL_MASS = 1e-15
 
 
 class ServiceTimeModel:
@@ -162,14 +157,6 @@ class ServiceTimeModel:
         E[(M - mu)^2] for M the larger of two independent draws, without
         quadrature."""
         raise NotImplementedError
-
-    def integration_interval(self) -> tuple[float, float]:
-        """The support, with an unbounded end cut at the ``1 - TAIL_MASS``
-        quantile: where a premium root search first brackets its root."""
-        lo, hi = self.support()
-        if math.isfinite(hi):
-            return lo, hi
-        return lo, float(self.quantile(1.0 - TAIL_MASS))
 
     def expect(self, g: Callable, tol: Tolerance | None = None) -> float:
         """E[g(t)]: :meth:`distorted_expect` without a weighting."""
@@ -265,18 +252,13 @@ class Exponential(ContinuousModel):
     def support(self):
         return 0.0, math.inf
 
-    # An array of t > 0 skips the edge handling.  Zeros take it: np.clip
-    # turns -0.0 into 0.0, which keeps the cdf's zero positive.
+    # np.clip turns -0.0 into 0.0, which keeps the cdf's zero positive
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
-        if t.ndim and (t > 0).all():
-            return self.rate * np.exp(-self.rate * t)
         return np.where(t < 0, 0.0, self.rate * np.exp(-self.rate * np.clip(t, 0, None)))
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
-        if t.ndim and (t > 0).all():
-            return -np.expm1(-self.rate * t)
         return np.where(t < 0, 0.0, -np.expm1(-self.rate * np.clip(t, 0, None)))
 
     def quantile(self, p):
@@ -378,23 +360,17 @@ def _horner(coefficients, r):
     return acc + coefficients[-1]
 
 
-class _Rational:
+def _pairs(num: tuple, den: tuple) -> np.ndarray:
     """Numerator and denominator coefficients of a rational function,
-    highest power first: as floats for one argument, and as one array of
-    pairs for a 1-d array of them, both halves evaluated in one pass."""
-
-    def __init__(self, num: tuple, den: tuple):
-        self.num, self.den = num, den
-        self.pairs = np.array([num, den]).T[:, :, None]
-
-    def __call__(self, r: float) -> float:
-        return _horner(self.num, r) / _horner(self.den, r)
+    highest power first, as one array of pairs that :func:`_horner`
+    evaluates on a 1-d array, both halves in one pass."""
+    return np.array([num, den]).T[:, :, None]
 
 
 # Wichura's AS241 (*Appl. Stat.* 37, 1988): numerator and denominator
 # coefficients of its three rational approximations, highest power first,
 # as ``statistics.NormalDist.inv_cdf`` states them.
-_AS241_CENTRAL = _Rational(  # |p - 0.5| <= 0.425, in 0.180625 - (p - 0.5)^2
+_AS241_CENTRAL = _pairs(  # |p - 0.5| <= 0.425, in 0.180625 - (p - 0.5)^2
     (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4,
      6.72657_70927_00870_0853e+4, 4.59219_53931_54987_1457e+4,
      1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
@@ -403,7 +379,7 @@ _AS241_CENTRAL = _Rational(  # |p - 0.5| <= 0.425, in 0.180625 - (p - 0.5)^2
      3.93078_95800_09271_0610e+4, 2.12137_94301_58659_5867e+4,
      5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
      4.23133_30701_60091_1252e+1, 1.0))
-_AS241_NEAR = _Rational(  # r = sqrt(-log(min(p, 1 - p))) <= 5, in r - 1.6
+_AS241_NEAR = _pairs(  # r = sqrt(-log(min(p, 1 - p))) <= 5, in r - 1.6
     (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2,
      2.41780_72517_74506_11770e-1, 1.27045_82524_52368_38258e+0,
      3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
@@ -412,7 +388,7 @@ _AS241_NEAR = _Rational(  # r = sqrt(-log(min(p, 1 - p))) <= 5, in r - 1.6
      1.51986_66563_61645_71966e-2, 1.48103_97642_74800_74590e-1,
      6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
      2.05319_16266_37758_82187e+0, 1.0))
-_AS241_FAR = _Rational(  # r > 5, in r - 5
+_AS241_FAR = _pairs(  # r > 5, in r - 5
     (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
      1.24266_09473_88078_43860e-3, 2.65321_89526_57612_30930e-2,
      2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
@@ -436,7 +412,7 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     central = np.abs(q) <= 0.425
     qc = q[central]
     if qc.size:
-        top, bottom = _horner(_AS241_CENTRAL.pairs, 0.180625 - qc * qc)
+        top, bottom = _horner(_AS241_CENTRAL, 0.180625 - qc * qc)
         x[central] = top * qc / bottom
     tail = ~central
     r = p[tail]
@@ -445,23 +421,10 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     xt = np.empty_like(r)
     for rational, part, shift in ((_AS241_NEAR, r <= 5.0, 1.6), (_AS241_FAR, r > 5.0, 5.0)):
         if part.any():
-            top, bottom = _horner(rational.pairs, r[part] - shift)
+            top, bottom = _horner(rational, r[part] - shift)
             xt[part] = top / bottom
     x[tail] = np.copysign(xt, q[tail])
     return x
-
-
-def _ndtri_one(p: float) -> float:
-    """:func:`_ndtri` of one float inside (0, 1), in Python floats: the same
-    operations in the same order, so the same bits, without numpy's
-    per-call cost."""
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return _horner(_AS241_CENTRAL.num, r) * q / _horner(_AS241_CENTRAL.den, r)
-    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
-    x = _AS241_NEAR(r - 1.6) if r <= 5.0 else _AS241_FAR(r - 5.0)
-    return -x if q < 0.0 else x
 
 
 def _on_support(x: np.ndarray, inside: np.ndarray, formula: Callable,
@@ -491,13 +454,14 @@ class _ScaleFamily(ContinuousModel):
     The edge values are scipy's frozen ``lognorm`` and ``gamma`` ones: pdf
     is 0 outside the support, cdf is 0 below it and 1 at +inf, quantile is 0
     at p = 0, inf at p = 1 and NaN outside [0, 1].  Subclasses give
-    ``_scale()``, the standard-shape ``_pdf``, ``_cdf`` and ``_ppf`` of
-    1-d arrays, ``_tail`` (the standard shape's ``_tail_quantile``),
-    ``_ppf_one`` of one float inside (0, 1), which a 0-d quantile takes,
-    and ``_closed``: whether the density's support is closed, [0, inf], or
-    open, (0, inf).  The survival quantile is inf at q = 0, 0 at q = 1 and
-    NaN outside [0, 1]; above q = 1/2 it reads the quantile at the exact
-    1 - q.
+    ``_scale()``, the standard-shape ``_pdf`` and ``_cdf`` of 1-d arrays,
+    ``_tail`` (the standard shape's ``_tail_quantile``, the family's one
+    inversion), and ``_closed``: whether the density's support is closed,
+    [0, inf], or open, (0, inf).  The survival quantile is inf at q = 0, 0
+    at q = 1 and NaN outside [0, 1].  Both quantiles invert the smaller
+    tail probability, min(p, 1 - p), which is exact: the quantile reads
+    the upper tail above p = 1/2, and the survival quantile the lower
+    above q = 1/2.
     """
 
     _closed = False
@@ -523,13 +487,8 @@ class _ScaleFamily(ContinuousModel):
     def quantile(self, p):
         scale = self._scale()
         p = np.asarray(p, dtype=float)
-        if p.ndim == 0:
-            # one value, as the end of a premium bracket
-            q = float(p)
-            if 0.0 < q < 1.0:
-                return np.float64(self._ppf_one(q) * scale)
-            return np.float64(0.0 if q == 0.0 else math.inf if q == 1.0 else math.nan)
-        return _on_support(p, (0 < p) & (p < 1), lambda q: self._ppf(q) * scale,
+        return _on_support(p, (0 < p) & (p < 1),
+                           lambda s: self._tail(np.minimum(s, 1.0 - s), s > 0.5) * scale,
                            lambda: np.where(p == 0, 0.0, np.where(p == 1, math.inf, math.nan)))
 
     def survival_quantile(self, q):
@@ -565,12 +524,6 @@ class LogNormal(_ScaleFamily):
 
     def _cdf(self, x):
         return _ndtr(np.log(x) / self.log_sd)
-
-    def _ppf(self, q):
-        return np.exp(self.log_sd * _ndtri(q))
-
-    def _ppf_one(self, q):
-        return np.exp(self.log_sd * _ndtri_one(q))
 
     def _tail(self, s, upper):
         # one normal quantile for both sides: Q(1 - s) takes -ndtri(s)
@@ -652,13 +605,6 @@ class Gamma(_ScaleFamily):
 
     def _cdf(self, x):
         return self._incomplete.cdf(x)
-
-    def _ppf(self, q):
-        return self._incomplete.ppf(q)
-
-    def _ppf_one(self, q):
-        # one float through the array loop: the x it has in any batch
-        return self._incomplete.ppf(np.array([q]))[0].item()
 
     def _tail(self, s, upper):
         # P and Q inverted in one Halley loop
@@ -918,10 +864,9 @@ class MomentSet(NamedTuple):
         return self._asdict()
 
 
-def moments(model: ServiceTimeModel, tol: Tolerance | None = None) -> MomentSet:
+def moments(model: ServiceTimeModel) -> MomentSet:
     """Full moment set: the closed-form primal part, and the dual part of
-    :func:`_dual_moments`.  ``tol`` is kept for callers that pass one; no
-    moment here is integrated, so none reads it."""
+    :func:`_dual_moments`; no moment here is integrated."""
     mu = model.mean()
     if mu <= 0:
         raise UndefinedCVError(f"cv undefined for mean {mu}")
@@ -939,18 +884,17 @@ def _dual_moments(model: ServiceTimeModel) -> tuple[float, float]:
     return model._closed_dual_moments()
 
 
-def dual_moment_mean(model: ServiceTimeModel, tol: Tolerance | None = None) -> float:
+def dual_moment_mean(model: ServiceTimeModel) -> float:
     """Dual moment about the mean: E[max of two iid draws] - E[t].
 
     The integral of (t - mean) against d(F^2): zero exactly for degenerate
     models, the closed form for every continuous family and its shifted and
-    scaled views, and an exact sum for a discrete model.  ``tol`` is kept
-    for callers that pass one; none of these reads it.
+    scaled views, and an exact sum for a discrete model.
     """
     return _dual_moments(model)[0]
 
 
-def dual_moment_variance(model: ServiceTimeModel, tol: Tolerance | None = None) -> float:
+def dual_moment_variance(model: ServiceTimeModel) -> float:
     """Dual moment about the variance: integral of (t - mean)^2 against
     d(F^2), from the same closed forms or sums as :func:`dual_moment_mean`."""
     return _dual_moments(model)[1]

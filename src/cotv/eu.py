@@ -174,11 +174,11 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     also for a point mass.  A utility with a basis solves for its root in
     closed form (:func:`_polynomial_premium`) and records no
     ``iterations``; above 0 its root needs no bracket.  A root search
-    above 0 brackets the root by [0, hi - mu], hi the end of
-    :meth:`~cotv.distributions.ServiceTimeModel.integration_interval`.
-    That window leaves ``TAIL_MASS`` of an unbounded support out, and a
-    heavy enough tail puts the root above it, so while the gap at the end
-    keeps the sign of the gap at 0 the end doubles.
+    above 0 first tries the bracket [0, mu], where the certainty
+    equivalent mu + pi lies in [mu, 2 mu] (1e-6 in place of a mean below
+    that); while the gap at the upper end keeps the sign of the gap at 0,
+    that end doubles, once per factor of 2 by which a heavy tail's root
+    lies above the mean.
     """
     def gap(pi: float) -> float:
         return at_mu if pi == 0.0 else float(u.u(mu + pi)) - expected_u
@@ -191,7 +191,7 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     elif u.basis is not None:
         bracket = (0.0, math.inf)
     else:
-        top = max(model.integration_interval()[1] - mu, 1e-6)
+        top = max(mu, 1e-6)
         while gap(top) > 0:
             top *= 2.0
         bracket = (0.0, top)

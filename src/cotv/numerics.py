@@ -16,7 +16,8 @@ integrand once on the nodes of several panels (:func:`_nodes`) and sums
 each panel as a lone one (:func:`_estimates`), so the panel order, sums
 and errors are those of one call per panel.  The root finder keeps a
 sign-changing bracket around its estimate and returns a point of it once
-the bracket is narrower than the tolerance.  All of them are pure
+the bracket is narrower than the tolerance, or a point where the
+function is exactly 0.  All of them are pure
 functions of their inputs; randomness enters only through an explicit
 :class:`RngStream`.
 """
@@ -340,11 +341,13 @@ def find_root(
     points when it lands inside the bracket and shrinks it fast enough,
     and bisects otherwise, so it converges superlinearly on smooth
     functions and keeps a sign change around the root on every function.
-    It returns ``x`` once ``|g(x)| <= tol.abs_tol``, or the end ``x`` of
-    the bracket with the smaller ``|g|`` once the bracket is narrower than
-    ``tol.scale(x)``; ``info["iterations"]`` counts the evaluations of
-    ``g`` inside the bracket.  The result always lies inside
-    ``[lo, hi]``, and is ``lo`` or ``hi`` when ``g`` is 0 there.
+    It returns ``x`` once ``g(x) == 0``, or the end ``x`` of the bracket
+    with the smaller ``|g|`` once the bracket is narrower than
+    ``tol.scale(x)``, Brent's two stops, so the result is within
+    ``tol.scale`` of a root whatever the slope of ``g``.
+    ``info["iterations"]`` counts the evaluations of ``g`` inside the
+    bracket.  The result always lies inside ``[lo, hi]``, and is ``lo`` or
+    ``hi`` when ``g`` is 0 there.
     """
     tol = tol or DEFAULT_TOLERANCE
     if not lo < hi:
@@ -407,7 +410,7 @@ def find_root(
         fb = float(g(b))
         if not math.isfinite(fb):
             raise NonFiniteError(f"function returned non-finite value at {b:g}")
-        if abs(fb) <= tol.abs_tol:
+        if fb == 0.0:
             if info is not None:
                 info["iterations"] = iteration
             return b

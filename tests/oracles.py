@@ -217,6 +217,16 @@ def lognormal_dual_mean(log_mean: float, log_sd: float) -> float:
     return mean * (2.0 * norm.cdf(log_sd / math.sqrt(2.0)) - 1.0)
 
 
+def window(model) -> tuple[float, float]:
+    """The support of ``model``, with an unbounded upper end cut at its
+    survival quantile at 1e-15: a finite range for the adaptive kernel and
+    scipy's quad that leaves out 1e-15 of probability."""
+    lo, hi = model.support()
+    if math.isfinite(hi):
+        return lo, hi
+    return lo, float(model.survival_quantile(1e-15))
+
+
 def quadratic_premium(mu: float, sigma: float) -> float:
     """Exact premium of u = -t^2 (any pure quadratic): sqrt(mu^2+s^2)-mu,
     written as s^2 / (sqrt(mu^2+s^2)+mu), which does not cancel."""

@@ -51,7 +51,7 @@ from cotv.preferences import (
     eta_from_coefficients,
 )
 
-from oracles import quadratic_premium
+from oracles import quadratic_premium, window
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_iter=400)
 EXACT = EconomicContext(phi=1.0, method="exact")
@@ -128,11 +128,12 @@ class TestPremiumExact:
     ], ids=["pure_quadratic-closed_form", "power-root_search"])
     def test_root_above_the_tail_quantile(self, u, k, model, rel):
         # the certainty equivalent E[t^k]^(1/k) = exp(m + k s^2 / 2) of a
-        # lognormal this heavy lies above its 1 - 1e-15 quantile, the first
-        # upper end of a root search; both means are 1
+        # lognormal this heavy, about 1e13, lies above its 1 - 1e-15
+        # quantile and far above 2 mu = 2, the first upper end of a root
+        # search, which reaches it by doubling; both means are 1
         mu = model.mean()
         certain = math.exp(model.log_mean + 0.5 * k * model.log_sd**2)
-        assert certain > model.integration_interval()[1]
+        assert certain > window(model)[1] and certain > 1e12 * (2.0 * mu)
         pi = premium_exact(u, model)
         assert pi == pytest.approx(certain - mu, rel=rel)
         assert _eu_reports(u, model, 1.0, ("exact",), None)["exact"].premium == pi

@@ -11,11 +11,11 @@ moment basis, E_w[t] and E_w[t^2] (2 integrals in EU and in RDU, whose
 distorted mean is E_w[t]), or E_w[t] alone when it is affine (1).  The
 premium evaluates u at the mean once.  A polynomial utility's premium is
 the root of a quadratic, written down in closed form, so it calls no root
-finder; any other is one root solve on a bracket from the support and
-its ``1 - TAIL_MASS`` quantile, which widens only where the root lies
-above that quantile (on none of the benchmark's inputs) and takes at
-most 10 iterations on the benchmark's report corpus and sweep grids.  An EU second-order report takes each of u', u'' and u''' at the
-mean once.
+finder; any other is one root solve.  Below 0 its bracket starts at the
+bottom of the support; above 0 it is [0, mu], whose upper end doubles
+while the gap there keeps the sign of the gap at 0.  It takes at most 10
+iterations on the benchmark's report corpus and sweep grids.  An EU
+second-order report takes each of u', u'' and u''' at the mean once.
 Every family reads its dual moments from a closed form or an exact sum,
 so no report and no ``moments()`` call integrates one, and a DT
 second-order report integrates nothing.  A ``method: "both"`` scenario

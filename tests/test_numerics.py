@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cotv import numerics
 from cotv.errors import (
@@ -340,11 +340,8 @@ class TestFindRoot:
 
 def _assert_matches_brentq(g, lo, hi):
     """``find_root`` stays in the bracket and within ``tol.scale(root)`` of
-    a full-precision ``scipy.optimize.brentq`` root.
-
-    ``find_root`` also stops where ``|g| <= abs_tol``; the functions below
-    have a slope of at least 1 at their root, so that stop is within
-    ``abs_tol`` of it too.
+    a full-precision ``scipy.optimize.brentq`` root, whatever the slope of
+    ``g`` there.
     """
     from scipy.optimize import brentq
 
@@ -359,14 +356,10 @@ utilities = st.one_of(
     st.builds(PowerUtility, exponent=st.floats(1.05, 4.0)))
 
 
-# |u'(t)| >= 1 for t >= 1
-@given(u=utilities, low=st.floats(1.0, 5.0), spread=st.floats(0.01, 10.0),
-       weight=st.floats(0.05, 0.95))
-@settings(max_examples=150, deadline=None)
-def test_premium_gap_root_matches_brentq(u, low, spread, weight):
-    # a two-point service time; the bracket is the one eu._solve_premium
-    # takes for a concave u, where the premium lies in [0, high - mu]
-    high = low + spread
+def _assert_premium_gap_root_matches_brentq(u, low, high, weight):
+    """The premium gap of a two-point service time, on the bracket
+    eu._solve_premium takes for a concave u, where the premium lies in
+    [0, high - mu]."""
     mu = weight * low + (1.0 - weight) * high
     expected_u = weight * float(u.u(low)) + (1.0 - weight) * float(u.u(high))
 
@@ -374,6 +367,29 @@ def test_premium_gap_root_matches_brentq(u, low, spread, weight):
         return float(u.u(mu + pi)) - expected_u
 
     _assert_matches_brentq(gap, 0.0, max(high - mu, 1e-6))
+
+
+# |u'(t)| >= 1 for t >= 1
+@given(u=utilities, low=st.floats(1.0, 5.0), spread=st.floats(0.01, 10.0),
+       weight=st.floats(0.05, 0.95))
+@settings(max_examples=150, deadline=None)
+def test_premium_gap_root_matches_brentq(u, low, spread, weight):
+    _assert_premium_gap_root_matches_brentq(u, low, low + spread, weight)
+
+
+# |u'| < 1 on the whole bracket: a stop on |g| <= abs_tol, as find_root had
+# before it took Brent's g == 0, lands up to abs_tol / |u'| from the root.
+# The example is such a case: power(4) on {0.5, 0.5625}, where that stop
+# returned 0.0027377077213543, 1.13 tol.scale from brentq's
+# 0.0027377078338980.
+@given(u=st.builds(PowerUtility, exponent=st.floats(1.05, 4.0)),
+       low=st.floats(0.01, 0.3), spread=st.floats(0.001, 0.3),
+       weight=st.floats(0.05, 0.95))
+@example(u=PowerUtility(4.0), low=0.5, spread=0.0625, weight=0.5)
+@settings(max_examples=150, deadline=None)
+def test_flat_premium_gap_root_matches_brentq(u, low, spread, weight):
+    assume(abs(float(u.du(low + spread))) < 1.0)
+    _assert_premium_gap_root_matches_brentq(u, low, low + spread, weight)
 
 
 @given(cubic=st.floats(0.1, 5.0), linear=st.floats(1.0, 5.0),

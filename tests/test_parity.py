@@ -2,6 +2,9 @@
 identically, and a change of a number, an error or a warning is reported
 with its case id."""
 
+import json
+import math
+
 import pytest
 
 from oracles import parity_tool
@@ -21,7 +24,7 @@ def test_working_tree_against_itself_is_identical(parity):
              for case in group[::min(25, len(group) // 3)]]
     assert {case_id.split("/")[0] for case_id, _, _ in cases} == {
         "report-mix", "sweep-grid", "sweep-dt", "sweep-rdu", "ledger", "point-mass",
-        "view"}
+        "heavy-tail", "view"}
     old = parity.render_tree(parity.ROOT, cases)
     new = parity.render_tree(parity.ROOT, cases)
     assert any(out["error"] for out in old) and any(out["text"] for out in old)
@@ -49,6 +52,21 @@ def test_point_mass_grid_covers_every_family(parity):
     assert len(cases) == 4 * 5 * 7 * 2 * 3
     assert {raw["distribution"]["params"]["value"] for _, _, raw in cases} == {
         0.0, 1.0, 2.5, 1e-300}
+
+
+def test_heavy_tail_grid_reaches_far_certainty_equivalents(parity):
+    cases = parity._heavy_tail_cases()
+    # 3 spreads x 2 utilities x (EU + RDU under 2 weightings) x 3 methods
+    assert len(cases) == 3 * 2 * 3 * 3
+    means = {math.exp(params["log_mean"] + 0.5 * params["log_sd"] ** 2)
+             for params in (raw["distribution"]["params"] for _, _, raw in cases)}
+    assert means == {1.0}
+    rendered = parity.render_tree(parity.ROOT, [
+        case for case in cases if case[0] == "heavy-tail/11.0/power/eu/exact"])
+    # power(1.5)'s certainty equivalent is E[t^1.5]^(1/1.5) = exp(s^2 / 4),
+    # about 1.4e13 at log_sd 11, against a first upper end of 2
+    premium = json.loads(rendered[0]["text"])["results"]["premium_exact"]
+    assert premium == pytest.approx(math.exp(121.0 / 4.0) - 1.0, rel=1e-8)
 
 
 def test_view_grid_covers_every_function(parity):

@@ -33,6 +33,8 @@ from cotv.eu import EconomicContext, evaluate
 from cotv.numerics import DEFAULT_TOLERANCE, Tolerance
 from cotv.preferences import InverseSWeighting, PowerWeighting, PureQuadraticUtility
 
+from oracles import window
+
 MODELS = {
     "exponential": Exponential(1.3),
     "uniform": Uniform(0.5, 2.0),
@@ -74,7 +76,7 @@ def outcome(run):
 def test_each_term_equals_its_lone_integral(model):
     infos = [{} for _ in ALL_TERMS]
     values = model._expects(ALL_TERMS, None, infos)
-    lo, hi = model.integration_interval()
+    lo, hi = window(model)
     for (g, w), value, info in zip(ALL_TERMS, values, infos):
         alone = outcome(lambda info: model.distorted_expect(g, w, None, info))
         assert (value, info) == alone
@@ -141,7 +143,7 @@ def test_terms_after_a_failed_one_are_dropped():
 def test_raising_integrand_is_charged_to_its_term():
     # the integrand raises on the nodes near the top of the support only
     model = MODELS["uniform"]
-    lo, hi = model.integration_interval()
+    lo, hi = window(model)
 
     def raises(t):
         if np.any(np.asarray(t) > 1.99):
@@ -160,7 +162,7 @@ def test_raising_integrand_is_charged_to_its_term():
 
 
 def test_premium_root_failure_comes_before_a_failing_vot():
-    # E[u] converges, the premium root meets u = NaN at the window's end,
+    # E[u] converges, the premium root meets u = NaN at the bracket's end,
     # and VOT's integrand is NaN everywhere
     u = PureQuadraticUtility(-1.0)
     quadratic = u.u

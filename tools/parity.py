@@ -18,6 +18,11 @@ touches the network.  The cases are:
 * a point-mass grid: values 0, 1, 2.5 and 1e-300, every utility family,
   EU and DT and RDU under every weighting family, phi 1 and 2.5, the
   three methods;
+* a heavy-tail grid: lognormals of mean 1 and log_sd 3, 8 and 11, whose
+  certainty equivalents lie far above the mean, so a premium root search
+  doubles its upper end many times; power(1.5) and constant_prudence(2),
+  EU and RDU under the identity and inverse-S weightings, the three
+  methods;
 * the one-quantity views (``premium_exact``, ``vot_mean``, ``cot``,
   ``cotv``, ``ratio_rho``, ``ratio_eta``, ``ratio_rho_coefficient_form``
   and ``rdu_ratio``) over the point-mass grid and a band whose variance
@@ -64,6 +69,10 @@ UTILITIES = (
     {"family": "constant_prudence", "params": {"prudence": 2.0}},
     {"family": "affine", "params": {"slope": 1.0}},
 )
+# the heavy-tail grid's lognormal spreads (each of mean 1), and the
+# utilities that search for their premium
+HEAVY_TAIL_SDS = (3.0, 8.0, 11.0)
+HEAVY_TAIL_UTILITIES = (UTILITIES[2], UTILITIES[3])
 # the power weighting's gamma axis and the phi axis of the DT and RDU
 # sweep variants
 SWEEP_GAMMAS = (2.0, 3.0)
@@ -135,6 +144,25 @@ def _point_mass_cases() -> list[tuple[str, str, dict]]:
     return cases
 
 
+def _heavy_tail_cases() -> list[tuple[str, str, dict]]:
+    cases = []
+    for log_sd in HEAVY_TAIL_SDS:
+        distribution = {"family": "lognormal",
+                        "params": {"log_mean": -0.5 * log_sd * log_sd, "log_sd": log_sd}}
+        for utility in HEAVY_TAIL_UTILITIES:
+            for framework, weighting in (("eu", None), ("rdu", WEIGHTINGS[0]),
+                                         ("rdu", WEIGHTINGS[2])):
+                name = f"heavy-tail/{log_sd!r}/{utility['family']}/{framework}"
+                raw = {"framework": framework, "distribution": distribution,
+                       "preference": utility, "seed": 0}
+                if weighting is not None:
+                    raw["weighting"] = weighting
+                    name += f"/{weighting['family']}"
+                for method in METHODS:
+                    cases.append((f"{name}/{method}", "value", dict(raw, method=method)))
+    return cases
+
+
 def _view_case(case_id: str, view: str, config: dict) -> tuple[str, str, dict]:
     return f"view/{view}/{case_id}", "view", {"view": view, "config": config}
 
@@ -194,7 +222,7 @@ def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
             for method in METHODS:
                 cases.append((f"ledger/{region['id']}/{method}", "value",
                               dict(region["config"], method=method)))
-    return cases + _point_mass_cases() + _view_cases(corpora)
+    return cases + _point_mass_cases() + _heavy_tail_cases() + _view_cases(corpora)
 
 
 def _render_view(view: str, config) -> str:

@@ -1,12 +1,12 @@
 """Utility-of-time and probability-weighting families with risk coefficients.
 
 Time spent in a mobility service is a bad, so every utility here is
-non-increasing; construction certifies that on a grid over the working
-interval and fails loudly otherwise.  Risk coefficients follow the
-time-domain sign convention: with u' <= 0 the ratio u''/u' is already
-non-negative for a risk-averse user, so no extra minus sign is attached
-to absolute/relative risk aversion, while prudence keeps one so that a
-prudent user also gets a non-negative coefficient.
+non-increasing and every weighting increasing; construction certifies that,
+in closed form for the built-in families, and fails loudly otherwise.  Risk
+coefficients follow the time-domain sign convention: with u' <= 0 the ratio
+u''/u' is already non-negative for a risk-averse user, so no extra minus sign
+is attached to absolute/relative risk aversion, while prudence keeps one so
+that a prudent user also gets a non-negative coefficient.
 """
 
 from __future__ import annotations
@@ -56,16 +56,19 @@ RP_BENCHMARK = 2.0
 _GRID_POINTS = 101
 _SIGN_SLACK = 1e-12
 
-# the points inside (0, 1) where a weighting's slope is certified
+# the points inside (0, 1) where a weighting's slope is certified.  A power or
+# inverse-S slope can underflow or be NaN only past gamma 50, and there the
+# grid's verdict is decided where one first underflows (0.001) or is 0/0 (0.5)
 _WEIGHTING_GRID = np.linspace(0.001, 0.999, 199)
 _WEIGHTING_GRID.flags.writeable = False
+_DECIDING_POINTS, _GAMMA_SAFE = _WEIGHTING_GRID[[0, 99]], 50.0
 
 
 class UtilityFunction:
     """Non-increasing utility of service time with three derivatives.
 
-    ``interval`` is the certification range: monotonicity and the
-    risk-attitude flags are checked on a grid over it.  Evaluation outside
+    ``interval`` is the certification range: u'(lo) <= 0 where ``_concave``
+    states u'' <= 0, else a grid, certifies monotonicity.  Evaluation outside
     the interval is permitted wherever the family's formula is defined,
     but a valuation report, and each view that reads u at the mean, needs
     the mean time (an RDU band's t0) inside it: ``DomainError`` otherwise,
@@ -74,6 +77,7 @@ class UtilityFunction:
     """
 
     family: str = "abstract"
+    _concave: bool = False
     # (a, b, c) of a utility linear in {t^2, t, 1}, u = a t^2 + b t + c;
     # None for a utility that is not
     basis: tuple[float, float, float] | None = None
@@ -106,11 +110,16 @@ class UtilityFunction:
         return np.linspace(self.interval[0], self.interval[1], points)
 
     def _certify_monotone(self) -> None:
-        slopes = np.asarray(self.du(self.grid()), dtype=float)
-        if not np.all(np.isfinite(slopes)):
+        if self._concave:  # u' is largest at lo; lo and hi end the grid
+            slopes = [float(self.du(t)) for t in self.interval]
+            finite, rising = all(map(math.isfinite, slopes)), slopes[0] > _SIGN_SLACK
+        else:
+            slopes = np.asarray(self.du(self.grid()), dtype=float)
+            finite, rising = np.all(np.isfinite(slopes)), np.any(slopes > _SIGN_SLACK)
+        if not finite:
             raise ValidationError(
                 f"{self.family}: derivative not finite on the working interval")
-        if np.any(slopes > _SIGN_SLACK):
+        if rising:
             raise MonotonicityError(
                 f"{self.family}: utility is not non-increasing on "
                 f"[{self.interval[0]:g}, {self.interval[1]:g}]")
@@ -130,6 +139,7 @@ class _PolynomialUtility(UtilityFunction):
     ``basis`` is (a, b, c): against any distorted measure, E_w[u] =
     a E_w[t^2] + b E_w[t] + c and E_w[u'] = 2a E_w[t] + b.
     """
+    _concave = True  # a <= 0
 
     @property
     def basis(self) -> tuple[float, float, float]:
@@ -202,6 +212,7 @@ class PowerUtility(UtilityFunction):
     """u(t) = -t^k for k > 1; relative risk aversion k-1, relative prudence 2-k."""
 
     family = "power"
+    _concave = True  # k > 1 on t >= 0
 
     def __init__(self, exponent: float,
                  interval: tuple[float, float] = (0.01, 1000.0)):
@@ -247,6 +258,7 @@ class ConstantPrudenceUtility(UtilityFunction):
     """
 
     family = "constant_prudence"
+    _concave = True  # u'' = -c t^(-r) < 0
 
     def __init__(self, prudence: float, curvature: float = 1.0,
                  slope_at_one: float = -1.0,
@@ -351,12 +363,12 @@ class WeightingFunction:
     def params(self) -> dict:
         return {}
 
-    def _certify(self) -> None:
+    def _certify(self, points: np.ndarray = _WEIGHTING_GRID) -> None:
         # Written so that a NaN fails every test; a non-finite value becomes
         # a ValidationError, so numpy's warnings about it are silenced.
         with np.errstate(all="ignore"):
             ends = np.asarray(self.w(np.array([0.0, 1.0])), dtype=float)
-            slopes = np.asarray(self.dw(_WEIGHTING_GRID), dtype=float)
+            slopes = np.asarray(self.dw(points), dtype=float)
         if not (abs(ends[0]) <= 1e-12 and abs(ends[1] - 1.0) <= 1e-12):
             raise ValidationError(f"{self.family}: requires w(0)=0 and w(1)=1")
         if not np.all(np.isfinite(slopes)):
@@ -374,6 +386,9 @@ class IdentityWeighting(WeightingFunction):
     """w(p) = p; collapses any rank-dependent evaluation to plain expectation."""
 
     family = "identity"
+
+    def _certify(self) -> None:
+        pass  # w(p) = p
 
     def w(self, p):
         return np.asarray(p, dtype=float)
@@ -396,6 +411,11 @@ class PowerWeighting(WeightingFunction):
         self.gamma = float(gamma)
         super().__init__()
 
+    def _certify(self) -> None:
+        # increasing for every g > 0, with w(0) = 0 and w(1) = 1 exactly
+        if not self.gamma <= _GAMMA_SAFE:
+            super()._certify(_DECIDING_POINTS)
+
     def w(self, p):
         return np.power(np.asarray(p, dtype=float), self.gamma)
 
@@ -415,8 +435,9 @@ class InverseSWeighting(WeightingFunction):
     """Inverse-S weighting w(p) = p^g / (p^g + (1-p)^g)^(1/g).
 
     Overweights small probabilities and underweights large ones for g < 1.
-    Derivatives are closed-form; monotonicity restricts g to roughly
-    g > 0.28, which certification enforces numerically.
+    Derivatives are closed-form.  w' has the sign of (g-1) p^g + g (1-p)^g
+    + p (1-p)^(g-1), whose least value over p is 0 at g = 0.2792042470...,
+    so w increases exactly from there (Ingersoll 2008); a smaller g fails.
     """
 
     family = "inverse_s"
@@ -427,22 +448,19 @@ class InverseSWeighting(WeightingFunction):
         self.gamma = float(gamma)
         super().__init__()
 
+    def _certify(self) -> None:
+        if self.gamma < 0.27920424701493857:  # the threshold, rounded up
+            raise ValidationError(
+                f"{self.family}: weighting must be strictly increasing on (0, 1)")
+        if not self.gamma <= _GAMMA_SAFE:  # w(0) = 0 and w(1) = 1 exactly
+            super()._certify(_DECIDING_POINTS)
+
     def w(self, p):
         g = self.gamma
         p = np.asarray(p, dtype=float)
         a = np.power(p, g)
         b = np.power(1.0 - p, g)
         return a / np.power(a + b, 1.0 / g)
-
-    def _pieces(self, p):
-        g = self.gamma
-        p = np.asarray(p, dtype=float)
-        a = np.power(p, g)
-        b = np.power(1.0 - p, g)
-        s = a + b
-        n = np.power(p, g - 1.0) - np.power(1.0 - p, g - 1.0)
-        dn = (g - 1.0) * (np.power(p, g - 2.0) + np.power(1.0 - p, g - 2.0))
-        return a, b, s, n, dn
 
     def dw(self, p, q=None):
         g = self.gamma
@@ -456,7 +474,9 @@ class InverseSWeighting(WeightingFunction):
     def d2w(self, p):
         p = np.asarray(p, dtype=float)
         g = self.gamma
-        _, _, s, n, dn = self._pieces(p)
+        s = np.power(p, g) + np.power(1.0 - p, g)
+        n = np.power(p, g - 1.0) - np.power(1.0 - p, g - 1.0)
+        dn = (g - 1.0) * (np.power(p, g - 2.0) + np.power(1.0 - p, g - 2.0))
         h = g / p - n / s
         dh = -g / p**2 - (dn * s - g * n**2) / s**2
         return self.w(p) * (h**2 + dh)

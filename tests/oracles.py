@@ -3,7 +3,9 @@
 Everything here is deliberately naive: direct enumeration, central finite
 differences, closed forms, and the one-panel-per-call quadrature loop.
 None of it shares code with the package paths it checks beyond the
-tolerance type and the error classes.  ``bench_inputs`` loads the
+tolerance type and the error classes; ``grid_verdict`` builds a
+preference object with its certification skipped, to judge it by the grid
+rule that certification replaced.  ``bench_inputs`` loads the
 benchmark's scenario generators for tests that run them, and
 ``parity_tool`` the harness ``tools/parity.py``.  The gamma and
 dual-moment constants are mpmath values at 40 digits or more, rounded to
@@ -16,11 +18,18 @@ import importlib.util
 import math
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 
-from cotv.errors import NonConvergenceError, NonFiniteError, ValidationError
+from cotv.errors import (
+    MonotonicityError,
+    NonConvergenceError,
+    NonFiniteError,
+    ValidationError,
+)
 from cotv.numerics import DEFAULT_TOLERANCE, Tolerance
+from cotv.preferences import UtilityFunction
 
 
 def _load(name: str, relative: str):
@@ -313,6 +322,83 @@ def inverse_s_slope(gamma: float, p):
     a = np.power(p, g)
     b = np.power(1.0 - p, g)
     return a / np.power(a + b, 1.0 / g) * h
+
+
+# The least double at which the inverse-S weighting p^g / (p^g + q^g)^(1/g),
+# q = 1 - p, increases on (0, 1).  w' = w (g s - p n) / (p s) with
+# s = p^g + q^g and n = p^(g-1) - q^(g-1), so w' has the sign of
+# f(p, g) = (g-1) p^g + g q^g + p q^(g-1), and g* is where the least f over
+# p touches 0 (Ingersoll 2008):
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     def f(p, g):
+#         return (g - 1) * p**g + g * (1 - p)**g + p * (1 - p)**(g - 1)
+#     def f_p(p, g):
+#         return mp.diff(lambda x: f(x, g), p)
+#     p, g = mp.findroot([f, f_p], (mp.mpf("0.0976"), mp.mpf("0.2792")))
+#     # p = 0.0975961651773065761..., g = 0.2792042470149385418545...
+#     print(float(g), mp.mpf(float(g)) - g)  # 0.27920424701493857, +2.5e-17
+#
+# float(g) lies above g, so it is the least double with w' >= 0; at the
+# double below it the least f is -7.1e-17, at p = 0.0975961651773.
+INVERSE_S_GAMMA_STAR = 0.27920424701493857
+INVERSE_S_ARGMIN_P = 0.0975961651773065761
+
+
+# The certification rule the package applied before its closed forms: u'
+# on 101 points over the working interval, finite and at most 1e-12; w(0)
+# and w(1) within 1e-12 of 0 and 1, and w' finite and positive on 199
+# points of [0.001, 0.999].  Each returns None where the rule accepts, and
+# otherwise the error class and message it raised.
+WEIGHTING_GRID = np.linspace(0.001, 0.999, 199)
+
+
+def grid_utility_verdict(u) -> tuple[type, str] | None:
+    lo, hi = u.interval
+    slopes = np.asarray(u.du(np.linspace(lo, hi, 101)), dtype=float)
+    if not np.all(np.isfinite(slopes)):
+        return ValidationError, f"{u.family}: derivative not finite on the working interval"
+    if np.any(slopes > 1e-12):
+        return MonotonicityError, (f"{u.family}: utility is not non-increasing on "
+                                   f"[{lo:g}, {hi:g}]")
+    return None
+
+
+def grid_weighting_verdict(w) -> tuple[type, str] | None:
+    with np.errstate(all="ignore"):
+        ends = np.asarray(w.w(np.array([0.0, 1.0])), dtype=float)
+        slopes = np.asarray(w.dw(WEIGHTING_GRID), dtype=float)
+    if not (abs(ends[0]) <= 1e-12 and abs(ends[1] - 1.0) <= 1e-12):
+        return ValidationError, f"{w.family}: requires w(0)=0 and w(1)=1"
+    if not np.all(np.isfinite(slopes)):
+        return ValidationError, f"{w.family}: derivative not finite on (0, 1)"
+    if not np.all(slopes > 0):
+        return ValidationError, (f"{w.family}: weighting must be strictly increasing "
+                                 "on (0, 1)")
+    return None
+
+
+def verdict(cls, *args, **kwargs) -> tuple[type, str] | None:
+    """The error class and message that constructing
+    ``cls(*args, **kwargs)`` raises, or None where it succeeds."""
+    try:
+        with np.errstate(all="ignore"):
+            cls(*args, **kwargs)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def grid_verdict(cls, *args, **kwargs) -> tuple[type, str] | None:
+    """The grid rule's verdict on ``cls(*args, **kwargs)``, built with its
+    own certification skipped; the family's parameter checks still run."""
+    name = "_certify_monotone" if issubclass(cls, UtilityFunction) else "_certify"
+    with mock.patch.object(cls, name, lambda self: None), np.errstate(all="ignore"):
+        built = cls(*args, **kwargs)
+        if isinstance(built, UtilityFunction):
+            return grid_utility_verdict(built)
+        return grid_weighting_verdict(built)
 
 
 # Survival quantiles Q(1 - q) of every continuous family, for q from 1/2

@@ -24,7 +24,7 @@ def test_working_tree_against_itself_is_identical(parity):
              for case in group[::min(25, len(group) // 3)]]
     assert {case_id.split("/")[0] for case_id, _, _ in cases} == {
         "report-mix", "sweep-grid", "sweep-dt", "sweep-rdu", "ledger", "point-mass",
-        "heavy-tail", "view"}
+        "heavy-tail", "certification", "view"}
     old = parity.render_tree(parity.ROOT, cases)
     new = parity.render_tree(parity.ROOT, cases)
     assert any(out["error"] for out in old) and any(out["text"] for out in old)
@@ -67,6 +67,22 @@ def test_heavy_tail_grid_reaches_far_certainty_equivalents(parity):
     # about 1.4e13 at log_sd 11, against a first upper end of 2
     premium = json.loads(rendered[0]["text"])["results"]["premium_exact"]
     assert premium == pytest.approx(math.exp(121.0 / 4.0) - 1.0, rel=1e-8)
+
+
+def test_certification_group_brackets_each_edge(parity):
+    cases = parity._certification_cases()
+    # 10 inverse-S and 3 power weightings under RDU, 3 utilities under EU
+    assert len(cases) == 10 + 3 + 3
+    wanted = ("certification/inverse_s/0.279203", "certification/inverse_s/0.2792043",
+              "certification/constant_prudence/3.0/0.1/10.0")
+    rendered = parity.render_tree(parity.ROOT, [case for case in cases if case[0] in wanted])
+    # just below the inverse-S threshold, just above it, and a slope that
+    # climbs above 0 at the interval's lower end
+    assert [out["error"] for out in rendered] == [
+        "ConfigError: weighting: inverse_s: weighting must be strictly increasing on (0, 1)",
+        None,
+        "ConfigError: preference: constant_prudence: utility is not non-increasing on "
+        "[0.1, 10]"]
 
 
 def test_view_grid_covers_every_function(parity):

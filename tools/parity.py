@@ -23,6 +23,12 @@ touches the network.  The cases are:
   doubles its upper end many times; power(1.5) and constant_prudence(2),
   EU and RDU under the identity and inverse-S weightings, the three
   methods;
+* a certification group: RDU under inverse-S weightings whose gamma lies
+  around the monotonicity threshold 0.2792042..., the bound 50 below which
+  no slope is read, and the large gammas the grid rejected, and under
+  power weightings of gamma 108, 109 and 1e300; and EU under utilities
+  whose slope rises at the interval's lower end or overflows at its upper
+  end;
 * the one-quantity views (``premium_exact``, ``vot_mean``, ``cot``,
   ``cotv``, ``ratio_rho``, ``ratio_eta``, ``ratio_rho_coefficient_form``
   and ``rdu_ratio``) over the point-mass grid and a band whose variance
@@ -81,6 +87,18 @@ WEIGHTINGS = (
     {"family": "identity"},
     {"family": "power", "params": {"gamma": 2.0}},
     {"family": "inverse_s", "params": {"gamma": 0.8}},
+)
+# the certification group's weighting gammas and utilities
+CERTIFICATION_WEIGHTINGS = (
+    *({"family": "inverse_s", "params": {"gamma": gamma}}
+      for gamma in (0.2792028, 0.279203, 0.2792042, 0.2792043, 0.28, 50.0, 50.0001,
+                    500.0, 1100.0, 1e10)),
+    *({"family": "power", "params": {"gamma": gamma}} for gamma in (108.0, 109.0, 1e300)),
+)
+CERTIFICATION_UTILITIES = (
+    {"family": "constant_prudence", "params": {"prudence": 3.0}, "interval": [0.1, 10.0]},
+    {"family": "power", "params": {"exponent": 1.5}, "interval": [0.0, 1e300]},
+    {"family": "power", "params": {"exponent": 3.0}, "interval": [0.0, 1e300]},
 )
 EU_VIEWS = ("premium_exact", "vot_mean", "cot", "cotv", "ratio_rho", "ratio_eta",
             "ratio_rho_coefficient_form")
@@ -163,6 +181,22 @@ def _heavy_tail_cases() -> list[tuple[str, str, dict]]:
     return cases
 
 
+def _certification_cases() -> list[tuple[str, str, dict]]:
+    base = {"distribution": {"family": "uniform", "params": {"lo": 1.0, "hi": 3.0}},
+            "method": "both", "seed": 0}
+    cases = []
+    for weighting in CERTIFICATION_WEIGHTINGS:
+        raw = dict(base, framework="rdu", weighting=weighting,
+                   preference={"family": "quadratic", "params": {"a": -0.5, "b": -0.2}})
+        gamma = weighting["params"]["gamma"]
+        cases.append((f"certification/{weighting['family']}/{gamma!r}", "value", raw))
+    for utility in CERTIFICATION_UTILITIES:
+        raw = dict(base, framework="eu", preference=utility)
+        name = "/".join(map(repr, (*utility["params"].values(), *utility["interval"])))
+        cases.append((f"certification/{utility['family']}/{name}", "value", raw))
+    return cases
+
+
 def _view_case(case_id: str, view: str, config: dict) -> tuple[str, str, dict]:
     return f"view/{view}/{case_id}", "view", {"view": view, "config": config}
 
@@ -222,7 +256,8 @@ def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
             for method in METHODS:
                 cases.append((f"ledger/{region['id']}/{method}", "value",
                               dict(region["config"], method=method)))
-    return cases + _point_mass_cases() + _heavy_tail_cases() + _view_cases(corpora)
+    return (cases + _point_mass_cases() + _heavy_tail_cases() + _certification_cases()
+            + _view_cases(corpora))
 
 
 def _render_view(view: str, config) -> str:

@@ -25,6 +25,9 @@ from the survival quantile Q(1 - q), computed from q, above, and w' from
 (p, q), so nothing cancels near p = 1.  All terms of a call read the
 same nodes: each level's times, and w' of each weighting, are computed
 once for all of them, and each value equals that of its term alone.
+A level's times (``_level_times``) depend on the model and the level
+alone, and the lognormal's normal quantiles at the nodes on the level
+alone: a table built once per process, on the level's first use.
 Discrete models sum exactly.
 
 Every family's pdf, cdf, quantile and survival quantile is numpy and
@@ -112,6 +115,14 @@ class ServiceTimeModel:
         elsewhere."""
         return np.where(upper, self.survival_quantile(s), self.quantile(s))
 
+    def _level_times(self, level: int) -> np.ndarray:
+        """The times at the nodes of a tanh-sinh level, in their order: the
+        quantile pass of :meth:`_expects`.  A family may serve them from
+        what depends on the level alone; each time has the bits of
+        ``_tail_quantile`` at its node."""
+        nodes = _tanh_sinh_level(level)
+        return self._tail_quantile(nodes.s, nodes.upper)
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -183,13 +194,14 @@ class ServiceTimeModel:
         The integrals are an iterator that computes each one when it is
         read, in the order of ``terms``, by
         :func:`~cotv.numerics._tanh_sinh` over p.  The times at each
-        level's nodes come from one quantile pass, made when the first term
-        reaches that level, and w'(p, q) of each weighting from one call
-        per level; every term reads them, and evaluates g once per level it
-        reaches.  Each value, ``infos[k]`` (``levels``, ``nodes``,
-        ``error``) and error is that of the term integrated alone: a term
-        whose g w' is not finite at a node raises ``NonFiniteError`` when
-        it is read, and the terms after it are never evaluated.
+        level's nodes come from one quantile pass, :meth:`_level_times`,
+        made when the first term reaches that level, and w'(p, q) of each
+        weighting from one call per level; every term reads them, and
+        evaluates g once per level it reaches.  Each value, ``infos[k]``
+        (``levels``, ``nodes``, ``error``) and error is that of the term
+        integrated alone: a term whose g w' is not finite at a node raises
+        ``NonFiniteError`` when it is read, and the terms after it are
+        never evaluated.
         """
         times: dict = {}
         slopes: dict = {}
@@ -199,7 +211,7 @@ class ServiceTimeModel:
                 nodes = _tanh_sinh_level(level)
                 x = times.get(level)
                 if x is None:
-                    x = times[level] = self._tail_quantile(nodes.s, nodes.upper)
+                    x = times[level] = self._level_times(level)
                 y = np.asarray(g(x), dtype=float)
                 if y.shape != x.shape:  # a constant g may return one value
                     y = np.broadcast_to(y, x.shape)
@@ -427,6 +439,22 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return x
 
 
+_NORMAL_LEVELS: dict[int, np.ndarray] = {}
+
+
+def _normal_level(level: int) -> np.ndarray:
+    """ndtri(p) at the nodes of ``level``, from their smaller tail
+    probabilities and signed for their side as ``LogNormal._tail`` signs
+    it: built on the level's first use and kept, as the nodes are."""
+    z = _NORMAL_LEVELS.get(level)
+    if z is None:
+        nodes = _tanh_sinh_level(level)
+        z = _ndtri(nodes.s)
+        z = _NORMAL_LEVELS[level] = np.where(nodes.upper, -z, z)
+        z.flags.writeable = False  # every lognormal of the process reads it
+    return z
+
+
 def _on_support(x: np.ndarray, inside: np.ndarray, formula: Callable,
                 edges: Callable):
     """``formula`` at the points where ``inside`` holds, ``edges()`` at the
@@ -461,7 +489,9 @@ class _ScaleFamily(ContinuousModel):
     at q = 1 and NaN outside [0, 1].  Both quantiles invert the smaller
     tail probability, min(p, 1 - p), which is exact: the quantile reads
     the upper tail above p = 1/2, and the survival quantile the lower
-    above q = 1/2.
+    above q = 1/2.  A level's node times are one ``_tail`` call on the
+    nodes' smaller tail probabilities; the lognormal takes its normal
+    quantiles at them from a per-level table instead.
     """
 
     _closed = False
@@ -529,6 +559,10 @@ class LogNormal(_ScaleFamily):
         # one normal quantile for both sides: Q(1 - s) takes -ndtri(s)
         z = _ndtri(s)
         return np.exp(self.log_sd * np.where(upper, -z, z))
+
+    def _level_times(self, level):
+        # _tail's operations, on the level's normal quantiles from the table
+        return np.exp(self.log_sd * _normal_level(level)) * self._scale()
 
     def mean(self):
         return math.exp(self.log_mean + 0.5 * self.log_sd**2)
@@ -693,8 +727,8 @@ class ShiftedScaled(ContinuousModel):
     def survival_quantile(self, q):
         return self.loc + self.scale * np.asarray(self.base.survival_quantile(q))
 
-    def _tail_quantile(self, s, upper):
-        return self.loc + self.scale * self.base._tail_quantile(s, upper)
+    def _level_times(self, level):
+        return self.loc + self.scale * self.base._level_times(level)
 
     def mean(self):
         return self.loc + self.scale * self.base.mean()

@@ -8,9 +8,11 @@ control over raw speed.  A report's integrals are integrals over
 probability, E_w[g] = int_0^1 g(Q(p)) w'(p) dp, and :func:`_tanh_sinh`
 sums them on the double-exponential nodes of (0, 1) (Takahasi & Mori
 1974), which converge exponentially on the endpoint singularities of w'
-and of the quantile Q.  Its nodes depend only on their level, so every
-term of a report reads the same ones, and a caller that evaluates the
-quantile once per level serves all of them.  :func:`integrate` is the
+and of the quantile Q.  Its nodes depend only on their level, and each
+level is built on its first use, so every term of a report reads the
+same ones, a caller that evaluates the quantile once per level serves
+all of them, and what depends on the level alone (the lognormal's normal
+quantiles) is computed once per process.  :func:`integrate` is the
 adaptive Gauss route on a finite window: each refinement step calls the
 integrand once on the nodes of several panels (:func:`_nodes`) and sums
 each panel as a lone one (:func:`_estimates`), so the panel order, sums

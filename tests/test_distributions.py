@@ -33,7 +33,14 @@ from cotv.errors import (
     ValidationError,
     ZeroMeanError,
 )
-from cotv.numerics import DEFAULT_TOLERANCE, RngStream, Tolerance, integrate, mc_estimate
+from cotv.numerics import (
+    DEFAULT_TOLERANCE,
+    RngStream,
+    Tolerance,
+    _tanh_sinh_level,
+    integrate,
+    mc_estimate,
+)
 from cotv.preferences import InverseSWeighting, PowerWeighting
 
 from oracles import (
@@ -819,6 +826,35 @@ def test_tail_quantile_reads_each_side(model):
     both = model._tail_quantile(s, upper)
     assert both[~upper].tolist() == model.quantile(s[~upper]).tolist()
     assert both[upper].tolist() == model.survival_quantile(s[upper]).tolist()
+
+
+# the base level, h = 1/8, and every finer one the rule reaches
+TS_LEVELS = range(3, 8)
+
+
+@pytest.mark.parametrize("model", ONE_QUANTILE_MODELS, ids=lambda m: m.label())
+def test_level_times_are_the_tail_quantiles_of_the_nodes(model):
+    # a lognormal reads its normal quantiles from the per-level table, and
+    # a shifted and scaled model its base's level times: the bits of one
+    # quantile pass over the level's nodes; report-mix reaches only level 3
+    for level in TS_LEVELS:
+        nodes = _tanh_sinh_level(level)
+        assert model._level_times(level).tobytes() == \
+            model._tail_quantile(nodes.s, nodes.upper).tobytes(), level
+
+
+@pytest.mark.parametrize("a", GAMMA_CORNERS)
+def test_gamma_inversion_of_a_level_equals_each_node_alone(a):
+    # the Halley loop steps only the points still moving; each keeps the
+    # step where it first meets the tolerance, whatever else is in the batch
+    incomplete = Gamma(shape=a, rate=1.0)._incomplete
+    for level in TS_LEVELS:
+        nodes = _tanh_sinh_level(level)
+        for upper in (nodes.upper, ~nodes.upper):
+            batch = incomplete.invert(nodes.s, upper)
+            alone = [incomplete.invert(np.array([s]), np.array([side]))[0]
+                     for s, side in zip(nodes.s.tolist(), upper.tolist())]
+            assert batch.tolist() == alone, level
 
 
 @pytest.mark.parametrize("model", PARITY_MODELS[::5], ids=lambda m: m.label())

@@ -10,7 +10,11 @@ process): the quadrature's Gauss-Legendre rule is a table in
 test process itself has scipy loaded (scipy is the tests' oracle, in the
 ``test`` extra, and not a runtime dependency).  The records are plain
 classes and ``NamedTuple``s: decorating a dataclass runs several ``exec``
-calls, a fixed cost of every cold ``cotv`` process.
+calls, a fixed cost of every cold ``cotv`` process.  Nor does import
+build the tanh-sinh nodes or the lognormal's normal quantiles at them:
+each level of both is built on its first use, so a run that integrates
+nothing pays nothing for them, and one that reaches only the base level
+builds only that.
 """
 
 import ast
@@ -160,3 +164,37 @@ def test_value_runs_load_no_dataclasses():
                                            "p0": 0.5, "psi": 0.3}}, framework="dt")
     seen = run_fresh(DATACLASSES_PROBE, json.dumps(scenarios))
     assert seen == {name: False for name in ("import", "eu", "dt", "rdu", "banded")}
+
+
+TABLES_PROBE = """
+import json, sys
+import cotv.cli
+from cotv import distributions, numerics
+from cotv.cli import run_scenario
+from cotv.config import parse_config
+
+def built():
+    return [sorted(numerics._LEVELS), sorted(distributions._NORMAL_LEVELS)]
+
+seen = {"import": built()}
+for name, raw in json.loads(sys.argv[1]).items():
+    run_scenario(parse_config(raw))
+    seen[name] = built()
+print(json.dumps(seen))
+"""
+
+
+def test_quadrature_tables_are_built_on_first_use():
+    # a banded instance and a DT second-order report integrate nothing; an
+    # RDU second-order report integrates the distorted mean, on the base
+    # level (h = 1/8), so a lognormal one builds that level's table
+    lognormal = {"family": "lognormal", "params": {"log_mean": 1.0, "log_sd": 0.5}}
+    banded = scenario({"family": "discrete",
+                       "dt": {"t0": 2.0, "xi": [-1.0, 1.0], "p0": 0.5, "psi": 0.3}},
+                      framework="dt")
+    scenarios = {"banded": banded,
+                 "dt": dict(scenario(lognormal, "dt"), method="second_order"),
+                 "rdu": dict(scenario(lognormal, "rdu"), method="second_order")}
+    seen = run_fresh(TABLES_PROBE, json.dumps(scenarios))
+    assert seen == {"import": [[], []], "banded": [[], []], "dt": [[], []],
+                    "rdu": [[3], [3]]}

@@ -99,7 +99,7 @@ def kernel_records(run, monkeypatch) -> tuple[list, list]:
     levels the finest it reached (3 is h = 1/8).  A shared call is one
     :meth:`~cotv.distributions.ServiceTimeModel._expects` call of a
     continuous model, and its quantile passes are the outermost calls of
-    a model's ``_tail_quantile`` (a shifted and scaled model calls its
+    a model's ``_level_times`` (a shifted and scaled model calls its
     base's) until the next shared call.
     """
     integrals, passes = [], []
@@ -119,13 +119,13 @@ def kernel_records(run, monkeypatch) -> tuple[list, list]:
         integrals.append((calls, info["levels"]))
         return value
 
-    def counted_tail(tail):
-        def counted(self, s, upper):
+    def counted_times(times):
+        def counted(self, level):
             nonlocal depth
             passes[-1] += depth == 0
             depth += 1
             try:
-                return tail(self, s, upper)
+                return times(self, level)
             finally:
                 depth -= 1
         return counted
@@ -137,9 +137,9 @@ def kernel_records(run, monkeypatch) -> tuple[list, list]:
     for module in (numerics, distributions):
         monkeypatch.setattr(module, "_tanh_sinh", counted_tanh_sinh)
     for cls in set(model_classes()):
-        if "_tail_quantile" in vars(cls):
-            monkeypatch.setattr(cls, "_tail_quantile",
-                                counted_tail(vars(cls)["_tail_quantile"]))
+        if "_level_times" in vars(cls):
+            monkeypatch.setattr(cls, "_level_times",
+                                counted_times(vars(cls)["_level_times"]))
     monkeypatch.setattr(ServiceTimeModel, "_expects", counted_expects)
     run()
     return integrals, passes

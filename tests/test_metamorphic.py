@@ -2,7 +2,12 @@
 for any input and need no reference value (ROADMAP item 14).
 
 Rank-dependent utility nests expected utility: under the identity
-weighting w(p) = p, an RDU report values a scenario as EU does.
+weighting w(p) = p, an RDU report values a scenario as EU does.  It nests
+dual theory too: with an affine utility its exact premium is DT's,
+E_w[t] - mu.  And a power weighting p^gamma makes F^gamma stochastically
+larger as gamma grows, so the distorted mean E_w[t] does not decrease.
+Each of these reads the probability-plane quantile pass of every
+continuous family.
 """
 
 import numpy as np
@@ -12,8 +17,16 @@ from hypothesis import given, settings, strategies as st
 from cotv.distributions import Exponential, Gamma, LogNormal, Uniform
 from cotv.errors import CotvError
 from cotv.eu import EconomicContext, evaluate
-from cotv.non_eu import RduContext, rdu_valuation
-from cotv.preferences import ConstantPrudenceUtility, IdentityWeighting, PowerUtility
+from cotv.non_eu import DtContext, RduContext, dt_valuation, rdu_valuation
+from cotv.numerics import DEFAULT_TOLERANCE
+from cotv.preferences import (
+    AffineUtility,
+    ConstantPrudenceUtility,
+    IdentityWeighting,
+    InverseSWeighting,
+    PowerUtility,
+    PowerWeighting,
+)
 
 # every field of a report both frameworks fill; eta is EU's alone (None
 # under RDU) and the diagnostics differ by framework
@@ -28,6 +41,10 @@ MODELS = st.one_of(
     st.builds(LogNormal, st.floats(0.0, 2.0), st.floats(0.25, 0.6)),
     st.builds(Gamma, st.floats(1.5, 5.0), st.floats(0.3, 3.0)),
 )
+# report-mix's weightings: inverse-S from 0.6 to 0.9, power from 0.5 to 3
+POWER_GAMMAS = st.floats(0.5, 3.0)
+WEIGHTINGS = st.one_of(st.builds(InverseSWeighting, st.floats(0.6, 0.9)),
+                       st.builds(PowerWeighting, POWER_GAMMAS))
 UTILITIES = {
     "power": st.builds(PowerUtility, st.floats(1.2, 3.0)),
     # constant prudence on both sides of the benchmark 2, with its default
@@ -68,3 +85,38 @@ def test_rdu_under_identity_weighting_equals_eu(family, data):
     if eu is not None:
         assert [getattr(rdu, name) for name in FIELDS] == [getattr(eu, name)
                                                           for name in FIELDS]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=MODELS, w=WEIGHTINGS, slope=st.floats(0.5, 2.0),
+       intercept=st.floats(-10.0, 10.0), phi=st.floats(0.5, 2.5))
+def test_rdu_with_affine_utility_is_dual_theory(model, w, slope, intercept, phi):
+    """Both read one E_w[t] from one shared call.  DT's premium is
+    E_w[t] - mu, rounded once.  RDU's is the root K / m of its gap, with
+    K = u(mu) - E_w[u] and u(t) = c - m t: u(mu) and E_w[u] = c - m E_w[t]
+    are each two roundings, within u (2 m |mu| + |c|) and
+    u (2 m |E_w[t]| + |c|), and K and K / m are each one, within
+    u |E_w[t] - mu|, for the unit roundoff u = 2^-53.  So the two differ
+    by at most u (2 |mu| + 2 |E_w[t]| + 2 |c| / m + 3 |E_w[t] - mu|) to
+    first order, inside the bound below."""
+    dt, dt_error = _run(lambda: dt_valuation(model, DtContext(w), phi, "exact"))
+    rdu, rdu_error = _run(lambda: rdu_valuation(
+        model, RduContext(AffineUtility(slope, intercept), w), phi, "exact"))
+    assert dt_error is rdu_error
+    if dt is not None:
+        mean_w = rdu.diagnostics["distorted_mean"]
+        bound = 2.0 ** -52 * (abs(rdu.mu) + abs(mean_w) + abs(intercept) / slope
+                              + 2.0 * abs(dt.premium))
+        assert abs(rdu.premium - dt.premium) <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=MODELS, gammas=st.lists(POWER_GAMMAS, min_size=2, max_size=2).map(sorted))
+def test_distorted_mean_does_not_decrease_with_the_power(model, gammas):
+    """F^gamma decreases in gamma at every t, so E_w[t] under w(p) =
+    p^gamma does not; each integral is within ``tol.scale`` of its
+    value, so the two computed ones may cross by the sum of theirs."""
+    lower, higher = (model.distorted_expect(np.asarray, PowerWeighting(gamma))
+                     for gamma in gammas)
+    assert higher >= lower - (DEFAULT_TOLERANCE.scale(lower)
+                              + DEFAULT_TOLERANCE.scale(higher))

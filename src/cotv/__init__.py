@@ -4,9 +4,9 @@ The package quantifies how costly random service times are for users:
 variability premiums, the cost of time (COT), the cost of time
 variability (COTV), and the ratios COTV/COT and VOTV/VOT, under expected
 utility, dual theory, and rank-dependent utility.  Closed second-order
-forms are paired everywhere with an exact numerical path (adaptive
-quadrature plus root finding) so every approximation can be checked
-against an independent oracle.
+forms are paired everywhere with an exact numerical path (the tanh-sinh
+rule in the probability plane, closed forms and Brent's root finder) so
+every approximation can be checked against an independent oracle.
 """
 
 import time as _time

@@ -109,19 +109,15 @@ class ServiceTimeModel:
         q: exact where 1 - q rounds."""
         raise NotImplementedError
 
-    def _tail_quantile(self, s, upper):
-        """Times from the smaller tail probabilities ``s`` of a 1-d array:
-        ``survival_quantile(s)`` where ``upper`` holds, ``quantile(s)``
-        elsewhere."""
-        return np.where(upper, self.survival_quantile(s), self.quantile(s))
-
     def _level_times(self, level: int) -> np.ndarray:
         """The times at the nodes of a tanh-sinh level, in their order: the
-        quantile pass of :meth:`_expects`.  A family may serve them from
-        what depends on the level alone; each time has the bits of
-        ``_tail_quantile`` at its node."""
+        quantile pass of :meth:`_expects`, ``survival_quantile(s)`` of a
+        node's smaller tail probability s above the median, ``quantile(s)``
+        below.  A family may serve them, with the same bits, from what
+        depends on the level alone."""
         nodes = _tanh_sinh_level(level)
-        return self._tail_quantile(nodes.s, nodes.upper)
+        return np.where(nodes.upper, self.survival_quantile(nodes.s),
+                        self.quantile(nodes.s))
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -483,15 +479,16 @@ class _ScaleFamily(ContinuousModel):
     is 0 outside the support, cdf is 0 below it and 1 at +inf, quantile is 0
     at p = 0, inf at p = 1 and NaN outside [0, 1].  Subclasses give
     ``_scale()``, the standard-shape ``_pdf`` and ``_cdf`` of 1-d arrays,
-    ``_tail`` (the standard shape's ``_tail_quantile``, the family's one
-    inversion), and ``_closed``: whether the density's support is closed,
-    [0, inf], or open, (0, inf).  The survival quantile is inf at q = 0, 0
-    at q = 1 and NaN outside [0, 1].  Both quantiles invert the smaller
-    tail probability, min(p, 1 - p), which is exact: the quantile reads
-    the upper tail above p = 1/2, and the survival quantile the lower
-    above q = 1/2.  A level's node times are one ``_tail`` call on the
-    nodes' smaller tail probabilities; the lognormal takes its normal
-    quantiles at them from a per-level table instead.
+    ``_tail(s, upper)`` (the standard shape's time at the smaller tail
+    probability s, read from the upper tail where ``upper`` holds: the
+    family's one inversion), and ``_closed``: whether the density's
+    support is closed, [0, inf], or open, (0, inf).  The survival quantile
+    is inf at q = 0, 0 at q = 1 and NaN outside [0, 1].  Both quantiles
+    invert the smaller tail probability, min(p, 1 - p), which is exact:
+    the quantile reads the upper tail above p = 1/2, and the survival
+    quantile the lower above q = 1/2.  A level's node times are one
+    ``_tail`` call on the nodes' smaller tail probabilities; the lognormal
+    takes its normal quantiles at them from a per-level table instead.
     """
 
     _closed = False
@@ -529,8 +526,9 @@ class _ScaleFamily(ContinuousModel):
                            lambda: np.where(q == 0, math.inf,
                                             np.where(q == 1, 0.0, math.nan)))
 
-    def _tail_quantile(self, s, upper):
-        return self._tail(s, upper) * self._scale()
+    def _level_times(self, level):
+        nodes = _tanh_sinh_level(level)
+        return self._tail(nodes.s, nodes.upper) * self._scale()
 
 
 class LogNormal(_ScaleFamily):

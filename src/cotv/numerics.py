@@ -13,15 +13,12 @@ level is built on its first use, so every term of a report reads the
 same ones, a caller that evaluates the quantile once per level serves
 all of them, and what depends on the level alone (the lognormal's normal
 quantiles) is computed once per process.  :func:`integrate` is the
-adaptive Gauss route on a finite window: each refinement step calls the
-integrand once on the nodes of several panels (:func:`_nodes`) and sums
-each panel as a lone one (:func:`_estimates`), so the panel order, sums
-and errors are those of one call per panel.  The root finder keeps a
-sign-changing bracket around its estimate and returns a point of it once
-the bracket is narrower than the tolerance, or a point where the
-function is exactly 0.  All of them are pure
-functions of their inputs; randomness enters only through an explicit
-:class:`RngStream`.
+adaptive Gauss route on a finite window, one integrand call per 15-node
+panel; no report calls it.  The root finder keeps a sign-changing
+bracket around its estimate and returns a point of it once the bracket
+is narrower than the tolerance, or a point where the function is
+exactly 0.  All of them are pure functions of their inputs; randomness
+enters only through an explicit :class:`RngStream`.
 """
 
 from __future__ import annotations
@@ -133,38 +130,6 @@ _WEIGHTS = np.array([
     0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
 
 
-def _nodes(ends: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Half-widths of the ``(a, b)`` panels of ``ends`` and their 15 Gauss
-    nodes each, panel after panel, in one flat array."""
-    # the half-widths and centres as Python floats: the same IEEE
-    # operations as on an array of the ends, without building it
-    half = np.array([0.5 * (b - a) for a, b in ends])
-    centre = np.array([0.5 * (a + b) for a, b in ends])
-    return half, (centre[:, None] + half[:, None] * _NODES).ravel()
-
-
-def _estimates(half: np.ndarray, y) -> list[float | None]:
-    """Gauss estimate of each panel from the integrand values ``y`` at its
-    nodes.
-
-    Each estimate is computed as on a lone panel, so it does not depend on
-    the batch; a panel where ``y`` is not finite comes back as ``None`` for
-    :func:`integrate` to raise on when it reaches that panel.
-    """
-    shape = (half.size, _NODES.size)
-    y = np.asarray(y, dtype=float)
-    # a constant integrand may return one value for all its nodes
-    y = y.reshape(shape) if y.size == half.size * _NODES.size else np.broadcast_to(y, shape)
-    if np.isfinite(y).all():
-        # One vecdot, which sums each row as a lone panel's 1-D dot does:
-        # a matrix product may sum in another order and move the last bit.
-        return (half * np.vecdot(y, _WEIGHTS)).tolist()
-    finite = np.isfinite(y).all(axis=1)
-    # zeroed first, so that no inf - inf warns
-    values = _estimates(half, np.where(finite[:, None], y, 0.0))
-    return [v if ok else None for v, ok in zip(values, finite.tolist())]
-
-
 # The tanh-sinh rule on (0, 1): the node t = k h maps to
 # p = 1 / (1 + exp(-pi sinh t)), with weight h dp/dt = h pi cosh t p (1 - p).
 # With e = exp(-pi |sinh t|), the smaller tail probability is e / (1 + e)
@@ -244,8 +209,15 @@ def _tanh_sinh(values: Callable[[int], np.ndarray], tol: Tolerance | None,
     return estimate
 
 
-def _non_finite(a: float, b: float) -> NonFiniteError:
-    return NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
+def _panel(f: Callable, a: float, b: float) -> float:
+    """The 15-point Gauss estimate of the integral of ``f`` on ``[a, b]``."""
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * _NODES
+    # a constant integrand may return one value for all its nodes
+    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    if not np.isfinite(y).all():
+        raise NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
+    return half * float(_WEIGHTS @ y)
 
 
 def integrate(
@@ -262,53 +234,36 @@ def integrate(
     The discrepancy estimate is extremely conservative for smooth
     integrands, which is what gives the package its oracle-grade headroom.
 
-    ``f`` is called once for the window and its halves, then once for the
-    four quarters of each panel that is bisected, so it must act
-    elementwise: one call holds the nodes of several panels.  Panels are
-    still visited depth first and summed in that order, and a non-finite
-    value raises when that order reaches its panel: the value, ``info``
-    (``panels`` and ``max_depth``) and errors are those of one call per
-    panel.  A report's integrals do not come here: they are tanh-sinh
-    sums over p (:func:`_tanh_sinh`).
+    Panels are visited depth first, and ``f`` is called once per panel on
+    its 15 nodes.  ``info`` receives the ``panels`` summed and the
+    ``max_depth`` of bisection.  A report's integrals do not come here:
+    they are tanh-sinh sums over p (:func:`_tanh_sinh`).
     """
     tol = tol or DEFAULT_TOLERANCE
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("integration bounds must be finite")
     if not lo < hi:
         raise ValidationError(f"integration requires lo < hi, got [{lo}, {hi}]")
-    mid = 0.5 * (lo + hi)
-    half, x = _nodes(((lo, hi), (lo, mid), (mid, hi)))
-    whole, left, right = _estimates(half, f(x))
-    if whole is None:
-        raise _non_finite(lo, hi)
+    whole = _panel(f, lo, hi)
     span = hi - lo
     reference = abs(whole)
-    # the budget tol.scale(reference), recomputed only when |total| grows
-    # past the reference
-    limit = tol.scale(reference)
-    # Entries carry the estimates of their two halves, made when the entry
-    # is pushed, so each bisection is one call of f.
-    stack = [(lo, hi, whole, 0, left, right)]
+    stack = [(lo, hi, whole, 0)]
     total = 0.0
     panels = 1
     deepest = 0
 
     while stack:
-        a, b, coarse, depth, left, right = stack.pop()
+        a, b, coarse, depth = stack.pop()
         mid = 0.5 * (a + b)
-        if left is None:
-            raise _non_finite(a, mid)
-        if right is None:
-            raise _non_finite(mid, b)
+        left = _panel(f, a, mid)
+        right = _panel(f, mid, b)
         panels += 2
         if panels > _MAX_PANELS:
             raise NonConvergenceError("quadrature panel budget exhausted")
         err = abs(left + right - coarse)
-        if err <= limit * (b - a) / span:
+        if err <= tol.scale(reference) * (b - a) / span:
             total += left + right
-            if abs(total) > reference:
-                reference = abs(total)
-                limit = tol.scale(reference)
+            reference = max(reference, abs(total))
         else:
             if depth + 1 >= tol.max_iter:
                 raise NonConvergenceError(
@@ -316,12 +271,8 @@ def integrate(
                     f"at depth {depth + 1}"
                 )
             deepest = max(deepest, depth + 1)
-            q1 = 0.5 * (a + mid)
-            q3 = 0.5 * (mid + b)
-            half, x = _nodes(((a, q1), (q1, mid), (mid, q3), (q3, b)))
-            quarters = _estimates(half, f(x))
-            stack.append((a, mid, left, depth + 1, *quarters[:2]))
-            stack.append((mid, b, right, depth + 1, *quarters[2:]))
+            stack.append((a, mid, left, depth + 1))
+            stack.append((mid, b, right, depth + 1))
 
     if info is not None:
         info["panels"] = panels

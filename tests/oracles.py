@@ -1,9 +1,8 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately naive: direct enumeration, central finite
-differences, closed forms, and the one-panel-per-call quadrature loop.
-None of it shares code with the package paths it checks beyond the
-tolerance type and the error classes; ``grid_verdict`` builds a
+differences and closed forms.  None of it shares code with the package
+paths it checks beyond the error classes; ``grid_verdict`` builds a
 preference object with its certification skipped, to judge it by the grid
 rule that certification replaced.  ``bench_inputs`` loads the
 benchmark's scenario generators for tests that run them, and
@@ -17,18 +16,11 @@ from __future__ import annotations
 import importlib.util
 import math
 from pathlib import Path
-from typing import Callable
 from unittest import mock
 
 import numpy as np
 
-from cotv.errors import (
-    MonotonicityError,
-    NonConvergenceError,
-    NonFiniteError,
-    ValidationError,
-)
-from cotv.numerics import DEFAULT_TOLERANCE, Tolerance
+from cotv.errors import MonotonicityError, ValidationError
 from cotv.preferences import UtilityFunction
 
 
@@ -240,71 +232,6 @@ def quadratic_premium(mu: float, sigma: float) -> float:
     """Exact premium of u = -t^2 (any pure quadratic): sqrt(mu^2+s^2)-mu,
     written as s^2 / (sqrt(mu^2+s^2)+mu), which does not cancel."""
     return sigma**2 / (math.sqrt(mu**2 + sigma**2) + mu)
-
-
-# The adaptive kernel as it was before batching, one integrand call per
-# 15-node panel, kept as the reference that the batched kernel must match
-# bit for bit: same panels, sums, ``info`` and errors.
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
-_MAX_PANELS = 400_000
-
-
-def _sequential_panel(f: Callable, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
-    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteError(f"integrand returned non-finite values on [{a:g}, {b:g}]")
-    return half * float(_WEIGHTS @ y)
-
-
-def sequential_integrate(
-    f: Callable,
-    lo: float,
-    hi: float,
-    tol: Tolerance | None = None,
-    info: dict | None = None,
-) -> float:
-    tol = tol or DEFAULT_TOLERANCE
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError("integration bounds must be finite")
-    if not lo < hi:
-        raise ValidationError(f"integration requires lo < hi, got [{lo}, {hi}]")
-
-    whole = _sequential_panel(f, lo, hi)
-    span = hi - lo
-    reference = abs(whole)
-    stack: list[tuple[float, float, float, int]] = [(lo, hi, whole, 0)]
-    total = 0.0
-    panels = 1
-    deepest = 0
-
-    while stack:
-        a, b, coarse, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _sequential_panel(f, a, mid)
-        right = _sequential_panel(f, mid, b)
-        panels += 2
-        if panels > _MAX_PANELS:
-            raise NonConvergenceError("quadrature panel budget exhausted")
-        err = abs(left + right - coarse)
-        if err <= tol.scale(reference) * (b - a) / span:
-            total += left + right
-            reference = max(reference, abs(total))
-        else:
-            if depth + 1 >= tol.max_iter:
-                raise NonConvergenceError(
-                    f"quadrature did not converge on [{a:g}, {b:g}] "
-                    f"at depth {depth + 1}"
-                )
-            deepest = max(deepest, depth + 1)
-            stack.append((a, mid, left, depth + 1))
-            stack.append((mid, b, right, depth + 1))
-
-    if info is not None:
-        info["panels"] = panels
-        info["max_depth"] = deepest
-    return total
 
 
 def inverse_s_slope(gamma: float, p):

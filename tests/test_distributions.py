@@ -432,8 +432,8 @@ def quadrature_nodes(model):
     lo, hi = window(model)
 
     def f(t):
-        # one call holds the nodes of several panels, panel after panel
-        panels.extend(np.array(t).reshape(-1, 15))
+        # one call per panel, on its 15 nodes
+        panels.append(t)
         return (t - model.mean()) ** 2 * SQUARED.dw(model.cdf(t)) * model.pdf(t)
 
     integrate(f, lo, hi, TIGHT)
@@ -816,31 +816,38 @@ def test_survival_quantile_is_the_mirrored_quantile(model):
                  rel + (4.5e-16 if base is not model else 0.0))
 
 
-@pytest.mark.parametrize("model", ONE_QUANTILE_MODELS, ids=lambda m: m.label())
-def test_tail_quantile_reads_each_side(model):
-    # the probability-plane nodes take Q(s) below the median and Q(1 - s)
-    # above it, in one pass, with the bits of the lone quantiles; s is at
-    # most 1/2, as at the nodes
-    s = np.concatenate([0.5 * 10.0 ** -np.linspace(0.0, 299.0, 40), [0.5, 0.25]])
-    upper = np.arange(s.size) % 2 == 1
-    both = model._tail_quantile(s, upper)
-    assert both[~upper].tolist() == model.quantile(s[~upper]).tolist()
-    assert both[upper].tolist() == model.survival_quantile(s[upper]).tolist()
-
-
 # the base level, h = 1/8, and every finer one the rule reaches
 TS_LEVELS = range(3, 8)
 
 
 @pytest.mark.parametrize("model", ONE_QUANTILE_MODELS, ids=lambda m: m.label())
+def test_tail_quantile_reads_each_side(model):
+    # the nodes take Q(s) below the median and Q(1 - s) above it, at their
+    # smaller tail probability s <= 1/2: over 300 decades of s the times of
+    # each side move away from the median as s shrinks, every time below
+    # it stays below every time above it, and all lie in the support
+    s = np.sort(np.concatenate([0.5 * 10.0 ** -np.linspace(0.0, 299.0, 40), [0.5, 0.25]]))
+    lower, upper = model.quantile(s), model.survival_quantile(s)
+    assert (np.diff(lower) >= 0).all() and (np.diff(upper) <= 0).all()
+    inside = s < 0.5
+    assert lower[inside].max() <= upper[inside].min()
+    lo, hi = model.support()
+    assert lo <= lower.min() and upper.max() <= hi
+
+
+@pytest.mark.parametrize("model", ONE_QUANTILE_MODELS, ids=lambda m: m.label())
 def test_level_times_are_the_tail_quantiles_of_the_nodes(model):
-    # a lognormal reads its normal quantiles from the per-level table, and
-    # a shifted and scaled model its base's level times: the bits of one
-    # quantile pass over the level's nodes; report-mix reaches only level 3
+    # each node reads its smaller tail probability s: Q(s) below the
+    # median and Q(1 - s) above it, with the bits of the lone quantiles,
+    # where a lognormal takes its normal quantiles from the per-level
+    # table and a shifted and scaled model its base's level times;
+    # report-mix reaches only level 3
     for level in TS_LEVELS:
         nodes = _tanh_sinh_level(level)
-        assert model._level_times(level).tobytes() == \
-            model._tail_quantile(nodes.s, nodes.upper).tobytes(), level
+        times, upper = model._level_times(level), nodes.upper
+        assert times[~upper].tobytes() == model.quantile(nodes.s[~upper]).tobytes(), level
+        assert times[upper].tobytes() == \
+            model.survival_quantile(nodes.s[upper]).tobytes(), level
 
 
 @pytest.mark.parametrize("a", GAMMA_CORNERS)

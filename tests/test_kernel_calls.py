@@ -36,6 +36,7 @@ a sweep over a utility coefficient integrates 2 per distinct model.
 """
 
 import copy
+import re
 import sys
 
 import numpy as np
@@ -45,8 +46,9 @@ from cotv import config, distributions, eu, non_eu, numerics
 from cotv.cli import run_scenario, sweep_rows
 from cotv.config import parse_config
 from cotv.distributions import ServiceTimeModel
-from cotv.errors import ConfigError
+from cotv.errors import ConfigError, NonConvergenceError
 from cotv.non_eu import RduContext, rdu_ratio
+from cotv.numerics import Tolerance
 
 from oracles import bench_inputs
 
@@ -370,20 +372,36 @@ def test_a_finer_level_is_one_more_pass_for_every_term(monkeypatch):
     assert records == [(2, 4), (1, 3), (2, 4)] and shared == [2]
 
 
-def test_lone_integrate_calls_its_integrand_once_per_request(monkeypatch):
-    # the adaptive Gauss route of the public integrate: one request holds
-    # the window and its halves
-    calls = 0
+def counting(f):
+    """``f`` wrapped to record the number of nodes of each call."""
+    sizes = []
 
-    def f(t):
-        nonlocal calls
-        calls += 1
-        return np.exp(-t)
+    def counted(t):
+        sizes.append(np.size(t))
+        return f(t)
+    return counted, sizes
 
+
+def test_integrate_calls_its_integrand_once_per_panel():
+    # the adaptive Gauss route of the public integrate, which no report
+    # takes: one call on the 15 nodes of each panel, so a count of its
+    # calls is a count of its panels; on [0, 10] the window's halves
+    # already agree, on [0, 100] it bisects to depth 2
+    counted, sizes = counting(lambda t: np.exp(-t))
     info = {}
-    records, shared = kernel_records(
-        lambda: numerics.integrate(f, 0.0, 10.0, None, info), monkeypatch)
-    assert records == [] and shared == [] and calls == 1 and info["panels"] == 3
+    numerics.integrate(counted, 0.0, 100.0, Tolerance(rel_tol=1e-12), info)
+    assert info == {"panels": 11, "max_depth": 2}
+    assert len(sizes) == info["panels"] and set(sizes) == {15}
+
+
+def test_integrate_stopped_at_its_depth_cap_called_once_per_panel():
+    # it raises after the window and 6 bisections, 13 panels, traced by hand
+    counted, sizes = counting(lambda t: np.sign(t - 1.0 / 3.0))
+    with pytest.raises(NonConvergenceError, match=re.escape(
+            "quadrature did not converge on [0.25, 0.375] at depth 4")):
+        numerics.integrate(counted, 0.0, 1.0,
+                           Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=4))
+    assert len(sizes) == 13 and set(sizes) == {15}
 
 
 BUILDERS = (config.build_model, config.build_utility, config.build_weighting)

@@ -4,8 +4,10 @@ for any input and need no reference value (ROADMAP item 14).
 Rank-dependent utility nests expected utility: under the identity
 weighting w(p) = p, an RDU report values a scenario as EU does.  It nests
 dual theory too: with an affine utility its exact premium is DT's,
-E_w[t] - mu.  And a power weighting p^gamma makes F^gamma stochastically
-larger as gamma grows, so the distorted mean E_w[t] does not decrease.
+E_w[t] - mu.  DT's premium is linear in the time: it scales with a
+scale of the model and ignores its shift.  And a power weighting p^gamma
+makes F^gamma stochastically larger as gamma grows, so the distorted
+mean E_w[t] does not decrease.
 Each of these reads the probability-plane quantile pass of every
 continuous family.
 """
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cotv.distributions import Exponential, Gamma, LogNormal, Uniform
+from cotv.distributions import Exponential, Gamma, LogNormal, ShiftedScaled, Uniform
 from cotv.errors import CotvError
 from cotv.eu import EconomicContext, evaluate
 from cotv.non_eu import DtContext, RduContext, dt_valuation, rdu_valuation
@@ -108,6 +110,43 @@ def test_rdu_with_affine_utility_is_dual_theory(model, w, slope, intercept, phi)
         bound = 2.0 ** -52 * (abs(rdu.mu) + abs(mean_w) + abs(intercept) / slope
                               + 2.0 * abs(dt.premium))
         assert abs(rdu.premium - dt.premium) <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(base=MODELS, w=WEIGHTINGS, loc=st.floats(0.0, 10.0), scale=st.floats(0.25, 4.0))
+def test_dt_premium_scales_with_the_model_and_ignores_its_shift(base, w, loc, scale):
+    """The exact DT premium E_w[t] - mu of loc + s t is s times that of t,
+    whatever loc, the fact that keeps acceptance criterion A6 red.  Both
+    integrals read the base's times and w' at the same nodes, and the
+    shifted mean is loc + s mu from the same base mean, so the computed
+    premiums differ only by:
+
+    * each integral's error, within its last-level difference ``error``;
+    * the roundings of loc + s t at the nodes, summed against w' >= 0 of
+      integral 1, within u (|loc| + 2 s E_w[t]), and of each integral's
+      sum of ``nodes`` terms, within u (nodes + 3) of its value;
+    * the roundings of the mean loc + s mu, within u (|loc| + 2 s mu);
+    * one rounding each of the two E_w[t] - mu and of s times the base's
+      premium,
+
+    for the unit roundoff u = 2^-53."""
+    shifted = ShiftedScaled(base, loc, scale)
+    sums = []
+    for model in (base, shifted):
+        info = {}
+        mean_w = model.distorted_expect(np.asarray, w, None, info)
+        premium = dt_valuation(model, DtContext(w), 1.0, "exact").premium
+        assert premium == mean_w - model.mean()
+        sums.append((premium, mean_w, info))
+    (premium, mean_w, info), (shifted_premium, shifted_mean_w, shifted_info) = sums
+    u = 2.0 ** -53
+    bound = (shifted_info["error"] + scale * info["error"]
+             + u * (abs(loc) + 2.0 * scale * abs(mean_w))
+             + u * (shifted_info["nodes"] + 3) * abs(shifted_mean_w)
+             + u * scale * (info["nodes"] + 3) * abs(mean_w)
+             + u * (abs(loc) + 2.0 * scale * abs(base.mean()))
+             + u * (abs(shifted_premium) + 2.0 * scale * abs(premium)))
+    assert abs(shifted_premium - scale * premium) <= bound
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

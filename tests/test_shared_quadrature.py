@@ -191,7 +191,7 @@ def test_divergent_integral_stops_the_terms_after_it(monkeypatch):
     # h = 1/128, it raises; VOT after it is never evaluated
     scenario = parse_config(DIVERGENT)
     model, u = scenario.model, scenario.utility
-    calls = {"_tail_quantile": 0, "u": 0, "du": 0}
+    calls = {"_level_times": 0, "u": 0, "du": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -201,18 +201,18 @@ def test_divergent_integral_stops_the_terms_after_it(monkeypatch):
             return original(self, *args)
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((type(model), "_tail_quantile"), (type(u), "u"), (type(u), "du")):
+    for owner, name in ((type(model), "_level_times"), (type(u), "u"), (type(u), "du")):
         counting(owner, name)
     alone = outcome(lambda info: model.expect(u.u))
     assert alone[0] is NonConvergenceError
     # one quantile pass and one u call per level, 3 to 7
-    assert calls == {"_tail_quantile": 5, "u": 5, "du": 0}
-    calls.update(_tail_quantile=0, u=0)
+    assert calls == {"_level_times": 5, "u": 5, "du": 0}
+    calls.update(_level_times=0, u=0)
     with pytest.raises(NonConvergenceError) as shared:
         run_scenario(scenario)
     assert (type(shared.value), str(shared.value)) == alone
     # u at the nodes as alone, and u'(mu) once for VOT at the mean
-    assert calls == {"_tail_quantile": 5, "u": 5, "du": 1}
+    assert calls == {"_level_times": 5, "u": 5, "du": 1}
 
 
 def traced_peak_mb(run) -> float:

@@ -169,12 +169,17 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
     at a grid point is re-raised with the point's axis values appended.
 
     Axes are set in sorted-name order, so a nested axis overrides a
-    whole-block axis.  Every point is the base config with only the dicts
-    on its axis paths copied, and each distinct distribution, preference
-    and weighting block is built once per call.  The basis integrals
-    E_w[t] and E_w[t^2] depend on the model and the weighting alone, so
-    they are integrated once per (model, weighting) of the call and read
-    at every point that shares them; no memo outlives the call.
+    whole-block axis.  A point is the base config with each top-level
+    block that an axis is under replaced.  That block is made once per
+    combination of the values of the axes under it, the base block with
+    the dicts on their paths copied, and every point with that
+    combination shares it, so a parse finds the block's build by the
+    dict's identity (see :func:`cotv.config._build`): each distinct
+    distribution, preference and weighting block is built once per call.
+    The basis integrals E_w[t] and E_w[t^2] depend on the model and the
+    weighting alone, so they are integrated once per (model, weighting)
+    of the call and read at every point that shares them; no memo
+    outlives the call.
     """
     sweep = config.sweep
     if sweep is None:
@@ -184,13 +189,32 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
     columns = [f"axis:{name}" for name in names] + _VALUE_COLUMNS
     base = config.canonical()
     del base["sweep"]
+    # top-level key -> the positions in ``names`` of the axes under it
+    groups: dict[str, list[int]] = {}
+    for position, name in enumerate(names):
+        groups.setdefault(name.split(".", 1)[0], []).append(position)
+    made: dict = {}  # (top-level key, *indices of its axes' values) -> block
     blocks: dict = {}
     moments: dict = {}
     rows = []
-    for combo in itertools.product(*(axes[name] for name in names)):
+    for indices in itertools.product(*(range(len(axes[name])) for name in names)):
+        combo = [axes[name][index] for name, index in zip(names, indices)]
         point = dict(base)
-        for name, value in zip(names, combo):
-            _set_path(point, name, value)
+        failed = []
+        for key, positions in groups.items():
+            at = (key, *(indices[position] for position in positions))
+            if at not in made:
+                holder = {key: base[key]} if key in base else {}
+                try:
+                    for position in positions:
+                        _set_path(holder, names[position], combo[position])
+                except ConfigError as exc:
+                    failed.append(exc)
+                    continue
+                made[at] = holder[key]
+            point[key] = made[at]
+        if failed:  # the first axis, in sorted-name order, that fails
+            raise min(failed, key=lambda exc: exc.path)
         point_config = parse_config(point, _blocks=blocks)
         try:
             body = _scenario_body(point_config, moments)

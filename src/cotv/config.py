@@ -11,7 +11,8 @@ non-EU framework one anchor table entry (the anchor keys its weighting
 block may carry, with their defaults); a key outside them is rejected.
 ``canonical()`` materialises defaults so that the echoed config re-parses
 to an equivalent scenario.  A sweep parses every grid point, but builds
-each distinct block (equal canonical JSON) once per sweep.
+each distinct block (equal canonical JSON) once per sweep, and writes that
+JSON once per block dict it hands its points.
 """
 
 from __future__ import annotations
@@ -241,19 +242,28 @@ def _build(blocks: dict | None, build, spec: Any) -> tuple[Any, dict]:
     pair ``blocks`` holds for an equal block.
 
     ``blocks`` maps (builder, canonical JSON) to that pair, so the points
-    of one sweep share it.  A block that fails to build is not kept: each
-    point using it raises the error a parse of that point alone raises.
+    of one sweep share it.  A sweep hands every point with the same axis
+    values under a block the same dict, so ``blocks`` also maps (builder,
+    id of the dict) to the dict and its pair: a dict seen before is found
+    by identity, and only a new one is written as JSON.  Holding the dict
+    keeps its id from being reused while ``blocks`` lives.  A block that
+    fails to build is not kept: each point using it raises the error a
+    parse of that point alone raises.
     """
-    if blocks is not None:
-        try:
-            key = (build, json.dumps(spec, sort_keys=True))
-        except (TypeError, ValueError):  # not JSON: nothing to compare by
-            blocks = None
     if blocks is None:
         return build(spec), _copy_tree(dict(spec))
-    if key not in blocks:
-        blocks[key] = build(spec), _copy_tree(dict(spec))
-    return blocks[key]
+    seen = blocks.get((build, id(spec)))
+    if seen is not None:
+        return seen[1]
+    try:
+        key = (build, json.dumps(spec, sort_keys=True))
+    except (TypeError, ValueError):  # not JSON: nothing to compare by
+        return build(spec), _copy_tree(dict(spec))
+    pair = blocks.get(key)
+    if pair is None:
+        pair = blocks[key] = build(spec), _copy_tree(dict(spec))
+    blocks[build, id(spec)] = spec, pair
+    return pair
 
 
 # ---------------------------------------------------------------- scenario

@@ -443,6 +443,15 @@ SWEEP_PARITY = {
                                "preference.params.exponent": [1.5, 2.0],
                                "weighting.params.gamma": [0.7, 0.9],
                                "economics.phi": [1.0, 2.5]}}},
+    # two axes under one block, the nested one overriding the whole-block
+    # one, and a top-level scalar axis
+    "shared-blocks": {"framework": "eu", "distribution": EXPONENTIAL,
+                      "preference": {"family": "power", "params": {"exponent": 1.5}},
+                      "sweep": {"axes": {
+                          "distribution": [EXPONENTIAL, {"family": "gamma", "params":
+                                                         {"shape": 2.0, "rate": 1.0}}],
+                          "distribution.params.rate": [0.5, 2.0],
+                          "method": ["exact", "second_order", "both"]}}},
 }
 
 
@@ -491,6 +500,19 @@ class TestSweep:
         config = make_config(sweep={"axes": {"distribution.params.shape": [1.0]}})
         with pytest.raises(ConfigError):
             sweep_rows(config)
+
+    def test_first_bad_axis_in_name_order_is_reported(self):
+        # "preference-x.q" sorts between "preference" and "preference.params..."
+        # ('-' < '.'), so the error names it, though its block comes second
+        config = make_config(sweep={"axes": {
+            "preference": [{"family": "pure_quadratic", "params": {"a": -1.0}}],
+            "preference-x.q": [1.0],
+            "preference.params.a.q": [1.0],
+        }})
+        with pytest.raises(ConfigError) as error:
+            sweep_rows(config)
+        assert (error.value.path, error.value.message) == \
+            ("sweep.axes.preference-x.q", "path does not exist in the base config")
 
     def test_quadratic_grid_has_no_bound_violations(self):
         config = make_config(sweep={"axes": {

@@ -29,13 +29,16 @@ one quantile pass per shared call on every report here, whose terms all
 stop at the base level, h = 1/8.  ``parse_config`` builds a
 scenario's model, utility and weighting once, and every report of the
 scenario uses those objects.  A sweep parses each grid point once but
-builds each distinct block (equal canonical JSON) once per sweep; a block
-that fails raises the error a parse of its point alone raises.  It also
+builds each distinct block (equal canonical JSON) once per sweep, and
+writes that JSON once per block dict, which every point with the same
+values of the block's axes shares; a block that fails raises the error a
+parse of its point alone raises.  It also
 integrates each basis term once per model and weighting of the call, so
 a sweep over a utility coefficient integrates 2 per distinct model.
 """
 
 import copy
+import json
 import re
 import sys
 
@@ -430,15 +433,44 @@ PREFERENCE_SWEEP = {"framework": "eu", "distribution": EXPONENTIAL,
                                        "economics.phi": [1.0, 2.5]}}}
 
 
+# a grid as a config file gives it: json.loads makes each number literal
+# its own float, so the duplicate values of a are distinct objects, and
+# the two rate-2 models are JSON-equal dicts that are not the same dict
+LOADED_SWEEP = json.loads("""{
+    "framework": "eu", "distribution": {"family": "exponential", "params": {"rate": 1.0}},
+    "preference": {"family": "quadratic", "params": {"a": -1.0, "b": 0.0}},
+    "method": "both",
+    "sweep": {"axes": {
+        "distribution": [{"family": "exponential", "params": {"rate": 2.0}},
+                         {"family": "uniform", "params": {"lo": 1.0, "hi": 3.0}},
+                         {"family": "exponential", "params": {"rate": 2.0}}],
+        "preference.params.a": [-1.0, -2.0, -1.0],
+        "economics.phi": [1.0, 2.5]}}}""")
+
+
+def test_loaded_sweep_repeats_values_as_distinct_objects():
+    axes = LOADED_SWEEP["sweep"]["axes"]
+    models, a = axes["distribution"], axes["preference.params.a"]
+    assert models[0] == models[2] and models[0] is not models[2]
+    assert a[0] == a[2] and a[0] is not a[2]
+
+
 @pytest.mark.parametrize("raw, expected", [
     (EU_SWEEP, {"build_model": 2, "build_utility": 1, "build_weighting": 0}),
     (PREFERENCE_SWEEP, {"build_model": 1, "build_utility": 4,
                         "build_weighting": 0}),
-], ids=["eu", "preference"])
+    (LOADED_SWEEP, {"build_model": 2, "build_utility": 2, "build_weighting": 0}),
+], ids=["eu", "preference", "loaded"])
 def test_sweep_builds_each_distinct_block_once(raw, expected):
     scenario = parse_config(raw)
     counts = count_calls(BUILDERS, lambda: sweep_rows(scenario))
     assert counts == expected
+
+
+def test_sweep_writes_each_block_key_once():
+    # 8 models x 4 values of b: one key per distinct block, not two per point
+    grid = parse_config(bench_inputs().sweep_grids(1)[0])
+    assert count_calls([json.dumps], lambda: sweep_rows(grid)) == {"dumps": 12}
 
 
 # an increasing utility, and a value that is no JSON number (nor a number

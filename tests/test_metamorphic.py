@@ -7,7 +7,8 @@ dual theory too: with an affine utility its exact premium is DT's,
 E_w[t] - mu.  DT's premium is linear in the time: it scales with a
 scale of the model and ignores its shift.  And a power weighting p^gamma
 makes F^gamma stochastically larger as gamma grows, so the distorted
-mean E_w[t] does not decrease.
+mean E_w[t] does not decrease.  Under a quadratic utility EU's cost
+ratio rho never exceeds CV^2/2, and the pure quadratic attains it.
 Each of these reads the probability-plane quantile pass of every
 continuous family.
 """
@@ -16,7 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cotv.distributions import Exponential, Gamma, LogNormal, ShiftedScaled, Uniform
+from cotv.distributions import (
+    DiscreteModel,
+    Exponential,
+    Gamma,
+    LogNormal,
+    ShiftedScaled,
+    Uniform,
+)
 from cotv.errors import CotvError
 from cotv.eu import EconomicContext, evaluate
 from cotv.non_eu import DtContext, RduContext, dt_valuation, rdu_valuation
@@ -28,6 +36,8 @@ from cotv.preferences import (
     InverseSWeighting,
     PowerUtility,
     PowerWeighting,
+    PureQuadraticUtility,
+    QuadraticUtility,
 )
 
 # every field of a report both frameworks fill; eta is EU's alone (None
@@ -159,3 +169,61 @@ def test_distorted_mean_does_not_decrease_with_the_power(model, gammas):
                      for gamma in gammas)
     assert higher >= lower - (DEFAULT_TOLERANCE.scale(lower)
                               + DEFAULT_TOLERANCE.scale(higher))
+
+
+def _discrete(pairs):
+    """Report-mix's raw discrete model: sorted outcomes, normalised
+    weights, the last probability the complement of the others."""
+    pairs = sorted(pairs)
+    total = sum(weight for _, weight in pairs)
+    probabilities = [weight / total for _, weight in pairs]
+    probabilities[-1] = 1.0 - sum(probabilities[:-1])
+    return DiscreteModel([t for t, _ in pairs], probabilities)
+
+
+# report-mix's EU models of a quadratic utility: its continuous families
+# and its raw discrete draw (3 to 8 outcomes in [0.5, 20], weights in
+# [0.1, 1]); and its quadratic and pure quadratic utilities
+QUADRATIC_MODELS = st.one_of(MODELS, st.lists(
+    st.tuples(st.floats(0.5, 20.0), st.floats(0.1, 1.0)), min_size=3, max_size=8,
+    unique_by=lambda pair: pair[0]).map(_discrete))
+QUADRATICS = {
+    "quadratic": st.builds(QuadraticUtility, st.floats(-2.0, -0.1), st.floats(-3.0, 0.0)),
+    "pure_quadratic": st.builds(PureQuadraticUtility, st.floats(-2.0, -0.1)),
+}
+
+
+@pytest.mark.parametrize("family", QUADRATICS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quadratic_rho_is_at_most_half_the_squared_cv(family, data):
+    """For u(t) = a t^2 + b t with a < 0 and b <= 0, COTV = -a sigma^2 / phi
+    and COT = -(2 a mu + b) mu / phi, so rho = |a| sigma^2 / (|2 a mu + b| mu)
+    <= sigma^2 / (2 mu^2) = CV^2 / 2, with equality where b = 0.
+
+    The exact report reads E[t] and E[t^2] from its moment basis, each
+    within ``tol.scale`` of its value: e1 = tol.scale(mu) and
+    e2 = tol.scale(mu^2 + sigma^2).  They move COTV by at most
+    |a| e2 + |b| e1 and COT by at most 2 |a| e1 mu, against
+    D = |2 a mu + b| mu.  The roundings add, for the unit roundoff u =
+    2^-53: within 10 u S to COTV, S = |a| E[t^2] + |b| E[t] (5 in u(mu), 4
+    in E[u], 1 in their difference), and within 16 u relative to rho and
+    to CV^2 / 2 (3 in VOT, 1 each in COT and rho, and the closed-form mean
+    and variance behind CV^2 / 2)."""
+    model, u = data.draw(QUADRATIC_MODELS), data.draw(QUADRATICS[family])
+    phi = data.draw(st.floats(0.5, 2.5))
+    report = evaluate(u, model, EconomicContext(phi, "exact"))
+    mu, variance = model.mean(), model.variance()
+    e1 = DEFAULT_TOLERANCE.scale(mu)
+    e2 = DEFAULT_TOLERANCE.scale(mu * mu + variance)
+    a, b = abs(u.a), abs(u.b)
+    slope = 2.0 * a * mu + b
+    ceiling = report.rho_upper_bound
+    assert ceiling == 0.5 * model.cv() ** 2
+    u_round = 2.0 ** -53
+    budget = ((a * e2 + b * e1 + 10 * u_round * (a * (mu * mu + variance) + b * mu))
+              / (slope * mu)
+              + ceiling * (2.0 * a * e1 / slope + 16 * u_round))
+    assert report.rho <= ceiling + budget
+    if family == "pure_quadratic":
+        assert report.rho >= ceiling - budget

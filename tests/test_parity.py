@@ -23,8 +23,8 @@ def test_working_tree_against_itself_is_identical(parity):
     cases = [case for group in groups.values()
              for case in group[::min(25, len(group) // 3)]]
     assert {case_id.split("/")[0] for case_id, _, _ in cases} == {
-        "report-mix", "sweep-grid", "sweep-dt", "sweep-rdu", "ledger", "point-mass",
-        "heavy-tail", "certification", "view"}
+        "report-mix", "sweep-grid", "sweep-dt", "sweep-rdu", "shared-blocks", "ledger",
+        "point-mass", "heavy-tail", "certification", "view"}
     old = parity.render_tree(parity.ROOT, cases)
     new = parity.render_tree(parity.ROOT, cases)
     assert any(out["error"] for out in old) and any(out["text"] for out in old)
@@ -44,6 +44,22 @@ def test_weighted_sweeps_cross_b_with_gamma(parity):
              if case[0] in ("sweep-dt/1/0", "sweep-rdu/1/0")]
     rendered = parity.render_tree(parity.ROOT, cases)
     assert [out["text"].count("\n") for out in rendered] == [1 + 128, 1 + 128]
+
+
+def test_shared_block_sweeps_repeat_json_equal_values(parity):
+    cases = parity._shared_block_cases()
+    assert [case_id for case_id, _, _ in cases] == [
+        "shared-blocks/eu", "shared-blocks/dt", "shared-blocks/rdu"]
+    for _, _, raw in cases:
+        axes = raw["sweep"]["axes"]
+        assert {"distribution", "distribution.params.rate", "method"} < set(axes)
+        for name, values in axes.items():
+            if name != "method":
+                assert values[2] == values[0] != values[1], name
+    # each renders, in 3 models x 3 rates x 3 methods x 3 values of its
+    # fourth axis
+    rendered = parity.render_tree(parity.ROOT, cases)
+    assert [out["text"].count("\n") for out in rendered] == [1 + 81] * 3
 
 
 def test_point_mass_grid_covers_every_family(parity):

@@ -14,6 +14,12 @@ touches the network.  The cases are:
   (2 and 3, clear of the ledger's regions) and with phi (1 and 2.5), so a
   sweep shares its basis integrals per model and weighting across the
   values of b and phi;
+* a shared-block group: an EU, a DT and an RDU sweep, each crossing a
+  whole-block model axis with the nested rate axis under that block and
+  the top-level method axis, plus an axis under the preference or the
+  weighting; every axis but method repeats a value JSON-equal to an
+  earlier one, so the points that share a block by its dict and those
+  that share it by its JSON are both rendered;
 * the fast reproducers of ``bench/ledger.json``, under the three methods;
 * a point-mass grid: values 0, 1, 2.5 and 1e-300, every utility family,
   EU and DT and RDU under every weighting family, phi 1 and 2.5, the
@@ -88,6 +94,25 @@ WEIGHTINGS = (
     {"family": "power", "params": {"gamma": 2.0}},
     {"family": "inverse_s", "params": {"gamma": 0.8}},
 )
+# the shared-block group's model axis and its rate axis, each with a
+# value JSON-equal to its first, and its axis under the preference or
+# the weighting, per framework
+SHARED_MODELS = (
+    {"family": "exponential", "params": {"rate": 1.0}},
+    {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}},
+    {"family": "exponential", "params": {"rate": 1.0}},
+)
+SHARED_RATES = (0.5, 2.0, 0.5)
+SHARED_FRAMEWORKS = {
+    "eu": ({"preference": {"family": "quadratic", "params": {"a": -1.0, "b": -0.5}}},
+           {"preference.params.a": [-1.0, -2.0, -1.0]}),
+    "dt": ({"preference": {"family": "affine", "params": {"slope": 1.0}},
+            "weighting": {"family": "inverse_s", "params": {"gamma": 0.7}}},
+           {"weighting.params.gamma": [0.7, 0.9, 0.7]}),
+    "rdu": ({"preference": {"family": "power", "params": {"exponent": 1.5}},
+             "weighting": WEIGHTINGS[1]},
+            {"weighting": [WEIGHTINGS[1], WEIGHTINGS[2], WEIGHTINGS[1]]}),
+}
 # the certification group's weighting gammas and utilities
 CERTIFICATION_WEIGHTINGS = (
     *({"family": "inverse_s", "params": {"gamma": gamma}}
@@ -181,6 +206,18 @@ def _heavy_tail_cases() -> list[tuple[str, str, dict]]:
     return cases
 
 
+def _shared_block_cases() -> list[tuple[str, str, dict]]:
+    cases = []
+    for framework, (blocks, axes) in SHARED_FRAMEWORKS.items():
+        raw = {"framework": framework, "distribution": SHARED_MODELS[0], **blocks,
+               "seed": 0,
+               "sweep": {"axes": {"distribution": list(SHARED_MODELS),
+                                  "distribution.params.rate": list(SHARED_RATES),
+                                  "method": list(METHODS), **axes}}}
+        cases.append((f"shared-blocks/{framework}", "sweep", raw))
+    return cases
+
+
 def _certification_cases() -> list[tuple[str, str, dict]]:
     base = {"distribution": {"family": "uniform", "params": {"lo": 1.0, "hi": 3.0}},
             "method": "both", "seed": 0}
@@ -256,8 +293,8 @@ def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
             for method in METHODS:
                 cases.append((f"ledger/{region['id']}/{method}", "value",
                               dict(region["config"], method=method)))
-    return (cases + _point_mass_cases() + _heavy_tail_cases() + _certification_cases()
-            + _view_cases(corpora))
+    return (cases + _shared_block_cases() + _point_mass_cases() + _heavy_tail_cases()
+            + _certification_cases() + _view_cases(corpora))
 
 
 def _render_view(view: str, config) -> str:

@@ -14,12 +14,14 @@ Every quantity comes in two flavours:
 The two paths are never mixed inside one number, so each reported value
 is traceable to a single derivation.  The exact route is one core shared
 with rank-dependent utility: expected utility is its identity-weighting
-case, and both solve the premium the same way, from E_w[u] and VOT
-integrals that share one quantile pass.  A quadratic, pure-quadratic or
-affine utility integrates E_w[t] and E_w[t^2] (affine: E_w[t]) in their
-place, and its premium is the root of a quadratic, written down in closed
-form; a power or constant-prudence utility searches for its root.  The one-quantity
-functions read each exact number as the report does.
+case, and both read E_w[u] and VOT from integrals that share one
+quantile pass.  A quadratic, pure-quadratic or affine utility integrates
+E_w[t] and E_w[t^2] (affine: E_w[t]) in their place.  Every exact
+premium, a rank-dependent band's included, is the root of
+u(mu + pi) = E_w[u] that :func:`_solve_premium` finds: written down in
+closed form for those utilities, where it is the root of a quadratic,
+and searched for with a power or constant-prudence utility.  The
+one-quantity functions read each exact number as the report does.
 
 EU, DT and RDU build their reports on one scaffold, :func:`_reports`,
 which validates phi and the methods, reads sigma, cv and a quadratic
@@ -160,25 +162,26 @@ def _exact_ratio(cotv_value: float, cot_value: float) -> float:
     raise ZeroCostError(f"cost of time is {cot_value:g}; ratio undefined")
 
 
-def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
-                   model: ServiceTimeModel, tol: Tolerance | None,
-                   info: dict | None = None) -> float:
+def _solve_premium(u: UtilityFunction, mu: float, expected_u: float, lowest: float,
+                   tol: Tolerance | None, info: dict | None = None) -> float:
     """Root of u(mu + pi) = expected_u, where expected_u averages u over
-    ``model``.
+    times of which ``lowest`` is the smallest: a model's, or a band's with
+    mu = t0.
 
-    u is decreasing, so the root is unique: it lies in [lo - mu, 0], lo
-    the start of the support, when u(mu) < expected_u, and above 0 when
-    u(mu) > expected_u (variability costs utility).  The gap at 0 picks
-    the side and is one of the bracket's ends, so it is evaluated once; a
-    gap of exactly 0 there is the root 0, as find_root's end rule has it,
-    also for a point mass.  A utility with a basis solves for its root in
-    closed form (:func:`_polynomial_premium`) and records no
-    ``iterations``; above 0 its root needs no bracket.  A root search
-    above 0 first tries the bracket [0, mu], where the certainty
-    equivalent mu + pi lies in [mu, 2 mu] (1e-6 in place of a mean below
-    that); while the gap at the upper end keeps the sign of the gap at 0,
-    that end doubles, once per factor of 2 by which a heavy tail's root
-    lies above the mean.
+    u is decreasing, so the root is unique: it lies in [lowest - mu, 0]
+    when u(mu) < expected_u, and above 0 when u(mu) > expected_u
+    (variability costs utility).  The gap at 0 picks the side and is one
+    of the bracket's ends, so it is evaluated once; a gap of exactly 0
+    there is the root 0, as find_root's end rule has it.  A root search
+    above 0 first tries [0, mu], where mu + pi lies in [mu, 2 mu] (1e-6
+    in place of a mean below that), and doubles the upper end while the
+    gap there keeps the sign of the gap at 0.  A utility with a basis
+    (a, b, c) has the gap a pi^2 + d1 pi + K, K the gap at 0 and
+    d1 = u'(mu) < 0, whose root where u'(mu + pi) < 0 is
+    2K / (sqrt(d1^2 - 4aK) - d1), with no cancellation; it is written
+    down, needs no upper end and records no ``iterations``.  Where it is
+    not in the bracket, or the discriminant is negative, the gap at the
+    ends gives the error :func:`~cotv.numerics.find_root` raises there.
     """
     def gap(pi: float) -> float:
         return at_mu if pi == 0.0 else float(u.u(mu + pi)) - expected_u
@@ -187,42 +190,19 @@ def _solve_premium(u: UtilityFunction, mu: float, expected_u: float,
     if at_mu == 0.0:
         return 0.0
     if at_mu < 0:
-        bracket = (model.support()[0] - mu, 0.0)
+        lo, hi = lowest - mu, 0.0
     elif u.basis is not None:
-        bracket = (0.0, math.inf)
+        lo, hi = 0.0, math.inf
     else:
-        top = max(mu, 1e-6)
-        while gap(top) > 0:
-            top *= 2.0
-        bracket = (0.0, top)
-    if u.basis is not None:
-        return _polynomial_premium(u, mu, gap, bracket)
-    return find_root(gap, *bracket, tol, info)
-
-
-def _polynomial_premium(u: UtilityFunction, mu: float, gap: Callable[[float], float],
-                        bracket: tuple[float, float]) -> float:
-    """Root in ``bracket`` of gap(pi) = u(mu + pi) - E_w[u] for a utility
-    with a basis (a, b, c), where it is a quadratic in pi.
-
-    With K = gap(0) and d1 = u'(mu) = 2a mu + b, the gap is
-    a pi^2 + d1 pi + K, and its root on the decreasing branch, where
-    u'(mu + pi) < 0, is 2K / (sqrt(d1^2 - 4aK) - d1): the denominator
-    adds two non-negative terms, as d1 < 0, so nothing cancels, and a = 0
-    gives K / -d1.  ``bracket`` is unbounded above for a premium above 0
-    outside a band, where that root always exists.  Where there is no
-    root in ``bracket`` (the discriminant is negative, or mu + pi leaves
-    the support or band), the gap is read at the bracket's ends to raise
-    the error :func:`~cotv.numerics.find_root` raises there:
-    ``NonFiniteError`` if either is not finite, as at an infinite end,
-    else ``NoBracketError``.
-    """
-    k = gap(0.0)
+        lo, hi = 0.0, max(mu, 1e-6)
+        while gap(hi) > 0:
+            hi *= 2.0
+    if u.basis is None:
+        return find_root(gap, lo, hi, tol, info)
     d1 = float(u.du(mu))
-    discriminant = d1 * d1 - 4.0 * u.basis[0] * k
-    lo, hi = bracket
+    discriminant = d1 * d1 - 4.0 * u.basis[0] * at_mu
     if discriminant >= 0.0:
-        root = 2.0 * k / (math.sqrt(discriminant) - d1)
+        root = 2.0 * at_mu / (math.sqrt(discriminant) - d1)
         if lo <= root <= hi:
             return root
     with np.errstate(invalid="ignore"):  # u at an infinite end may be NaN
@@ -262,7 +242,7 @@ def _exact_valuation(u: UtilityFunction, model: ServiceTimeModel, mu: float,
     """
     expected_u = next(values)
     if premium is None:
-        premium = _solve_premium(u, mu, expected_u, model, tol, info)
+        premium = _solve_premium(u, mu, expected_u, model.support()[0], tol, info)
     vot = next(values)
     cotv_value = (float(u.u(mu)) - expected_u) / phi
     return premium, vot, cotv_value, _exact_ratio(cotv_value, vot * mu)
@@ -287,7 +267,7 @@ def premium_exact(u: UtilityFunction, model: ServiceTimeModel,
     as facing the random time, solving E[u(t)] = u(mu + pi)."""
     mu = _report_mean(u, model)
     expected_u = next(_exact_values(u, model, None, 1.0, tol))  # phi enters VOT only
-    return _solve_premium(u, mu, expected_u, model, tol)
+    return _solve_premium(u, mu, expected_u, model.support()[0], tol)
 
 
 @_finite_view

@@ -9,12 +9,13 @@ reductions numerically.  Exact rank-dependent reports run through the
 expected-utility exact core of :mod:`cotv.eu` with the weighting in
 place: a quadratic, pure-quadratic or affine utility reads E_w[u] and
 VOT from the distorted mean E_w[t] and from E_w[t^2], which an affine
-one does not need, and solves its premium in closed form, as it does on
-a band.  The dual moments are expectations under d(F^2),
-which every model gives without integrating: in closed form, or as exact
-sums on a discrete model.  A point mass takes the same route as any
-model, in expected utility too: its sums give E_w[t] = mu and
-E_w[u] = u(mu), so premium, COTV and rho are 0.
+one does not need.  A band's premium is every exact premium's root,
+:func:`cotv.eu._solve_premium`, at the anchor t0 of the band's average
+utility.  The dual moments are expectations under d(F^2), which every
+model gives without integrating: in closed form, or as exact sums on a
+discrete model.  A point mass takes the same route as any model, in
+expected utility too: its sums give E_w[t] = mu and E_w[u] = u(mu), so
+premium, COTV and rho are 0.
 
 Both frameworks build their reports on the scaffold of
 :func:`cotv.eu._reports`, and supply only their formulas: DT the mean,
@@ -23,9 +24,10 @@ closed band sum, E_w[t] - mu, or the second-order form), RDU the anchor,
 the band moments, tau_h and the distorted mean, the exact route it
 shares with EU and the second-order premium.  A scenario that asks for
 both methods therefore computes those inputs once, and its reports equal
-two single-method runs bit for bit.  On a continuous model every
-integral of a scenario comes from one shared call, so the quantile and
-w'(p) are evaluated once per tanh-sinh level.
+two single-method runs bit for bit.  The step that computes them checks
+a band's anchor against the context's (:func:`_band_meta`).  On a
+continuous model every integral of a scenario comes from one shared
+call, so the quantile and w'(p) are evaluated once per tanh-sinh level.
 :func:`rdu_ratio` is a one-method view of the second-order report, like
 :func:`rdu_valuation`.
 
@@ -64,12 +66,12 @@ from .eu import (
     _exact_valuation,
     _exact_values,
     _moments,
-    _polynomial_premium,
     _report_mean,
     _reports,
+    _solve_premium,
     _time,
 )
-from .numerics import Tolerance, find_root
+from .numerics import Tolerance
 from .preferences import UtilityFunction, WeightingFunction, weighting_derivative_ratio
 from .reports import ValuationReport
 
@@ -144,12 +146,16 @@ def _band_weights(meta: DtMetadata, w: WeightingFunction
     return increments, total, np.asarray(meta.xi, dtype=float)
 
 
-def _meta_for(instance: DiscreteModel, p0: float, psi: float) -> DtMetadata:
-    meta = _require_meta(instance)
-    if abs(meta.p0 - p0) > 1e-12 or abs(meta.psi - psi) > 1e-12:
-        raise MetadataMismatchError(
-            f"instance was built with (p0={meta.p0}, psi={meta.psi}), "
-            f"context has (p0={p0}, psi={psi})")
+def _band_meta(model: ServiceTimeModel, p0: float,
+               psi: float | None = None) -> DtMetadata | None:
+    """A banded instance's band, None outside one; ``MetadataMismatchError``
+    where its p0, or a DT context's psi, is not the context's within 1e-12."""
+    meta = model.dt_meta
+    for key, value in (("p0", p0), ("psi", psi)):
+        built = getattr(meta, key, None)  # None outside a band
+        if built is not None and value is not None and abs(built - value) > 1e-12:
+            raise MetadataMismatchError(f"instance was built with {key}={built!r}, "
+                                        f"context has {key}={value!r}")
     return meta
 
 
@@ -168,7 +174,8 @@ def dt_premium_exact(instance: DiscreteModel, ctx: DtContext) -> float:
     no root finding is involved.  Flank outcomes cancel, so the premium
     depends on the perturbation and the weighting alone.
     """
-    increments, total, xi = _band_weights(_meta_for(instance, ctx.p0, ctx.psi), ctx.w)
+    _require_meta(instance)
+    increments, total, xi = _band_weights(_band_meta(instance, ctx.p0, ctx.psi), ctx.w)
     return float(increments @ xi / total)
 
 
@@ -197,7 +204,7 @@ def _dt_reports(model_or_instance: ServiceTimeModel, ctx: DtContext,
             raise ZeroCostError("dual valuation requires a positive mean time")
         if mu**2 == 0.0:
             raise DomainError(f"mean time {mu!r} is too small: its square underflows to 0")
-        meta = model_or_instance.dt_meta
+        meta = _band_meta(model_or_instance, ctx.p0, ctx.psi)
         m2_dual = _band_moments(model_or_instance)[1]
         mean_t = (_moments(model_or_instance, ctx.w, False, tol, None, moments)[0]
                   if meta is None and "exact" in methods else None)
@@ -248,31 +255,19 @@ def rdu_premium_exact(instance: DiscreteModel, ctx: RduContext,
     """Rank-dependent variability premium of a banded instance.
 
     Solves the band indifference equation
-    ``total_weight * u(t0 + pi) = sum_i weight_i * u(t0 + xi_i)``.  The
-    right side is a positively weighted average of utilities at the band
-    outcomes, so the root is bracketed by the extreme perturbations.  A
-    quadratic, pure-quadratic or affine utility solves it in closed form
-    (:func:`cotv.eu._polynomial_premium`, with mu = t0), any other by root
-    finding.  ``DomainError`` where t0 lies outside ``ctx.u.interval``.
+    ``total_weight * u(t0 + pi) = sum_i weight_i * u(t0 + xi_i)`` with
+    :func:`cotv.eu._solve_premium`, at mu = t0 and from the lowest band
+    time t0 + xi_1; a band without spread has premium 0.  ``DomainError``
+    where t0 lies outside ``ctx.u.interval``.
     """
     meta = _require_meta(instance)
     _report_mean(ctx.u, instance, rank_dependent=True)
-    if abs(meta.p0 - ctx.p0) > 1e-12:
-        raise MetadataMismatchError(
-            f"instance anchor p0={meta.p0} disagrees with context p0={ctx.p0}")
+    _band_meta(instance, ctx.p0)
     increments, total, xi = _band_weights(meta, ctx.w)
+    if meta.xi[0] == meta.xi[-1]:
+        return 0.0
     target = float(increments @ np.asarray(ctx.u.u(meta.t0 + xi), dtype=float)) / total
-
-    def gap(pi: float) -> float:
-        return float(ctx.u.u(meta.t0 + pi)) - target
-
-    lo = float(xi[0])
-    hi = float(xi[-1])
-    if lo == hi:
-        return lo
-    if ctx.u.basis is not None:
-        return _polynomial_premium(ctx.u, meta.t0, gap, (lo, hi))
-    return find_root(gap, lo, hi, tol)
+    return _solve_premium(ctx.u, meta.t0, target, meta.t0 + meta.xi[0], tol)
 
 
 def rdu_premium_approx(ctx: RduContext, mu: float, m2: float,
@@ -345,10 +340,10 @@ def _rdu_reports(model_or_instance: ServiceTimeModel, ctx: RduContext,
     record no integral in their ``diagnostics``.  ``DomainError`` where mu
     (t0 on a banded instance) lies outside ``ctx.u.interval``."""
     def steps():
-        meta = model_or_instance.dt_meta
         mu = _report_mean(ctx.u, model_or_instance, rank_dependent=True)
         if mu <= 0:
             raise ZeroCostError("rank-dependent valuation requires a positive mean time")
+        meta = _band_meta(model_or_instance, ctx.p0)
         m2, m2_dual, m2_dual_var = _band_moments(model_or_instance)
         exact = "exact" in methods
         if exact and ctx.u.basis is None:

@@ -11,11 +11,13 @@ moment basis, E_w[t] and E_w[t^2] (2 integrals in EU and in RDU, whose
 distorted mean is E_w[t]), or E_w[t] alone when it is affine (1).  The
 premium evaluates u at the mean once.  A polynomial utility's premium is
 the root of a quadratic, written down in closed form, so it calls no root
-finder; any other is one root solve.  Below 0 its bracket starts at the
-bottom of the support; above 0 it is [0, mu], whose upper end doubles
-while the gap there keeps the sign of the gap at 0.  It takes at most 10
-iterations on the benchmark's report corpus and sweep grids.  An EU
-second-order report takes each of u', u'' and u''' at the mean once.
+finder; any other is one root solve.  A band's RDU premium is solved by
+the same function, at the anchor t0 and from the band's average utility.
+Below 0 its bracket starts at the bottom of the support (of the band);
+above 0 it is [0, mu], whose upper end doubles while the gap there keeps
+the sign of the gap at 0.  It takes at most 10 iterations on the
+benchmark's report corpus and sweep grids.  An EU second-order report
+takes each of u', u'' and u''' at the mean once.
 Every family reads its dual moments from a closed form or an exact sum,
 so no report and no ``moments()`` call integrates one, and a DT
 second-order report integrates nothing.  A ``method: "both"`` scenario
@@ -238,9 +240,9 @@ def premium_roots(run, monkeypatch) -> tuple[list, list]:
         finally:
             at_mean.append(counted.calls)
 
+    monkeypatch.setattr(eu, "find_root", counted_root)
     for module in (eu, non_eu):
-        monkeypatch.setattr(module, "find_root", counted_root)
-    monkeypatch.setattr(eu, "_solve_premium", counted_solve)
+        monkeypatch.setattr(module, "_solve_premium", counted_solve)
     run()
     return iterations, at_mean
 
@@ -261,13 +263,14 @@ def bench_pass(workload: str):
     return run
 
 
+# Every exact premium, an RDU band's too, is solved by eu._solve_premium.
 # Only the power and constant-prudence premiums search for a root: 105 of
 # the report corpus's 225, and none of the sweep grids' 1024, whose
 # utilities are all quadratic.  Brent's method solves each in at most 10
 # iterations (bisection with secant steps took up to 33), and the gap at 0,
 # which picks the bracket and is one of its ends, is evaluated once.
 @pytest.mark.parametrize("workload, roots, on_window", [
-    ("report_corpus", 105, 210),
+    ("report_corpus", 105, 225),
     ("sweep_grids", 0, 1024),
 ])
 def test_premium_roots_take_few_iterations(workload, roots, on_window, monkeypatch):

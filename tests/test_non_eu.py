@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -45,6 +46,7 @@ from cotv.non_eu import (
 from cotv.numerics import DEFAULT_TOLERANCE, RngStream, Tolerance
 from cotv.preferences import (
     AffineUtility,
+    ConstantPrudenceUtility,
     IdentityWeighting,
     InverseSWeighting,
     PowerUtility,
@@ -136,6 +138,31 @@ class TestDtPremiumExact:
         instance = build_dt_instance(t0=10.0, xi=[-1.0, 1.0])
         with pytest.raises(MetadataMismatchError):
             dt_premium_exact(instance, DtContext(w=SQUARE, p0=0.4, psi=0.4))
+
+
+# A report on a banded instance values it at the anchor it was built with,
+# so it checks the context's p0 (and, under DT, psi) in its first step:
+# the second-order report too, which reads no band premium.
+@pytest.mark.parametrize("method", ["exact", "second_order"])
+@pytest.mark.parametrize("framework, p0, psi, key", [
+    ("dt", 0.4, 0.3, "p0"),
+    ("dt", 0.5, 0.25, "psi"),
+    ("rdu", 0.4, 0.3, "p0"),
+])
+def test_banded_report_checks_its_anchor(framework, p0, psi, key, method):
+    instance = build_dt_instance(10.0, [-1.0, 1.0], p0=0.5, psi=0.3)
+    if framework == "dt":
+        def run():
+            return dt_valuation(instance, DtContext(SQUARE, p0, psi), 1.0, method)
+    else:
+        def run():
+            ctx = RduContext(PureQuadraticUtility(-1.0), SQUARE, p0)
+            return rdu_valuation(instance, ctx, 1.0, method)
+    built = getattr(instance.dt_meta, key)
+    context = {"p0": p0, "psi": psi}[key]
+    with pytest.raises(MetadataMismatchError, match=(
+            f"^instance was built with {key}={built!r}, context has {key}={context!r}$")):
+        run()
 
 
 class TestDtPremiumApprox:
@@ -431,6 +458,19 @@ class TestRduValuation:
         assert report.premium == 0.0
         assert report.cotv == pytest.approx(0.0, abs=1e-12)
         assert report.rho == 0.0
+        # a band without spread has premium 0 exactly under every utility,
+        # with or without flanks, also where rounding leaves its weighted
+        # average utility an ulp or so away from u(t0)
+        utilities = (QuadraticUtility(a=-0.5, b=-0.2), PureQuadraticUtility(a=-1.0),
+                     PowerUtility(1.5), ConstantPrudenceUtility(2.0), AffineUtility(1.0))
+        for t0, xi, (psi, t_max) in itertools.product(
+                np.linspace(1.5, 20.0, 38), ([0.0], [0.0, 0.0, 0.0]),
+                ((0.5, None), (0.3, 25.0))):
+            instance = build_dt_instance(t0, xi, psi=psi, t_max=t_max)
+            for u, w in itertools.product(utilities, (IDENTITY, SQUARE, INVERSE_S)):
+                ctx = RduContext(u=u, w=w)
+                assert rdu_premium_exact(instance, ctx) == 0.0, (t0, xi, psi, u.family)
+                assert rdu_valuation(instance, ctx, phi=1.0).premium == 0.0
 
     def test_tau_recorded_in_diagnostics(self):
         instance = build_dt_instance(t0=10.0, xi=[-1.0, 1.0])

@@ -23,8 +23,8 @@ def test_working_tree_against_itself_is_identical(parity):
     cases = [case for group in groups.values()
              for case in group[::min(25, len(group) // 3)]]
     assert {case_id.split("/")[0] for case_id, _, _ in cases} == {
-        "report-mix", "sweep-grid", "sweep-dt", "sweep-rdu", "shared-blocks", "ledger",
-        "point-mass", "heavy-tail", "certification", "view"}
+        "report-mix", "sweep-grid", "sweep-dt", "sweep-rdu", "shared-blocks", "band",
+        "ledger", "point-mass", "heavy-tail", "certification", "view"}
     old = parity.render_tree(parity.ROOT, cases)
     new = parity.render_tree(parity.ROOT, cases)
     assert any(out["error"] for out in old) and any(out["text"] for out in old)
@@ -60,6 +60,25 @@ def test_shared_block_sweeps_repeat_json_equal_values(parity):
     # fourth axis
     rendered = parity.render_tree(parity.ROOT, cases)
     assert [out["text"].count("\n") for out in rendered] == [1 + 81] * 3
+
+
+def test_band_group_covers_every_family(parity):
+    cases = parity._band_cases()
+    # 2 psi x (flanks at the band's ends or apart) x 5 utilities x
+    # 3 weightings x 3 methods
+    assert len(cases) == 2 * 2 * 5 * 3 * 3
+    assert {raw["framework"] for _, _, raw in cases} == {"rdu"}
+    assert {raw["preference"]["family"] for _, _, raw in cases} == {
+        utility["family"] for utility in parity.UTILITIES}
+    wanted = [f"band/0.3/flanks/{family}/{weighting}/exact"
+              for family in ("power", "constant_prudence")
+              for weighting in ("power", "inverse_s")]
+    rendered = parity.render_tree(parity.ROOT, [case for case in cases
+                                                if case[0] in wanted])
+    # searched band premiums, above 0 under the convex power weighting and
+    # below 0 under the inverse-S one at p0 0.35
+    premiums = [json.loads(out["text"])["results"]["premium_exact"] for out in rendered]
+    assert [premium > 0 for premium in premiums] == [True, False, True, False]
 
 
 def test_point_mass_grid_covers_every_family(parity):

@@ -21,6 +21,12 @@ touches the network.  The cases are:
   earlier one, so the points that share a block by its dict and those
   that share it by its JSON are both rendered;
 * the fast reproducers of ``bench/ledger.json``, under the three methods;
+* a band group: RDU on a banded instance of half-mass psi 0.5 (anchor
+  p0 0.5) and 0.3 (p0 0.35), each with its flanks at the band's ends and
+  at t_min and t_max apart from it, under every utility family, every
+  weighting family and the three methods, so the band premium is solved
+  in closed form and searched for, above 0 and (under the inverse-S
+  weighting at p0 0.35) below it;
 * a point-mass grid: values 0, 1, 2.5 and 1e-300, every utility family,
   EU and DT and RDU under every weighting family, phi 1 and 2.5, the
   three methods;
@@ -113,6 +119,13 @@ SHARED_FRAMEWORKS = {
              "weighting": WEIGHTINGS[1]},
             {"weighting": [WEIGHTINGS[1], WEIGHTINGS[2], WEIGHTINGS[1]]}),
 }
+# the band group's instance: t0, a zero-mean xi, and the flanks it is
+# built with apart from the band's ends
+BAND_T0 = 4.0
+BAND_XI = (-1.5, -0.25, 0.5, 1.25)
+BAND_FLANKS = {"t_min": 1.0, "t_max": 9.0}
+# (p0, psi) of the band group's instances and weightings
+BAND_ANCHORS = ((0.5, 0.5), (0.35, 0.3))
 # the certification group's weighting gammas and utilities
 CERTIFICATION_WEIGHTINGS = (
     *({"family": "inverse_s", "params": {"gamma": gamma}}
@@ -218,6 +231,24 @@ def _shared_block_cases() -> list[tuple[str, str, dict]]:
     return cases
 
 
+def _band_cases() -> list[tuple[str, str, dict]]:
+    cases = []
+    for p0, psi in BAND_ANCHORS:
+        for flanks in ({}, BAND_FLANKS):
+            band = {"t0": BAND_T0, "xi": list(BAND_XI), "p0": p0, "psi": psi, **flanks}
+            for utility in UTILITIES:
+                for weighting in WEIGHTINGS:
+                    name = (f"band/{psi!r}/{'flanks' if flanks else 'ends'}/"
+                            f"{utility['family']}/{weighting['family']}")
+                    raw = {"framework": "rdu",
+                           "distribution": {"family": "discrete", "dt": band},
+                           "preference": utility,
+                           "weighting": dict(weighting, p0=p0, psi=psi), "seed": 0}
+                    cases += [(f"{name}/{method}", "value", dict(raw, method=method))
+                              for method in METHODS]
+    return cases
+
+
 def _certification_cases() -> list[tuple[str, str, dict]]:
     base = {"distribution": {"family": "uniform", "params": {"lo": 1.0, "hi": 3.0}},
             "method": "both", "seed": 0}
@@ -293,8 +324,8 @@ def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
             for method in METHODS:
                 cases.append((f"ledger/{region['id']}/{method}", "value",
                               dict(region["config"], method=method)))
-    return (cases + _shared_block_cases() + _point_mass_cases() + _heavy_tail_cases()
-            + _certification_cases() + _view_cases(corpora))
+    return (cases + _shared_block_cases() + _band_cases() + _point_mass_cases()
+            + _heavy_tail_cases() + _certification_cases() + _view_cases(corpora))
 
 
 def _render_view(view: str, config) -> str:

@@ -61,7 +61,9 @@ def _evaluate(config: ScenarioConfig, methods: tuple[str, ...],
               moments: dict | None = None) -> dict:
     """{method: report} of one scenario; each framework computes the
     inputs its methods share once, and reads the basis integrals a sweep's
-    ``moments`` holds (:func:`cotv.eu._moments`)."""
+    ``moments`` holds (:func:`cotv.eu._moments`): weighted integrals, and
+    EU's sums on a discrete model; EU reads a continuous model's in
+    closed form."""
     if config.framework == "eu":
         return _eu_reports(config.utility, config.model, config.phi, methods, None,
                            moments)
@@ -101,7 +103,8 @@ def _scaled_error(err: float, sigma: float) -> float | None:
 
 
 def _scenario_body(config: ScenarioConfig, moments: dict | None = None) -> dict:
-    """The ``results`` and ``diagnostics`` of one scenario's reports."""
+    """The ``results`` and ``diagnostics`` of one scenario's reports;
+    ``moments`` is a sweep's memo of basis integrals (:func:`_evaluate`)."""
     methods = (("exact", "second_order") if config.method == "both"
                else (config.method,))
     reports = _evaluate(config, methods, moments)
@@ -179,7 +182,7 @@ def sweep_rows(config: ScenarioConfig) -> tuple[list[str], list[dict]]:
     The basis integrals E_w[t] and E_w[t^2] depend on the model and the
     weighting alone, so they are integrated once per (model, weighting)
     of the call and read at every point that shares them; no memo
-    outlives the call.
+    outlives the call.  EU reads a continuous model's in closed form.
     """
     sweep = config.sweep
     if sweep is None:

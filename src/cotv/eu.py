@@ -2,9 +2,9 @@
 
 Every quantity comes in two flavours:
 
-* ``exact`` evaluates expectations by quadrature (or exact sums for
-  discrete models) and solves the premium indifference equation by root
-  finding;
+* ``exact`` evaluates expectations by quadrature (exact sums for
+  discrete models, closed moments for a polynomial utility) and solves
+  the premium indifference equation;
 * ``second_order`` uses the closed Taylor forms, which expose the
   valuation through the risk coefficients: the premium is
   ``sigma^2/2 * u''(mu)/u'(mu)``, the cost ratio is
@@ -15,13 +15,15 @@ The two paths are never mixed inside one number, so each reported value
 is traceable to a single derivation.  The exact route is one core shared
 with rank-dependent utility: expected utility is its identity-weighting
 case, and both read E_w[u] and VOT from integrals that share one
-quantile pass.  A quadratic, pure-quadratic or affine utility integrates
-E_w[t] and E_w[t^2] (affine: E_w[t]) in their place.  Every exact
-premium, a rank-dependent band's included, is the root of
-u(mu + pi) = E_w[u] that :func:`_solve_premium` finds: written down in
-closed form for those utilities, where it is the root of a quadratic,
-and searched for with a power or constant-prudence utility.  The
-one-quantity functions read each exact number as the report does.
+quantile pass.  A quadratic, pure-quadratic or affine utility reads
+E_w[t] and E_w[t^2] (affine: E_w[t]) in their place: under EU on a
+continuous model in closed form, from the model's mean and variance,
+and integrated otherwise.  Every exact premium, a rank-dependent band's
+included, is the root of u(mu + pi) = E_w[u] that
+:func:`_solve_premium` finds: written down in closed form for those
+utilities, where it is the root of a quadratic, and searched for with a
+power or constant-prudence utility.  The one-quantity functions read
+each exact number as the report does.
 
 EU, DT and RDU build their reports on one scaffold, :func:`_reports`,
 which validates phi and the methods, reads sigma, cv and a quadratic
@@ -39,7 +41,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .distributions import ServiceTimeModel
+from .distributions import ContinuousModel, ServiceTimeModel
 from .errors import (
     DerivativeZeroError,
     DomainError,
@@ -104,12 +106,22 @@ def _square(t):
 
 def _moments(model: ServiceTimeModel, w, square: bool, tol: Tolerance | None,
              info: dict | None = None, memo: dict | None = None):
-    """E_w[t], and E_w[t^2] if ``square`` (else None), from one shared
-    call; ``info`` receives the ``levels``, ``nodes`` and ``error`` of the
-    last.
+    """E_w[t], and E_w[t^2] if ``square`` (else None).
+    Under EU (``w=None``) a continuous model gives them in closed form,
+    model.mean() and model.variance() + mean^2, with no ``info``;
+    ``NonFiniteError`` where E[t^2] overflows though both parts are
+    finite.  Otherwise they come from one shared call, and ``info``
+    receives the ``levels``, ``nodes`` and ``error`` of the last.
     ``memo``, a sweep's for one call, maps (model, w) to the integrals
     with their info: a memo read is what a fresh call gives, and an
     integral that fails is not kept."""
+    if w is None and isinstance(model, ContinuousModel):
+        mean_t = model.mean()
+        mean_t2 = model.variance() + mean_t * mean_t
+        if square and not math.isfinite(mean_t2):
+            raise NonFiniteError(f"E[t^2] of {model.label()} overflows: "
+                                 f"variance + mean^2 is not a finite float")
+        return mean_t, mean_t2 if square else None
     held = memo.get((model, w)) if memo is not None else None
     if held is None or (square and len(held) == 1):
         terms = [(_time, w), (_square, w)] if square else [(_time, w)]
@@ -144,8 +156,9 @@ def _exact_values(u: UtilityFunction, model: ServiceTimeModel, w, phi: float,
                   tol: Tolerance | None, info: dict | None = None,
                   memo: dict | None = None) -> Iterator[float]:
     """An iterator of E_w[u], then VOT: integrated when read, or from a
-    polynomial utility's basis.  ``info`` receives the ``levels``,
-    ``nodes`` and ``error`` of E_w[u] or of the last basis integral."""
+    polynomial utility's basis (:func:`_moments`).  ``info`` receives the
+    ``levels``, ``nodes`` and ``error`` of E_w[u] or of the last basis
+    integral; a basis in closed form gives none."""
     if u.basis is None:
         return model._expects(_exact_terms(u, w, phi), tol, [info, None])
     mean_t, mean_t2 = _moments(model, w, u.basis[0] != 0.0, tol, info, memo)
@@ -453,13 +466,15 @@ def _eu_reports(u: UtilityFunction, model: ServiceTimeModel, phi: float,
     """Expected-utility reports for ``methods`` (:func:`_reports`), sharing
     mu, u'(mu), VOT(mu) and the labels.
     ``DomainError`` where mu lies outside ``u.interval``.
-    ``moments`` is a sweep's memo of basis integrals (:func:`_moments`).
+    ``moments`` is a sweep's memo of basis integrals (:func:`_moments`),
+    which EU reads only on a discrete model.
     Exact ``diagnostics``: the tanh-sinh ``levels`` E[u] reached (3 is the
     step h = 1/8), the ``nodes`` it summed and its ``error``, the
     difference of its last two levels, and the premium root's
     ``iterations``; a discrete model, which sums, only the last.  A
-    polynomial utility gives the levels, nodes and error of E[t^2]
-    (affine: E[t]) and no ``iterations``, as its premium is solved in
+    polynomial utility reads E[t] and E[t^2] in closed form on a
+    continuous model and sums them on a discrete one, so it records none
+    of these: no ``iterations`` either, as its premium is solved in
     closed form."""
     def steps():
         mu = _report_mean(u, model)

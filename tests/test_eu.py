@@ -380,9 +380,19 @@ class TestEvaluate:
         assert report.rho == pytest.approx(0.5, abs=1e-6)
         assert report.rho_upper_bound == pytest.approx(0.5)
         assert report.congestion_multiplier == pytest.approx(1.5, abs=1e-6)
+        # E[t] and E[t^2] are the closed mean and variance + mean^2, and
+        # the premium is a quadratic's root: the report records no
+        # quadrature and no root search
+        assert report.rho == 0.5
+        assert report.premium == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-15)
+        assert not {"levels", "nodes", "error", "iterations"} & set(report.diagnostics)
+
+    def test_report_fields_exact_integrated(self):
+        report = evaluate(PowerUtility(exponent=1.5), Exponential(1.0), EXACT, TIGHT)
         # the probability-plane rule has no window to cut
         levels = report.diagnostics["levels"]
         assert report.diagnostics["nodes"] == (12 << levels) + 1
+        assert {"error", "iterations"} <= set(report.diagnostics)
         assert "truncated" not in report.diagnostics
 
     def test_report_degenerate(self):

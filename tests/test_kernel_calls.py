@@ -7,23 +7,26 @@ them; integrals are counted as the terms read, the calls of
 Each exact report computes E_w[u] once: with a power or constant-prudence
 utility EU takes E[u] and VOT (2 integrals), and RDU adds the distorted
 mean (3 integrals); a polynomial utility reads E_w[u] and VOT from its
-moment basis, E_w[t] and E_w[t^2] (2 integrals in EU and in RDU, whose
-distorted mean is E_w[t]), or E_w[t] alone when it is affine (1).  The
-premium evaluates u at the mean once.  A polynomial utility's premium is
-the root of a quadratic, written down in closed form, so it calls no root
-finder; any other is one root solve.  A band's RDU premium is solved by
-the same function, at the anchor t0 and from the band's average utility.
-Below 0 its bracket starts at the bottom of the support (of the band);
-above 0 it is [0, mu], whose upper end doubles while the gap there keeps
-the sign of the gap at 0.  It takes at most 10 iterations on the
-benchmark's report corpus and sweep grids.  An EU second-order report
-takes each of u', u'' and u''' at the mean once.
+moment basis, E_w[t] and E_w[t^2] (2 integrals in RDU, whose distorted
+mean is E_w[t]), or E_w[t] alone when it is affine (1).  Under EU a
+continuous model gives E[t] and E[t^2] in closed form, from its mean and
+variance, so a polynomial EU report integrates nothing and makes no
+quantile pass.  The premium evaluates u at the mean once.  A polynomial
+utility's premium is the root of a quadratic, written down in closed
+form, so it calls no root finder; any other is one root solve.  A
+band's RDU premium is solved by the same function, at the anchor t0 and
+from the band's average utility.  Below 0 its bracket starts at the
+bottom of the support (of the band); above 0 it is [0, mu], whose upper
+end doubles while the gap there keeps the sign of the gap at 0.  It takes
+at most 10 iterations on the benchmark's report corpus and sweep grids.
+An EU second-order report takes each of u', u'' and u''' at the mean
+once.
 Every family reads its dual moments from a closed form or an exact sum,
 so no report and no ``moments()`` call integrates one, and a DT
 second-order report integrates nothing.  A ``method: "both"`` scenario
 computes the inputs its two reports share once: RDU second order reuses
 the distorted mean of the exact report (3 integrals in all, not 4), and
-DT and EU second order integrate nothing (1 and 2).
+DT and EU second order integrate nothing (1 and 0 in all).
 Each integral sums the tanh-sinh nodes of p in (0, 1), level after level,
 and calls its integrand once per level it reaches.  A report's integrals
 share one call, which reads the quantile once per level for all of them:
@@ -35,8 +38,8 @@ builds each distinct block (equal canonical JSON) once per sweep, and
 writes that JSON once per block dict, which every point with the same
 values of the block's axes shares; a block that fails raises the error a
 parse of its point alone raises.  It also
-integrates each basis term once per model and weighting of the call, so
-a sweep over a utility coefficient integrates 2 per distinct model.
+integrates each weighted basis term once per model and weighting of the
+call; an EU sweep on continuous models integrates nothing.
 """
 
 import copy
@@ -164,15 +167,17 @@ def report(raw: dict):
     return lambda: run_scenario(scenario)
 
 
+QUADRATIC = {"family": "quadratic", "params": {"a": -1.0, "b": 0.0}}
 PURE_QUADRATIC = {"family": "pure_quadratic", "params": {"a": -1.0}}
 AFFINE = {"family": "affine", "params": {"slope": 1.0}}
+POWER = {"family": "power", "params": {"exponent": 1.5}}
 BAND = {"family": "discrete", "dt": {"t0": 3.0, "xi": [-1.0, -0.5, 0.5, 1.0]}}
 
 
 @pytest.mark.parametrize("raw, expected", [
-    (EU_EXACT, {"integrals": 2, "find_root": 0, "expand_bracket": 0}),
+    (EU_EXACT, {"integrals": 0, "find_root": 0, "expand_bracket": 0}),
     (dict(EU_EXACT, preference=AFFINE),
-     {"integrals": 1, "find_root": 0, "expand_bracket": 0}),
+     {"integrals": 0, "find_root": 0, "expand_bracket": 0}),
     (RDU_EXACT, {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
     (RDU_GAMMA, {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
     (dict(RDU_EXACT, preference=PURE_QUADRATIC),
@@ -287,7 +292,7 @@ DT_GAMMA = dict(DT_EXPONENTIAL, distribution=GAMMA)
 
 
 @pytest.mark.parametrize("raw, expected", [
-    (both(EU_EXACT), {"integrals": 2, "find_root": 0, "expand_bracket": 0}),
+    (both(EU_EXACT), {"integrals": 0, "find_root": 0, "expand_bracket": 0}),
     (both(DT_EXPONENTIAL), {"integrals": 1, "find_root": 0, "expand_bracket": 0}),
     (both(DT_GAMMA), {"integrals": 1, "find_root": 0, "expand_bracket": 0}),
     (both(RDU_EXACT), {"integrals": 3, "find_root": 1, "expand_bracket": 0}),
@@ -345,11 +350,28 @@ def test_moments_integrate_nothing(model, monkeypatch):
     assert records == []
 
 
+@pytest.mark.parametrize("distribution", [
+    {"family": "exponential", "params": {"rate": 1.0}},
+    {"family": "uniform", "params": {"lo": 1.0, "hi": 4.0}},
+    {"family": "lognormal", "params": {"log_mean": 1.0, "log_sd": 0.5}},
+    GAMMA,
+    {"family": "shifted_scaled", "base": GAMMA, "loc": 1.0, "scale": 2.0},
+], ids=lambda distribution: distribution["family"])
+@pytest.mark.parametrize("preference", [QUADRATIC, PURE_QUADRATIC, AFFINE],
+                         ids=lambda preference: preference["family"])
+def test_eu_polynomial_report_on_a_continuous_model_integrates_nothing(
+        distribution, preference, monkeypatch):
+    raw = dict(EU_EXACT, distribution=distribution, preference=preference,
+               method="both")
+    records, passes = kernel_records(report(raw), monkeypatch)
+    assert records == [] and passes == []
+
+
 # (run, integrals): every term of a report reads the nodes of one shared
 # call, which makes one quantile pass per level its terms reach; each term
 # calls its integrand once per level, and here all stop at h = 1/8.
 INTEGRALS = {
-    "eu": (report(EU_EXACT), 2),
+    "eu": (report(dict(EU_EXACT, preference=POWER)), 2),
     "rdu": (report(RDU_EXACT), 3),
     "rdu-both": (report(both(RDU_EXACT)), 3),
     "rdu-gamma": (report(RDU_GAMMA), 3),
@@ -428,7 +450,6 @@ def test_report_builds_each_object_once():
     assert counts == {"build_model": 1, "build_utility": 1, "build_weighting": 1}
 
 
-QUADRATIC = {"family": "quadratic", "params": {"a": -1.0, "b": 0.0}}
 PREFERENCE_SWEEP = {"framework": "eu", "distribution": EXPONENTIAL,
                     "preference": QUADRATIC, "method": "both",
                     "sweep": {"axes": {"preference.params.a": [-1.0, -2.0, -1.0],
@@ -500,12 +521,11 @@ def integrals(run, monkeypatch) -> int:
     return len(kernel_records(run, monkeypatch)[0])
 
 
-def test_sweep_over_a_utility_coefficient_integrates_twice_per_model(monkeypatch):
-    # 8 models x 4 values of b: E[t] and E[t^2] once per model, and a
-    # second call keeps no memo of the first
+def test_eu_sweep_over_a_utility_coefficient_integrates_nothing(monkeypatch):
+    # 8 models x 4 values of b: E[t] and E[t^2] of each model are its
+    # closed mean and variance + mean^2, so no integral and no quantile pass
     grid = parse_config(bench_inputs().sweep_grids(1)[0])
-    assert integrals(lambda: sweep_rows(grid), monkeypatch) == 16
-    assert integrals(lambda: sweep_rows(grid), monkeypatch) == 16
+    assert kernel_records(lambda: sweep_rows(grid), monkeypatch) == ([], [])
 
 
 @pytest.mark.parametrize("variant, expected", [
@@ -519,24 +539,30 @@ def test_weighted_sweep_integrates_once_per_weighting(variant, expected, monkeyp
            "method": "both",
            "sweep": {"axes": {"preference.params.b": [-1.0, -0.5, 0.0],
                               "weighting.params.gamma": [1.5, 2.0, 3.0]}}}
-    assert integrals(lambda: sweep_rows(parse_config(raw)), monkeypatch) == expected
+    # a second call keeps no memo of the first
+    grid = parse_config(raw)
+    assert integrals(lambda: sweep_rows(grid), monkeypatch) == expected
+    assert integrals(lambda: sweep_rows(grid), monkeypatch) == expected
 
 
 @pytest.mark.parametrize("workload, expected", [
-    ("report_corpus", 435),
-    ("sweep_grids", 512),
+    ("report_corpus", 345),
+    ("sweep_grids", 0),
 ])
 def test_benchmark_pass_integrals(workload, expected, monkeypatch):
     assert integrals(bench_pass(workload), monkeypatch) == expected
 
 
-@pytest.mark.parametrize("workload, calls", [
-    ("report_corpus", 225),
-    ("sweep_grids", 256),
+# the sweep grids are all EU quadratic sweeps on exponential and uniform
+# models, which read their moments in closed form
+@pytest.mark.parametrize("workload, calls, integrated", [
+    ("report_corpus", 180, 345),
+    ("sweep_grids", 0, 0),
 ])
-def test_benchmark_pass_makes_one_quantile_pass_per_call(workload, calls, monkeypatch):
-    # every integral of both passes stops at h = 1/8, its integrand called
-    # once
+def test_benchmark_pass_makes_one_quantile_pass_per_call(workload, calls, integrated,
+                                                         monkeypatch):
+    # every integral of the report corpus stops at h = 1/8, its integrand
+    # called once
     records, passes = kernel_records(bench_pass(workload), monkeypatch)
     assert passes == [1] * calls
-    assert set(records) == {(1, 3)}
+    assert records == [(1, 3)] * integrated

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -772,7 +773,14 @@ class DiscreteModel(ServiceTimeModel):
 
     Outcomes are kept in ascending order and may repeat (tied states are
     meaningful for banded instances).  Probabilities must be non-negative
-    and sum to one within 1e-12.
+    and sum to one within 1e-12.  ``cdf``, ``quantile`` and the weighted
+    sums read the distinct outcomes ``_values``, their mass ``_mass`` and
+    the zero-padded cumulative mass ``_cum``, built in one pass over
+    Python floats with the bits of ``np.unique``, ``np.add.at`` and
+    ``np.cumsum``: a tie's mass is 0.0 plus its probabilities from left to
+    right, and the cumulative mass a running sum.  An instance is not
+    changed after construction, so its mean, variance and band moments are
+    computed once, when first read.
     """
 
     family = "discrete"
@@ -785,23 +793,31 @@ class DiscreteModel(ServiceTimeModel):
             raise ValidationError("outcomes and probabilities must be 1-d and aligned")
         if outcomes.size == 0:
             raise ValidationError("at least one outcome is required")
-        if np.any(np.diff(outcomes) < 0):
+        times = outcomes.tolist()
+        if _descends(times):
             raise ValidationError("outcomes must be sorted ascending")
-        if np.any(probabilities < -1e-15):
+        if any(p < -1e-15 for p in probabilities.tolist()):
             raise MassError("probabilities must be non-negative")
         total = float(probabilities.sum())
         if abs(total - 1.0) > 1e-12:
             raise MassError(f"probabilities sum to {total!r}, not 1")
         self.outcomes = outcomes
-        self.probabilities = np.clip(probabilities, 0.0, None)
+        self.probabilities = np.maximum(probabilities, 0.0)  # np.clip's lower bound
         self.dt_meta = dt_meta
-        # distinct-value compression for cdf-based sums
-        values, index = np.unique(outcomes, return_inverse=True)
-        mass = np.zeros_like(values)
-        np.add.at(mass, index, self.probabilities)
-        self._values = values
-        self._mass = mass
-        self._cum = np.cumsum(mass)
+        pairs = zip(times, self.probabilities.tolist())
+        if any(t != t for t in times):
+            # the order check cannot see a NaN; np.unique sorts it last, as one value
+            pairs = sorted(pairs, key=lambda pair: (pair[0] != pair[0], pair[0]))
+        values, mass = [], []
+        for t, p in pairs:
+            if values and (t == values[-1] or t != t and values[-1] != values[-1]):
+                mass[-1] += p
+            else:
+                values.append(t)
+                mass.append(0.0 + p)
+        self._values = np.array(values)
+        self._mass = np.array(mass)
+        self._cum = np.array(list(accumulate(mass, initial=0.0)))
 
     def support(self):
         return float(self.outcomes[0]), float(self.outcomes[-1])
@@ -811,22 +827,27 @@ class DiscreteModel(ServiceTimeModel):
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self._values, t, side="right")
-        cum = np.concatenate(([0.0], self._cum))
-        return cum[idx]
+        return self._cum[np.searchsorted(self._values, t, side="right")]
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        idx = np.searchsorted(self._cum, p, side="left")
+        idx = np.searchsorted(self._cum[1:], p, side="left")
         idx = np.clip(idx, 0, self._values.size - 1)
         return self._values[idx]
 
     def mean(self):
-        return float(self.probabilities @ self.outcomes)
+        return self._mean
 
     def variance(self):
-        mu = self.mean()
-        return float(self.probabilities @ (self.outcomes - mu) ** 2)
+        return self._variance
+
+    @cached_property
+    def _mean(self) -> float:
+        return float(self.probabilities @ self.outcomes)
+
+    @cached_property
+    def _variance(self) -> float:
+        return float(self.probabilities @ (self.outcomes - self.mean()) ** 2)
 
     def skewness(self):
         mu = self.mean()
@@ -848,23 +869,40 @@ class DiscreteModel(ServiceTimeModel):
         return tuple(self._sum(lambda t, power=power: (t - mu) ** power, _SQUARED)
                      for power in (1, 2))
 
+    @cached_property
+    def _perturbation_moments(self) -> tuple[float, float, float]:
+        """(m2, m2_dual, m2_dual_var) of a banded instance's perturbation
+        xi: its mean square, :func:`discrete_dual_moment` and
+        :func:`discrete_dual_moment_variance`."""
+        xi = np.asarray(_require_meta(self).xi, dtype=float)
+        return float(np.mean(xi**2)), _band_dual_moment(self, 1), _band_dual_moment(self, 2)
+
+    @cached_property
+    def _unit_cum(self) -> np.ndarray:
+        # Rounding can carry the cumulative mass past 1, outside a
+        # weighting's domain; p^2 is defined there and the dual moments
+        # are taken on the unclipped mass.
+        return np.clip(self._cum, 0.0, 1.0)
+
     def _sum(self, g, w) -> float:
         """Sum of g against the increments of w(F), or the probabilities for
         ``w=None``; ``NonFiniteError`` where g is not finite, as on a panel."""
         if w is None:
             weights, points = self.probabilities, self.outcomes
         else:
-            cum = np.concatenate(([0.0], self._cum))
-            if w is not _SQUARED:
-                # Rounding can carry the cumulative mass past 1, outside a
-                # weighting's domain; p^2 is defined there and the dual
-                # moments are taken on the unclipped mass.
-                cum = np.clip(cum, 0.0, 1.0)
-            weights, points = np.diff(np.asarray(w.w(cum), dtype=float)), self._values
+            cum = np.asarray(w.w(self._cum if w is _SQUARED else self._unit_cum),
+                             dtype=float)
+            weights, points = cum[1:] - cum[:-1], self._values  # np.diff
         values = np.asarray(g(points), dtype=float)
         if not np.isfinite(values).all():
             raise NonFiniteError(f"summand not finite on [{points[0]:g}, {points[-1]:g}]")
         return float(weights @ values)
+
+
+def _descends(values: list) -> bool:
+    """Whether a step of ``values`` is negative, as ``np.diff(values) < 0``
+    finds one: a NaN hides the steps next to it."""
+    return any(b - a < 0 for a, b in zip(values, values[1:]))
 
 
 class Degenerate(DiscreteModel):
@@ -982,40 +1020,42 @@ def build_dt_instance(
     vanish and the result is the plain n-point instance.  No outcome may
     lie below 0, and ``t0 + xi`` must keep the distinct values of ``xi``
     apart (``CollapsedBandError``, a ``ValidationError``, where rounding
-    merges two).
+    merges two).  The band is checked and assembled on Python floats, with
+    numpy's bits: only the zero-mean gate reads ``xi.mean()``, whose
+    pairwise sum its message prints.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size == 0:
         raise ValidationError("xi must be a non-empty 1-d sequence")
-    if np.any(np.diff(xi) < 0):
+    steps = xi.tolist()
+    if _descends(steps):
         raise ValidationError("xi must be sorted ascending")
-    scale = max(1.0, float(np.max(np.abs(xi))))
-    if abs(float(xi.mean())) > 1e-12 * scale:
-        raise ZeroMeanError(f"xi must be zero-mean, got mean {float(xi.mean())!r}")
+    mean = float(xi.mean())
+    # a NaN in xi makes the mean NaN, which passes whatever the scale
+    if abs(mean) > 1e-12 * max(1.0, *map(abs, steps)):
+        raise ZeroMeanError(f"xi must be zero-mean, got mean {mean!r}")
     if not 0 < p0 < 1:
         raise MassError("p0 must lie strictly inside (0, 1)")
     if not 0 < psi <= min(p0, 1.0 - p0) + 1e-15:
         raise MassError("psi must satisfy 0 < psi <= min(p0, 1 - p0)")
 
-    n = xi.size
-    band = t0 + xi
-    band_values = band.tolist()
-    # sets of a few floats: np.unique would import numpy.ma
-    if len(set(band_values)) < len(set(xi.tolist())):
+    n = len(steps)
+    band = [t0 + x for x in steps]
+    if len(set(band)) < len(set(steps)):
         raise CollapsedBandError(
             f"t0 + xi rounds distinct perturbations to one outcome at t0={t0!r}")
     lo_mass = p0 - psi
     hi_mass = 1.0 - p0 - psi
     if t_min is None:
-        t_min = float(band[0])
+        t_min = band[0]
     if t_max is None:
-        t_max = float(band[-1])
+        t_max = band[-1]
     if t_min > band[0] + 1e-15 or t_max < band[-1] - 1e-15:
         raise ValidationError("t_min/t_max must bracket the perturbed band")
 
     outcomes = [t_min] if lo_mass > 1e-15 else []
     probs = [lo_mass] if lo_mass > 1e-15 else []
-    outcomes.extend(band_values)
+    outcomes.extend(band)
     probs.extend([2.0 * psi / n] * n)
     if hi_mass > 1e-15:
         outcomes.append(t_max)
@@ -1023,7 +1063,6 @@ def build_dt_instance(
     if outcomes[0] < 0:
         raise ValidationError("service times carry no mass below zero")
 
-    meta = DtMetadata(t0=float(t0), p0=float(p0), psi=float(psi),
-                      xi=tuple(float(x) for x in xi),
+    meta = DtMetadata(t0=float(t0), p0=float(p0), psi=float(psi), xi=tuple(steps),
                       t_min=float(t_min), t_max=float(t_max))
     return DiscreteModel(outcomes, probs, dt_meta=meta)

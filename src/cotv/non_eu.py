@@ -50,8 +50,6 @@ from .distributions import (
     ServiceTimeModel,
     _dual_moments,
     _require_meta,
-    discrete_dual_moment,
-    discrete_dual_moment_variance,
 )
 from .errors import (
     DerivativeZeroError,
@@ -135,11 +133,14 @@ class RduContext:
 
 def _band_weights(meta: DtMetadata, w: WeightingFunction
                   ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Band weight increments, their total, and the perturbation xi."""
+    """Band weight increments, their total, and the perturbation xi.  The
+    grid p0 - psi + k (2 psi / n), k = 0..n, clipped to [0, 1], is formed
+    on Python floats, with the bits numpy gives it."""
     n = meta.n
-    grid = meta.p0 - meta.psi + (2.0 * meta.psi / n) * np.arange(0, n + 1)
-    wgrid = np.asarray(w.w(np.clip(grid, 0.0, 1.0)), dtype=float)
-    increments = np.diff(wgrid)
+    lo, step = meta.p0 - meta.psi, 2.0 * meta.psi / n
+    grid = np.array([min(max(lo + step * k, 0.0), 1.0) for k in range(n + 1)])
+    wgrid = np.asarray(w.w(grid), dtype=float)
+    increments = wgrid[1:] - wgrid[:-1]  # np.diff
     total = float(w.w(meta.p0 + meta.psi) - w.w(meta.p0 - meta.psi))
     if total == 0.0:
         raise DerivativeZeroError("weighting places no mass on the band")
@@ -291,16 +292,12 @@ def rdu_premium_approx(ctx: RduContext, mu: float, m2: float,
 
 
 def _band_moments(model_or_instance: ServiceTimeModel) -> tuple[float, float, float]:
-    """(m2, m2_dual, m2_dual_var) of the perturbation measure: the band's
-    on a banded instance, and otherwise the variance and the dual moments
-    of :func:`~cotv.distributions._dual_moments`."""
-    meta = model_or_instance.dt_meta
-    if meta is not None:
-        xi = np.asarray(meta.xi, dtype=float)
-        m2 = float(np.mean(xi**2))
-        return (m2,
-                discrete_dual_moment(model_or_instance),
-                discrete_dual_moment_variance(model_or_instance))
+    """(m2, m2_dual, m2_dual_var) of the perturbation measure: the band's on
+    a banded instance, computed once per instance
+    (``DiscreteModel._perturbation_moments``), and otherwise the variance
+    and the dual moments of :func:`~cotv.distributions._dual_moments`."""
+    if model_or_instance.dt_meta is not None:
+        return model_or_instance._perturbation_moments
     return (model_or_instance.variance(), *_dual_moments(model_or_instance))
 
 

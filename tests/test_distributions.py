@@ -295,7 +295,7 @@ class TestDiscreteDualMomentFormula:
             brute + d**2 / 2.0, abs=1e-14)
 
     @given(st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     def test_formula_equals_bruteforce(self, data):
         n = data.draw(st.integers(min_value=2, max_value=8))
         raw = data.draw(st.lists(

@@ -179,7 +179,7 @@ class TestDtPremiumApprox:
         assert dt_premium_approx(DtContext(w=INVERSE_S), 0.0) == 0.0
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_quadratic_weighting_taylor_is_exact(self, data):
         n = data.draw(st.integers(min_value=2, max_value=8))
         raw = data.draw(st.lists(

@@ -24,7 +24,7 @@ def test_working_tree_against_itself_is_identical(parity):
              for case in group[::min(25, len(group) // 3)]]
     assert {case_id.split("/")[0] for case_id, _, _ in cases} == {
         "report-mix", "sweep-grid", "sweep-dt", "sweep-rdu", "shared-blocks", "band",
-        "ledger", "point-mass", "heavy-tail", "certification", "view"}
+        "discrete", "ledger", "point-mass", "heavy-tail", "certification", "view"}
     old = parity.render_tree(parity.ROOT, cases)
     new = parity.render_tree(parity.ROOT, cases)
     assert any(out["error"] for out in old) and any(out["text"] for out in old)
@@ -79,6 +79,32 @@ def test_band_group_covers_every_family(parity):
     # below 0 under the inverse-S one at p0 0.35
     premiums = [json.loads(out["text"])["results"]["premium_exact"] for out in rendered]
     assert [premium > 0 for premium in premiums] == [True, False, True, False]
+
+
+def test_discrete_group_covers_ties_and_long_bands(parity):
+    cases = parity._discrete_cases()
+    # 4 models x (EU under 5 utilities + DT and RDU under 5 utilities, each
+    # under 2 weightings) x 3 methods
+    assert len(cases) == 4 * (5 + 2 + 5 * 2) * 3
+    models = parity.DISCRETE_MODELS.values()
+    raw = [model["outcomes"] for model in models if "outcomes" in model]
+    bands = [model["dt"] for model in models if "dt" in model]
+    assert raw and all(len(set(outcomes)) < len(outcomes) for outcomes in raw)
+    assert max(map(len, raw)) >= 8
+    assert all(len(band["xi"]) >= 8 and len(set(band["xi"])) < len(band["xi"])
+               for band in bands)
+    assert any("t_min" in band for band in bands)
+    assert {raw["weighting"]["family"] for _, _, raw in cases if "weighting" in raw} == {
+        "power", "inverse_s"}
+    # a band's weighting carries the band's anchor
+    assert {(raw["weighting"]["p0"], raw["weighting"]["psi"]) for case_id, _, raw in cases
+            if case_id.startswith("discrete/band-9-flanks/") and "weighting" in raw} == {
+        (0.4, 0.3)}
+    wanted = ("discrete/raw-9/rdu/power/inverse_s/both",
+              "discrete/band-9-flanks/dt/affine/inverse_s/both",
+              "discrete/band-8/eu/quadratic/both")
+    rendered = parity.render_tree(parity.ROOT, [case for case in cases if case[0] in wanted])
+    assert [out["error"] for out in rendered] == [None, None, None]
 
 
 def test_point_mass_grid_covers_every_family(parity):

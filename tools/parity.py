@@ -27,6 +27,12 @@ touches the network.  The cases are:
   weighting family and the three methods, so the band premium is solved
   in closed form and searched for, above 0 and (under the inverse-S
   weighting at p0 0.35) below it;
+* a discrete group: raw discrete models with tied outcomes, of 3 and of 9
+  states, and bands of 8 and 9 states (numpy's pairwise-sum threshold is
+  8) with tied xi, one spread over all probability and one with flanks
+  apart from it, under EU with every utility family, DT, and RDU with
+  every utility family, DT and RDU each under a power and an inverse-S
+  weighting, the three methods;
 * a point-mass grid: values 0, 1, 2.5 and 1e-300, every utility family,
   EU and DT and RDU under every weighting family, phi 1 and 2.5, the
   three methods;
@@ -126,6 +132,21 @@ BAND_XI = (-1.5, -0.25, 0.5, 1.25)
 BAND_FLANKS = {"t_min": 1.0, "t_max": 9.0}
 # (p0, psi) of the band group's instances and weightings
 BAND_ANCHORS = ((0.5, 0.5), (0.35, 0.3))
+# the discrete group's models: raw ones with ties, and bands of 8 or more
+# tied states, one with flanks
+DISCRETE_MODELS = {
+    "raw-3": {"family": "discrete", "outcomes": [0.5, 0.5, 3.0],
+              "probabilities": [0.2, 0.3, 0.5]},
+    "raw-9": {"family": "discrete",
+              "outcomes": [1.0, 2.5, 2.5, 2.5, 4.0, 7.0, 7.0, 9.5, 12.0],
+              "probabilities": [0.0683, 0.16, 0.0968, 0.1408, 0.0975, 0.1171, 0.0583,
+                                0.1166, 0.1446]},
+    "band-8": {"family": "discrete",
+               "dt": {"t0": 12.0, "xi": [-2.25, -2.25, -0.75, -0.75, 0.75, 0.75, 2.25, 2.25]}},
+    "band-9-flanks": {"family": "discrete",
+                      "dt": {"t0": 6.0, "xi": [-1.5, -1.5, -0.5, 0.0, 0.0, 0.0, 0.5, 1.5, 1.5],
+                             "p0": 0.4, "psi": 0.3, "t_min": 2.0, "t_max": 15.0}},
+}
 # the certification group's weighting gammas and utilities
 CERTIFICATION_WEIGHTINGS = (
     *({"family": "inverse_s", "params": {"gamma": gamma}}
@@ -249,6 +270,27 @@ def _band_cases() -> list[tuple[str, str, dict]]:
     return cases
 
 
+def _discrete_cases() -> list[tuple[str, str, dict]]:
+    cases = []
+    for model_id, distribution in DISCRETE_MODELS.items():
+        anchor = {key: distribution["dt"][key] for key in ("p0", "psi")
+                  if key in distribution.get("dt", {})}
+        runs = [("eu", utility, None) for utility in UTILITIES]
+        runs += [("dt", UTILITIES[4], weighting) for weighting in WEIGHTINGS[1:]]
+        runs += [("rdu", utility, weighting) for weighting in WEIGHTINGS[1:]
+                 for utility in UTILITIES]
+        for framework, utility, weighting in runs:
+            name = f"discrete/{model_id}/{framework}/{utility['family']}"
+            raw = {"framework": framework, "distribution": distribution,
+                   "preference": utility, "seed": 0}
+            if weighting is not None:
+                raw["weighting"] = dict(weighting, **anchor)
+                name += f"/{weighting['family']}"
+            cases += [(f"{name}/{method}", "value", dict(raw, method=method))
+                      for method in METHODS]
+    return cases
+
+
 def _certification_cases() -> list[tuple[str, str, dict]]:
     base = {"distribution": {"family": "uniform", "params": {"lo": 1.0, "hi": 3.0}},
             "method": "both", "seed": 0}
@@ -324,8 +366,9 @@ def build_cases(seeds=(1, 2, 3)) -> list[tuple[str, str, dict]]:
             for method in METHODS:
                 cases.append((f"ledger/{region['id']}/{method}", "value",
                               dict(region["config"], method=method)))
-    return (cases + _shared_block_cases() + _band_cases() + _point_mass_cases()
-            + _heavy_tail_cases() + _certification_cases() + _view_cases(corpora))
+    return (cases + _shared_block_cases() + _band_cases() + _discrete_cases()
+            + _point_mass_cases() + _heavy_tail_cases() + _certification_cases()
+            + _view_cases(corpora))
 
 
 def _render_view(view: str, config) -> str:
